@@ -33,7 +33,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DomainError,
@@ -46,16 +45,16 @@ from .estimate import (
     FitResult,
     SolverOptions,
     _newton_fit,
-    _spectral_summary,
     empirical_sc_params,
 )
-from .scfun import certify_unique_minimizer
 from .gof import lr_statistic, phase_seed, wald_statistic
 from .losses import (
+    Batch,
     LossModel,
-    _score_matching_stacks,
-    batch_values,
+    exp_overflow,
+    linear_coefficients,
     model_for_data,
+    prepare_batch,
 )
 from .simdata import Dataset, Process, generate, loss_kind_for
 
@@ -72,7 +71,6 @@ __all__ = [
     "write_coverage_csv",
 ]
 
-_EXP_LIMIT = 700.0
 # rough element budget for one chunk's (slots, n) temporaries
 _CHUNK_ELEMENTS = 8_000_000
 
@@ -131,45 +129,12 @@ def bootstrap_fit(
     weights = np.asarray(weights, dtype=float)
     if not np.all(np.isfinite(weights)):
         raise DomainError("bootstrap weights must be finite")
-    opts = opts or SolverOptions()
-    theta, agg, dec, iterations, converged = _newton_fit(model, data, opts, weights=weights)
-    spec = _spectral_summary(agg.H_n)
-    cert = None
-    if spec is not None:
-        cert = certify_unique_minimizer(empirical_sc_params(model, data.n), spec, dec)
-    return FitResult(
-        theta_n=theta,
-        aggregates_at_opt=agg,
-        newton_decrement=dec,
-        iterations=iterations,
-        converged=converged,
-        certificate=cert,
-    )
+    return _newton_fit(model, data, opts or SolverOptions(), weights=weights)
 
 
 # ---------------------------------------------------------------------------
 # vectorized engine: all replications advance one damped-Newton step at a time
 # ---------------------------------------------------------------------------
-
-
-def _glm_coefficients(kind: str, eta: np.ndarray, y: np.ndarray):
-    """Per-sample value, gradient factor, and curvature at linear predictors.
-
-    Returns (vals, gc, cc, bad) where the per-sample gradient is gc * x and
-    the Hessian is cc * x x'; ``bad`` flags slots whose predictor overflows.
-    """
-    if kind == "squared":
-        resid = eta - y
-        return 0.5 * resid * resid, resid, np.ones_like(eta), None
-    if kind == "logistic":
-        margin = y * eta
-        s = expit(margin)
-        return np.logaddexp(0.0, -margin), (s - 1.0) * y, s * (1.0 - s), None
-    # poisson
-    bad = np.max(eta, axis=-1) > _EXP_LIMIT
-    with np.errstate(over="ignore"):
-        mu = np.exp(np.minimum(eta, _EXP_LIMIT))
-    return mu - y * eta, mu - y, mu, bad
 
 
 def _batch_chol_directions(H: np.ndarray, S: np.ndarray):
@@ -203,25 +168,22 @@ def _batch_chol_directions(H: np.ndarray, S: np.ndarray):
     return p, dec, ok
 
 
-def _engine_chunk(
-    model: LossModel,
-    data: Dataset,
-    W: np.ndarray,
-    opts: SolverOptions,
-):
+def _engine_chunk(batch: Batch, W: np.ndarray, opts: SolverOptions):
     """Fit every row of W by vectorized damped Newton.
 
     Returns (thetas, H_final, L_final, success): per-slot solutions, the
-    weighted Hessian and risk at the solution, and a success mask.
+    weighted Hessian and risk at the solution, and a success mask.  A
+    Poisson slot whose predictor overflows fails alone.
     """
+    model = batch.model
     kind = model.kind
-    X, y = data.X, data.y
-    n, d = data.n, model.dim
+    X, y = batch.X, batch.y
+    n, d = batch.n, model.dim
     m = W.shape[0]
     R_n = empirical_sc_params(model, n).R
 
     if kind == "score_matching":
-        A, bvec, cvec = _score_matching_stacks(model, X)
+        A, bvec, cvec = batch.stacks
         WA = np.einsum("bi,ijk->bjk", W, A) / n
         Wb = W @ bvec / n
         Wc = W @ cvec / n
@@ -247,7 +209,8 @@ def _engine_chunk(
             ) + Wc[idx]
         else:
             eta = th @ X.T
-            vals, gc, cc, bad = _glm_coefficients(kind, eta, y)
+            bad = exp_overflow(eta) if kind == "poisson" else None
+            vals, gc, cc = linear_coefficients(kind, eta, y)
             if bad is not None and np.any(bad):
                 failed[idx[bad]] = True
                 alive[idx[bad]] = False
@@ -299,7 +262,8 @@ def _bootstrap_statistics(
         raise NonConverged("bootstrap calibration requires a converged base fit")
     opts = opts or SolverOptions()
     n = data.n
-    vals_base = batch_values(model, fit.theta_n, data.X, data.y)
+    batch = prepare_batch(model, data.X, data.y)
+    vals_base = batch.values(fit.theta_n)
 
     wald = np.full(B, np.nan)
     lr = np.full(B, np.nan)
@@ -321,7 +285,7 @@ def _bootstrap_statistics(
             W = np.empty((stop - start, n))
             for j, b in enumerate(range(start, stop)):
                 W[j] = bootstrap_weights(seed, b, n)
-            thetas, H_fin, L_fin, success = _engine_chunk(model, data, W, opts)
+            thetas, H_fin, L_fin, success = _engine_chunk(batch, W, opts)
             diff = thetas - fit.theta_n
             wald_chunk = np.einsum("bj,bjk,bk->b", diff, H_fin, diff)
             lr_chunk = np.maximum(2.0 * (W @ vals_base / n - L_fin), 0.0)

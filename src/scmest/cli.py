@@ -28,9 +28,10 @@ _THREAD_VARS = (
     "NUMEXPR_NUM_THREADS",
 )
 
-# mirrored from losses.LOSS_KINDS / simdata.PROCESS_KINDS (tests pin the
-# equality); listing them here keeps parser construction import-light
-_LOSS_KINDS = ("squared", "logistic", "poisson", "expfam_glm", "score_matching")
+# the losses.LOSS_KINDS that losses.model_for_data can build from data (all
+# but expfam_glm, which needs a user feature map) and simdata.PROCESS_KINDS;
+# tests pin both; listing them here keeps parser construction import-light
+_LOSS_KINDS = ("squared", "logistic", "poisson", "score_matching")
 _PROCESS_KINDS = (
     "linear_wellspec",
     "linear_misspec_t",

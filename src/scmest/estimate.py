@@ -15,6 +15,16 @@ systems are solved by Cholesky factorization, with a single diagonal-jitter
 retry (1e-10 trace/d) before declaring the Hessian singular, so genuine
 non-existence (separable logistic data, n < d designs) is distinguished from
 round-off.
+
+Work per fit: X, y and the weights are checked once per call, and the
+per-sample stacks of the loss (the expfam_glm statistics, the
+score-matching (A, b, c)) are built once per call, in a
+:class:`~scmest.losses.Batch`.  Each iteration then computes the linear
+predictor once and only S_n and H_n, H_n by one matrix product for the
+linear-predictor kinds.  L_n and G_n are computed once, at the returned
+iterate, with the same arithmetic as :func:`aggregates`, so
+``FitResult.aggregates_at_opt`` equals ``aggregates(model, data, theta_n)``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +36,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DimensionMismatch, SingularHessian
-from .losses import LossModel, batch_grads, batch_values, mean_hessian
+from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch
 from .scfun import (
     Certificate,
     ScParams,
@@ -78,14 +88,12 @@ class SolverOptions:
     """Damped-Newton solver settings.
 
     tol is the Newton-decrement stopping threshold, measured in the
-    H_n^{-1} norm of the gradient.  ridge_floor, when positive, is added to
-    the Hessian diagonal before every factorization; the failure-retry
-    jitter is applied on top regardless.
+    H_n^{-1} norm of the gradient; max_iter caps the number of Newton
+    steps.
     """
 
     tol: float = 1e-10
     max_iter: int = 100
-    ridge_floor: float = 0.0
 
     def __post_init__(self) -> None:
         if self.tol <= 0.0:
@@ -139,31 +147,22 @@ def aggregates(
 
     With multiplier weights w_i the averages become n^-1 sum_i w_i (.), and
     G_n averages the outer products of the weighted per-sample gradients.
+    Unit weights reproduce the unweighted aggregates bit for bit.
     """
-    theta = np.asarray(theta, dtype=float)
-    vals = batch_values(model, theta, data.X, data.y)
-    grads = batch_grads(model, theta, data.X, data.y)
-    n = data.n
-    # single arithmetic path regardless of weighting: multiplying by unit
-    # weights is exact, so weights=ones reproduces the unweighted fit bit
-    # for bit
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
-    L = float(np.sum(w * vals)) / n
-    wg = w[:, None] * grads
-    S = np.sum(wg, axis=0) / n
-    G = wg.T @ wg / n
-    H = mean_hessian(model, theta, data.X, data.y, weights=weights)
-    return EmpiricalAggregates(
-        L_n=L, S_n=S, H_n=H, G_n=0.5 * (G + G.T), n=n
-    )
+    batch = prepare_batch(model, data.X, data.y)
+    theta = check_theta(model, theta)
+    w = check_weights(weights, batch.n)
+    S, H = batch.score_hessian(theta, w)
+    return _complete(batch, theta, w, S, H)
 
 
-def _chol_with_jitter(H: np.ndarray, ridge_floor: float = 0.0):
+def _complete(batch: Batch, theta, w, S, H) -> EmpiricalAggregates:
+    """Aggregates at theta from its S_n and H_n, adding L_n and G_n."""
+    L, G = batch.risk_moment(theta, w)
+    return EmpiricalAggregates(L_n=L, S_n=S, H_n=H, G_n=G, n=batch.n)
+
+
+def _chol_with_jitter(H: np.ndarray):
     """Cholesky factor of H with a pivot check, retrying once with jitter.
 
     Returns the cho_factor pair.  A factorization whose smallest squared
@@ -175,8 +174,6 @@ def _chol_with_jitter(H: np.ndarray, ridge_floor: float = 0.0):
     SingularHessian is raised.
     """
     d = H.shape[0]
-    if ridge_floor > 0.0:
-        H = H + ridge_floor * np.eye(d)
     scale = float(np.trace(H)) / d
     if scale <= 0.0:
         raise SingularHessian("Hessian has nonpositive trace; no minimizer certified")
@@ -200,10 +197,11 @@ def _chol_with_jitter(H: np.ndarray, ridge_floor: float = 0.0):
     return factor
 
 
-def _decrement_and_direction(agg: EmpiricalAggregates, ridge_floor: float):
-    factor = _chol_with_jitter(agg.H_n, ridge_floor)
-    p = -cho_solve(factor, agg.S_n)
-    dec_sq = float(agg.S_n @ -p)
+def _decrement_and_direction(S: np.ndarray, H: np.ndarray):
+    """Newton decrement sqrt(S'H^{-1}S) and direction -H^{-1}S."""
+    factor = _chol_with_jitter(H)
+    p = -cho_solve(factor, S)
+    dec_sq = float(S @ -p)
     return math.sqrt(max(dec_sq, 0.0)), p
 
 
@@ -212,17 +210,32 @@ def _newton_fit(
     data: Dataset,
     opts: SolverOptions,
     weights: np.ndarray | None = None,
-):
-    """Damped Newton on the (weighted) empirical risk from theta = 0."""
-    params_n = empirical_sc_params(model, data.n)
+) -> FitResult:
+    """Damped Newton on the (weighted) empirical risk from theta = 0.
+
+    Checks the inputs and builds the per-sample stacks once; each iteration
+    evaluates only S_n and H_n, and the full aggregates are completed once,
+    at the returned iterate, where the certificate is evaluated.
+    """
+    batch = prepare_batch(model, data.X, data.y)
+    w = check_weights(weights, batch.n)
+    params_n = empirical_sc_params(model, batch.n)
     theta = np.zeros(model.dim)
     for it in range(opts.max_iter + 1):
-        agg = aggregates(model, data, theta, weights=weights)
-        dec, p = _decrement_and_direction(agg, opts.ridge_floor)
-        if dec <= opts.tol:
-            return theta, agg, dec, it, True
-        if it == opts.max_iter:
-            return theta, agg, dec, it, False
+        S, H = batch.score_hessian(theta, w)
+        dec, p = _decrement_and_direction(S, H)
+        converged = dec <= opts.tol
+        if converged or it == opts.max_iter:
+            spec = _spectral_summary(H)
+            cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
+            return FitResult(
+                theta_n=theta,
+                aggregates_at_opt=_complete(batch, theta, w, S, H),
+                newton_decrement=dec,
+                iterations=it,
+                converged=converged,
+                certificate=cert,
+            )
         # ||p||_{H_n} equals the Newton decrement since H_n p = -S_n
         damping = d_nu(params_n, p, dec)
         alpha = min(1.0, 1.0 / (1.0 + damping))
@@ -246,22 +259,7 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
     Raises SingularHessian when a Newton system cannot be factorized, which
     is how non-existence (e.g. separable logistic data) surfaces.
     """
-    opts = opts or SolverOptions()
-    theta, agg, dec, iterations, converged = _newton_fit(model, data, opts)
-    spec = _spectral_summary(agg.H_n)
-    cert = None
-    if spec is not None:
-        cert = certify_unique_minimizer(
-            empirical_sc_params(model, data.n), spec, dec
-        )
-    return FitResult(
-        theta_n=theta,
-        aggregates_at_opt=agg,
-        newton_decrement=dec,
-        iterations=iterations,
-        converged=converged,
-        certificate=cert,
-    )
+    return _newton_fit(model, data, opts or SolverOptions())
 
 
 def localization_certificate(
@@ -275,10 +273,10 @@ def localization_certificate(
     unique minimizer exists and ``||theta_n - theta_ref||_{H_n(theta_ref)}``
     is at most ``bound = 4 score_norm``.
     """
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    agg = aggregates(model, data, theta_ref)
-    dec, _ = _decrement_and_direction(agg, 0.0)
-    spec = _spectral_summary(agg.H_n)
+    batch = prepare_batch(model, data.X, data.y)
+    S, H = batch.score_hessian(check_theta(model, theta_ref), check_weights(None, batch.n))
+    dec, _ = _decrement_and_direction(S, H)
+    spec = _spectral_summary(H)
     if spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")
     params_n = empirical_sc_params(model, data.n)

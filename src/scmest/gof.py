@@ -31,8 +31,8 @@ from scipy.linalg import cho_solve
 from scipy.stats import chi2
 
 from .errors import DomainError, MissingSampler, NonConverged
-from .estimate import FitResult, SolverOptions, _chol_with_jitter, aggregates, fit_erm
-from .losses import LossModel, model_for_data
+from .estimate import FitResult, SolverOptions, _chol_with_jitter, fit_erm
+from .losses import LossModel, check_theta, check_weights, model_for_data, prepare_batch
 from .simdata import Dataset, Process, generate, loss_kind_for
 
 __all__ = [
@@ -80,19 +80,18 @@ class TestReport:
 
 def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
     """Score statistic S_n(theta0)' H_n(theta0)^{-1} S_n(theta0); fits nothing."""
-    theta0 = np.asarray(theta0, dtype=float)
-    agg = aggregates(model, data, theta0)
-    factor = _chol_with_jitter(agg.H_n)
-    return float(agg.S_n @ cho_solve(factor, agg.S_n))
+    batch = prepare_batch(model, data.X, data.y)
+    S, H = batch.score_hessian(check_theta(model, theta0), check_weights(None, batch.n))
+    return float(S @ cho_solve(_chol_with_jitter(H), S))
 
 
 def lr_statistic(model: LossModel, data: Dataset, fit: FitResult, theta0) -> float:
     """Likelihood-ratio statistic 2 [L_n(theta0) - L_n(theta_n)], nonnegative."""
     if not fit.converged:
         raise NonConverged("lr_statistic requires a converged fit")
-    theta0 = np.asarray(theta0, dtype=float)
-    agg0 = aggregates(model, data, theta0)
-    value = 2.0 * (agg0.L_n - fit.aggregates_at_opt.L_n)
+    batch = prepare_batch(model, data.X, data.y)
+    risk0 = batch.risk(check_theta(model, theta0), check_weights(None, batch.n))
+    value = 2.0 * (risk0 - fit.aggregates_at_opt.L_n)
     if value < -1e-10:
         raise DomainError(
             f"LR statistic {value} is negative beyond tolerance; fit is not a minimizer"

@@ -45,7 +45,14 @@ from .estimate import (
     empirical_sc_params,
     fit_erm,
 )
-from .losses import LossModel, batch_grads, batch_values, mean_hessian, model_for_data
+from .losses import (
+    LossModel,
+    batch_values,
+    check_theta,
+    check_weights,
+    model_for_data,
+    prepare_batch,
+)
 from .scfun import ScParams, SpectralSummary, k_nu, omega, r_nu
 from .simdata import Dataset, Process, generate, loss_kind_for
 
@@ -194,9 +201,11 @@ def effective_dim_spectrum(g_eigs, h_eigs) -> float:
 
 
 def _moments_at(model: LossModel, data: Dataset, theta: np.ndarray):
-    grads = batch_grads(model, theta, data.X, data.y)
+    batch = prepare_batch(model, data.X, data.y)
+    theta = check_theta(model, theta)
+    grads = batch.grads(theta)
     G = grads.T @ grads / data.n
-    H = mean_hessian(model, theta, data.X, data.y)
+    H = batch.score_hessian(theta, check_weights(None, batch.n))[1]
     return G, H
 
 

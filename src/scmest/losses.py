@@ -19,9 +19,14 @@ vectors z and a callback producing the per-sample quadratic form (A, b, c);
 :func:`score_matching_assemble` builds that triple from derivatives of the
 sufficient statistic t and the base density term h.
 
-Besides the per-sample operations the module exposes batch versions used by
-the fitting code; both run the same arithmetic.  LossModel instances are
-immutable and all evaluations are pure.
+Besides the per-sample operations the module exposes batch versions; both
+run the same arithmetic.  The fitting code works on a :class:`Batch`, made
+once per call by :func:`prepare_batch`: it checks X and y and builds the
+per-sample stacks (the expfam_glm statistics, the score-matching (A, b, c))
+that every later evaluation reuses.  The squared, logistic and Poisson
+losses are each defined once, as functions of the linear predictor in
+:func:`linear_coefficients`, which the bootstrap engine shares.  LossModel
+instances are immutable and all evaluations are pure.
 """
 
 from __future__ import annotations
@@ -290,24 +295,20 @@ def model_for_data(kind: str, X: np.ndarray, dim: int | None = None) -> LossMode
 # ---------------------------------------------------------------------------
 
 
-def _check_batch(model: LossModel, theta: np.ndarray, X: np.ndarray, y: np.ndarray | None):
-    theta = np.asarray(theta, dtype=float)
+def _check_data(model: LossModel, X, y):
+    """Validate the design matrix and responses of one call against the model."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise DimensionMismatch(f"X must be 2-d, got shape {X.shape}")
     if X.shape[0] == 0:
         raise EmptyDataset("need at least one observation")
-    if theta.shape != (model.dim,):
-        raise DimensionMismatch(
-            f"theta has shape {theta.shape}, model dim is {model.dim}"
-        )
     expected_cols = model.raw_dim if model.kind == "score_matching" else model.dim
     if X.shape[1] != expected_cols:
         raise DimensionMismatch(
             f"data has {X.shape[1]} columns, model expects {expected_cols}"
         )
     if model.kind == "score_matching":
-        return theta, X, None
+        return X, None
     if y is None:
         raise DimensionMismatch(f"loss kind {model.kind!r} requires responses")
     y = np.asarray(y, dtype=float)
@@ -329,16 +330,46 @@ def _check_batch(model: LossModel, theta: np.ndarray, X: np.ndarray, y: np.ndarr
             raise InvalidLabel(
                 f"label {y[~mask][0]} not in the model label set {model.labels}"
             )
-    return theta, X, y
+    return X, y
 
 
-def _poisson_eta(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    eta = X @ theta
-    if float(np.max(eta, initial=-np.inf)) > _EXP_LIMIT:
-        raise NumericOverflow(
-            f"exp(theta'x) overflows double precision (max eta = {np.max(eta):.3g})"
+def check_theta(model: LossModel, theta) -> np.ndarray:
+    """theta as a float vector of the model's dimension."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (model.dim,):
+        raise DimensionMismatch(
+            f"theta has shape {theta.shape}, model dim is {model.dim}"
         )
-    return eta
+    return theta
+
+
+def linear_coefficients(kind: str, eta: np.ndarray, y: np.ndarray, value: bool = True):
+    """The squared, logistic and Poisson losses as functions of eta = x'theta.
+
+    Returns (value, gradient factor, curvature) per sample: the loss is
+    value, its gradient in theta is factor * x and its Hessian curvature
+    * x x'.  ``value=False`` skips the value (returned as None).  ``eta``
+    may carry leading slot axes that broadcast against y.  Poisson
+    predictors are clipped at the overflow limit; callers test
+    :func:`exp_overflow` first.
+    """
+    if kind == "squared":
+        resid = eta - y
+        return (0.5 * resid * resid if value else None), resid, np.ones_like(eta)
+    if kind == "logistic":
+        margin = y * eta
+        s = expit(margin)
+        vals = np.logaddexp(0.0, -margin) if value else None
+        return vals, (s - 1.0) * y, s * (1.0 - s)
+    if kind == "poisson":
+        mu = np.exp(np.minimum(eta, _EXP_LIMIT))
+        return (mu - y * eta if value else None), mu - y, mu
+    raise DomainError(f"loss kind {kind!r} is not a function of x'theta")
+
+
+def exp_overflow(eta: np.ndarray):
+    """Whether exp(eta) overflows double precision, per row of the last axis."""
+    return np.max(eta, axis=-1, initial=-np.inf) > _EXP_LIMIT
 
 
 def _expfam_stats(model: LossModel, X: np.ndarray) -> np.ndarray:
@@ -355,6 +386,14 @@ def _expfam_stats(model: LossModel, X: np.ndarray) -> np.ndarray:
                 )
             T[i, k] = t
     return T
+
+
+def _expfam_observed(model: LossModel, T: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pick t(x_i, y_i) rows out of the stacked statistics."""
+    labels = np.asarray(model.labels)
+    idx = np.searchsorted(np.sort(labels), y)
+    order = np.argsort(labels)
+    return T[np.arange(T.shape[0]), order[idx]]
 
 
 def _score_matching_stacks(model: LossModel, X: np.ndarray):
@@ -376,95 +415,157 @@ def _score_matching_stacks(model: LossModel, X: np.ndarray):
     return A, b, c
 
 
-def batch_values(model: LossModel, theta, X, y=None) -> np.ndarray:
-    """Per-sample loss values, an (n,) array."""
-    theta, X, y = _check_batch(model, theta, X, y)
-    if model.kind == "squared":
-        resid = X @ theta - y
-        return 0.5 * resid * resid
-    if model.kind == "logistic":
-        margin = y * (X @ theta)
-        return np.logaddexp(0.0, -margin)
-    if model.kind == "poisson":
-        eta = _poisson_eta(theta, X)
-        return np.exp(eta) - y * eta
+def _symmetric(H: np.ndarray) -> np.ndarray:
+    # removes reduction round-off
+    return 0.5 * (H + H.T)
+
+
+@dataclass(frozen=True, eq=False)
+class Batch:
+    """The checked data of one call plus the per-sample stacks of its loss.
+
+    Built by :func:`prepare_batch`.  ``stacks`` is empty for the
+    linear-predictor kinds, ``(T, T_obs)`` for expfam_glm (t(x_i, label_k)
+    as an (n, K, dim) array and the observed rows t(x_i, y_i) as (n, dim)),
+    and ``(A, b, c)`` for score_matching.  Every evaluation below reuses
+    them, so a fit that holds one Batch runs the per-sample callbacks once.
+    Weighted averages take a weight vector ``w`` of length n.
+    """
+
+    model: LossModel
+    X: np.ndarray
+    y: np.ndarray | None
+    stacks: tuple = ()
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    def _linear(self, theta: np.ndarray, value: bool):
+        eta = self.X @ theta
+        if self.model.kind == "poisson" and exp_overflow(eta):
+            raise NumericOverflow(
+                f"exp(theta'x) overflows double precision (max eta = {np.max(eta):.3g})"
+            )
+        return linear_coefficients(self.model.kind, eta, self.y, value)
+
+    def _expfam(self, theta: np.ndarray):
+        """Label probabilities and the expected statistic per sample."""
+        T = self.stacks[0]
+        probs = softmax(T @ theta, axis=1)
+        return probs, np.einsum("ik,ikj->ij", probs, T)
+
+    def values(self, theta: np.ndarray) -> np.ndarray:
+        """Per-sample loss values, an (n,) array."""
+        kind = self.model.kind
+        if kind == "expfam_glm":
+            T, T_obs = self.stacks
+            return logsumexp(T @ theta, axis=1) - T_obs @ theta
+        if kind == "score_matching":
+            A, b, c = self.stacks
+            return 0.5 * np.einsum("j,ijk,k->i", theta, A, theta) - b @ theta + c
+        return self._linear(theta, value=True)[0]
+
+    def grads(self, theta: np.ndarray) -> np.ndarray:
+        """Per-sample gradients, an (n, dim) array."""
+        kind = self.model.kind
+        if kind == "expfam_glm":
+            return self._expfam(theta)[1] - self.stacks[1]
+        if kind == "score_matching":
+            A, b, _ = self.stacks
+            return A @ theta - b
+        return self._linear(theta, value=False)[1][:, None] * self.X
+
+    def score_hessian(self, theta: np.ndarray, w: np.ndarray):
+        """Weighted mean gradient S_n and Hessian H_n at theta, and nothing else.
+
+        This is one Newton iteration's evaluation.  For the linear-predictor
+        kinds it computes eta = X theta once, S_n by one matrix-vector
+        product and H_n as the matrix product ((w c)[:, None] X)' X / n.
+        H_n is symmetrized to remove reduction round-off.
+        """
+        kind = self.model.kind
+        n = self.n
+        if kind == "expfam_glm":
+            T, T_obs = self.stacks
+            probs, mean_t = self._expfam(theta)
+            S = w @ (mean_t - T_obs) / n
+            T = T.reshape(-1, self.model.dim)
+            wp = (w[:, None] * probs).reshape(-1)
+            H = ((wp[:, None] * T).T @ T - (w[:, None] * mean_t).T @ mean_t) / n
+        elif kind == "score_matching":
+            A = self.stacks[0]
+            S = w @ self.grads(theta) / n
+            H = (w @ A.reshape(n, -1)).reshape(A.shape[1:]) / n
+        else:
+            _, gfac, curv = self._linear(theta, value=False)
+            S = (w * gfac) @ self.X / n
+            H = ((w * curv)[:, None] * self.X).T @ self.X / n
+        return S, _symmetric(H)
+
+    def risk(self, theta: np.ndarray, w: np.ndarray) -> float:
+        """Weighted empirical risk L_n = n^-1 sum_i w_i l(theta; z_i)."""
+        return float(np.sum(w * self.values(theta))) / self.n
+
+    def risk_moment(self, theta: np.ndarray, w: np.ndarray):
+        """Weighted empirical risk L_n and score second moment G_n at theta.
+
+        G_n averages the outer products of the weighted per-sample
+        gradients; it is symmetrized and PSD by construction.
+        """
+        wg = w[:, None] * self.grads(theta)
+        return self.risk(theta, w), _symmetric(wg.T @ wg / self.n)
+
+
+def prepare_batch(model: LossModel, X, y=None) -> Batch:
+    """Check (X, y) against the model and build its per-sample stacks once."""
+    X, y = _check_data(model, X, y)
     if model.kind == "expfam_glm":
         T = _expfam_stats(model, X)
-        scores = T @ theta
-        observed = _expfam_observed(model, T, y)
-        return logsumexp(scores, axis=1) - observed @ theta
-    A, b, c = _score_matching_stacks(model, X)
-    return 0.5 * np.einsum("j,ijk,k->i", theta, A, theta) - b @ theta + c
+        stacks = (T, _expfam_observed(model, T, y))
+    elif model.kind == "score_matching":
+        stacks = _score_matching_stacks(model, X)
+    else:
+        stacks = ()
+    return Batch(model=model, X=X, y=y, stacks=stacks)
 
 
-def _expfam_observed(model: LossModel, T: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pick t(x_i, y_i) rows out of the stacked statistics."""
-    labels = np.asarray(model.labels)
-    idx = np.searchsorted(np.sort(labels), y)
-    order = np.argsort(labels)
-    return T[np.arange(T.shape[0]), order[idx]]
+def check_weights(w, n: int) -> np.ndarray:
+    """Weights as a length-n float vector; None means all ones.
+
+    Multiplying by unit weights is exact, so weights=ones reproduces the
+    unweighted results bit for bit.
+    """
+    if w is None:
+        return np.ones(n)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (n,):
+        raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
+    return w
+
+
+def batch_values(model: LossModel, theta, X, y=None) -> np.ndarray:
+    """Per-sample loss values, an (n,) array."""
+    batch = prepare_batch(model, X, y)
+    return batch.values(check_theta(model, theta))
 
 
 def batch_grads(model: LossModel, theta, X, y=None) -> np.ndarray:
     """Per-sample gradients, an (n, dim) array."""
-    theta, X, y = _check_batch(model, theta, X, y)
-    if model.kind == "squared":
-        return (X @ theta - y)[:, None] * X
-    if model.kind == "logistic":
-        margin = y * (X @ theta)
-        return ((expit(margin) - 1.0) * y)[:, None] * X
-    if model.kind == "poisson":
-        eta = _poisson_eta(theta, X)
-        return (np.exp(eta) - y)[:, None] * X
-    if model.kind == "expfam_glm":
-        T = _expfam_stats(model, X)
-        probs = softmax(T @ theta, axis=1)
-        return np.einsum("ik,ikj->ij", probs, T) - _expfam_observed(model, T, y)
-    A, b, _ = _score_matching_stacks(model, X)
-    return A @ theta - b
-
-
-def curvatures(model: LossModel, theta, X, y=None) -> np.ndarray | None:
-    """Per-sample scalar curvatures for kinds with Hessian c_i x_i x_i'.
-
-    Returns None for expfam_glm and score_matching, whose per-sample
-    Hessians are not scalar multiples of x x'.
-    """
-    theta, X, y = _check_batch(model, theta, X, y)
-    if model.kind == "squared":
-        return np.ones(X.shape[0])
-    if model.kind == "logistic":
-        s = expit(y * (X @ theta))
-        return s * (1.0 - s)
-    if model.kind == "poisson":
-        return np.exp(_poisson_eta(theta, X))
-    return None
+    batch = prepare_batch(model, X, y)
+    return batch.grads(check_theta(model, theta))
 
 
 def mean_hessian(model: LossModel, theta, X, y=None, weights=None) -> np.ndarray:
     """Weighted mean Hessian n^-1 sum_i w_i H(theta; z_i), a (dim, dim) array.
 
-    ``weights`` defaults to all ones.  The result is symmetrized to remove
+    ``weights`` defaults to all ones.  The arithmetic is that of
+    :meth:`Batch.score_hessian`; the result is symmetrized to remove
     reduction round-off.
     """
-    theta, X, y = _check_batch(model, theta, X, y)
-    n = X.shape[0]
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
-    curv = curvatures(model, theta, X, y)
-    if curv is not None:
-        H = np.einsum("i,ij,ik->jk", w * curv, X, X) / n
-    elif model.kind == "expfam_glm":
-        T = _expfam_stats(model, X)
-        probs = softmax(T @ theta, axis=1)
-        mean_t = np.einsum("ik,ikj->ij", probs, T)
-        second = np.einsum("ik,ikj,ikl->jl", w[:, None] * probs, T, T)
-        H = (second - np.einsum("i,ij,il->jl", w, mean_t, mean_t)) / n
-    else:
-        A, _, _ = _score_matching_stacks(model, X)
-        H = np.einsum("i,ijk->jk", w, A) / n
-    return 0.5 * (H + H.T)
+    batch = prepare_batch(model, X, y)
+    theta = check_theta(model, theta)
+    return batch.score_hessian(theta, check_weights(weights, batch.n))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from scipy.stats import chi2
 
 import scmest.cli as cli
 from scmest.cli import main
+from scmest.errors import DomainError
 from scmest.estimate import fit_erm
 from scmest.inference import ConfidenceSet, effective_dim_empirical
 from scmest.losses import LOSS_KINDS, model_for_data
@@ -38,7 +39,17 @@ def degenerate_csv(tmp_path):
 
 class TestKindMirrors:
     def test_loss_kinds_in_sync(self):
-        assert cli._LOSS_KINDS == LOSS_KINDS
+        # the CLI offers exactly the kinds model_for_data can build from data
+        X = np.ones((2, 3))
+        buildable = []
+        for kind in LOSS_KINDS:
+            try:
+                model_for_data(kind, X)
+            except DomainError:
+                continue
+            buildable.append(kind)
+        assert cli._LOSS_KINDS == tuple(buildable)
+        assert "expfam_glm" not in cli._LOSS_KINDS
 
     def test_process_kinds_in_sync(self):
         assert cli._PROCESS_KINDS == PROCESS_KINDS
@@ -176,6 +187,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main(["fit", "--model", "quantum"])
         assert info.value.code == 1
+
+    def test_expfam_glm_is_not_a_model_choice(self, capsys):
+        # expfam_glm needs a user feature map, so no flag can build it
+        with pytest.raises(SystemExit) as info:
+            main(["fit", "--process", "logistic_wellspec", "--n", "20", "--model", "expfam_glm"])
+        assert info.value.code == 1
+        assert "invalid choice: 'expfam_glm'" in capsys.readouterr().err
 
     def test_threads_must_be_positive(self, capsys):
         code, _, err = _run(

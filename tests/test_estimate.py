@@ -11,16 +11,21 @@ from scipy.optimize import minimize
 from scmest.errors import SingularHessian
 from scmest.estimate import (
     SolverOptions,
+    _decrement_and_direction,
     aggregates,
     empirical_sc_params,
     fit_erm,
     localization_certificate,
 )
+from scmest.gof import rao_statistic
 from scmest.losses import (
+    LOSS_KINDS,
     batch_values,
+    expfam_glm_loss,
     gaussian_score_matching_loss,
     logistic_loss,
     model_for_data,
+    score_matching_loss,
     squared_loss,
 )
 from scmest.simdata import Process, generate, theta0_equispaced
@@ -34,6 +39,34 @@ def _linear_data(n=80, d=4, seed=0):
 def _logistic_data(n=300, d=4, seed=0):
     p = Process(kind="logistic_wellspec", theta0=theta0_equispaced(d))
     return generate(p, n, seed)
+
+
+def _expfam_stat(x, y):
+    # logistic with labels +-1 as an exponential family: t(x, y) = y x / 2
+    return 0.5 * y * x
+
+
+def _expfam_model(data, feature_map=_expfam_stat):
+    bound = 0.5 * float(np.max(np.linalg.norm(data.X, axis=1)))
+    return expfam_glm_loss(data.X.shape[1], (-1.0, 1.0), feature_map, bound)
+
+
+def _model_and_data(kind):
+    """A small converging (model, data) pair of each loss kind."""
+    if kind == "score_matching":
+        p = Process(kind="gaussian_expfam_scorematch", theta0=np.array([0.5, -0.2, 1.0, 2.0]))
+        return gaussian_score_matching_loss(2), generate(p, 200, seed=3)
+    if kind == "poisson":
+        p = Process(kind="poisson_wellspec", theta0=theta0_equispaced(3) * 0.3)
+        data = generate(p, 200, seed=1)
+        return model_for_data("poisson", data.X), data
+    if kind == "squared":
+        data = _linear_data()
+        return model_for_data("squared", data.X), data
+    data = _logistic_data(n=200, d=3)
+    if kind == "expfam_glm":
+        return _expfam_model(data), data
+    return model_for_data("logistic", data.X), data
 
 
 class TestAggregates:
@@ -66,6 +99,22 @@ class TestAggregates:
         assert np.array_equal(a.H_n, b.H_n)
         assert np.array_equal(a.G_n, b.G_n)
         assert a.L_n == b.L_n
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_fit_aggregates_match_aggregates_bit_for_bit(self, kind):
+        # the Newton loop and aggregates share one arithmetic path
+        model, data = _model_and_data(kind)
+        fit = fit_erm(model, data)
+        assert fit.converged
+        agg = aggregates(model, data, fit.theta_n)
+        opt = fit.aggregates_at_opt
+        assert opt.L_n == agg.L_n
+        assert np.array_equal(opt.S_n, agg.S_n)
+        assert np.array_equal(opt.H_n, agg.H_n)
+        assert np.array_equal(opt.G_n, agg.G_n)
+        assert opt.n == agg.n
+        dec, _ = _decrement_and_direction(agg.S_n, agg.H_n)
+        assert fit.newton_decrement == dec
 
     def test_empirical_sc_params_scaling(self):
         model = logistic_loss(3, 2.0)  # R = 4, nu = 2
@@ -116,9 +165,7 @@ class TestNewtonFit:
         theta = np.array([1.0, 1.0, -1.0, 0.5])
         agg = aggregates(model, data, theta)
         fit = fit_erm(model, data)
-        from scmest.estimate import _decrement_and_direction
-
-        dec, _ = _decrement_and_direction(agg, 0.0)
+        dec, _ = _decrement_and_direction(agg.S_n, agg.H_n)
         gap = agg.L_n - fit.aggregates_at_opt.L_n
         assert 0.5 * dec**2 == pytest.approx(gap, rel=1e-9)
 
@@ -188,6 +235,41 @@ class TestNewtonFit:
         b = fit_erm(model, data)
         assert np.array_equal(a.theta_n, b.theta_n)
         assert a.newton_decrement == b.newton_decrement
+
+
+class TestStacksBuiltOncePerCall:
+    def test_score_matching_triples(self):
+        model, data = _model_and_data("score_matching")
+        calls = []
+        triple_fn = model.triple_fn
+
+        def counting(z):
+            calls.append(1)
+            return triple_fn(z)
+
+        counted = score_matching_loss(model.dim, model.raw_dim, counting)
+        fit = fit_erm(counted, data)
+        assert fit.converged
+        assert len(calls) == data.n
+        calls.clear()
+        rao_statistic(counted, data, fit.theta_n + 0.1)
+        assert len(calls) == data.n
+
+    def test_expfam_statistics(self):
+        _, data = _model_and_data("logistic")
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return _expfam_stat(x, y)
+
+        model = _expfam_model(data, counting)
+        fit = fit_erm(model, data)
+        assert fit.converged and fit.iterations > 1
+        assert len(calls) == data.n * len(model.labels)
+        calls.clear()
+        rao_statistic(model, data, np.zeros(model.dim))
+        assert len(calls) == data.n * len(model.labels)
 
 
 class TestSolverOptions:
