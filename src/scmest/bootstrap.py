@@ -20,6 +20,15 @@ runs of one configuration are bit-identical.  For the built-in loss kinds with l
 score matching) all B refits run as one vectorized damped-Newton iteration
 over slots, chunked to bound memory; the general path fits sequentially.
 
+Work per bootstrap call: the data are checked and the per-sample stacks
+(the expfam_glm statistics, the score-matching (A, b, c)) built once, and
+for the linear-predictor kinds so is the table of the upper triangles of
+x_i x_i'.  An engine iteration then computes, for the live slots, eta, the
+mean gradients S and the Hessians H, H as one matrix product of the
+weighted curvatures with that table; the weighted risk is evaluated once
+per slot, at the iterate where it converges.  The sequential path refits
+from the one prepared batch.
+
 :func:`coverage_experiment` wraps the whole calibration protocol: replicate
 data draws, compare each statistic against its calibrated quantile, and
 tabulate coverage per method and confidence level.
@@ -51,6 +60,7 @@ from .gof import lr_statistic, phase_seed, wald_statistic
 from .losses import (
     Batch,
     LossModel,
+    check_weights,
     exp_overflow,
     linear_coefficients,
     model_for_data,
@@ -71,7 +81,9 @@ __all__ = [
     "write_coverage_csv",
 ]
 
-# rough element budget for one chunk's (slots, n) temporaries
+# rough element budget for one chunk's (slots, n) temporaries, and for the
+# (n, d(d+1)/2) x_i x_i' table built once per call; past it the table is
+# built per row block of X whenever it is used
 _CHUNK_ELEMENTS = 8_000_000
 
 
@@ -126,10 +138,11 @@ def bootstrap_fit(
     weights the result is bit-for-bit identical to fit_erm.  Nonconvexity
     induced by negative weights surfaces as SingularHessian.
     """
-    weights = np.asarray(weights, dtype=float)
+    batch = prepare_batch(model, data.X, data.y)
+    weights = check_weights(weights, batch.n)
     if not np.all(np.isfinite(weights)):
         raise DomainError("bootstrap weights must be finite")
-    return _newton_fit(model, data, opts or SolverOptions(), weights=weights)
+    return _newton_fit(batch, opts or SolverOptions(), weights)
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +181,61 @@ def _batch_chol_directions(H: np.ndarray, S: np.ndarray):
     return p, dec, ok
 
 
-def _engine_chunk(batch: Batch, W: np.ndarray, opts: SolverOptions):
+class _OuterTable:
+    """The upper triangles of x_i x_i', built once per bootstrap call.
+
+    Row i holds x_ij x_ik for j <= k, d(d+1)/2 columns, so the slot
+    Hessians n^-1 sum_i C_bi x_i x_i' of every row b of C are one matrix
+    product C @ table, mirrored into full matrices that are exactly
+    symmetric.  The table counts against ``_CHUNK_ELEMENTS``: when it would
+    exceed the budget it is not kept, and each product runs over row blocks
+    of X whose tables are built as they are needed.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.X = X
+        n, d = X.shape
+        self.iu, self.ju = np.triu_indices(d)
+        # flat positions of the upper triangle and of its mirror in a d x d matrix
+        self.upper = self.iu * d + self.ju
+        self.lower = self.ju * d + self.iu
+        rows = max(1, _CHUNK_ELEMENTS // self.iu.size)
+        self.blocks = [slice(start, start + rows) for start in range(0, n, rows)]
+        self.table = self._build(self.blocks[0]) if len(self.blocks) == 1 else None
+
+    def _build(self, rows: slice) -> np.ndarray:
+        Xr = self.X[rows]
+        return Xr[:, self.iu] * Xr[:, self.ju]
+
+    def hessians(self, C: np.ndarray) -> np.ndarray:
+        """n^-1 sum_i C_bi x_i x_i' for every row b of C, an (m, d, d) array."""
+        n, d = self.X.shape
+        m = C.shape[0]
+        G = sum(
+            C[:, rows] @ (self._build(rows) if self.table is None else self.table)
+            for rows in self.blocks
+        ) / n
+        H = np.empty((m, d * d))
+        H[:, self.upper] = G
+        H[:, self.lower] = G
+        return H.reshape(m, d, d)
+
+
+def _engine_chunk(
+    batch: Batch, W: np.ndarray, opts: SolverOptions, outer: _OuterTable | None
+):
     """Fit every row of W by vectorized damped Newton.
 
     Returns (thetas, H_final, L_final, success): per-slot solutions, the
     weighted Hessian and risk at the solution, and a success mask.  A
     Poisson slot whose predictor overflows fails alone.
+
+    An iteration computes, for the live slots only, the predictors
+    eta = X theta, the mean gradients S and the Hessians H: for the
+    linear-predictor kinds H is one matrix product with ``outer`` (the
+    x_i x_i' table of the call), for score matching it is fixed and formed
+    once per chunk.  The risk is evaluated only for the slots that finish,
+    at the iterate they finish on.
     """
     model = batch.model
     kind = model.kind
@@ -184,7 +246,7 @@ def _engine_chunk(batch: Batch, W: np.ndarray, opts: SolverOptions):
 
     if kind == "score_matching":
         A, bvec, cvec = batch.stacks
-        WA = np.einsum("bi,ijk->bjk", W, A) / n
+        WA = (W @ A.reshape(n, d * d) / n).reshape(m, d, d)
         Wb = W @ bvec / n
         Wc = W @ cvec / n
 
@@ -200,29 +262,24 @@ def _engine_chunk(batch: Batch, W: np.ndarray, opts: SolverOptions):
         if idx.size == 0:
             break
         th = thetas[idx]
-        Wi = W[idx]
         if kind == "score_matching":
             H = WA[idx]
             S = np.einsum("bjk,bk->bj", H, th) - Wb[idx]
-            Lval = 0.5 * np.einsum("bj,bjk,bk->b", th, H, th) - np.einsum(
-                "bj,bj->b", Wb[idx], th
-            ) + Wc[idx]
         else:
+            Wi = W[idx]
             eta = th @ X.T
-            bad = exp_overflow(eta) if kind == "poisson" else None
-            vals, gc, cc = linear_coefficients(kind, eta, y)
-            if bad is not None and np.any(bad):
-                failed[idx[bad]] = True
-                alive[idx[bad]] = False
-                keep = ~bad
-                idx = idx[keep]
-                if idx.size == 0:
-                    continue
-                th, Wi, vals, gc, cc = th[keep], Wi[keep], vals[keep], gc[keep], cc[keep]
-            Wgc = Wi * gc
-            S = Wgc @ X / n
-            H = np.einsum("bi,ij,ik->bjk", Wi * cc, X, X) / n
-            Lval = np.einsum("bi,bi->b", Wi, vals) / n
+            if kind == "poisson":
+                bad = exp_overflow(eta)
+                if np.any(bad):
+                    failed[idx[bad]] = True
+                    alive[idx[bad]] = False
+                    keep = ~bad
+                    idx, th, Wi, eta = idx[keep], th[keep], Wi[keep], eta[keep]
+                    if idx.size == 0:
+                        continue
+            _, gc, cc = linear_coefficients(kind, eta, y, value=False)
+            S = (Wi * gc) @ X / n
+            H = outer.hessians(Wi * cc)
         p, dec, ok = _batch_chol_directions(H, S)
         if np.any(~ok):
             failed[idx[~ok]] = True
@@ -233,7 +290,16 @@ def _engine_chunk(batch: Batch, W: np.ndarray, opts: SolverOptions):
             converged[sel] = True
             alive[sel] = False
             H_final[sel] = H[done]
-            L_final[sel] = Lval[done]
+            if kind == "score_matching":
+                th_d, H_d = th[done], H[done]
+                L_final[sel] = (
+                    0.5 * np.einsum("bj,bjk,bk->b", th_d, H_d, th_d)
+                    - np.einsum("bj,bj->b", Wb[sel], th_d)
+                    + Wc[sel]
+                )
+            else:
+                vals = linear_coefficients(kind, eta[done], y)[0]
+                L_final[sel] = np.einsum("bi,bi->b", Wi[done], vals) / n
         if it == opts.max_iter:
             # anything still alive has run out of iterations
             failed[alive] = True
@@ -257,7 +323,11 @@ def _bootstrap_statistics(
     seed: int,
     opts: SolverOptions | None = None,
 ):
-    """All B bootstrap Wald and LR statistics plus the failure count."""
+    """All B bootstrap Wald and LR statistics plus the failure count.
+
+    The checked data, the per-sample stacks and the x_i x_i' table are
+    built once here and shared by every replication.
+    """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
     opts = opts or SolverOptions()
@@ -271,7 +341,7 @@ def _bootstrap_statistics(
         for b in range(B):
             w = bootstrap_weights(seed, b, n)
             try:
-                bfit = bootstrap_fit(model, data, w, opts)
+                bfit = _newton_fit(batch, opts, w)
             except (SingularHessian, NumericOverflow):
                 continue
             if not bfit.converged:
@@ -279,13 +349,14 @@ def _bootstrap_statistics(
             wald[b] = wald_statistic(bfit, fit.theta_n)
             lr[b] = max(2.0 * (float(np.sum(w * vals_base)) / n - bfit.aggregates_at_opt.L_n), 0.0)
     else:
+        outer = None if model.kind == "score_matching" else _OuterTable(batch.X)
         chunk = max(1, min(B, _CHUNK_ELEMENTS // max(n, 1)))
         for start in range(0, B, chunk):
             stop = min(start + chunk, B)
             W = np.empty((stop - start, n))
             for j, b in enumerate(range(start, stop)):
                 W[j] = bootstrap_weights(seed, b, n)
-            thetas, H_fin, L_fin, success = _engine_chunk(batch, W, opts)
+            thetas, H_fin, L_fin, success = _engine_chunk(batch, W, opts, outer)
             diff = thetas - fit.theta_n
             wald_chunk = np.einsum("bj,bjk,bk->b", diff, H_fin, diff)
             lr_chunk = np.maximum(2.0 * (W @ vals_base / n - L_fin), 0.0)

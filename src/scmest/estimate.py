@@ -205,20 +205,16 @@ def _decrement_and_direction(S: np.ndarray, H: np.ndarray):
     return math.sqrt(max(dec_sq, 0.0)), p
 
 
-def _newton_fit(
-    model: LossModel,
-    data: Dataset,
-    opts: SolverOptions,
-    weights: np.ndarray | None = None,
-) -> FitResult:
-    """Damped Newton on the (weighted) empirical risk from theta = 0.
+def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
+    """Damped Newton on the w-weighted empirical risk from theta = 0.
 
-    Checks the inputs and builds the per-sample stacks once; each iteration
-    evaluates only S_n and H_n, and the full aggregates are completed once,
-    at the returned iterate, where the certificate is evaluated.
+    ``batch`` holds the checked data and the per-sample stacks, and ``w``
+    checked weights, so a caller that refits one dataset under many weight
+    vectors prepares the batch once.  Each iteration evaluates only S_n and
+    H_n, and the full aggregates are completed once, at the returned
+    iterate, where the certificate is evaluated.
     """
-    batch = prepare_batch(model, data.X, data.y)
-    w = check_weights(weights, batch.n)
+    model = batch.model
     params_n = empirical_sc_params(model, batch.n)
     theta = np.zeros(model.dim)
     for it in range(opts.max_iter + 1):
@@ -259,7 +255,8 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
     Raises SingularHessian when a Newton system cannot be factorized, which
     is how non-existence (e.g. separable logistic data) surfaces.
     """
-    return _newton_fit(model, data, opts or SolverOptions())
+    batch = prepare_batch(model, data.X, data.y)
+    return _newton_fit(batch, opts or SolverOptions(), check_weights(None, batch.n))
 
 
 def localization_certificate(

@@ -7,6 +7,8 @@ from scmest.bootstrap import (
     BootstrapConfig,
     CoverageConfig,
     _bootstrap_statistics,
+    _engine_chunk,
+    _OuterTable,
     bootstrap_fit,
     bootstrap_quantile,
     bootstrap_weights,
@@ -14,9 +16,9 @@ from scmest.bootstrap import (
     write_coverage_csv,
 )
 from scmest.errors import DomainError, NonConverged, SingularHessian, TooManyFailures
-from scmest.estimate import SolverOptions, fit_erm
+from scmest.estimate import SolverOptions, aggregates, fit_erm
 from scmest.gof import wald_statistic
-from scmest.losses import batch_values, model_for_data
+from scmest.losses import batch_values, expfam_glm_loss, model_for_data, prepare_batch
 from scmest.simdata import Dataset, Process, generate, theta0_equispaced
 
 
@@ -79,29 +81,78 @@ class TestBootstrapFit:
             bootstrap_fit(model, data, w)
 
 
+def _score_matching_fit(n=300, seed=4):
+    proc = Process(kind="gaussian_expfam_scorematch", theta0=np.array([0.5, -0.2, 1.0, 2.0]))
+    data = generate(proc, n, seed)
+    model = model_for_data("score_matching", data.X)
+    return proc, data, model, fit_erm(model, data)
+
+
+# one converging case of every loss kind the vectorized engine fits
+_ENGINE_CASES = {
+    "squared": lambda: _fit("squared", "linear_wellspec", 200, 10, seed=5),
+    "logistic": lambda: _fit("logistic", "logistic_wellspec", 300, 10, seed=5),
+    "poisson": lambda: _fit("poisson", "poisson_wellspec", 300, 10, seed=5),
+    "score_matching": _score_matching_fit,
+}
+
+
+def _assert_matches_sequential_refits(data, model, fit, B=30, seed=7):
+    """The engine's statistics against one bootstrap_fit per replication.
+
+    Both must fail the same replications.  The vectorized engine reorders
+    weighted sums, so agreement is near machine precision rather than
+    bitwise.  Returns the failure count.
+    """
+    wald_b, lr_b, n_failed = _bootstrap_statistics(model, data, fit, B, seed)
+    vals = batch_values(model, fit.theta_n, data.X, data.y)
+    wald_s, lr_s = [], []
+    for b in range(B):
+        w = bootstrap_weights(seed, b, data.n)
+        try:
+            refit = bootstrap_fit(model, data, w)
+        except SingularHessian:
+            continue
+        wald_s.append(wald_statistic(refit, fit.theta_n))
+        lr_s.append(
+            max(2.0 * (float(np.sum(w * vals)) / data.n - refit.aggregates_at_opt.L_n), 0.0)
+        )
+    assert n_failed == B - len(wald_s)
+    assert np.allclose(wald_b, wald_s, rtol=1e-12, atol=1e-15)
+    assert np.allclose(lr_b, lr_s, rtol=1e-12, atol=1e-15)
+    return n_failed
+
+
 class TestBatchedEngine:
     def test_matches_sequential_refits(self):
-        # the vectorized engine reorders weighted sums, so agreement is
-        # near machine precision rather than bitwise
         for kind, proc_kind in [
             ("squared", "linear_wellspec"),
             ("logistic", "logistic_wellspec"),
             ("poisson", "poisson_wellspec"),
         ]:
             _, data, model, fit = _fit(kind, proc_kind, 120, 2, seed=5)
-            wald_b, lr_b, n_failed = _bootstrap_statistics(model, data, fit, 30, 7)
-            assert n_failed == 0
-            vals = batch_values(model, fit.theta_n, data.X, data.y)
-            wald_s, lr_s = [], []
-            for b in range(30):
-                w = bootstrap_weights(7, b, data.n)
-                refit = bootstrap_fit(model, data, w)
-                wald_s.append(wald_statistic(refit, fit.theta_n))
-                lr_s.append(
-                    max(2.0 * (float(np.sum(w * vals)) / data.n - refit.aggregates_at_opt.L_n), 0.0)
-                )
-            assert np.allclose(wald_b, wald_s, rtol=1e-12, atol=1e-15)
-            assert np.allclose(lr_b, lr_s, rtol=1e-12, atol=1e-15)
+            assert _assert_matches_sequential_refits(data, model, fit) == 0
+
+    @pytest.mark.parametrize("kind", sorted(_ENGINE_CASES))
+    def test_matches_sequential_refits_at_d10_and_score_matching(self, kind):
+        # d = 10 exercises the x x' table product, score matching its own
+        # branch; the Poisson case has nonconvex reweightings (2 of 30)
+        _, data, model, fit = _ENGINE_CASES[kind]()
+        _assert_matches_sequential_refits(data, model, fit)
+
+    @pytest.mark.parametrize("kind", sorted(_ENGINE_CASES))
+    def test_returns_hessian_and_risk_of_each_converged_slot(self, kind):
+        _, data, model, fit = _ENGINE_CASES[kind]()
+        batch = prepare_batch(model, data.X, data.y)
+        outer = None if kind == "score_matching" else _OuterTable(batch.X)
+        W = np.stack([bootstrap_weights(11, b, data.n) for b in range(12)])
+        thetas, H_fin, L_fin, success = _engine_chunk(batch, W, SolverOptions(), outer)
+        assert np.all(success)
+        for b in range(W.shape[0]):
+            assert np.array_equal(H_fin[b], H_fin[b].T)
+            agg = aggregates(model, data, thetas[b], weights=W[b])
+            np.testing.assert_allclose(H_fin[b], agg.H_n, rtol=1e-12, atol=1e-15)
+            assert L_fin[b] == pytest.approx(agg.L_n, rel=1e-12, abs=1e-15)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         # weight streams are per-replication, so chunk boundaries only
@@ -116,6 +167,21 @@ class TestBatchedEngine:
         assert pieces.n_failed == whole.n_failed
         assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
 
+    def test_row_blocked_table_does_not_change_results(self, monkeypatch):
+        # a budget below n d(d+1)/2 makes the x x' table run over row
+        # blocks, and below B n it also chunks the slots
+        import scmest.bootstrap as bootstrap_module
+
+        _, data, model, fit = _fit("logistic", "logistic_wellspec", 90, 5)
+        config = BootstrapConfig(delta=0.1, B=120, seed=3)
+        whole = bootstrap_quantile(model, data, fit, config, kind="wald")
+        assert len(_OuterTable(data.X).blocks) == 1
+        monkeypatch.setattr(bootstrap_module, "_CHUNK_ELEMENTS", 3 * data.n)
+        assert len(_OuterTable(data.X).blocks) > 1
+        pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
+        assert pieces.n_failed == whole.n_failed
+        assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
+
     def test_least_squares_deviance_equals_wald(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 100, 3)
         wald_b, lr_b, _ = _bootstrap_statistics(model, data, fit, 40, 0)
@@ -123,6 +189,23 @@ class TestBatchedEngine:
 
 
 class TestBootstrapQuantile:
+    def test_expfam_statistics_built_once_per_call(self):
+        # the sequential expfam_glm refits share one stack of t(x_i, label_k)
+        _, data, _, _ = _fit("logistic", "logistic_wellspec", 100, 2)
+        calls = []
+
+        def counting(x, y):
+            calls.append(1)
+            return 0.5 * y * x
+
+        bound = 0.5 * float(np.max(np.linalg.norm(data.X, axis=1)))
+        model = expfam_glm_loss(2, (-1.0, 1.0), counting, bound)
+        fit = fit_erm(model, data)
+        calls.clear()
+        result = bootstrap_quantile(model, data, fit, BootstrapConfig(delta=0.1, B=100), "wald")
+        assert result.n_failed == 0
+        assert len(calls) == data.n * len(model.labels)
+
     def test_deterministic(self):
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 100, 2)
         config = BootstrapConfig(delta=0.1, B=150, seed=9)
