@@ -16,18 +16,16 @@ tenth of B).
 Replication b draws its weights from a Philox stream seeded by
 SeedSequence([seed, b]), so each replication's weight vector is a pure
 function of (seed, b), independent of batching and scheduling; repeated
-runs of one configuration are bit-identical.  For the built-in loss kinds with linear predictors (and for
-score matching) all B refits run as one vectorized damped-Newton iteration
-over slots, chunked to bound memory; the general path fits sequentially.
+runs of one configuration are bit-identical.  The B refits run through the
+one damped-Newton engine of :mod:`scmest.estimate`, a slot per
+replication, in chunks that bound memory; :func:`bootstrap_fit` is the
+engine's case of one slot.
 
 Work per bootstrap call: the data are checked and the per-sample stacks
-(the expfam_glm statistics, the score-matching (A, b, c)) built once, and
-for the linear-predictor kinds so is the table of the upper triangles of
-x_i x_i'.  An engine iteration then computes, for the live slots, eta, the
-mean gradients S and the Hessians H, H as one matrix product of the
-weighted curvatures with that table; the weighted risk is evaluated once
-per slot, at the iterate where it converges.  The sequential path refits
-from the one prepared batch.
+built once, in one :class:`~scmest.losses.Batch`, which also keeps the
+table of outer products its Hessians sum; an engine iteration computes
+only S and H of the live slots, and the weighted risk is evaluated once
+per slot, where it converges.
 
 :func:`coverage_experiment` wraps the whole calibration protocol: replicate
 data draws, compare each statistic against its calibrated quantile, and
@@ -50,22 +48,9 @@ from .errors import (
     SingularHessian,
     TooManyFailures,
 )
-from .estimate import (
-    FitResult,
-    SolverOptions,
-    _newton_fit,
-    empirical_sc_params,
-)
+from .estimate import FitResult, SolverOptions, _newton_engine, _newton_fit
 from .gof import lr_statistic, phase_seed, wald_statistic
-from .losses import (
-    Batch,
-    LossModel,
-    check_weights,
-    exp_overflow,
-    linear_coefficients,
-    model_for_data,
-    prepare_batch,
-)
+from .losses import LossModel, check_weights, model_for_data, prepare_batch
 from .simdata import Dataset, Process, generate, loss_kind_for
 
 __all__ = [
@@ -80,12 +65,6 @@ __all__ = [
     "coverage_experiment",
     "write_coverage_csv",
 ]
-
-# rough element budget for one chunk's (slots, n) temporaries, and for the
-# (n, d(d+1)/2) x_i x_i' table built once per call; past it the table is
-# built per row block of X whenever it is used
-_CHUNK_ELEMENTS = 8_000_000
-
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -145,176 +124,6 @@ def bootstrap_fit(
     return _newton_fit(batch, opts or SolverOptions(), weights)
 
 
-# ---------------------------------------------------------------------------
-# vectorized engine: all replications advance one damped-Newton step at a time
-# ---------------------------------------------------------------------------
-
-
-def _batch_chol_directions(H: np.ndarray, S: np.ndarray):
-    """Newton directions -H^{-1}S per slot with per-slot PD detection.
-
-    Returns (p, dec, ok): direction, decrement, and a validity mask.  The
-    PD test matches the scalar solver: Cholesky succeeds and the smallest
-    squared pivot clears 1e-12 trace/d.
-    """
-    m, d = S.shape
-    ok = np.ones(m, dtype=bool)
-    trace = np.einsum("bii->b", H)
-    ok &= trace > 0.0
-    L = np.zeros_like(H)
-    try:
-        L[ok] = np.linalg.cholesky(H[ok])
-    except np.linalg.LinAlgError:
-        for i in np.flatnonzero(ok):
-            try:
-                L[i] = np.linalg.cholesky(H[i])
-            except np.linalg.LinAlgError:
-                ok[i] = False
-    pivots = np.min(np.diagonal(L, axis1=1, axis2=2), axis=1)
-    with np.errstate(invalid="ignore"):
-        ok &= pivots * pivots > 1e-12 * trace / d
-    p = np.zeros_like(S)
-    dec = np.full(m, np.inf)
-    if np.any(ok):
-        p[ok] = -np.linalg.solve(H[ok], S[ok][..., None])[..., 0]
-        dec[ok] = np.sqrt(np.maximum(np.einsum("bj,bj->b", S[ok], -p[ok]), 0.0))
-    return p, dec, ok
-
-
-class _OuterTable:
-    """The upper triangles of x_i x_i', built once per bootstrap call.
-
-    Row i holds x_ij x_ik for j <= k, d(d+1)/2 columns, so the slot
-    Hessians n^-1 sum_i C_bi x_i x_i' of every row b of C are one matrix
-    product C @ table, mirrored into full matrices that are exactly
-    symmetric.  The table counts against ``_CHUNK_ELEMENTS``: when it would
-    exceed the budget it is not kept, and each product runs over row blocks
-    of X whose tables are built as they are needed.
-    """
-
-    def __init__(self, X: np.ndarray):
-        self.X = X
-        n, d = X.shape
-        self.iu, self.ju = np.triu_indices(d)
-        # flat positions of the upper triangle and of its mirror in a d x d matrix
-        self.upper = self.iu * d + self.ju
-        self.lower = self.ju * d + self.iu
-        rows = max(1, _CHUNK_ELEMENTS // self.iu.size)
-        self.blocks = [slice(start, start + rows) for start in range(0, n, rows)]
-        self.table = self._build(self.blocks[0]) if len(self.blocks) == 1 else None
-
-    def _build(self, rows: slice) -> np.ndarray:
-        Xr = self.X[rows]
-        return Xr[:, self.iu] * Xr[:, self.ju]
-
-    def hessians(self, C: np.ndarray) -> np.ndarray:
-        """n^-1 sum_i C_bi x_i x_i' for every row b of C, an (m, d, d) array."""
-        n, d = self.X.shape
-        m = C.shape[0]
-        G = sum(
-            C[:, rows] @ (self._build(rows) if self.table is None else self.table)
-            for rows in self.blocks
-        ) / n
-        H = np.empty((m, d * d))
-        H[:, self.upper] = G
-        H[:, self.lower] = G
-        return H.reshape(m, d, d)
-
-
-def _engine_chunk(
-    batch: Batch, W: np.ndarray, opts: SolverOptions, outer: _OuterTable | None
-):
-    """Fit every row of W by vectorized damped Newton.
-
-    Returns (thetas, H_final, L_final, success): per-slot solutions, the
-    weighted Hessian and risk at the solution, and a success mask.  A
-    Poisson slot whose predictor overflows fails alone.
-
-    An iteration computes, for the live slots only, the predictors
-    eta = X theta, the mean gradients S and the Hessians H: for the
-    linear-predictor kinds H is one matrix product with ``outer`` (the
-    x_i x_i' table of the call), for score matching it is fixed and formed
-    once per chunk.  The risk is evaluated only for the slots that finish,
-    at the iterate they finish on.
-    """
-    model = batch.model
-    kind = model.kind
-    X, y = batch.X, batch.y
-    n, d = batch.n, model.dim
-    m = W.shape[0]
-    R_n = empirical_sc_params(model, n).R
-
-    if kind == "score_matching":
-        A, bvec, cvec = batch.stacks
-        WA = (W @ A.reshape(n, d * d) / n).reshape(m, d, d)
-        Wb = W @ bvec / n
-        Wc = W @ cvec / n
-
-    thetas = np.zeros((m, d))
-    H_final = np.zeros((m, d, d))
-    L_final = np.zeros(m)
-    alive = np.ones(m, dtype=bool)
-    failed = np.zeros(m, dtype=bool)
-    converged = np.zeros(m, dtype=bool)
-
-    for it in range(opts.max_iter + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        th = thetas[idx]
-        if kind == "score_matching":
-            H = WA[idx]
-            S = np.einsum("bjk,bk->bj", H, th) - Wb[idx]
-        else:
-            Wi = W[idx]
-            eta = th @ X.T
-            if kind == "poisson":
-                bad = exp_overflow(eta)
-                if np.any(bad):
-                    failed[idx[bad]] = True
-                    alive[idx[bad]] = False
-                    keep = ~bad
-                    idx, th, Wi, eta = idx[keep], th[keep], Wi[keep], eta[keep]
-                    if idx.size == 0:
-                        continue
-            _, gc, cc = linear_coefficients(kind, eta, y, value=False)
-            S = (Wi * gc) @ X / n
-            H = outer.hessians(Wi * cc)
-        p, dec, ok = _batch_chol_directions(H, S)
-        if np.any(~ok):
-            failed[idx[~ok]] = True
-            alive[idx[~ok]] = False
-        done = ok & (dec <= opts.tol)
-        if np.any(done):
-            sel = idx[done]
-            converged[sel] = True
-            alive[sel] = False
-            H_final[sel] = H[done]
-            if kind == "score_matching":
-                th_d, H_d = th[done], H[done]
-                L_final[sel] = (
-                    0.5 * np.einsum("bj,bjk,bk->b", th_d, H_d, th_d)
-                    - np.einsum("bj,bj->b", Wb[sel], th_d)
-                    + Wc[sel]
-                )
-            else:
-                vals = linear_coefficients(kind, eta[done], y)[0]
-                L_final[sel] = np.einsum("bi,bi->b", Wi[done], vals) / n
-        if it == opts.max_iter:
-            # anything still alive has run out of iterations
-            failed[alive] = True
-            alive[:] = False
-            break
-        step = ok & ~done
-        if np.any(step):
-            sel = idx[step]
-            # nu = 2 for every vectorized kind: damping is R_n ||p||_2
-            damping = R_n * np.linalg.norm(p[step], axis=1)
-            alpha = np.minimum(1.0, 1.0 / (1.0 + damping))
-            thetas[sel] = thetas[sel] + alpha[:, None] * p[step]
-    return thetas, H_final, L_final, converged & ~failed
-
-
 def _bootstrap_statistics(
     model: LossModel,
     data: Dataset,
@@ -325,8 +134,8 @@ def _bootstrap_statistics(
 ):
     """All B bootstrap Wald and LR statistics plus the failure count.
 
-    The checked data, the per-sample stacks and the x_i x_i' table are
-    built once here and shared by every replication.
+    The checked data, the per-sample stacks and the outer-product table of
+    the Hessians are built once here and shared by every replication.
     """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
@@ -337,32 +146,16 @@ def _bootstrap_statistics(
 
     wald = np.full(B, np.nan)
     lr = np.full(B, np.nan)
-    if model.kind == "expfam_glm" or model.sc.nu != 2.0:
-        for b in range(B):
-            w = bootstrap_weights(seed, b, n)
-            try:
-                bfit = _newton_fit(batch, opts, w)
-            except (SingularHessian, NumericOverflow):
-                continue
-            if not bfit.converged:
-                continue
-            wald[b] = wald_statistic(bfit, fit.theta_n)
-            lr[b] = max(2.0 * (float(np.sum(w * vals_base)) / n - bfit.aggregates_at_opt.L_n), 0.0)
-    else:
-        outer = None if model.kind == "score_matching" else _OuterTable(batch.X)
-        chunk = max(1, min(B, _CHUNK_ELEMENTS // max(n, 1)))
-        for start in range(0, B, chunk):
-            stop = min(start + chunk, B)
-            W = np.empty((stop - start, n))
-            for j, b in enumerate(range(start, stop)):
-                W[j] = bootstrap_weights(seed, b, n)
-            thetas, H_fin, L_fin, success = _engine_chunk(batch, W, opts, outer)
-            diff = thetas - fit.theta_n
-            wald_chunk = np.einsum("bj,bjk,bk->b", diff, H_fin, diff)
-            lr_chunk = np.maximum(2.0 * (W @ vals_base / n - L_fin), 0.0)
-            sel = np.flatnonzero(success) + start
-            wald[sel] = wald_chunk[success]
-            lr[sel] = lr_chunk[success]
+    chunk = min(B, batch.max_slots())
+    for start in range(0, B, chunk):
+        stop = min(start + chunk, B)
+        W = np.stack([bootstrap_weights(seed, b, n) for b in range(start, stop)])
+        fits = _newton_engine(batch, W, opts)
+        ok = fits.status == "converged"
+        diff = fits.theta - fit.theta_n
+        sel = np.flatnonzero(ok) + start
+        wald[sel] = np.einsum("bj,bjk,bk->b", diff, fits.H, diff)[ok]
+        lr[sel] = np.maximum(2.0 * (W @ vals_base / n - fits.L), 0.0)[ok]
     good = ~np.isnan(wald)
     n_failed = int(B - np.count_nonzero(good))
     if n_failed > B / 10:

@@ -8,23 +8,24 @@ self-concordant per-sample loss is itself self-concordant with parameters
 point, a unique minimizer exists inside the Dikin ellipsoid of radius four
 times the Newton decrement at that point.
 
-Fits start from theta = 0 and take damped Newton steps
-alpha = 1 / (1 + d_nu(...)), which guarantee monotone descent for
-self-concordant losses; quadratic losses converge in one full step.  Newton
-systems are solved by Cholesky factorization, with a single diagonal-jitter
-retry (1e-10 trace/d) before declaring the Hessian singular, so genuine
-non-existence (separable logistic data, n < d designs) is distinguished from
-round-off.
+One damped-Newton engine, :func:`_newton_engine`, fits m weight rows at
+once; :func:`fit_erm` is its case m = 1, the multiplier bootstrap runs its
+refits as slots.  Every slot starts from theta = 0 and takes damped Newton
+steps alpha = 1 / (1 + d_nu(...)), which guarantee monotone descent for
+self-concordant losses; quadratic losses converge in one full step.  A
+slot finishes as converged, max_iter, singular or overflow.  Every Newton
+system, and every solve of the Rao statistic, the localization
+certificate and the effective dimension, passes one positive-definiteness
+test: Cholesky pivots against the trace, with a single diagonal-jitter
+retry (1e-10 trace/d), so genuine non-existence (separable logistic data,
+n < d designs) is distinguished from round-off.
 
-Work per fit: X, y and the weights are checked once per call, and the
-per-sample stacks of the loss (the expfam_glm statistics, the
-score-matching (A, b, c)) are built once per call, in a
-:class:`~scmest.losses.Batch`.  Each iteration then computes the linear
-predictor once and only S_n and H_n, H_n by one matrix product for the
-linear-predictor kinds.  L_n and G_n are computed once, at the returned
-iterate, with the same arithmetic as :func:`aggregates`, so
-``FitResult.aggregates_at_opt`` equals ``aggregates(model, data, theta_n)``
-bit for bit.
+Work per call: X, y and the weights are checked and the per-sample stacks
+built once, in a :class:`~scmest.losses.Batch`.  Each iteration computes
+only S_n and H_n of the live slots, and L_n only where a slot finishes.  A
+single fit completes L_n and G_n at the returned iterate with the same
+arithmetic as :func:`aggregates`, so ``FitResult.aggregates_at_opt``
+equals ``aggregates(model, data, theta_n)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -33,9 +34,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import DimensionMismatch, SingularHessian
+from .errors import DimensionMismatch, NumericOverflow, SingularHessian
 from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch
 from .scfun import (
     Certificate,
@@ -162,81 +162,162 @@ def _complete(batch: Batch, theta, w, S, H) -> EmpiricalAggregates:
     return EmpiricalAggregates(L_n=L, S_n=S, H_n=H, G_n=G, n=batch.n)
 
 
-def _chol_with_jitter(H: np.ndarray):
-    """Cholesky factor of H with a pivot check, retrying once with jitter.
+def _min_sq_pivots(H: np.ndarray) -> np.ndarray:
+    """Smallest squared Cholesky pivot of each matrix; -inf where factorization fails.
 
-    Returns the cho_factor pair.  A factorization whose smallest squared
-    pivot falls below 1e-12 trace/d is treated as failed (Cauchy
-    interlacing puts every squared pivot above lambda_min, so this only
-    rejects condition numbers beyond ~1e12).  The single jitter retry
-    rescues round-off failures; when the jitter itself supplies the
-    positive-definiteness, the Hessian is genuinely rank-deficient and
-    SingularHessian is raised.
+    A stack with a failing matrix is bisected, so k failures among m
+    matrices cost about k log2(m) batched factorizations.
     """
-    d = H.shape[0]
-    scale = float(np.trace(H)) / d
-    if scale <= 0.0:
-        raise SingularHessian("Hessian has nonpositive trace; no minimizer certified")
     try:
-        factor = cho_factor(H, lower=True)
-        if float(np.min(np.diag(factor[0]))) ** 2 > _PIVOT_REL * scale:
-            return factor
+        L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
-        pass
-    jitter = _JITTER_REL * scale
-    try:
-        factor = cho_factor(H + jitter * np.eye(d), lower=True)
-    except np.linalg.LinAlgError:
-        raise SingularHessian(
-            "Hessian factorization failed even with diagonal jitter"
-        ) from None
-    if float(np.min(np.diag(factor[0]))) ** 2 <= 100.0 * jitter:
-        raise SingularHessian(
-            "Hessian is numerically singular (smallest pivot at the jitter floor)"
-        )
-    return factor
+        if H.shape[0] == 1:
+            return np.full(1, -np.inf)
+        half = H.shape[0] // 2
+        return np.concatenate([_min_sq_pivots(H[:half]), _min_sq_pivots(H[half:])])
+    m, d, _ = L.shape
+    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
+    return L.reshape(m, d * d)[:, :: d + 1].min(axis=1) ** 2
 
 
-def _decrement_and_direction(S: np.ndarray, H: np.ndarray):
-    """Newton decrement sqrt(S'H^{-1}S) and direction -H^{-1}S."""
-    factor = _chol_with_jitter(H)
-    p = -cho_solve(factor, S)
-    dec_sq = float(S @ -p)
-    return math.sqrt(max(dec_sq, 0.0)), p
+def _pd_solve(H: np.ndarray, R: np.ndarray):
+    """Solve H_b X_b = R_b for a stack of symmetric matrices under the PD test.
+
+    H is (m, d, d) and R (m, d, k); returns (X, ok), X zero where ok is
+    False.  H_b passes when its trace is positive and its smallest squared
+    Cholesky pivot clears 1e-12 trace/d (Cauchy interlacing puts every
+    squared pivot above lambda_min, so this only rejects condition numbers
+    beyond ~1e12).  Otherwise it is retried once with 1e-10 trace/d added
+    to the diagonal, and passes, solved with that jitter, only when its
+    smallest squared pivot clears 100 times the jitter; else the jitter
+    itself supplies the positive-definiteness and H_b is singular.
+    """
+    m, d, _ = H.shape
+    scale = np.trace(H, axis1=1, axis2=2) / d
+    ok = _min_sq_pivots(H) > _PIVOT_REL * scale
+    if ok.all():
+        return np.linalg.solve(H, R), ok
+    retry = np.flatnonzero(~ok & (scale > 0.0))
+    if retry.size:
+        H = H.copy()
+        jitter = _JITTER_REL * scale[retry]
+        H[retry] += jitter[:, None, None] * np.eye(d)
+        ok[retry] = _min_sq_pivots(H[retry]) > 100.0 * jitter
+    X = np.zeros(R.shape)
+    X[ok] = np.linalg.solve(H[ok], R[ok])
+    return X, ok
+
+
+def _newton_steps(H: np.ndarray, S: np.ndarray):
+    """H_b^{-1}S_b (the Newton step is its negative), decrements, PD mask."""
+    X, ok = _pd_solve(H, S[..., None])
+    X = X[..., 0]
+    return X, np.sqrt(np.maximum(np.add.reduce(S * X, axis=1), 0.0)), ok
+
+
+def _solve_pd(H: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """H^{-1} R for one symmetric H; SingularHessian when H fails the PD test."""
+    X, ok = _pd_solve(H[None], R[None])
+    if not ok[0]:
+        raise SingularHessian("Hessian is not numerically positive definite")
+    return X[0]
+
+
+def _decrement(S: np.ndarray, H: np.ndarray) -> float:
+    """Newton decrement sqrt(S'H^{-1}S) of one system."""
+    return math.sqrt(max(float(S @ _solve_pd(H, S[:, None])[:, 0]), 0.0))
+
+
+@dataclass(frozen=True)
+class _SlotFits:
+    """Per-slot outcome of :func:`_newton_engine`.
+
+    ``status`` is "converged", "max_iter", "singular" (a Hessian failed the
+    PD test) or "overflow" (a Poisson predictor overflowed), and the arrays
+    hold each slot's final iterate; L is evaluated for the first two only.
+    """
+
+    theta: np.ndarray
+    S: np.ndarray
+    H: np.ndarray
+    L: np.ndarray
+    decrement: np.ndarray
+    iterations: np.ndarray
+    status: np.ndarray
+
+
+def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFits:
+    """Damped Newton from theta = 0 on the W_b-weighted risk of every row b of W.
+
+    The live slots advance together, one damped step alpha = 1 / (1 + d_nu)
+    each, and leave when they converge, fail, or run out of iterations.  An
+    iteration evaluates only S and H, for the live slots only
+    (:meth:`Batch.slot_score_hessian`); the risk L is evaluated for the
+    slots that finish, at the iterate they finish on.
+    """
+    m = W.shape[0]
+    d = batch.model.dim
+    params_n = empirical_sc_params(batch.model, batch.n)
+    theta = np.zeros((m, d))
+    S_fin = np.zeros((m, d))
+    H_fin = np.zeros((m, d, d))
+    L_fin = np.zeros(m)
+    dec_fin = np.zeros(m)
+    iters = np.zeros(m, dtype=int)
+    status = np.empty(m, dtype="<U9")
+    live, th, W_live = np.arange(m), np.zeros((m, d)), W
+    for it in range(opts.max_iter + 1):
+        S, H, overflow = batch.slot_score_hessian(th, W_live)
+        X, dec, ok = _newton_steps(H, S)
+        stepping = ok & (dec > opts.tol)
+        if it == opts.max_iter:
+            stepping[:] = False
+        if not stepping.all():
+            done = ~stepping
+            sel = live[done]
+            theta[sel], S_fin[sel], H_fin[sel] = th[done], S[done], H[done]
+            dec_fin[sel], iters[sel] = dec[done], it
+            status[sel] = np.where(
+                ok[done],
+                np.where(dec[done] <= opts.tol, "converged", "max_iter"),
+                np.where(overflow[done], "overflow", "singular"),
+            )
+            fin = done & ok
+            L_fin[live[fin]] = batch.slot_risk(th[fin], W_live[fin])
+            live, th, W_live = live[stepping], th[stepping], W_live[stepping]
+            X, dec = X[stepping], dec[stepping]
+            if live.size == 0:
+                break
+        # the step is -X, and ||X||_{H_n} equals the Newton decrement
+        th -= (1.0 / (1.0 + d_nu(params_n, X, dec)))[:, None] * X
+    return _SlotFits(theta, S_fin, H_fin, L_fin, dec_fin, iters, status)
 
 
 def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
-    """Damped Newton on the w-weighted empirical risk from theta = 0.
+    """The one-slot engine run on the w-weighted empirical risk, as a FitResult.
 
     ``batch`` holds the checked data and the per-sample stacks, and ``w``
-    checked weights, so a caller that refits one dataset under many weight
-    vectors prepares the batch once.  Each iteration evaluates only S_n and
-    H_n, and the full aggregates are completed once, at the returned
-    iterate, where the certificate is evaluated.
+    checked weights.  The full aggregates are completed once, at the
+    returned iterate, where the certificate is evaluated.
     """
-    model = batch.model
-    params_n = empirical_sc_params(model, batch.n)
-    theta = np.zeros(model.dim)
-    for it in range(opts.max_iter + 1):
-        S, H = batch.score_hessian(theta, w)
-        dec, p = _decrement_and_direction(S, H)
-        converged = dec <= opts.tol
-        if converged or it == opts.max_iter:
-            spec = _spectral_summary(H)
-            cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
-            return FitResult(
-                theta_n=theta,
-                aggregates_at_opt=_complete(batch, theta, w, S, H),
-                newton_decrement=dec,
-                iterations=it,
-                converged=converged,
-                certificate=cert,
-            )
-        # ||p||_{H_n} equals the Newton decrement since H_n p = -S_n
-        damping = d_nu(params_n, p, dec)
-        alpha = min(1.0, 1.0 / (1.0 + damping))
-        theta = theta + alpha * p
-    raise AssertionError("unreachable")
+    fits = _newton_engine(batch, w[None], opts)
+    status, it = fits.status[0], int(fits.iterations[0])
+    if status == "singular":
+        raise SingularHessian(f"Hessian not positive definite at Newton iteration {it}")
+    if status == "overflow":
+        raise NumericOverflow(f"exp(theta'x) overflows at Newton iteration {it}")
+    theta, S, H, dec = fits.theta[0], fits.S[0], fits.H[0], float(fits.decrement[0])
+    spec = _spectral_summary(H)
+    params_n = empirical_sc_params(batch.model, batch.n)
+    cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
+    return FitResult(
+        theta_n=theta,
+        aggregates_at_opt=_complete(batch, theta, w, S, H),
+        newton_decrement=dec,
+        iterations=it,
+        converged=status == "converged",
+        certificate=cert,
+    )
 
 
 def _spectral_summary(H: np.ndarray) -> SpectralSummary | None:
@@ -252,8 +333,10 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
     Returns a FitResult whose ``converged`` flag reflects whether the Newton
     decrement reached ``opts.tol`` within ``opts.max_iter`` iterations; the
     result is returned either way so callers can inspect partial fits.
-    Raises SingularHessian when a Newton system cannot be factorized, which
-    is how non-existence (e.g. separable logistic data) surfaces.
+    Raises SingularHessian when a Newton system fails the
+    positive-definiteness test, which is how non-existence (e.g. separable
+    logistic data) surfaces, and NumericOverflow when a Poisson predictor
+    overflows.
     """
     batch = prepare_batch(model, data.X, data.y)
     return _newton_fit(batch, opts or SolverOptions(), check_weights(None, batch.n))
@@ -272,7 +355,7 @@ def localization_certificate(
     """
     batch = prepare_batch(model, data.X, data.y)
     S, H = batch.score_hessian(check_theta(model, theta_ref), check_weights(None, batch.n))
-    dec, _ = _decrement_and_direction(S, H)
+    dec = _decrement(S, H)
     spec = _spectral_summary(H)
     if spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")

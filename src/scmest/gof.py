@@ -27,11 +27,10 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.stats import chi2
 
 from .errors import DomainError, MissingSampler, NonConverged
-from .estimate import FitResult, SolverOptions, _chol_with_jitter, fit_erm
+from .estimate import FitResult, SolverOptions, _decrement, fit_erm
 from .losses import LossModel, check_theta, check_weights, model_for_data, prepare_batch
 from .simdata import Dataset, Process, generate, loss_kind_for
 
@@ -79,10 +78,10 @@ class TestReport:
 
 
 def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
-    """Score statistic S_n(theta0)' H_n(theta0)^{-1} S_n(theta0); fits nothing."""
+    """Score statistic S_n' H_n^{-1} S_n at theta0, the squared Newton decrement."""
     batch = prepare_batch(model, data.X, data.y)
     S, H = batch.score_hessian(check_theta(model, theta0), check_weights(None, batch.n))
-    return float(S @ cho_solve(_chol_with_jitter(H), S))
+    return _decrement(S, H) ** 2
 
 
 def lr_statistic(model: LossModel, data: Dataset, fit: FitResult, theta0) -> float:

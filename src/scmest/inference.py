@@ -2,8 +2,9 @@
 
 The effective dimension d* = Tr(H*^{-1/2} G* H*^{-1/2}) replaces the raw
 parameter dimension in all finite-sample radii; the empirical counterpart
-d_n plugs in H_n and G_n at the fitted point.  Traces are computed through
-one Cholesky factorization and solves, never an explicit inverse.
+d_n plugs in H_n and G_n at the fitted point.  Traces are computed by one
+solve against H under the positive-definiteness test of the Newton engine,
+never through an explicit inverse.
 
 Confidence sets come in two kinds, both centered at theta_n:
 
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, eigh
+from scipy.linalg import eigh
 
 from .errors import (
     DimensionMismatch,
@@ -40,7 +41,7 @@ from .errors import (
 from .estimate import (
     FitResult,
     SolverOptions,
-    _chol_with_jitter,
+    _solve_pd,
     aggregates,
     empirical_sc_params,
     fit_erm,
@@ -176,9 +177,8 @@ class EffDimReport:
 
 
 def _trace_ratio(G: np.ndarray, H: np.ndarray) -> float:
-    """Tr(H^{-1} G) via Cholesky of H; raises SingularHessian on bad H."""
-    factor = _chol_with_jitter(H)
-    return float(np.trace(cho_solve(factor, G)))
+    """Tr(H^{-1} G) under the PD test of the Newton engine; SingularHessian on bad H."""
+    return float(np.trace(_solve_pd(H, G)))
 
 
 def effective_dim_empirical(fit: FitResult) -> EffDimReport:

@@ -23,15 +23,19 @@ Besides the per-sample operations the module exposes batch versions; both
 run the same arithmetic.  The fitting code works on a :class:`Batch`, made
 once per call by :func:`prepare_batch`: it checks X and y and builds the
 per-sample stacks (the expfam_glm statistics, the score-matching (A, b, c))
-that every later evaluation reuses.  The squared, logistic and Poisson
-losses are each defined once, as functions of the linear predictor in
-:func:`linear_coefficients`, which the bootstrap engine shares.  LossModel
-instances are immutable and all evaluations are pure.
+that every later evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
+m parameter and weight rows at once, for every kind, so the Newton engine
+of :mod:`scmest.estimate` has no per-kind arithmetic; H_n of one row is one
+matrix product ((w c) x)' x, more rows share a packed table of x_i x_i'.
+The squared, logistic and Poisson losses are each defined once, in
+:func:`linear_coefficients`.  LossModel instances are immutable and all
+evaluations are pure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -113,10 +117,13 @@ class ScoreMatchingTriple:
             raise DimensionMismatch(
                 f"b has shape {b.shape}, expected ({A.shape[0]},)"
             )
-        scale = float(np.linalg.norm(A, 2)) if A.size else 0.0
+        eigs = np.linalg.eigvalsh(A) if A.size else np.zeros(1)
+        # ||A||_2 of a symmetric A is its largest |eigenvalue|: no SVD needed
+        symmetric = np.array_equal(A, A.T)
+        scale = float(np.max(np.abs(eigs))) if symmetric else float(np.linalg.norm(A, 2))
         if float(np.max(np.abs(A - A.T), initial=0.0)) > 1e-10 * max(scale, 1.0):
             raise DomainError("A must be symmetric")
-        if A.size and float(np.linalg.eigvalsh(A)[0]) < -1e-10 * max(scale, 1.0):
+        if float(eigs[0]) < -1e-10 * max(scale, 1.0):
             raise DomainError("A must be positive semidefinite")
 
 
@@ -416,8 +423,64 @@ def _score_matching_stacks(model: LossModel, X: np.ndarray):
 
 
 def _symmetric(H: np.ndarray) -> np.ndarray:
-    # removes reduction round-off
-    return 0.5 * (H + H.T)
+    # removes reduction round-off; exact on an already symmetric matrix
+    return 0.5 * (H + H.swapaxes(-1, -2))
+
+
+# rough element budget for one slot chunk's temporaries, and for the packed
+# table of row outer products kept by a Batch; past it the table is built
+# per row block whenever it is used
+_CHUNK_ELEMENTS = 8_000_000
+
+
+class _OuterTable:
+    """Sums sum_r C_br z_r z_r' over the rows z_r of Z, for every row b of C.
+
+    One row of C is one matrix product ((c z)' z).  More rows share a table
+    of the upper triangles of z_r z_r', d(d+1)/2 columns per row r, built on
+    first use: the sums are one matrix product C @ table, mirrored into
+    full matrices that are exactly symmetric.  The table counts against
+    ``_CHUNK_ELEMENTS``: when it would exceed the budget it is not kept,
+    and each product runs over row blocks of Z whose tables are built as
+    they are needed.
+    """
+
+    def __init__(self, Z: np.ndarray):
+        self.Z = Z
+        rows, d = Z.shape
+        block = max(1, _CHUNK_ELEMENTS // (d * (d + 1) // 2))
+        self.blocks = [slice(start, start + block) for start in range(0, rows, block)]
+        self.table = None
+
+    @cached_property
+    def _triangle(self):
+        # row and column of each upper-triangle entry, and the flat positions
+        # of the entry and of its mirror in a d x d matrix
+        d = self.Z.shape[1]
+        iu, ju = np.triu_indices(d)
+        return iu, ju, iu * d + ju, ju * d + iu
+
+    def _build(self, rows: slice) -> np.ndarray:
+        iu, ju, _, _ = self._triangle
+        Zr = self.Z[rows]
+        return Zr[:, iu] * Zr[:, ju]
+
+    def products(self, C: np.ndarray) -> np.ndarray:
+        """sum_r C_br z_r z_r' for every row b of C, an (m, d, d) array."""
+        m, d = C.shape[0], self.Z.shape[1]
+        if m == 1:
+            return ((C[0][:, None] * self.Z).T @ self.Z)[None]
+        if self.table is None and len(self.blocks) == 1:
+            self.table = self._build(self.blocks[0])
+        G = sum(
+            C[:, rows] @ (self._build(rows) if self.table is None else self.table)
+            for rows in self.blocks
+        )
+        _, _, upper, lower = self._triangle
+        H = np.empty((m, d * d))
+        H[:, upper] = G
+        H[:, lower] = G
+        return H.reshape(m, d, d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -429,7 +492,8 @@ class Batch:
     as an (n, K, dim) array and the observed rows t(x_i, y_i) as (n, dim)),
     and ``(A, b, c)`` for score_matching.  Every evaluation below reuses
     them, so a fit that holds one Batch runs the per-sample callbacks once.
-    Weighted averages take a weight vector ``w`` of length n.
+    The ``slot_`` methods evaluate m slots at once, slot b at ``Theta[b]``
+    with weights ``W[b]``; the one-parameter methods are their case m = 1.
     """
 
     model: LossModel
@@ -441,71 +505,116 @@ class Batch:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def _linear(self, theta: np.ndarray, value: bool):
-        eta = self.X @ theta
-        if self.model.kind == "poisson" and exp_overflow(eta):
+    def max_slots(self) -> int:
+        """How many slots fit ``_CHUNK_ELEMENTS``: (n,) rows, (n, K, dim) for expfam_glm."""
+        per_slot = self.n
+        if self.model.kind == "expfam_glm":
+            per_slot *= self.stacks[0].shape[1] * self.model.dim
+        return max(1, _CHUNK_ELEMENTS // per_slot)
+
+    @cached_property
+    def _outer(self) -> _OuterTable:
+        # the rows whose weighted outer products make up H_n
+        if self.model.kind == "expfam_glm":
+            return _OuterTable(self.stacks[0].reshape(-1, self.model.dim))
+        return _OuterTable(self.X)
+
+    def _eta(self, Theta: np.ndarray) -> np.ndarray:
+        """Linear predictors Theta X'; a Poisson exp(eta) that overflows raises."""
+        eta = Theta @ self.X.T
+        if self.model.kind == "poisson" and np.any(exp_overflow(eta)):
             raise NumericOverflow(
                 f"exp(theta'x) overflows double precision (max eta = {np.max(eta):.3g})"
             )
-        return linear_coefficients(self.model.kind, eta, self.y, value)
+        return eta
 
-    def _expfam(self, theta: np.ndarray):
-        """Label probabilities and the expected statistic per sample."""
+    def _logits(self, Theta: np.ndarray) -> np.ndarray:
+        """theta't(x_i, label_k) of every slot, an (m, n, K) array."""
         T = self.stacks[0]
-        probs = softmax(T @ theta, axis=1)
-        return probs, np.einsum("ik,ikj->ij", probs, T)
+        n, K, d = T.shape
+        return (Theta @ T.reshape(n * K, d).T).reshape(-1, n, K)
+
+    def _expfam(self, Theta: np.ndarray):
+        """Label probabilities and the expected statistic per slot and sample."""
+        probs = softmax(self._logits(Theta), axis=2)
+        return probs, np.einsum("bik,ikj->bij", probs, self.stacks[0])
+
+    def slot_values(self, Theta: np.ndarray) -> np.ndarray:
+        """Per-sample loss values at every row of Theta, an (m, n) array."""
+        kind = self.model.kind
+        if kind == "expfam_glm":
+            return logsumexp(self._logits(Theta), axis=2) - Theta @ self.stacks[1].T
+        if kind == "score_matching":
+            A, b, c = self.stacks
+            m, d = Theta.shape
+            outer = (Theta[:, :, None] * Theta[:, None, :]).reshape(m, d * d)
+            return 0.5 * (outer @ A.reshape(-1, d * d).T) - Theta @ b.T + c
+        return linear_coefficients(kind, self._eta(Theta), self.y)[0]
 
     def values(self, theta: np.ndarray) -> np.ndarray:
         """Per-sample loss values, an (n,) array."""
-        kind = self.model.kind
-        if kind == "expfam_glm":
-            T, T_obs = self.stacks
-            return logsumexp(T @ theta, axis=1) - T_obs @ theta
-        if kind == "score_matching":
-            A, b, c = self.stacks
-            return 0.5 * np.einsum("j,ijk,k->i", theta, A, theta) - b @ theta + c
-        return self._linear(theta, value=True)[0]
+        return self.slot_values(theta[None])[0]
 
     def grads(self, theta: np.ndarray) -> np.ndarray:
         """Per-sample gradients, an (n, dim) array."""
         kind = self.model.kind
         if kind == "expfam_glm":
-            return self._expfam(theta)[1] - self.stacks[1]
+            return self._expfam(theta[None])[1][0] - self.stacks[1]
         if kind == "score_matching":
             A, b, _ = self.stacks
             return A @ theta - b
-        return self._linear(theta, value=False)[1][:, None] * self.X
+        gfac = linear_coefficients(kind, self._eta(theta), self.y, value=False)[1]
+        return gfac[:, None] * self.X
 
-    def score_hessian(self, theta: np.ndarray, w: np.ndarray):
-        """Weighted mean gradient S_n and Hessian H_n at theta, and nothing else.
+    def slot_score_hessian(self, Theta: np.ndarray, W: np.ndarray):
+        """Weighted mean gradient S and Hessian H of every slot, and nothing else.
 
-        This is one Newton iteration's evaluation.  For the linear-predictor
-        kinds it computes eta = X theta once, S_n by one matrix-vector
-        product and H_n as the matrix product ((w c)[:, None] X)' X / n.
-        H_n is symmetrized to remove reduction round-off.
+        This is one Newton iteration's evaluation.  Returns (S, H, overflow):
+        S is (m, dim), H (m, dim, dim) and symmetrized, and ``overflow``
+        marks the Poisson slots whose exp(eta) overflows, whose S and H are
+        placeholders.  H, like the first term of the expfam_glm Hessian, is
+        one matrix product (see :class:`_OuterTable`).
         """
         kind = self.model.kind
         n = self.n
-        if kind == "expfam_glm":
-            T, T_obs = self.stacks
-            probs, mean_t = self._expfam(theta)
-            S = w @ (mean_t - T_obs) / n
-            T = T.reshape(-1, self.model.dim)
-            wp = (w[:, None] * probs).reshape(-1)
-            H = ((wp[:, None] * T).T @ T - (w[:, None] * mean_t).T @ mean_t) / n
-        elif kind == "score_matching":
-            A = self.stacks[0]
-            S = w @ self.grads(theta) / n
-            H = (w @ A.reshape(n, -1)).reshape(A.shape[1:]) / n
+        m, d = Theta.shape
+        overflow = np.zeros(m, dtype=bool)
+        if kind == "score_matching":
+            A, b, _ = self.stacks
+            H = (W @ A.reshape(n, d * d)).reshape(m, d, d) / n
+            S = np.einsum("bjk,bk->bj", H, Theta) - W @ b / n
+        elif kind == "expfam_glm":
+            probs, mean_t = self._expfam(Theta)
+            S = np.einsum("bi,bij->bj", W, mean_t - self.stacks[1]) / n
+            second = (W[:, :, None] * mean_t).swapaxes(1, 2) @ mean_t
+            H = (self._outer.products((W[:, :, None] * probs).reshape(m, -1)) - second) / n
         else:
-            _, gfac, curv = self._linear(theta, value=False)
-            S = (w * gfac) @ self.X / n
-            H = ((w * curv)[:, None] * self.X).T @ self.X / n
-        return S, _symmetric(H)
+            eta = Theta @ self.X.T
+            if kind == "poisson":
+                overflow = exp_overflow(eta)
+                if overflow.any():
+                    # an overflowing slot gets zero weights: its S and H are zero
+                    W = W * ~overflow[:, None]
+            _, gfac, curv = linear_coefficients(kind, eta, self.y, value=False)
+            # weighted in place: an (m, n) temporary less per product
+            S = np.multiply(W, gfac, out=gfac) @ self.X / n
+            H = self._outer.products(np.multiply(W, curv, out=curv)) / n
+        return S, _symmetric(H), overflow
+
+    def score_hessian(self, theta: np.ndarray, w: np.ndarray):
+        """Weighted mean gradient S_n and Hessian H_n at theta: one slot."""
+        S, H, overflow = self.slot_score_hessian(theta[None], w[None])
+        if overflow[0]:
+            raise NumericOverflow("exp(theta'x) overflows double precision")
+        return S[0], H[0]
+
+    def slot_risk(self, Theta: np.ndarray, W: np.ndarray) -> np.ndarray:
+        """Weighted empirical risk n^-1 sum_i W_bi l(Theta_b; z_i) of every slot."""
+        return np.einsum("bi,bi->b", W, self.slot_values(Theta)) / self.n
 
     def risk(self, theta: np.ndarray, w: np.ndarray) -> float:
         """Weighted empirical risk L_n = n^-1 sum_i w_i l(theta; z_i)."""
-        return float(np.sum(w * self.values(theta))) / self.n
+        return float(self.slot_risk(theta[None], w[None])[0])
 
     def risk_moment(self, theta: np.ndarray, w: np.ndarray):
         """Weighted empirical risk L_n and score second moment G_n at theta.

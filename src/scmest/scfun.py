@@ -246,7 +246,7 @@ def omega_dbar(nu: float, tau: float) -> float:
         return math.inf
 
 
-def d_nu(params: ScParams, step, hess_norm_of_step: float) -> float:
+def d_nu(params: ScParams, step, hess_norm_of_step):
     """Scale-free step length d_nu for a step y - x.
 
     Parameters
@@ -254,29 +254,30 @@ def d_nu(params: ScParams, step, hess_norm_of_step: float) -> float:
     params : ScParams
         Self-concordance parameters of the function.
     step : array_like
-        The step y - x.
-    hess_norm_of_step : float
-        ||y - x|| in the Hessian metric at x, supplied by the caller.
+        The step y - x, or a stack of steps along the last axis.
+    hess_norm_of_step : float or array_like
+        ||y - x|| in the Hessian metric at x, supplied by the caller, one
+        per step.
 
     Returns
     -------
-    float
+    float or ndarray
         R ||step||_2 for nu = 2, and
-        (nu/2 - 1) R ||step||_2^(3-nu) hess_norm^(nu-2) for nu > 2.
+        (nu/2 - 1) R ||step||_2^(3-nu) hess_norm^(nu-2) for nu > 2 (0 for a
+        zero step), one per step.
     """
-    if hess_norm_of_step < 0.0:
+    hess = np.asarray(hess_norm_of_step, dtype=float)
+    if hess.min(initial=0.0) < 0.0:
         raise ValueError("hess_norm_of_step must be nonnegative")
-    norm2 = float(np.linalg.norm(np.asarray(step, dtype=float)))
+    step = np.asarray(step, dtype=float)
+    norm2 = np.sqrt(np.add.reduce(step * step, axis=-1))
     if params.nu == 2.0:
         return params.R * norm2
-    if norm2 == 0.0:
-        return 0.0
-    return (
-        (params.nu / 2.0 - 1.0)
-        * params.R
-        * norm2 ** (3.0 - params.nu)
-        * hess_norm_of_step ** (params.nu - 2.0)
-    )
+    # a zero step has length 0 even where norm2^(3 - nu) is infinite
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (params.nu / 2.0 - 1.0) * params.R * norm2 ** (3.0 - params.nu)
+        out = np.where(norm2 > 0.0, out * hess ** (params.nu - 2.0), 0.0)
+    return out[()]
 
 
 def r_nu(params: ScParams, spec: SpectralSummary) -> float:

@@ -7,18 +7,29 @@ from scmest.bootstrap import (
     BootstrapConfig,
     CoverageConfig,
     _bootstrap_statistics,
-    _engine_chunk,
-    _OuterTable,
     bootstrap_fit,
     bootstrap_quantile,
     bootstrap_weights,
     coverage_experiment,
     write_coverage_csv,
 )
-from scmest.errors import DomainError, NonConverged, SingularHessian, TooManyFailures
-from scmest.estimate import SolverOptions, aggregates, fit_erm
+from scmest.errors import (
+    DomainError,
+    NonConverged,
+    NumericOverflow,
+    SingularHessian,
+    TooManyFailures,
+)
+from scmest.estimate import SolverOptions, _newton_engine, aggregates, fit_erm
 from scmest.gof import wald_statistic
-from scmest.losses import batch_values, expfam_glm_loss, model_for_data, prepare_batch
+from scmest.losses import (
+    _OuterTable,
+    batch_values,
+    expfam_glm_loss,
+    model_for_data,
+    poisson_loss,
+    prepare_batch,
+)
 from scmest.simdata import Dataset, Process, generate, theta0_equispaced
 
 
@@ -88,8 +99,18 @@ def _score_matching_fit(n=300, seed=4):
     return proc, data, model, fit_erm(model, data)
 
 
-# one converging case of every loss kind the vectorized engine fits
+def _expfam_fit(n=300, d=10, seed=5):
+    # logistic regression written as an expfam_glm loss: t(x, y) = y x / 2
+    proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(d))
+    data = generate(proc, n, seed)
+    bound = 0.5 * float(np.max(np.linalg.norm(data.X, axis=1)))
+    model = expfam_glm_loss(d, (-1.0, 1.0), lambda x, y: 0.5 * y * x, bound)
+    return proc, data, model, fit_erm(model, data)
+
+
+# one converging case of every loss kind
 _ENGINE_CASES = {
+    "expfam": _expfam_fit,
     "squared": lambda: _fit("squared", "linear_wellspec", 200, 10, seed=5),
     "logistic": lambda: _fit("logistic", "logistic_wellspec", 300, 10, seed=5),
     "poisson": lambda: _fit("poisson", "poisson_wellspec", 300, 10, seed=5),
@@ -135,8 +156,8 @@ class TestBatchedEngine:
 
     @pytest.mark.parametrize("kind", sorted(_ENGINE_CASES))
     def test_matches_sequential_refits_at_d10_and_score_matching(self, kind):
-        # d = 10 exercises the x x' table product, score matching its own
-        # branch; the Poisson case has nonconvex reweightings (2 of 30)
+        # d = 10 exercises the x x' table product, expfam_glm the table of
+        # t t' products; the Poisson case has nonconvex reweightings (2 of 30)
         _, data, model, fit = _ENGINE_CASES[kind]()
         _assert_matches_sequential_refits(data, model, fit)
 
@@ -144,25 +165,47 @@ class TestBatchedEngine:
     def test_returns_hessian_and_risk_of_each_converged_slot(self, kind):
         _, data, model, fit = _ENGINE_CASES[kind]()
         batch = prepare_batch(model, data.X, data.y)
-        outer = None if kind == "score_matching" else _OuterTable(batch.X)
         W = np.stack([bootstrap_weights(11, b, data.n) for b in range(12)])
-        thetas, H_fin, L_fin, success = _engine_chunk(batch, W, SolverOptions(), outer)
-        assert np.all(success)
+        fits = _newton_engine(batch, W, SolverOptions())
+        assert np.all(fits.status == "converged")
         for b in range(W.shape[0]):
-            assert np.array_equal(H_fin[b], H_fin[b].T)
-            agg = aggregates(model, data, thetas[b], weights=W[b])
-            np.testing.assert_allclose(H_fin[b], agg.H_n, rtol=1e-12, atol=1e-15)
-            assert L_fin[b] == pytest.approx(agg.L_n, rel=1e-12, abs=1e-15)
+            assert np.array_equal(fits.H[b], fits.H[b].T)
+            agg = aggregates(model, data, fits.theta[b], weights=W[b])
+            np.testing.assert_allclose(fits.H[b], agg.H_n, rtol=1e-12, atol=1e-15)
+            assert fits.L[b] == pytest.approx(agg.L_n, rel=1e-12, abs=1e-15)
+
+    def test_failure_causes_match_bootstrap_fit(self):
+        # one Poisson dataset with an outlying count; the declared R = 0 takes
+        # full Newton steps, so weight piled on the outlier throws its
+        # predictor past the overflow limit in one step
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 2))
+        y = rng.poisson(np.exp(0.3 * X[:, 0])).astype(float)
+        y[0] = 1000.0
+        data = Dataset(X=X, y=y)
+        model = poisson_loss(2, 0.0)
+        converging, heavy = np.ones(data.n), np.ones(data.n)
+        converging[0], heavy[0] = 0.0, 1e6
+        W = np.stack([converging, -np.ones(data.n), heavy])
+        fits = _newton_engine(prepare_batch(model, X, y), W, SolverOptions())
+        assert fits.status.tolist() == ["converged", "singular", "overflow"]
+        refit = bootstrap_fit(model, data, W[0])
+        assert refit.converged
+        np.testing.assert_allclose(refit.theta_n, fits.theta[0], rtol=1e-12)
+        with pytest.raises(SingularHessian):
+            bootstrap_fit(model, data, W[1])
+        with pytest.raises(NumericOverflow):
+            bootstrap_fit(model, data, W[2])
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         # weight streams are per-replication, so chunk boundaries only
         # perturb kernel blocking: agreement to the last few ulps
-        import scmest.bootstrap as bootstrap_module
+        import scmest.losses as losses_module
 
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 90, 2)
         config = BootstrapConfig(delta=0.1, B=120, seed=3)
         whole = bootstrap_quantile(model, data, fit, config, kind="wald")
-        monkeypatch.setattr(bootstrap_module, "_CHUNK_ELEMENTS", 3 * data.n)
+        monkeypatch.setattr(losses_module, "_CHUNK_ELEMENTS", 3 * data.n)
         pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
         assert pieces.n_failed == whole.n_failed
         assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
@@ -170,13 +213,13 @@ class TestBatchedEngine:
     def test_row_blocked_table_does_not_change_results(self, monkeypatch):
         # a budget below n d(d+1)/2 makes the x x' table run over row
         # blocks, and below B n it also chunks the slots
-        import scmest.bootstrap as bootstrap_module
+        import scmest.losses as losses_module
 
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 90, 5)
         config = BootstrapConfig(delta=0.1, B=120, seed=3)
         whole = bootstrap_quantile(model, data, fit, config, kind="wald")
         assert len(_OuterTable(data.X).blocks) == 1
-        monkeypatch.setattr(bootstrap_module, "_CHUNK_ELEMENTS", 3 * data.n)
+        monkeypatch.setattr(losses_module, "_CHUNK_ELEMENTS", 3 * data.n)
         assert len(_OuterTable(data.X).blocks) > 1
         pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
         assert pieces.n_failed == whole.n_failed
@@ -190,7 +233,7 @@ class TestBatchedEngine:
 
 class TestBootstrapQuantile:
     def test_expfam_statistics_built_once_per_call(self):
-        # the sequential expfam_glm refits share one stack of t(x_i, label_k)
+        # every expfam_glm refit shares one stack of t(x_i, label_k)
         _, data, _, _ = _fit("logistic", "logistic_wellspec", 100, 2)
         calls = []
 

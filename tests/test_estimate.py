@@ -11,7 +11,8 @@ from scipy.optimize import minimize
 from scmest.errors import SingularHessian
 from scmest.estimate import (
     SolverOptions,
-    _decrement_and_direction,
+    _newton_steps,
+    _pd_solve,
     aggregates,
     empirical_sc_params,
     fit_erm,
@@ -113,7 +114,7 @@ class TestAggregates:
         assert np.array_equal(opt.H_n, agg.H_n)
         assert np.array_equal(opt.G_n, agg.G_n)
         assert opt.n == agg.n
-        dec, _ = _decrement_and_direction(agg.S_n, agg.H_n)
+        dec = _newton_steps(agg.H_n[None], agg.S_n[None])[1][0]
         assert fit.newton_decrement == dec
 
     def test_empirical_sc_params_scaling(self):
@@ -165,7 +166,7 @@ class TestNewtonFit:
         theta = np.array([1.0, 1.0, -1.0, 0.5])
         agg = aggregates(model, data, theta)
         fit = fit_erm(model, data)
-        dec, _ = _decrement_and_direction(agg.S_n, agg.H_n)
+        dec = _newton_steps(agg.H_n[None], agg.S_n[None])[1][0]
         gap = agg.L_n - fit.aggregates_at_opt.L_n
         assert 0.5 * dec**2 == pytest.approx(gap, rel=1e-9)
 
@@ -235,6 +236,29 @@ class TestNewtonFit:
         b = fit_erm(model, data)
         assert np.array_equal(a.theta_n, b.theta_n)
         assert a.newton_decrement == b.newton_decrement
+
+
+class TestPdSolve:
+    def test_one_pd_rule_per_matrix(self):
+        H = np.array(
+            [
+                [[2.0, 0.5], [0.5, 1.0]],  # positive definite
+                [[1e-6, 1e-3], [1e-3, 1.0]],  # singular to round-off: jitter rescues it
+                [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+                [[-1.0, 0.0], [0.0, 0.5]],  # nonpositive trace
+            ]
+        )
+        R = np.ones((4, 2, 1))
+        X, ok = _pd_solve(H, R)
+        assert ok.tolist() == [True, True, False, False]
+        np.testing.assert_allclose(X[0], np.linalg.solve(H[0], R[0]), rtol=1e-14)
+        # a rescued matrix is solved with its jitter, 1e-10 trace/d
+        jittered = H[1] + 1e-10 * np.trace(H[1]) / 2 * np.eye(2)
+        np.testing.assert_allclose(X[1], np.linalg.solve(jittered, R[1]), rtol=1e-10)
+        assert np.all(X[2:] == 0.0)
+        # each matrix gets the same verdict alone as in the stack
+        for b in range(4):
+            assert _pd_solve(H[b : b + 1], R[b : b + 1])[1][0] == ok[b]
 
 
 class TestStacksBuiltOncePerCall:

@@ -17,6 +17,7 @@ from scmest.errors import (
 from scmest.losses import (
     LOSS_KINDS,
     Observation,
+    ScoreMatchingTriple,
     batch_grads,
     batch_values,
     expfam_glm_loss,
@@ -285,3 +286,9 @@ class TestValidation:
         )
         assert triple.c == pytest.approx(h_lap + 0.5 * float(h_grad @ h_grad))
         assert np.linalg.eigvalsh(triple.A)[0] > -1e-12
+
+    def test_score_matching_triple_rejects_asymmetric_or_indefinite_A(self):
+        with pytest.raises(DomainError, match="symmetric"):
+            ScoreMatchingTriple(A=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2), c=0.0)
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            ScoreMatchingTriple(A=np.array([[1.0, 2.0], [2.0, 1.0]]), b=np.zeros(2), c=0.0)

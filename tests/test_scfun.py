@@ -186,6 +186,15 @@ class TestStepLengthAndConversion:
     def test_d_nu_zero_step(self):
         assert d_nu(ScParams(R=1.0, nu=3.0), np.zeros(3), 0.0) == 0.0
 
+    def test_d_nu_of_a_stack_is_per_row(self):
+        p = ScParams(R=2.0, nu=3.5)
+        steps = np.array([[2.0, 0.0], [0.0, 0.0], [1.0, 1.0]])
+        hess_norms = np.array([5.0, 0.0, 0.5])
+        out = d_nu(p, steps, hess_norms)
+        assert out.shape == (3,) and out[1] == 0.0
+        for b in range(3):
+            assert out[b] == pytest.approx(d_nu(p, steps[b], hess_norms[b]), rel=1e-15)
+
     def test_r_nu_branches(self):
         spec = SpectralSummary(lambda_min=0.25, lambda_max=4.0)
         assert r_nu(ScParams(R=3.0, nu=2.0), spec) == pytest.approx(6.0)
