@@ -70,6 +70,8 @@ _EXPORTS = {
         "generate",
         "theta0_equispaced",
         "loss_kind_for",
+        "phase_seed",
+        "replicate",
         "read_csv",
         "write_csv",
     ),
@@ -101,13 +103,13 @@ _EXPORTS = {
     "gof": (
         "TEST_KINDS",
         "TestReport",
-        "phase_seed",
         "PowerCurveConfig",
         "PowerRow",
         "PowerTable",
         "rao_statistic",
         "lr_statistic",
         "wald_statistic",
+        "null_statistics",
         "run_test",
         "power_curve",
         "write_power_csv",
@@ -115,16 +117,16 @@ _EXPORTS = {
     "bootstrap": (
         "BootstrapConfig",
         "BootstrapQuantile",
-        "CoverageConfig",
-        "CoverageRow",
-        "CoverageTable",
         "bootstrap_weights",
         "bootstrap_fit",
         "bootstrap_quantile",
-        "coverage_experiment",
-        "write_coverage_csv",
     ),
     "experiments": (
+        "CoverageConfig",
+        "CoverageRow",
+        "CoverageTable",
+        "coverage_experiment",
+        "write_coverage_csv",
         "CoverageTableExperiment",
         "EffDimErrorExperiment",
         "ConfsetShapeExperiment",
@@ -135,7 +137,6 @@ _EXPORTS = {
         "run_confset_shape",
         "write_effdim_csv",
         "write_shape_csv",
-        # write_coverage_csv re-exported by experiments resolves to bootstrap's
     ),
 }
 

@@ -11,7 +11,8 @@ quantile of the successful replications calibrates the confidence set.
 Negative multipliers can make a replication's objective nonconvex; such
 replications surface as factorization failures or non-convergence, are
 excluded from the quantile, and are reported (erroring when they exceed a
-tenth of B).
+tenth of B, with the count per engine status: singular, max_iter,
+overflow).
 
 Replication b draws its weights from a Philox stream seeded by
 SeedSequence([seed, b]), so each replication's weight vector is a pure
@@ -26,45 +27,29 @@ built once, in one :class:`~scmest.losses.Batch`, which also keeps the
 table of outer products its Hessians sum; an engine iteration computes
 only S and H of the live slots, and the weighted risk is evaluated once
 per slot, where it converges.
-
-:func:`coverage_experiment` wraps the whole calibration protocol: replicate
-data draws, compare each statistic against its calibrated quantile, and
-tabulate coverage per method and confidence level.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    NonConverged,
-    NumericOverflow,
-    SingularHessian,
-    TooManyFailures,
-)
+from .errors import DomainError, NonConverged, check_failures
 from .estimate import FitResult, SolverOptions, _newton_engine, _newton_fit
-from .gof import lr_statistic, phase_seed, wald_statistic
-from .losses import LossModel, check_weights, model_for_data, prepare_batch
-from .simdata import Dataset, Process, generate, loss_kind_for
+from .losses import LossModel, check_weights, prepare_batch
+from .simdata import Dataset
 
 __all__ = [
     "BootstrapConfig",
     "BootstrapQuantile",
-    "CoverageConfig",
-    "CoverageRow",
-    "CoverageTable",
     "bootstrap_weights",
     "bootstrap_fit",
     "bootstrap_quantile",
-    "coverage_experiment",
-    "write_coverage_csv",
 ]
+
 
 @dataclass(frozen=True)
 class BootstrapConfig:
@@ -146,6 +131,7 @@ def _bootstrap_statistics(
 
     wald = np.full(B, np.nan)
     lr = np.full(B, np.nan)
+    causes: Counter[str] = Counter()
     chunk = min(B, batch.max_slots())
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
@@ -156,13 +142,10 @@ def _bootstrap_statistics(
         sel = np.flatnonzero(ok) + start
         wald[sel] = np.einsum("bj,bjk,bk->b", diff, fits.H, diff)[ok]
         lr[sel] = np.maximum(2.0 * (W @ vals_base / n - fits.L), 0.0)[ok]
+        causes.update(fits.status[~ok].tolist())
+    check_failures(causes, B, "bootstrap replications")
     good = ~np.isnan(wald)
-    n_failed = int(B - np.count_nonzero(good))
-    if n_failed > B / 10:
-        raise TooManyFailures(
-            f"{n_failed} of {B} bootstrap replications failed to produce a fit"
-        )
-    return wald[good], lr[good], n_failed
+    return wald[good], lr[good], int(B - np.count_nonzero(good))
 
 
 def bootstrap_quantile(
@@ -187,188 +170,3 @@ def bootstrap_quantile(
     return BootstrapQuantile(
         quantile=float(np.quantile(stats, 1.0 - config.delta)), n_failed=n_failed
     )
-
-
-# ---------------------------------------------------------------------------
-# coverage experiment
-# ---------------------------------------------------------------------------
-
-_METHODS = ("oracle", "bootwald", "bootlr")
-
-
-@dataclass(frozen=True)
-class CoverageConfig:
-    """Replication study of confidence-set coverage under a known process.
-
-    ``deltas`` are confidence levels (coverage targets, e.g. 0.95); the
-    oracle method calibrates the Wald radius from its own replication set,
-    the bootstrap methods recalibrate per dataset.  Evaluation, oracle
-    calibration, and bootstrap weights use three disjoint seed phases.
-    """
-
-    process: Process
-    n: int
-    deltas: tuple[float, ...] = (0.95, 0.9, 0.85, 0.8, 0.75)
-    reps: int = 1000
-    B: int = 2000
-    seed: int = 0
-    methods: tuple[str, ...] = _METHODS
-    opts: SolverOptions | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
-        object.__setattr__(self, "methods", tuple(self.methods))
-        for m in self.methods:
-            if m not in _METHODS:
-                raise DomainError(f"unknown method {m!r}")
-        for v in self.deltas:
-            if not 0.0 < v < 1.0:
-                raise DomainError(f"confidence level must lie in (0, 1), got {v}")
-        if self.n < 1 or self.reps < 1:
-            raise DomainError("n and reps must be positive")
-
-
-@dataclass(frozen=True)
-class CoverageRow:
-    model: str
-    method: str
-    delta: float
-    coverage: float
-    stderr: float
-    reps: int
-    failures: int
-
-
-@dataclass(frozen=True)
-class CoverageTable:
-    rows: tuple[CoverageRow, ...]
-
-    def lookup(self, method: str, delta: float, model: str | None = None) -> CoverageRow:
-        for row in self.rows:
-            if model is not None and row.model != model:
-                continue
-            if row.method == method and abs(row.delta - delta) < 1e-12:
-                return row
-        raise KeyError((model, method, delta))
-
-
-def coverage_experiment(config: CoverageConfig) -> CoverageTable:
-    """Empirical coverage of oracle- and bootstrap-calibrated sets.
-
-    Per replication: draw a dataset, fit, and check whether theta0 falls
-    inside each method's set at each confidence level.  A replication whose
-    base fit fails counts as a failure for every method; one whose
-    bootstrap exceeds the failure budget counts as a failure for the
-    bootstrap methods only.
-    """
-    proc = config.process
-    theta0 = proc.theta0
-    lk = loss_kind_for(proc)
-    eval_base = phase_seed(config.seed, 0)
-    cal_base = phase_seed(config.seed, 1)
-    boot_base = phase_seed(config.seed, 2)
-
-    oracle_radius: dict[float, float] = {}
-    if "oracle" in config.methods:
-        cal_stats = []
-        for r in range(config.reps):
-            dat = generate(proc, config.n, cal_base + r)
-            mod = model_for_data(lk, dat.X)
-            try:
-                cfit = _fit_strict(mod, dat, config.opts)
-            except (SingularHessian, NonConverged, NumericOverflow):
-                continue
-            cal_stats.append(wald_statistic(cfit, theta0))
-        if not cal_stats:
-            raise TooManyFailures("every oracle calibration replication failed")
-        cal_stats = np.asarray(cal_stats)
-        for level in config.deltas:
-            oracle_radius[level] = float(np.quantile(cal_stats, level))
-
-    want_boot = "bootwald" in config.methods or "bootlr" in config.methods
-    covered = {(m, v): 0 for m in config.methods for v in config.deltas}
-    valid = {m: 0 for m in config.methods}
-    for r in range(config.reps):
-        data = generate(proc, config.n, eval_base + r)
-        model = model_for_data(lk, data.X)
-        try:
-            fit = _fit_strict(model, data, config.opts)
-        except (SingularHessian, NonConverged, NumericOverflow):
-            continue
-        base_wald = wald_statistic(fit, theta0)
-        if "oracle" in config.methods:
-            valid["oracle"] += 1
-            for level in config.deltas:
-                if base_wald <= oracle_radius[level]:
-                    covered[("oracle", level)] += 1
-        if want_boot:
-            base_lr = lr_statistic(model, data, fit, theta0)
-            try:
-                wald_stats, lr_stats, _ = _bootstrap_statistics(
-                    model, data, fit, config.B, boot_base + r, config.opts
-                )
-            except (TooManyFailures, SingularHessian, NumericOverflow):
-                continue
-            for level in config.deltas:
-                if "bootwald" in config.methods:
-                    if base_wald <= float(np.quantile(wald_stats, level)):
-                        covered[("bootwald", level)] += 1
-                if "bootlr" in config.methods:
-                    if base_lr <= float(np.quantile(lr_stats, level)):
-                        covered[("bootlr", level)] += 1
-            for m in ("bootwald", "bootlr"):
-                if m in config.methods:
-                    valid[m] += 1
-    rows = []
-    for m in config.methods:
-        for level in config.deltas:
-            k = valid[m]
-            cov = covered[(m, level)] / k if k else math.nan
-            stderr = math.sqrt(cov * (1.0 - cov) / k) if k else math.nan
-            rows.append(
-                CoverageRow(
-                    model=proc.kind,
-                    method=m,
-                    delta=level,
-                    coverage=cov,
-                    stderr=stderr,
-                    reps=k,
-                    failures=config.reps - k,
-                )
-            )
-    return CoverageTable(rows=tuple(rows))
-
-
-def _fit_strict(model, data, opts):
-    from .estimate import fit_erm
-
-    fit = fit_erm(model, data, opts)
-    if not fit.converged:
-        raise NonConverged("replication fit did not converge")
-    return fit
-
-
-def write_coverage_csv(table: CoverageTable, path, metadata=None) -> None:
-    """Write a coverage table as CSV with a schema-version comment line.
-
-    ``metadata`` key/value pairs (run configuration: n, d, reps, ...) are
-    recorded as additional ``# key=value`` comment lines.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version=1\n")
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}={metadata[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["model", "method", "delta", "coverage", "stderr", "reps", "failures"])
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.model,
-                    row.method,
-                    repr(row.delta),
-                    f"{row.coverage:.17g}",
-                    f"{row.stderr:.17g}",
-                    row.reps,
-                    row.failures,
-                ]
-            )

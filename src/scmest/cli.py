@@ -294,9 +294,8 @@ def cmd_confset(cfg) -> int:
     elif calibration == "oracle_mc":
         if proc is None:
             raise MissingSampler("oracle_mc calibration needs a --process specification")
-        sq = oracle_radius(
-            kind, proc, data.n, delta, reps=int(cfg.get("calib_reps", 1000)), seed=seed
-        )
+        reps = int(cfg.get("calib_reps", 1000))
+        sq = oracle_radius(kind, proc, data.n, delta, reps, seed, _solver_opts(cfg))
     else:
         if kind != "wald":
             raise MissingSampler("explicit_constant calibration applies to wald sets only")

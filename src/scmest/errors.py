@@ -50,5 +50,17 @@ class TooManyFailures(ScmestError, RuntimeError):
     """More than a tenth of Monte-Carlo replications failed; refusing to report."""
 
 
+def check_failures(causes: dict[str, int], total: int, what: str) -> None:
+    """Raise TooManyFailures when more than total/10 of ``total`` ``what`` failed.
+
+    ``causes`` counts the failures per cause; the message gives each count,
+    e.g. "3 of 20 replications failed (NonConverged: 2, SingularHessian: 1)".
+    """
+    failed = sum(causes.values())
+    if failed > total / 10:
+        detail = ", ".join(f"{cause}: {count}" for cause, count in sorted(causes.items()))
+        raise TooManyFailures(f"{failed} of {total} {what} failed ({detail})")
+
+
 class ParseError(ScmestError, ValueError):
     """A CSV or config document could not be parsed; message cites the location."""

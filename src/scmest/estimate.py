@@ -23,9 +23,10 @@ n < d designs) is distinguished from round-off.
 Work per call: X, y and the weights are checked and the per-sample stacks
 built once, in a :class:`~scmest.losses.Batch`.  Each iteration computes
 only S_n and H_n of the live slots, and L_n only where a slot finishes.  A
-single fit completes L_n and G_n at the returned iterate with the same
-arithmetic as :func:`aggregates`, so ``FitResult.aggregates_at_opt``
-equals ``aggregates(model, data, theta_n)`` bit for bit.
+single fit keeps the engine's L_n and completes G_n at the returned
+iterate, both with the same arithmetic as :func:`aggregates`, so
+``FitResult.aggregates_at_opt`` equals ``aggregates(model, data, theta_n)``
+bit for bit.
 """
 
 from __future__ import annotations
@@ -153,12 +154,12 @@ def aggregates(
     theta = check_theta(model, theta)
     w = check_weights(weights, batch.n)
     S, H = batch.score_hessian(theta, w)
-    return _complete(batch, theta, w, S, H)
+    return _complete(batch, theta, w, batch.risk(theta, w), S, H)
 
 
-def _complete(batch: Batch, theta, w, S, H) -> EmpiricalAggregates:
-    """Aggregates at theta from its S_n and H_n, adding L_n and G_n."""
-    L, G = batch.risk_moment(theta, w)
+def _complete(batch: Batch, theta, w, L, S, H) -> EmpiricalAggregates:
+    """Aggregates at theta from its L_n, S_n and H_n, adding G_n."""
+    G = batch.score_moment(theta, w)
     return EmpiricalAggregates(L_n=L, S_n=S, H_n=H, G_n=G, n=batch.n)
 
 
@@ -312,7 +313,7 @@ def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
     cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
     return FitResult(
         theta_n=theta,
-        aggregates_at_opt=_complete(batch, theta, w, S, H),
+        aggregates_at_opt=_complete(batch, theta, w, float(fits.L[0]), S, H),
         newton_decrement=dec,
         iterations=it,
         converged=status == "converged",

@@ -1,6 +1,10 @@
-"""Prepackaged simulation studies emitting plot-ready tables.
+"""Simulation studies emitting plot-ready tables.
 
-Three experiments, each a deterministic function of its config seed:
+:func:`coverage_experiment` runs the calibration protocol for one process:
+replicate data draws, compare each statistic against its calibrated
+quantile, and tabulate coverage per method and confidence level.  Three
+prepackaged experiments build on it and on the package's estimators, each a
+deterministic function of its config seed:
 
 - coverage_table: coverage of oracle- and bootstrap-calibrated confidence
   sets for well-specified least squares, misspecified least squares
@@ -13,6 +17,7 @@ Three experiments, each a deterministic function of its config seed:
   a 2-d logistic model under three design covariances, showing how the
   set's shape tracks the local curvature.
 
+Rows count the replications that :func:`scmest.simdata.replicate` kept.
 A process that fails entirely still yields rows (NaN coverage, all
 replications counted as failures) so partial runs remain inspectable.
 """
@@ -25,23 +30,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import (
-    BootstrapConfig,
-    CoverageConfig,
-    CoverageRow,
-    CoverageTable,
-    bootstrap_quantile,
-    coverage_experiment,
-    write_coverage_csv,
-)
-from .errors import ScmestError
-from .estimate import fit_erm
-from .gof import phase_seed
+from .bootstrap import BootstrapConfig, _bootstrap_statistics, bootstrap_quantile
+from .errors import DomainError, NumericOverflow, ScmestError, SingularHessian, TooManyFailures
+from .estimate import SolverOptions, fit_erm
+from .gof import lr_statistic, null_statistics, wald_statistic
 from .inference import effective_dim_empirical
 from .losses import model_for_data
-from .simdata import Process, generate, loss_kind_for, theta0_equispaced
+from .simdata import Process, generate, phase_seed, replicate, theta0_equispaced
 
 __all__ = [
+    "CoverageConfig",
+    "CoverageRow",
+    "CoverageTable",
+    "coverage_experiment",
     "CoverageTableExperiment",
     "EffDimErrorExperiment",
     "ConfsetShapeExperiment",
@@ -54,6 +55,155 @@ __all__ = [
     "write_shape_csv",
     "write_coverage_csv",
 ]
+
+_METHODS = ("oracle", "bootwald", "bootlr")
+
+
+@dataclass(frozen=True)
+class CoverageConfig:
+    """Replication study of confidence-set coverage under a known process.
+
+    ``deltas`` are confidence levels (coverage targets, e.g. 0.95); the
+    oracle method calibrates the Wald radius from its own replication set,
+    the bootstrap methods recalibrate per dataset.  Evaluation, oracle
+    calibration, and bootstrap weights use three disjoint seed phases.
+    """
+
+    process: Process
+    n: int
+    deltas: tuple[float, ...] = (0.95, 0.9, 0.85, 0.8, 0.75)
+    reps: int = 1000
+    B: int = 2000
+    seed: int = 0
+    methods: tuple[str, ...] = _METHODS
+    opts: SolverOptions | None = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        for m in self.methods:
+            if m not in _METHODS:
+                raise DomainError(f"unknown method {m!r}")
+        for v in self.deltas:
+            if not 0.0 < v < 1.0:
+                raise DomainError(f"confidence level must lie in (0, 1), got {v}")
+        if self.n < 1 or self.reps < 1:
+            raise DomainError("n and reps must be positive")
+
+
+@dataclass(frozen=True)
+class CoverageRow:
+    model: str
+    method: str
+    delta: float
+    coverage: float
+    stderr: float
+    reps: int
+    failures: int
+
+
+@dataclass(frozen=True)
+class CoverageTable:
+    rows: tuple[CoverageRow, ...]
+
+    def lookup(self, method: str, delta: float, model: str | None = None) -> CoverageRow:
+        for row in self.rows:
+            if model is not None and row.model != model:
+                continue
+            if row.method == method and abs(row.delta - delta) < 1e-12:
+                return row
+        raise KeyError((model, method, delta))
+
+
+def coverage_experiment(config: CoverageConfig) -> CoverageTable:
+    """Empirical coverage of oracle- and bootstrap-calibrated sets.
+
+    Per replication: draw a dataset, fit, and check whether theta0 falls
+    inside each method's set at each confidence level.  A replication whose
+    base fit fails is dropped by :func:`scmest.simdata.replicate` and counts
+    as a failure for every method; one whose bootstrap exceeds the failure
+    budget counts as a failure for the bootstrap methods only.
+    """
+    proc = config.process
+    theta0 = proc.theta0
+    eval_base = phase_seed(config.seed, 0)
+    cal_base = phase_seed(config.seed, 1)
+    boot_base = phase_seed(config.seed, 2)
+
+    if "oracle" in config.methods:
+        cal = null_statistics(("wald",), proc, config.n, config.reps, cal_base, config.opts)
+        radius = {level: float(np.quantile(cal["wald"], level)) for level in config.deltas}
+    want_boot = "bootwald" in config.methods or "bootlr" in config.methods
+
+    def covers(model, data):
+        """Per method, whether each level's set holds theta0; None where the bootstrap failed."""
+        fit = fit_erm(model, data, config.opts)
+        base_wald = wald_statistic(fit, theta0)
+        out = {}
+        if "oracle" in config.methods:
+            out["oracle"] = [base_wald <= radius[level] for level in config.deltas]
+        if want_boot:
+            base_lr = lr_statistic(model, data, fit, theta0)
+            # the bootstrap seed of replication r is boot_base + r
+            seed = boot_base + data.provenance.seed - eval_base
+            try:
+                boot = _bootstrap_statistics(model, data, fit, config.B, seed, config.opts)
+            except (TooManyFailures, SingularHessian, NumericOverflow):
+                boot = None
+            for m, base, i in (("bootwald", base_wald, 0), ("bootlr", base_lr, 1)):
+                if m in config.methods:
+                    out[m] = None if boot is None else [
+                        base <= float(np.quantile(boot[i], level)) for level in config.deltas
+                    ]
+        return out
+
+    results = replicate(proc, config.n, eval_base, config.reps, covers)
+    rows = []
+    for m in config.methods:
+        hits = [res[m] for res in results if res[m] is not None]
+        k = len(hits)
+        for i, level in enumerate(config.deltas):
+            cov = sum(h[i] for h in hits) / k if k else math.nan
+            stderr = math.sqrt(cov * (1.0 - cov) / k) if k else math.nan
+            rows.append(
+                CoverageRow(
+                    model=proc.kind,
+                    method=m,
+                    delta=level,
+                    coverage=cov,
+                    stderr=stderr,
+                    reps=k,
+                    failures=config.reps - k,
+                )
+            )
+    return CoverageTable(rows=tuple(rows))
+
+
+def write_coverage_csv(table: CoverageTable, path, metadata=None) -> None:
+    """Write a coverage table as CSV with a schema-version comment line.
+
+    ``metadata`` key/value pairs (run configuration: n, d, reps, ...) are
+    recorded as additional ``# key=value`` comment lines.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# schema_version=1\n")
+        for key in sorted(metadata or {}):
+            fh.write(f"# {key}={metadata[key]}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["model", "method", "delta", "coverage", "stderr", "reps", "failures"])
+        for row in table.rows:
+            writer.writerow(
+                [
+                    row.model,
+                    row.method,
+                    repr(row.delta),
+                    f"{row.coverage:.17g}",
+                    f"{row.stderr:.17g}",
+                    row.reps,
+                    row.failures,
+                ]
+            )
+
 
 _COVERAGE_PROCESSES = ("linear_wellspec", "linear_misspec_t", "logistic_wellspec")
 
@@ -135,8 +285,15 @@ _PROCESS_FOR_MODEL = {"squared": "linear_wellspec", "logistic": "logistic_wellsp
 
 
 def run_effdim_error(config: EffDimErrorExperiment | None = None) -> tuple[EffDimRow, ...]:
-    """Mean |d_n/d - 1| over the (model, d, n) grid; d* = d by well-specification."""
+    """Mean |d_n/d - 1| over the (model, d, n) grid; d* = d by well-specification.
+
+    ``reps`` of a row counts the replications that succeeded.
+    """
     config = config or EffDimErrorExperiment()
+
+    def relative_error(model, data):
+        return abs(effective_dim_empirical(fit_erm(model, data)).value / model.dim - 1.0)
+
     rows = []
     for m_idx, model_kind in enumerate(config.models):
         proc_kind = _PROCESS_FOR_MODEL[model_kind]
@@ -144,20 +301,15 @@ def run_effdim_error(config: EffDimErrorExperiment | None = None) -> tuple[EffDi
             proc = Process(kind=proc_kind, theta0=np.ones(d))
             for n_idx, n in enumerate(config.n_grid):
                 base = phase_seed(config.seed, 1000 * m_idx + 10 * d_idx + n_idx)
-                errs = np.empty(config.reps)
-                for r in range(config.reps):
-                    data = generate(proc, n, base + r)
-                    model = model_for_data(model_kind, data.X)
-                    fit = fit_erm(model, data)
-                    errs[r] = abs(effective_dim_empirical(fit).value / d - 1.0)
+                errs = np.array(replicate(proc, n, base, config.reps, relative_error))
                 rows.append(
                     EffDimRow(
                         model=model_kind,
                         d=d,
                         n=n,
                         mean_abs_err=float(np.mean(errs)),
-                        stderr=float(np.std(errs, ddof=1) / math.sqrt(config.reps)),
-                        reps=config.reps,
+                        stderr=float(np.std(errs, ddof=1) / math.sqrt(errs.size)),
+                        reps=int(errs.size),
                     )
                 )
     return tuple(rows)

@@ -15,9 +15,10 @@ value.  :func:`power_curve` sweeps sample sizes and alternatives,
 recalibrating the critical value at each n, and reports empirical power
 with binomial standard errors.
 
-Replication r of any phase uses seed base + r, with per-phase bases hashed
-from the user seed, so runs are deterministic and phases never share
-streams.
+:func:`null_statistics` is the one oracle calibration, here and in
+:mod:`scmest.inference` and the coverage experiment.  Replication r of any
+phase uses seed base + r, with per-phase bases from
+:func:`scmest.simdata.phase_seed`, so phases never share streams.
 """
 
 from __future__ import annotations
@@ -31,19 +32,19 @@ from scipy.stats import chi2
 
 from .errors import DomainError, MissingSampler, NonConverged
 from .estimate import FitResult, SolverOptions, _decrement, fit_erm
-from .losses import LossModel, check_theta, check_weights, model_for_data, prepare_batch
-from .simdata import Dataset, Process, generate, loss_kind_for
+from .losses import LossModel, check_theta, check_weights, prepare_batch
+from .simdata import Dataset, Process, phase_seed, replicate
 
 __all__ = [
     "TEST_KINDS",
     "TestReport",
-    "phase_seed",
     "PowerCurveConfig",
     "PowerRow",
     "PowerTable",
     "rao_statistic",
     "lr_statistic",
     "wald_statistic",
+    "null_statistics",
     "run_test",
     "power_curve",
     "write_power_csv",
@@ -51,12 +52,6 @@ __all__ = [
 
 TEST_KINDS = ("rao", "lr", "wald")
 _CRITICAL_RULES = ("scaled_dim", "explicit", "oracle_mc")
-
-
-def phase_seed(seed: int, phase: int) -> int:
-    """Derive a nonnegative int64 seed base for one phase of an experiment."""
-    state = np.random.SeedSequence([int(seed), int(phase)]).generate_state(1, np.uint64)
-    return int(state[0] & np.uint64(0x7FFF_FFFF_FFFF_FFFF))
 
 
 @dataclass(frozen=True)
@@ -128,25 +123,26 @@ def _statistics(
     return out
 
 
-def _null_quantiles(
+def null_statistics(
     kinds: tuple[str, ...],
     process: Process,
     n: int,
-    alpha: float,
     reps: int,
     seed_base: int,
-    opts: SolverOptions | None,
-) -> dict[str, float]:
-    """Per-kind (1 - alpha)-quantiles of the statistics under the null process."""
-    lk = loss_kind_for(process)
-    stats = {kind: np.empty(reps) for kind in kinds}
-    for r in range(reps):
-        data = generate(process, n, seed_base + r)
-        model = model_for_data(lk, data.X)
-        values = _statistics(kinds, model, data, process.theta0, opts)
-        for kind in kinds:
-            stats[kind][r] = values[kind]
-    return {k: float(np.quantile(v, 1.0 - alpha)) for k, v in stats.items()}
+    opts: SolverOptions | None = None,
+) -> dict[str, np.ndarray]:
+    """Per-kind statistics at process.theta0 over replications of the null process.
+
+    Replication r fits the dataset of seed ``seed_base + r`` once for all
+    kinds.  Failed replications are dropped under the rule of
+    :func:`scmest.simdata.replicate`.
+    """
+
+    def statistics(model, data):
+        return _statistics(kinds, model, data, process.theta0, opts)
+
+    rows = replicate(process, n, seed_base, reps, statistics)
+    return {kind: np.array([row[kind] for row in rows]) for kind in kinds}
 
 
 def run_test(
@@ -191,9 +187,8 @@ def run_test(
     else:
         if process is None:
             raise MissingSampler("oracle_mc critical rule needs a null process")
-        crit = _null_quantiles(
-            (kind,), process, data.n, alpha, calib_reps, phase_seed(seed, 0), opts
-        )[kind]
+        null = null_statistics((kind,), process, data.n, calib_reps, phase_seed(seed, 0), opts)
+        crit = float(np.quantile(null[kind], 1.0 - alpha))
     stat = _statistics((kind,), model, data, theta0, opts)[kind]
     return TestReport(
         statistic=stat, kind=kind, critical=crit, reject=stat > crit, n=data.n, d=d
@@ -257,45 +252,35 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
 
     For each n the critical values are recalibrated by oracle Monte Carlo
     under the null process (calibration and evaluation use disjoint seed
-    phases).  Rows report power with the binomial standard error
-    sqrt(p(1-p)/reps).
+    phases).  Rows report power over the replications that succeeded, with
+    the binomial standard error sqrt(p(1-p)/k) of those k replications.
     """
     kinds = tuple(config.kinds)
     theta0 = config.process.theta0
+
+    def statistics(model, data):
+        return _statistics(kinds, model, data, theta0, config.opts)
+
     rows = []
     for n_idx, n in enumerate(config.n_grid):
-        crit = _null_quantiles(
-            kinds,
-            config.process,
-            n,
-            config.alpha,
-            config.calib_reps,
-            phase_seed(config.seed, 2 * n_idx),
-            config.opts,
-        )
+        cal_base = phase_seed(config.seed, 2 * n_idx)
+        null = null_statistics(kinds, config.process, n, config.calib_reps, cal_base, config.opts)
+        crit = {kind: float(np.quantile(v, 1.0 - config.alpha)) for kind, v in null.items()}
         eval_base = phase_seed(config.seed, 2 * n_idx + 1)
-        lk = loss_kind_for(config.process)
         for theta_star in config.alternatives:
             theta_star = np.asarray(theta_star, dtype=float)
             proc_alt = replace(config.process, theta0=theta_star)
-            rejects = {kind: 0 for kind in kinds}
-            for r in range(config.reps):
-                data = generate(proc_alt, n, eval_base + r)
-                model = model_for_data(lk, data.X)
-                values = _statistics(kinds, model, data, theta0, config.opts)
-                for kind in kinds:
-                    if values[kind] > crit[kind]:
-                        rejects[kind] += 1
+            values = replicate(proc_alt, n, eval_base, config.reps, statistics)
             dist = float(np.linalg.norm(theta_star - theta0))
             for kind in kinds:
-                p = rejects[kind] / config.reps
+                p = sum(v[kind] > crit[kind] for v in values) / len(values)
                 rows.append(
                     PowerRow(
                         kind=kind,
                         n=int(n),
                         dist=dist,
                         power=p,
-                        stderr=float(np.sqrt(p * (1.0 - p) / config.reps)),
+                        stderr=float(np.sqrt(p * (1.0 - p) / len(values))),
                     )
                 )
     return PowerTable(rows=tuple(rows))

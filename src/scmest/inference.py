@@ -42,20 +42,12 @@ from .estimate import (
     FitResult,
     SolverOptions,
     _solve_pd,
-    aggregates,
     empirical_sc_params,
-    fit_erm,
 )
-from .losses import (
-    LossModel,
-    batch_values,
-    check_theta,
-    check_weights,
-    model_for_data,
-    prepare_batch,
-)
+from .gof import lr_statistic, null_statistics
+from .losses import LossModel, check_theta, check_weights, prepare_batch
 from .scfun import ScParams, SpectralSummary, k_nu, omega, r_nu
-from .simdata import Dataset, Process, generate, loss_kind_for
+from .simdata import Dataset, Process, generate
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -183,6 +175,8 @@ def _trace_ratio(G: np.ndarray, H: np.ndarray) -> float:
 
 def effective_dim_empirical(fit: FitResult) -> EffDimReport:
     """Empirical effective dimension d_n = Tr(H_n(theta_n)^{-1} G_n(theta_n))."""
+    if not fit.converged:
+        raise NonConverged("effective_dim_empirical requires a converged fit")
     agg = fit.aggregates_at_opt
     return EffDimReport(value=_trace_ratio(agg.G_n, agg.H_n), kind="empirical")
 
@@ -253,15 +247,6 @@ def t_n_bound(delta: float, constants: AssumptionConstants, n: int, d: int) -> f
     return 2.0 * s2 / (-constants.K2 + math.sqrt(constants.K2**2 + 2.0 * s2 * n / log_term))
 
 
-def _statistic(kind: str, fit: FitResult, model: LossModel, data: Dataset, theta_ref) -> float:
-    theta_ref = np.asarray(theta_ref, dtype=float)
-    diff = theta_ref - fit.theta_n
-    if kind == "wald":
-        return float(diff @ fit.aggregates_at_opt.H_n @ diff)
-    vals = batch_values(model, theta_ref, data.X, data.y)
-    return 2.0 * (float(np.mean(vals)) - fit.aggregates_at_opt.L_n)
-
-
 def oracle_radius(
     kind: str,
     process: Process,
@@ -275,19 +260,14 @@ def oracle_radius(
 
     Replicates the whole experiment ``reps`` times at sample size n: draw a
     fresh dataset, fit, and evaluate the Wald distance or the LR deviance of
-    theta0 from the fit.  Replication r uses seed ``seed + r``.
+    theta0 from the fit.  Replication r uses seed ``seed + r``; the quantile
+    is over the replications that succeed (see :func:`scmest.gof.null_statistics`).
     """
     if kind not in _SET_KINDS:
         raise DomainError(f"kind must be one of {_SET_KINDS}, got {kind!r}")
     if process is None:
         raise MissingSampler("oracle calibration needs a data-generating process")
-    stats = np.empty(reps)
-    lk = loss_kind_for(process)
-    for r in range(reps):
-        data = generate(process, n, seed + r)
-        model = model_for_data(lk, data.X)
-        fit = fit_erm(model, data, opts)
-        stats[r] = _statistic(kind, fit, model, data, process.theta0)
+    stats = null_statistics((kind,), process, n, reps, seed, opts)[kind]
     return float(np.quantile(stats, 1.0 - delta))
 
 
@@ -404,7 +384,7 @@ def set_membership(
     if conf_set.kind == "wald":
         diff = theta - conf_set.center
         return bool(diff @ conf_set.shape @ diff <= conf_set.sq_radius)
-    return _statistic("lr", fit, model, data, theta) <= conf_set.sq_radius
+    return lr_statistic(model, data, fit, theta) <= conf_set.sq_radius
 
 
 def critical_sample_size(

@@ -616,14 +616,14 @@ class Batch:
         """Weighted empirical risk L_n = n^-1 sum_i w_i l(theta; z_i)."""
         return float(self.slot_risk(theta[None], w[None])[0])
 
-    def risk_moment(self, theta: np.ndarray, w: np.ndarray):
-        """Weighted empirical risk L_n and score second moment G_n at theta.
+    def score_moment(self, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Score second moment G_n at theta.
 
         G_n averages the outer products of the weighted per-sample
         gradients; it is symmetrized and PSD by construction.
         """
         wg = w[:, None] * self.grads(theta)
-        return self.risk(theta, w), _symmetric(wg.T @ wg / self.n)
+        return _symmetric(wg.T @ wg / self.n)
 
 
 def prepare_batch(model: LossModel, X, y=None) -> Batch:

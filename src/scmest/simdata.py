@@ -25,21 +25,25 @@ rows of ``generate(process, 2n, seed)`` equal ``generate(process, n, seed)``
 exactly.
 
 Datasets round-trip through CSV (header ``x1..xd[,y]``) at full double
-precision.
+precision.  :func:`replicate` is the one loop that draws and measures
+replications of an experiment.
 """
 
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any, Callable
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import poisson as poisson_dist
 
-from .errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
-from .losses import Observation
+from .errors import DimensionMismatch, DomainError, EmptyDataset, NonConverged, NumericOverflow
+from .errors import ParseError, SingularHessian, check_failures
+from .losses import LossModel, Observation, model_for_data
 
 __all__ = [
     "PROCESS_KINDS",
@@ -49,6 +53,8 @@ __all__ = [
     "generate",
     "theta0_equispaced",
     "loss_kind_for",
+    "phase_seed",
+    "replicate",
     "read_csv",
     "write_csv",
 ]
@@ -252,6 +258,45 @@ def generate(process: Process, n: int, seed: int) -> Dataset:
         u = np.maximum(y_gen.uniform(size=n), _U_FLOOR)
         y = poisson_dist.ppf(u, np.exp(eta))
     return Dataset(X=X, y=y, provenance=prov)
+
+
+def phase_seed(seed: int, phase: int) -> int:
+    """Derive a nonnegative int64 seed base for one phase of an experiment."""
+    state = np.random.SeedSequence([int(seed), int(phase)]).generate_state(1, np.uint64)
+    return int(state[0] & np.uint64(0x7FFF_FFFF_FFFF_FFFF))
+
+
+# the failures that drop one replication instead of stopping the study
+_REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
+
+
+def replicate(
+    process: Process,
+    n: int,
+    seed_base: int,
+    reps: int,
+    measure: Callable[[LossModel, Dataset], Any],
+) -> list:
+    """Measure ``reps`` fresh datasets from a process, dropping failed replications.
+
+    Replication r draws ``generate(process, n, seed_base + r)`` and returns
+    ``measure(model_for_data(loss_kind_for(process), X), data)``.  A
+    replication whose measure raises SingularHessian, NumericOverflow or
+    NonConverged is dropped; the other values come back in replication
+    order.  More than reps/10 dropped raises TooManyFailures with the count
+    per cause.
+    """
+    kind = loss_kind_for(process)
+    values = []
+    causes: Counter[str] = Counter()
+    for r in range(reps):
+        data = generate(process, n, seed_base + r)
+        try:
+            values.append(measure(model_for_data(kind, data.X), data))
+        except _REPLICATION_FAILURES as exc:
+            causes[type(exc).__name__] += 1
+    check_failures(causes, reps, "replications")
+    return values
 
 
 def write_csv(dataset: Dataset, path) -> None:

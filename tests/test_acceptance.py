@@ -15,12 +15,11 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
-from scmest.bootstrap import CoverageConfig, coverage_experiment
 from scmest.estimate import aggregates, fit_erm, localization_certificate
+from scmest.experiments import CoverageConfig, coverage_experiment
 from scmest.gof import (
     PowerCurveConfig,
     lr_statistic,
-    phase_seed,
     power_curve,
     wald_statistic,
 )
@@ -41,7 +40,7 @@ from scmest.losses import (
     squared_loss,
 )
 from scmest.scfun import d_nu, k_nu, omega, omega_bar, omega_dbar
-from scmest.simdata import Process, generate, loss_kind_for, theta0_equispaced
+from scmest.simdata import Process, generate, loss_kind_for, phase_seed, theta0_equispaced
 
 EULER_GAMMA = 0.5772156649015329
 

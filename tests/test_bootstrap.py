@@ -5,13 +5,10 @@ import pytest
 
 from scmest.bootstrap import (
     BootstrapConfig,
-    CoverageConfig,
     _bootstrap_statistics,
     bootstrap_fit,
     bootstrap_quantile,
     bootstrap_weights,
-    coverage_experiment,
-    write_coverage_csv,
 )
 from scmest.errors import (
     DomainError,
@@ -21,6 +18,7 @@ from scmest.errors import (
     TooManyFailures,
 )
 from scmest.estimate import SolverOptions, _newton_engine, aggregates, fit_erm
+from scmest.experiments import CoverageConfig, coverage_experiment, write_coverage_csv
 from scmest.gof import wald_statistic
 from scmest.losses import (
     _OuterTable,
@@ -286,7 +284,9 @@ class TestBootstrapQuantile:
         data = generate(proc, 3, 1001)
         model = model_for_data("squared", data.X)
         fit = fit_erm(model, data)
-        with pytest.raises(TooManyFailures):
+        with pytest.raises(
+            TooManyFailures, match=r"12 of 60 bootstrap replications failed \(singular: 12\)"
+        ):
             _bootstrap_statistics(model, data, fit, 60, 1)
 
     def test_config_validation_and_warning(self):
@@ -329,6 +329,14 @@ class TestCoverageExperiment:
         table = coverage_experiment(self._config())
         for method in ("oracle", "bootwald", "bootlr"):
             assert table.lookup(method, 0.9).coverage >= table.lookup(method, 0.8).coverage
+
+    def test_failed_fits_count_as_failures(self):
+        # logistic at d = 5, n = 30, seed 3: the fits of two evaluation and
+        # one calibration replication stop at max_iter
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+        config = self._config(process=proc, n=30, reps=40, seed=3, methods=("oracle",))
+        row = coverage_experiment(config).lookup("oracle", 0.9)
+        assert (row.reps, row.failures) == (38, 2)
 
     def test_method_subset(self):
         table = coverage_experiment(self._config(methods=("oracle",), reps=10, B=50))

@@ -10,7 +10,7 @@ from scipy.stats import chi2
 import scmest.cli as cli
 from scmest.cli import main
 from scmest.errors import DomainError
-from scmest.estimate import fit_erm
+from scmest.estimate import SolverOptions, fit_erm
 from scmest.inference import ConfidenceSet, effective_dim_empirical
 from scmest.losses import LOSS_KINDS, model_for_data
 from scmest.simdata import PROCESS_KINDS, Dataset, generate, Process, theta0_equispaced, write_csv
@@ -224,6 +224,18 @@ class TestEffdimCommand:
         assert doc["kind"] == "empirical"
         assert 3.0 < doc["value"] < 7.0
 
+    def test_unconverged_fit_exits_2(self, capsys):
+        # this logistic fit stops at max_iter, as `scmest fit` reports
+        argv = [
+            "--model", "logistic", "--process", "logistic_wellspec",
+            "--d", "5", "--n", "30", "--seed", "108",
+        ]
+        assert _run(capsys, ["fit"] + argv)[0] == 2
+        code, out, err = _run(capsys, ["effdim"] + argv)
+        assert code == 2
+        assert out == ""
+        assert "converged" in err
+
 
 class TestGofCommand:
     @pytest.fixture
@@ -347,6 +359,24 @@ class TestConfsetCommand:
             ],
         )
         assert code == 1
+
+    def test_oracle_replications_use_the_solver_options(self, capsys, monkeypatch):
+        seen = {}
+
+        def oracle_radius(kind, process, n, delta, reps=1000, seed=0, opts=None):
+            seen["opts"] = opts
+            return 0.5
+
+        monkeypatch.setattr("scmest.inference.oracle_radius", oracle_radius)
+        code, _, _ = _run(
+            capsys,
+            [
+                "confset", "--process", "linear_wellspec", "--n", "50", "--d", "2",
+                "--calibration", "oracle_mc", "--tol", "1e-8", "--max-iter", "7",
+            ],
+        )
+        assert code == 0
+        assert seen["opts"] == SolverOptions(tol=1e-8, max_iter=7)
 
     def test_oracle_needs_process(self, capsys, tmp_path):
         proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(2))

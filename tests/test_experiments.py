@@ -17,9 +17,8 @@ from scmest.experiments import (
     write_effdim_csv,
     write_shape_csv,
 )
-from scmest.gof import phase_seed
 from scmest.losses import model_for_data
-from scmest.simdata import Process, generate
+from scmest.simdata import Process, generate, phase_seed
 
 
 class TestCoverageTable:

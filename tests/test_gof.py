@@ -11,7 +11,7 @@ from scmest.gof import (
     PowerCurveConfig,
     PowerRow,
     lr_statistic,
-    phase_seed,
+    null_statistics,
     power_curve,
     rao_statistic,
     run_test,
@@ -20,7 +20,7 @@ from scmest.gof import (
 )
 from scmest.gof import TestReport as Report
 from scmest.losses import model_for_data
-from scmest.simdata import Dataset, Process, generate, theta0_equispaced
+from scmest.simdata import Dataset, Process, generate, phase_seed, theta0_equispaced
 
 LINEAR3 = Process(kind="linear_wellspec", theta0=theta0_equispaced(3))
 
@@ -205,6 +205,18 @@ class TestRunTest:
             rejections += wald_statistic(fit, LINEAR3.theta0) > report.critical
         rate = rejections / 600
         assert abs(rate - alpha) < 0.06
+
+    def test_oracle_rule_drops_unconverged_null_fits(self):
+        # logistic at d = 5, n = 30: two of the 40 null fits of seed 3 stop at max_iter
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+        null = null_statistics(("wald",), proc, 30, 40, phase_seed(3, 0))["wald"]
+        assert null.size == 38
+        data = generate(proc, 30, 0)
+        report = run_test(
+            "wald", model_for_data("logistic", data.X), data, proc.theta0, 0.1, "oracle_mc",
+            process=proc, calib_reps=40, seed=3,
+        )
+        assert report.critical == float(np.quantile(null, 0.9))
 
     def test_validation(self):
         model, data, _ = _linear_fit()

@@ -15,6 +15,7 @@ from scmest.errors import (
     SingularHessian,
 )
 from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_erm
+from scmest.gof import wald_statistic
 from scmest.inference import (
     AssumptionConstants,
     ConfidenceSet,
@@ -103,6 +104,15 @@ class TestEffectiveDimEmpirical:
     def test_singular_hessian_raises(self):
         with pytest.raises(SingularHessian):
             effective_dim_empirical(_fake_fit(np.diag([1.0, 0.0]), np.eye(2)))
+
+    def test_unconverged_fit_raises(self):
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
+        data = generate(proc, 200, 0)
+        model = model_for_data("logistic", data.X)
+        stalled = fit_erm(model, data, SolverOptions(max_iter=1, tol=1e-12))
+        assert not stalled.converged
+        with pytest.raises(NonConverged):
+            effective_dim_empirical(stalled)
 
 
 class TestEffectiveDimSpectrum:
@@ -323,6 +333,19 @@ class TestOracleRadius:
         a = oracle_radius("wald", self.proc, 50, 0.2, reps=30, seed=3)
         b = oracle_radius("lr", self.proc, 50, 0.2, reps=30, seed=3)
         assert a == pytest.approx(b, rel=1e-9)
+
+    def test_quantile_over_converged_fits_only(self):
+        # logistic at d = 5, n = 30: the fits of seeds 108 and 129 stop at max_iter
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+        stats = []
+        for seed in range(100, 140):
+            data = generate(proc, 30, seed)
+            fit = fit_erm(model_for_data("logistic", data.X), data)
+            if fit.converged:
+                stats.append(wald_statistic(fit, proc.theta0))
+        assert len(stats) == 38
+        expected = float(np.quantile(stats, 0.9))
+        assert oracle_radius("wald", proc, 30, 0.1, reps=40, seed=100) == expected
 
     def test_validation(self):
         with pytest.raises(DomainError):

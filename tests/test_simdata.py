@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scmest.errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
+from scmest.errors import (
+    DimensionMismatch,
+    DomainError,
+    EmptyDataset,
+    ParseError,
+    TooManyFailures,
+)
+from scmest.estimate import fit_erm
+from scmest.gof import wald_statistic
 from scmest.simdata import (
     PROCESS_KINDS,
     Dataset,
@@ -13,9 +21,14 @@ from scmest.simdata import (
     generate,
     loss_kind_for,
     read_csv,
+    replicate,
     theta0_equispaced,
     write_csv,
 )
+
+# logistic at d = 5, n = 30: the fits of seeds 108 and 129 stop at max_iter
+STALLING = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+STALLED_SEEDS = (108, 129)
 
 
 def _proc(kind, d=4):
@@ -233,3 +246,27 @@ class TestDataset:
         a = generate(p, 4, seed=seed)
         b = generate(p, 4, seed=seed)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+class TestReplicate:
+    @staticmethod
+    def _seed_and_wald(model, data):
+        return data.provenance.seed, wald_statistic(fit_erm(model, data), STALLING.theta0)
+
+    def test_drops_exactly_the_failed_replications(self):
+        values = replicate(STALLING, 30, 100, 40, self._seed_and_wald)
+        seeds = [seed for seed, _ in values]
+        assert seeds == [s for s in range(100, 140) if s not in STALLED_SEEDS]
+
+    def test_more_than_a_tenth_failing_raises_with_causes(self):
+        # one failure among five replications exceeds the budget of 0.5
+        match = r"1 of 5 replications failed \(NonConverged: 1\)"
+        with pytest.raises(TooManyFailures, match=match):
+            replicate(STALLING, 30, 108, 5, self._seed_and_wald)
+
+    def test_other_errors_propagate(self):
+        def measure(model, data):
+            raise DomainError("not a replication failure")
+
+        with pytest.raises(DomainError):
+            replicate(_proc("linear_wellspec"), 10, 0, 3, measure)
