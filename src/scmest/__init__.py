@@ -95,7 +95,7 @@ _EXPORTS = {
         "effective_dim_oracle",
         "t_n_bound",
         "oracle_radius",
-        "wald_radius",
+        "calibrated_radius",
         "confidence_set",
         "set_membership",
         "critical_sample_size",

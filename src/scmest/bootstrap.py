@@ -19,7 +19,8 @@ SeedSequence([seed, b]), so each replication's weight vector is a pure
 function of (seed, b), independent of batching and scheduling; repeated
 runs of one configuration are bit-identical.  The B refits run through the
 one damped-Newton engine of :mod:`scmest.estimate`, a slot per
-replication, in chunks that bound memory; :func:`bootstrap_fit` is the
+replication, in chunks that bound memory, under the solver options of the
+base fit they calibrate (``FitResult.opts``); :func:`bootstrap_fit` is the
 engine's case of one slot.
 
 Work per bootstrap call: the data are checked and the per-sample stacks
@@ -109,22 +110,15 @@ def bootstrap_fit(
     return _newton_fit(batch, opts or SolverOptions(), weights)
 
 
-def _bootstrap_statistics(
-    model: LossModel,
-    data: Dataset,
-    fit: FitResult,
-    B: int,
-    seed: int,
-    opts: SolverOptions | None = None,
-):
+def _bootstrap_statistics(model: LossModel, data: Dataset, fit: FitResult, B: int, seed: int):
     """All B bootstrap Wald and LR statistics plus the failure count.
 
-    The checked data, the per-sample stacks and the outer-product table of
-    the Hessians are built once here and shared by every replication.
+    The refits run under the base fit's solver options.  The checked data,
+    the per-sample stacks and the outer-product table of the Hessians are
+    built once here and shared by every replication.
     """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
-    opts = opts or SolverOptions()
     n = data.n
     batch = prepare_batch(model, data.X, data.y)
     vals_base = batch.values(fit.theta_n)
@@ -136,7 +130,7 @@ def _bootstrap_statistics(
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
         W = np.stack([bootstrap_weights(seed, b, n) for b in range(start, stop)])
-        fits = _newton_engine(batch, W, opts)
+        fits = _newton_engine(batch, W, fit.opts)
         ok = fits.status == "converged"
         diff = fits.theta - fit.theta_n
         sel = np.flatnonzero(ok) + start
@@ -157,15 +151,13 @@ def bootstrap_quantile(
 ) -> BootstrapQuantile:
     """Upper-delta quantile of the bootstrap statistic of the given kind.
 
-    Failed replications (nonconvex reweighting, non-convergence) are
-    excluded from the quantile and counted; more than B/10 of them raises
-    TooManyFailures.
+    The B refits run under the solver options of ``fit``.  Failed
+    replications (nonconvex reweighting, non-convergence) are excluded from
+    the quantile and counted; more than B/10 of them raises TooManyFailures.
     """
     if kind not in ("wald", "lr"):
         raise DomainError(f"kind must be 'wald' or 'lr', got {kind!r}")
-    wald, lr, n_failed = _bootstrap_statistics(
-        model, data, fit, config.B, config.seed
-    )
+    wald, lr, n_failed = _bootstrap_statistics(model, data, fit, config.B, config.seed)
     stats = wald if kind == "wald" else lr
     return BootstrapQuantile(
         quantile=float(np.quantile(stats, 1.0 - config.delta)), n_failed=n_failed

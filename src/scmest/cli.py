@@ -5,6 +5,11 @@ JSON ``--config`` file (flags win; unknown config keys are rejected), and
 writes a versioned JSON artifact to ``--out`` or stdout.  The ``experiment``
 subcommand writes CSV tables instead.
 
+``--tol``/``--max-iter`` set the solver options of the fit, and every
+refit that calibrates it (bootstrap or oracle replications) runs under the
+same options.  ``confset`` takes its radius from the one calibration entry
+point, :func:`scmest.inference.calibrated_radius`.
+
 Exit codes: 0 success, 1 configuration or I/O error, 2 fit did not
 converge, 3 singular Hessian.
 
@@ -191,7 +196,7 @@ def _solver_opts(cfg):
         kwargs["tol"] = float(cfg["tol"])
     if cfg.get("max_iter") is not None:
         kwargs["max_iter"] = int(cfg["max_iter"])
-    return SolverOptions(**kwargs) if kwargs else None
+    return SolverOptions(**kwargs)
 
 
 def _resolve_process(cfg):
@@ -268,52 +273,36 @@ def cmd_fit(cfg) -> int:
 
 
 def cmd_confset(cfg) -> int:
-    from .errors import MissingSampler, NonConverged
+    from .errors import MissingSampler
     from .estimate import fit_erm
-    from .inference import (
-        AssumptionConstants,
-        confidence_set,
-        effective_dim_empirical,
-        oracle_radius,
-        wald_radius,
-    )
+    from .inference import AssumptionConstants, calibrated_radius, confidence_set
 
     model, data, proc = _load_inputs(cfg)
     fit = fit_erm(model, data, _solver_opts(cfg))
-    if not fit.converged:
-        raise NonConverged("confidence set needs a converged fit")
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
     calibration = cfg.get("calibration", "bootstrap")
-    seed = int(cfg["seed"])
-    if calibration == "bootstrap":
-        from .bootstrap import BootstrapConfig, bootstrap_quantile
-
-        bcfg = BootstrapConfig(delta=delta, B=int(cfg.get("B", 2000)), seed=seed)
-        sq = bootstrap_quantile(model, data, fit, bcfg, kind=kind).quantile
-    elif calibration == "oracle_mc":
-        if proc is None:
-            raise MissingSampler("oracle_mc calibration needs a --process specification")
-        reps = int(cfg.get("calib_reps", 1000))
-        sq = oracle_radius(kind, proc, data.n, delta, reps, seed, _solver_opts(cfg))
-    else:
-        if kind != "wald":
-            raise MissingSampler("explicit_constant calibration applies to wald sets only")
-        for name in ("k1", "k2", "sigma_h"):
-            if cfg.get(name) is None:
-                raise MissingSampler("explicit_constant calibration needs --k1, --k2, --sigma-h")
+    constants = None
+    if calibration == "explicit_constant":
+        if any(cfg.get(name) is None for name in ("k1", "k2", "sigma_h")):
+            raise MissingSampler("explicit_constant calibration needs --k1, --k2, --sigma-h")
         constants = AssumptionConstants(
             K1=float(cfg["k1"]), K2=float(cfg["k2"]), sigma_H=float(cfg["sigma_h"])
         )
-        sq = wald_radius(
-            fit,
-            effective_dim_empirical(fit),
-            delta,
-            "explicit_constant",
-            constants,
-            model=model,
-            c_abs=float(cfg.get("c_abs", 0.0)),
-        )
+    sq = calibrated_radius(
+        fit,
+        kind,
+        delta,
+        calibration,
+        model=model,
+        data=data,
+        process=proc,
+        constants=constants,
+        c_abs=float(cfg.get("c_abs", 0.0)),
+        calib_reps=int(cfg.get("calib_reps", 1000)),
+        B=int(cfg.get("B", 2000)),
+        seed=int(cfg["seed"]),
+    )
     cs = confidence_set(fit, kind, delta, calibration, sq)
     _emit_json(json.loads(cs.to_json()), cfg.get("out"))
     return 0
@@ -394,13 +383,10 @@ def cmd_gof(cfg) -> int:
 
 def cmd_bootstrap(cfg) -> int:
     from .bootstrap import BootstrapConfig, bootstrap_quantile
-    from .errors import NonConverged
     from .estimate import fit_erm
 
     model, data, _ = _load_inputs(cfg)
     fit = fit_erm(model, data, _solver_opts(cfg))
-    if not fit.converged:
-        raise NonConverged("bootstrap calibration needs a converged fit")
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
     bcfg = BootstrapConfig(delta=delta, B=int(cfg.get("B", 2000)), seed=int(cfg["seed"]))

@@ -110,7 +110,9 @@ class FitResult:
     ``newton_decrement`` is the final gradient norm in the H_n^{-1} metric;
     converged means it fell below the solver tolerance.  ``certificate`` is
     the unique-minimizer certificate evaluated at theta_n (None when the
-    final Hessian is too ill-conditioned to summarize spectrally).
+    final Hessian is too ill-conditioned to summarize spectrally).  ``opts``
+    are the solver options of the fit; the refits that calibrate it run
+    under the same options.
     """
 
     theta_n: np.ndarray
@@ -119,6 +121,7 @@ class FitResult:
     iterations: int
     converged: bool
     certificate: Certificate | None = None
+    opts: SolverOptions = SolverOptions()
 
 
 @dataclass(frozen=True)
@@ -318,6 +321,7 @@ def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
         iterations=it,
         converged=status == "converged",
         certificate=cert,
+        opts=opts,
     )
 
 

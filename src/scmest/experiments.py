@@ -30,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bootstrap import BootstrapConfig, _bootstrap_statistics, bootstrap_quantile
+from .bootstrap import _bootstrap_statistics
 from .errors import DomainError, NumericOverflow, ScmestError, SingularHessian, TooManyFailures
 from .estimate import SolverOptions, fit_erm
 from .gof import lr_statistic, null_statistics, wald_statistic
-from .inference import effective_dim_empirical
+from .inference import calibrated_radius, effective_dim_empirical
 from .losses import model_for_data
 from .simdata import Process, generate, phase_seed, replicate, theta0_equispaced
 
@@ -147,7 +147,7 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
             # the bootstrap seed of replication r is boot_base + r
             seed = boot_base + data.provenance.seed - eval_base
             try:
-                boot = _bootstrap_statistics(model, data, fit, config.B, seed, config.opts)
+                boot = _bootstrap_statistics(model, data, fit, config.B, seed)
             except (TooManyFailures, SingularHessian, NumericOverflow):
                 boot = None
             for m, base, i in (("bootwald", base_wald, 0), ("bootlr", base_lr, 1)):
@@ -372,18 +372,21 @@ def run_confset_shape(config: ConfsetShapeExperiment | None = None) -> tuple[Sha
         data = generate(proc, config.n, phase_seed(config.seed, 200 + s_idx))
         model = model_for_data("logistic", data.X)
         fit = fit_erm(model, data)
-        bq = bootstrap_quantile(
-            model,
-            data,
+        sq_radius = calibrated_radius(
             fit,
-            BootstrapConfig(delta=config.delta, B=config.B, seed=phase_seed(config.seed, 300 + s_idx)),
-            kind="wald",
+            "wald",
+            config.delta,
+            "bootstrap",
+            model=model,
+            data=data,
+            B=config.B,
+            seed=phase_seed(config.seed, 300 + s_idx),
         )
         evals, evecs = np.linalg.eigh(fit.aggregates_at_opt.H_n)
         half = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
         ts = np.linspace(0.0, 2.0 * math.pi, config.boundary_points, endpoint=False)
         circle = np.stack([np.cos(ts), np.sin(ts)])
-        pts = fit.theta_n[:, None] + math.sqrt(bq.quantile) * (half @ circle)
+        pts = fit.theta_n[:, None] + math.sqrt(sq_radius) * (half @ circle)
         for t, (x1, x2) in zip(ts, pts.T):
             rows.append(ShapeRow(sigma=label, t=float(t), x1=float(x1), x2=float(x2)))
     return tuple(rows)

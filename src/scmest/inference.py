@@ -11,16 +11,18 @@ Confidence sets come in two kinds, both centered at theta_n:
 - wald: {theta : ||theta - theta_n||^2_{H_n(theta_n)} <= sq_radius}
 - lr:   {theta : 2 [L_n(theta) - L_n(theta_n)] <= sq_radius}
 
-and sq_radius comes from one of three calibrations.  ``explicit_constant``
-evaluates the closed-form radius
+and sq_radius comes from one of three calibrations, all through one entry
+point, :func:`calibrated_radius`.  ``explicit_constant`` evaluates the
+closed-form radius of the Wald set
 
     24 omega_nu^2(r_n R*) d*/n + C K1^2 omega_nu^2(r_n R*) log(e/delta) ||Omega||/n
 
 whose absolute constant C is not sharp (default 0 keeps the leading term
 only).  ``oracle_mc`` replicates the experiment from a known process and
 takes the empirical upper-delta quantile of the statistic; ``bootstrap``
-delegates to the multiplier bootstrap.  Throughout this module ``delta`` is
-the tail mass: coverage targets 1 - delta.
+delegates to the multiplier bootstrap.  Both refit under the solver options
+of the fit they calibrate (``FitResult.opts``).  Throughout this module
+``delta`` is the tail mass: coverage targets 1 - delta.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh
 
+from .bootstrap import BootstrapConfig, bootstrap_quantile
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -42,10 +45,11 @@ from .estimate import (
     FitResult,
     SolverOptions,
     _solve_pd,
+    aggregates,
     empirical_sc_params,
 )
 from .gof import lr_statistic, null_statistics
-from .losses import LossModel, check_theta, check_weights, prepare_batch
+from .losses import LossModel
 from .scfun import ScParams, SpectralSummary, k_nu, omega, r_nu
 from .simdata import Dataset, Process, generate
 
@@ -59,7 +63,7 @@ __all__ = [
     "effective_dim_oracle",
     "t_n_bound",
     "oracle_radius",
-    "wald_radius",
+    "calibrated_radius",
     "confidence_set",
     "set_membership",
     "critical_sample_size",
@@ -194,15 +198,6 @@ def effective_dim_spectrum(g_eigs, h_eigs) -> float:
     return float(np.sum(g / h))
 
 
-def _moments_at(model: LossModel, data: Dataset, theta: np.ndarray):
-    batch = prepare_batch(model, data.X, data.y)
-    theta = check_theta(model, theta)
-    grads = batch.grads(theta)
-    G = grads.T @ grads / data.n
-    H = batch.score_hessian(theta, check_weights(None, batch.n))[1]
-    return G, H
-
-
 def effective_dim_oracle(
     model: LossModel,
     sampler: Process,
@@ -220,13 +215,13 @@ def effective_dim_oracle(
         raise MissingSampler("effective_dim_oracle needs a data-generating process")
     theta_star = np.asarray(theta_star, dtype=float)
     data = generate(sampler, mc_n, seed)
-    G, H = _moments_at(model, data, theta_star)
-    value = _trace_ratio(G, H)
+    agg = aggregates(model, data, theta_star)
+    value = _trace_ratio(agg.G_n, agg.H_n)
     folds = []
     for idx in np.array_split(np.arange(mc_n), _ORACLE_FOLDS):
         sub = Dataset(X=data.X[idx], y=None if data.y is None else data.y[idx])
-        Gf, Hf = _moments_at(model, sub, theta_star)
-        folds.append(_trace_ratio(Gf, Hf))
+        agg = aggregates(model, sub, theta_star)
+        folds.append(_trace_ratio(agg.G_n, agg.H_n))
     stderr = float(np.std(folds, ddof=1) / math.sqrt(len(folds)))
     return EffDimReport(value=value, kind="oracle_mc", mc_stderr=stderr)
 
@@ -274,7 +269,6 @@ def oracle_radius(
 def _explicit_sq_radius(
     fit: FitResult,
     model: LossModel,
-    effdim: EffDimReport,
     delta: float,
     constants: AssumptionConstants,
     c_abs: float,
@@ -287,7 +281,7 @@ def _explicit_sq_radius(
     params_n = empirical_sc_params(model, n)
     r_star = r_nu(params_n, SpectralSummary(float(eigs[0]), float(eigs[-1])))
     log_term = 1.0 - math.log(delta)
-    d_star = effdim.value
+    d_star = effective_dim_empirical(fit).value
     r_n = math.sqrt(c_abs * constants.K1**2 * log_term * d_star / n)
     w = omega(model.sc.nu, r_n * r_star)
     # largest eigenvalue of the H_n-whitened G_n
@@ -298,51 +292,53 @@ def _explicit_sq_radius(
     )
 
 
-def wald_radius(
+def calibrated_radius(
     fit: FitResult,
-    effdim: EffDimReport,
+    kind: str,
     delta: float,
     calibration: str,
-    constants: AssumptionConstants | None = None,
     *,
     model: LossModel | None = None,
     data: Dataset | None = None,
     process: Process | None = None,
-    calib_reps: int = 1000,
-    seed: int = 0,
+    constants: AssumptionConstants | None = None,
     c_abs: float = 0.0,
-    bootstrap_config=None,
+    calib_reps: int = 1000,
+    B: int = 2000,
+    seed: int = 0,
 ) -> float:
-    """Squared radius of the Wald set at tail mass delta.
+    """Squared radius of the Wald or LR set of kind ``kind`` at tail mass delta.
 
     calibration selects the source: ``explicit_constant`` evaluates the
-    closed-form radius (needs ``model`` and ``constants``; ``c_abs`` is the
-    non-sharp absolute constant, 0 keeps the leading term), ``oracle_mc``
-    replays the experiment from ``process`` (calib_reps fresh replications
-    seeded seed + r), and ``bootstrap`` reweights the given ``model`` and
-    ``data`` (config defaults come from the bootstrap module).
+    closed-form radius of the Wald set at the empirical effective dimension
+    (needs ``model`` and ``constants``; ``c_abs`` is the non-sharp absolute
+    constant, 0 keeps the leading term), ``oracle_mc`` replays the
+    experiment from ``process`` (calib_reps fresh replications seeded
+    seed + r), and ``bootstrap`` refits ``model`` on ``data`` under B
+    multiplier reweightings drawn from ``seed``.  Refits use ``fit.opts``.
     """
     if not fit.converged:
-        raise NonConverged("wald_radius requires a converged fit")
+        raise NonConverged("calibrated_radius requires a converged fit")
     if not 0.0 < delta < 1.0:
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if calibration == "explicit_constant":
+        if kind != "wald":
+            raise DomainError("explicit_constant calibration applies to wald sets only")
         if model is None or constants is None:
             raise MissingSampler(
                 "explicit_constant calibration needs the loss model and constants"
             )
-        return _explicit_sq_radius(fit, model, effdim, delta, constants, c_abs)
+        return _explicit_sq_radius(fit, model, delta, constants, c_abs)
     if calibration == "oracle_mc":
         if process is None:
             raise MissingSampler("oracle_mc calibration needs a data-generating process")
-        return oracle_radius("wald", process, fit.aggregates_at_opt.n, delta, calib_reps, seed)
+        n = fit.aggregates_at_opt.n
+        return oracle_radius(kind, process, n, delta, calib_reps, seed, fit.opts)
     if calibration == "bootstrap":
         if model is None or data is None:
             raise MissingSampler("bootstrap calibration needs the loss model and data")
-        from .bootstrap import BootstrapConfig, bootstrap_quantile
-
-        config = bootstrap_config or BootstrapConfig(delta=delta, seed=seed)
-        return bootstrap_quantile(model, data, fit, config, kind="wald").quantile
+        config = BootstrapConfig(delta=delta, B=B, seed=seed)
+        return bootstrap_quantile(model, data, fit, config, kind=kind).quantile
     raise DomainError(f"unknown calibration {calibration!r}")
 
 

@@ -264,6 +264,27 @@ class TestBootstrapQuantile:
         )
         assert wide.quantile > narrow.quantile
 
+    def test_refits_use_the_fit_solver_options(self):
+        # a loose tolerance moves the refits, not only the base fit
+        opts = SolverOptions(tol=1e-2, max_iter=40)
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+        data = generate(proc, 100, 1)
+        model = model_for_data("logistic", data.X)
+        fit = fit_erm(model, data, opts)
+        assert fit.opts == opts
+        stats = []
+        for b in range(300):
+            try:
+                refit = bootstrap_fit(model, data, bootstrap_weights(1, b, data.n), opts)
+            except SingularHessian:
+                continue
+            if refit.converged:
+                stats.append(wald_statistic(refit, fit.theta_n))
+        config = BootstrapConfig(delta=0.05, B=300, seed=1)
+        result = bootstrap_quantile(model, data, fit, config, "wald")
+        assert result.n_failed == 300 - len(stats)
+        assert result.quantile == pytest.approx(float(np.quantile(stats, 0.95)), rel=1e-12)
+
     def test_kind_validated(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 60, 2)
         with pytest.raises(DomainError):

@@ -8,9 +8,11 @@ import pytest
 from scipy.stats import chi2
 
 import scmest.cli as cli
+from scmest.bootstrap import bootstrap_fit, bootstrap_weights
 from scmest.cli import main
-from scmest.errors import DomainError
+from scmest.errors import DomainError, SingularHessian
 from scmest.estimate import SolverOptions, fit_erm
+from scmest.gof import wald_statistic
 from scmest.inference import ConfidenceSet, effective_dim_empirical
 from scmest.losses import LOSS_KINDS, model_for_data
 from scmest.simdata import PROCESS_KINDS, Dataset, generate, Process, theta0_equispaced, write_csv
@@ -225,16 +227,25 @@ class TestEffdimCommand:
         assert 3.0 < doc["value"] < 7.0
 
     def test_unconverged_fit_exits_2(self, capsys):
-        # this logistic fit stops at max_iter, as `scmest fit` reports
+        # this logistic fit stops at max_iter, as `scmest fit` reports; every
+        # command that needs a converged fit refuses it
         argv = [
             "--model", "logistic", "--process", "logistic_wellspec",
             "--d", "5", "--n", "30", "--seed", "108",
         ]
         assert _run(capsys, ["fit"] + argv)[0] == 2
-        code, out, err = _run(capsys, ["effdim"] + argv)
-        assert code == 2
-        assert out == ""
-        assert "converged" in err
+        constants = ["--k1", "1", "--k2", "1", "--sigma-h", "1"]
+        for command in (
+            ["effdim"],
+            ["bootstrap"],
+            ["confset", "--calibration", "bootstrap"],
+            ["confset", "--calibration", "oracle_mc"],
+            ["confset", "--calibration", "explicit_constant"] + constants,
+        ):
+            code, out, err = _run(capsys, command + argv)
+            assert code == 2, command
+            assert out == ""
+            assert "converged" in err
 
 
 class TestGofCommand:
@@ -305,6 +316,31 @@ class TestBootstrapCommand:
         assert doc["quantile"] > 0 and doc["n_failed"] == 0
         code2, doc2, _ = _run_json(capsys, self.ARGS)
         assert doc2 == doc
+
+    def test_refits_use_the_solver_options(self, capsys):
+        # the quantile of refits run under --tol/--max-iter, not the defaults
+        code, doc, _ = _run_json(
+            capsys,
+            [
+                "bootstrap", "--process", "logistic_wellspec", "--n", "100", "--d", "5",
+                "--B", "300", "--seed", "1", "--tol", "1e-2", "--max-iter", "40",
+            ],
+        )
+        assert code == 0
+        opts = SolverOptions(tol=1e-2, max_iter=40)
+        data = generate(Process(kind="logistic_wellspec", theta0=theta0_equispaced(5)), 100, 1)
+        model = model_for_data("logistic", data.X)
+        fit = fit_erm(model, data, opts)
+        stats = []
+        for b in range(300):
+            try:
+                refit = bootstrap_fit(model, data, bootstrap_weights(1, b, data.n), opts)
+            except SingularHessian:
+                continue
+            if refit.converged:
+                stats.append(wald_statistic(refit, fit.theta_n))
+        assert doc["n_failed"] == 300 - len(stats)
+        assert doc["quantile"] == pytest.approx(float(np.quantile(stats, 0.95)), rel=1e-12)
 
 
 class TestConfsetCommand:

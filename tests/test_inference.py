@@ -19,7 +19,7 @@ from scmest.gof import wald_statistic
 from scmest.inference import (
     AssumptionConstants,
     ConfidenceSet,
-    EffDimReport,
+    calibrated_radius,
     confidence_set,
     critical_sample_size,
     effective_dim_empirical,
@@ -28,7 +28,6 @@ from scmest.inference import (
     oracle_radius,
     set_membership,
     t_n_bound,
-    wald_radius,
 )
 from scmest.losses import batch_values, model_for_data
 from scmest.scfun import ScParams, SpectralSummary
@@ -249,70 +248,114 @@ class TestTnBound:
 
 
 class TestWaldRadius:
+    # Wald radii through calibrated_radius, from each calibration
     constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
 
     def test_leading_term_only(self):
         # with a zero absolute constant the kernel factor degenerates to 1
         model, data, fit = _logistic_fit(n=200, d=2)
         report = effective_dim_empirical(fit)
-        sq = wald_radius(
-            fit, report, 0.05, "explicit_constant", self.constants, model=model, c_abs=0.0
+        sq = calibrated_radius(
+            fit, "wald", 0.05, "explicit_constant",
+            model=model, constants=self.constants, c_abs=0.0,
         )
         assert sq == pytest.approx(24.0 * report.value / 200, rel=1e-12)
 
     def test_positive_constant_enlarges(self):
         model, data, fit = _logistic_fit(n=200, d=2)
-        report = effective_dim_empirical(fit)
-        base = wald_radius(
-            fit, report, 0.05, "explicit_constant", self.constants, model=model, c_abs=0.0
-        )
-        wide = wald_radius(
-            fit, report, 0.05, "explicit_constant", self.constants, model=model, c_abs=1.0
-        )
+        kw = dict(model=model, constants=self.constants)
+        base = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_abs=0.0, **kw)
+        wide = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_abs=1.0, **kw)
         assert wide > base
 
     def test_requires_convergence(self):
         model, data, _ = _logistic_fit()
         stalled = fit_erm(model, data, SolverOptions(max_iter=1, tol=1e-12))
         assert not stalled.converged
-        report = EffDimReport(value=3.0, kind="empirical")
         with pytest.raises(NonConverged):
-            wald_radius(stalled, report, 0.05, "explicit_constant", self.constants, model=model)
+            calibrated_radius(
+                stalled, "wald", 0.05, "explicit_constant", model=model, constants=self.constants
+            )
 
     def test_validation(self):
         model, data, fit = _logistic_fit()
-        report = effective_dim_empirical(fit)
+        kw = dict(model=model, constants=self.constants)
         with pytest.raises(DomainError):
-            wald_radius(fit, report, 1.5, "explicit_constant", self.constants, model=model)
-        with pytest.raises(MissingSampler):
-            wald_radius(fit, report, 0.05, "explicit_constant", None, model=model)
-        with pytest.raises(MissingSampler):
-            wald_radius(fit, report, 0.05, "oracle_mc")
-        with pytest.raises(MissingSampler):
-            wald_radius(fit, report, 0.05, "bootstrap", model=model, data=None)
+            calibrated_radius(fit, "wald", 1.5, "explicit_constant", **kw)
         with pytest.raises(DomainError):
-            wald_radius(fit, report, 0.05, "plugin", self.constants, model=model)
+            calibrated_radius(fit, "score", 0.05, "explicit_constant", **kw)
+        with pytest.raises(MissingSampler):
+            calibrated_radius(fit, "wald", 0.05, "explicit_constant", model=model)
+        with pytest.raises(MissingSampler):
+            calibrated_radius(fit, "wald", 0.05, "oracle_mc")
+        with pytest.raises(MissingSampler):
+            calibrated_radius(fit, "wald", 0.05, "bootstrap", model=model, data=None)
+        with pytest.raises(DomainError):
+            calibrated_radius(fit, "wald", 0.05, "plugin", **kw)
 
     def test_oracle_calibration_delegates(self):
         proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(3))
         data = generate(proc, 60, 0)
         model = model_for_data("squared", data.X)
         fit = fit_erm(model, data)
-        report = effective_dim_empirical(fit)
-        sq = wald_radius(
-            fit, report, 0.1, "oracle_mc", process=proc, calib_reps=50, seed=11
-        )
+        sq = calibrated_radius(fit, "wald", 0.1, "oracle_mc", process=proc, calib_reps=50, seed=11)
         assert sq == oracle_radius("wald", proc, 60, 0.1, reps=50, seed=11)
 
     def test_bootstrap_calibration_delegates(self):
         model, data, fit = _logistic_fit(n=120, d=2)
-        report = effective_dim_empirical(fit)
+        with pytest.warns(UserWarning, match="too few"):
+            sq = calibrated_radius(
+                fit, "wald", 0.1, "bootstrap", model=model, data=data, B=80, seed=4
+            )
         with pytest.warns(UserWarning, match="too few"):
             config = BootstrapConfig(delta=0.1, B=80, seed=4)
-        sq = wald_radius(
-            fit, report, 0.1, "bootstrap", model=model, data=data, bootstrap_config=config
-        )
         assert sq == bootstrap_quantile(model, data, fit, config, kind="wald").quantile
+
+
+class TestCalibratedRadius:
+    constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
+
+    def test_lr_calibrations_delegate(self):
+        model, data, fit = _logistic_fit(n=120, d=2)
+        sq = calibrated_radius(fit, "lr", 0.1, "bootstrap", model=model, data=data, B=150, seed=4)
+        config = BootstrapConfig(delta=0.1, B=150, seed=4)
+        assert sq == bootstrap_quantile(model, data, fit, config, kind="lr").quantile
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(2))
+        sq = calibrated_radius(fit, "lr", 0.1, "oracle_mc", process=proc, calib_reps=30, seed=5)
+        assert sq == oracle_radius("lr", proc, 120, 0.1, reps=30, seed=5)
+
+    def test_explicit_constant_is_wald_only(self):
+        model, data, fit = _logistic_fit(n=200, d=2)
+        with pytest.raises(DomainError, match="wald sets only"):
+            calibrated_radius(
+                fit, "lr", 0.05, "explicit_constant", model=model, constants=self.constants
+            )
+
+    def test_oracle_replications_use_the_fit_solver_options(self, monkeypatch):
+        seen = {}
+
+        def oracle_radius(kind, process, n, delta, reps=1000, seed=0, opts=None):
+            seen.update(kind=kind, n=n, delta=delta, reps=reps, seed=seed, opts=opts)
+            return 0.5
+
+        monkeypatch.setattr("scmest.inference.oracle_radius", oracle_radius)
+        proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(2))
+        data = generate(proc, 50, 0)
+        opts = SolverOptions(tol=1e-8, max_iter=7)
+        fit = fit_erm(model_for_data("squared", data.X), data, opts)
+        assert fit.opts == opts
+        sq = calibrated_radius(fit, "lr", 0.1, "oracle_mc", process=proc, calib_reps=30, seed=4)
+        assert sq == 0.5
+        assert seen == dict(kind="lr", n=50, delta=0.1, reps=30, seed=4, opts=opts)
+
+    def test_bootstrap_quantile_is_at_the_requested_tail_mass(self):
+        model, data, fit = _logistic_fit(n=120, d=2)
+        kw = dict(model=model, data=data, B=150, seed=1)
+        narrow = calibrated_radius(fit, "wald", 0.5, "bootstrap", **kw)
+        wide = calibrated_radius(fit, "wald", 0.05, "bootstrap", **kw)
+        config = BootstrapConfig(delta=0.05, B=150, seed=1)
+        assert wide == bootstrap_quantile(model, data, fit, config, kind="wald").quantile
+        assert wide > narrow
 
 
 class TestOracleRadius:
