@@ -24,7 +24,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    from scmest import experiments
+    from scmest import experiments, write_table
 
     config = experiments.ConfsetShapeExperiment(
         n=args.n,
@@ -34,7 +34,7 @@ def main(argv=None):
         seed=args.seed,
     )
     rows = experiments.run_confset_shape(config)
-    experiments.write_shape_csv(rows, args.out)
+    write_table(rows, args.out)
     labels = sorted({row.sigma for row in rows})
     print(f"wrote {len(rows)} boundary points to {args.out}")
     for label in labels:

@@ -40,7 +40,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    from scmest import experiments
+    from scmest import experiments, write_table
 
     config = experiments.CoverageTableExperiment(
         n=args.n, d=args.d, reps=args.reps, B=args.B, seed=args.seed
@@ -49,7 +49,7 @@ def main(argv=None):
     table = experiments.run_coverage_table(config)
     elapsed = time.time() - t0
     meta = {"n": args.n, "d": args.d, "reps": args.reps, "B": args.B, "seed": args.seed}
-    experiments.write_coverage_csv(table, args.out, metadata=meta)
+    write_table(table.rows, args.out, metadata=meta)
     print(f"wrote {len(table.rows)} rows to {args.out} in {elapsed:.0f}s")
     for row in table.rows:
         print(

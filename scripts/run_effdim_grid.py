@@ -29,7 +29,7 @@ def parse_args(argv):
 
 def main(argv=None):
     args = parse_args(argv)
-    from scmest import experiments
+    from scmest import experiments, write_table
 
     config = experiments.EffDimErrorExperiment(
         models=tuple(args.models.split(",")),
@@ -40,7 +40,7 @@ def main(argv=None):
     )
     t0 = time.time()
     rows = experiments.run_effdim_error(config)
-    experiments.write_effdim_csv(rows, args.out)
+    write_table(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out} in {time.time() - t0:.0f}s")
     for row in rows:
         print(

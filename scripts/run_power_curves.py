@@ -39,7 +39,7 @@ def parse_args(argv):
 def main(argv=None):
     args = parse_args(argv)
     from scmest import gof
-    from scmest.simdata import Process, theta0_equispaced
+    from scmest.simdata import Process, theta0_equispaced, write_table
 
     theta0 = theta0_equispaced(args.d)
     direction = np.full(args.d, 1.0 / np.sqrt(args.d))
@@ -54,7 +54,7 @@ def main(argv=None):
     )
     t0 = time.time()
     table = gof.power_curve(config)
-    gof.write_power_csv(table, args.out)
+    write_table(table.rows, args.out)
     print(f"wrote {len(table.rows)} rows to {args.out} in {time.time() - t0:.0f}s")
     for row in table.rows:
         print(

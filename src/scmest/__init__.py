@@ -74,6 +74,7 @@ _EXPORTS = {
         "replicate",
         "read_csv",
         "write_csv",
+        "write_table",
     ),
     "estimate": (
         "EmpiricalAggregates",
@@ -112,7 +113,6 @@ _EXPORTS = {
         "null_statistics",
         "run_test",
         "power_curve",
-        "write_power_csv",
     ),
     "bootstrap": (
         "BootstrapConfig",
@@ -126,7 +126,6 @@ _EXPORTS = {
         "CoverageRow",
         "CoverageTable",
         "coverage_experiment",
-        "write_coverage_csv",
         "CoverageTableExperiment",
         "EffDimErrorExperiment",
         "ConfsetShapeExperiment",
@@ -135,8 +134,6 @@ _EXPORTS = {
         "run_coverage_table",
         "run_effdim_error",
         "run_confset_shape",
-        "write_effdim_csv",
-        "write_shape_csv",
     ),
 }
 

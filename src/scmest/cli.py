@@ -3,15 +3,18 @@
 Every subcommand reads its parameters from flags, optionally merged over a
 JSON ``--config`` file (flags win; unknown config keys are rejected), and
 writes a versioned JSON artifact to ``--out`` or stdout.  The ``experiment``
-subcommand writes CSV tables instead.
+subcommand runs one prepackaged study and writes its table as CSV through
+:func:`scmest.simdata.write_table`; ``--reps``, ``--B`` and ``--n`` override
+the study's config and are rejected by a study that has no such field.
 
 ``--tol``/``--max-iter`` set the solver options of the fit, and every
 refit that calibrates it (bootstrap or oracle replications) runs under the
 same options.  ``confset`` takes its radius from the one calibration entry
 point, :func:`scmest.inference.calibrated_radius`.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 fit did not
-converge, 3 singular Hessian.
+Exit codes: 0 success, 1 configuration, data or I/O error (a flag the
+study lacks, a non-finite data value), 2 fit did not converge, 3 singular
+Hessian.  Only ``fit`` writes its artifact on a non-zero exit (at 2).
 
 Heavy imports happen after argument parsing so that ``--threads`` can cap
 the BLAS pool before numpy loads.
@@ -45,19 +48,6 @@ _PROCESS_KINDS = (
     "gaussian_expfam_scorematch",
 )
 _EXPERIMENTS = ("coverage_table", "effdim_error", "confset_shape")
-
-_DATA_KEYS = ("data", "model", "process", "n", "theta0", "d", "tol", "max_iter")
-_COMMAND_KEYS = {
-    "fit": _DATA_KEYS,
-    "confset": _DATA_KEYS
-    + ("kind", "delta", "calibration", "B", "calib_reps", "k1", "k2", "sigma_h", "c_abs"),
-    "effdim": _DATA_KEYS,
-    "gof": _DATA_KEYS
-    + ("test", "null", "alpha", "critical_rule", "c_scale", "critical", "calib_reps"),
-    "bootstrap": _DATA_KEYS + ("kind", "delta", "B"),
-    "experiment": ("name", "reps", "B", "n"),
-}
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with code 1 on usage errors.
@@ -150,8 +140,13 @@ def build_parser() -> _Parser:
 
 
 def _merged_config(args: argparse.Namespace) -> dict:
-    """Config-file values overridden by explicitly given flags."""
-    allowed = set(_COMMAND_KEYS[args.command]) | {"seed"}
+    """Config-file values overridden by explicitly given flags.
+
+    The keys a config file may set are the subcommand's own parsed options,
+    less the ones that only steer the run (``--config``, ``--threads``,
+    ``--out``).
+    """
+    allowed = set(vars(args)) - {"command", "config", "threads", "out"}
     cfg: dict = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -410,33 +405,40 @@ def cmd_experiment(cfg) -> int:
     import dataclasses
 
     from . import experiments
+    from .errors import ParseError
+    from .simdata import write_table
 
+    # name -> (config class, runner returning (rows, metadata))
+    studies = {
+        "coverage_table": (
+            experiments.CoverageTableExperiment,
+            lambda c: (
+                experiments.run_coverage_table(c).rows,
+                {"n": c.n, "d": c.d, "reps": c.reps, "B": c.B, "seed": c.seed},
+            ),
+        ),
+        "effdim_error": (
+            experiments.EffDimErrorExperiment,
+            lambda c: (experiments.run_effdim_error(c), None),
+        ),
+        "confset_shape": (
+            experiments.ConfsetShapeExperiment,
+            lambda c: (experiments.run_confset_shape(c), None),
+        ),
+    }
     name = cfg["name"]
-    out = cfg.get("out") or f"{name}.csv"
+    config_cls, run = studies[name]
+    fields = {f.name for f in dataclasses.fields(config_cls)}
     overrides = {"seed": int(cfg["seed"])}
-    if name == "coverage_table":
-        for key in ("reps", "B", "n"):
-            if cfg.get(key) is not None:
-                overrides[key] = int(cfg[key])
-        exp = experiments.CoverageTableExperiment(**overrides)
-        table = experiments.run_coverage_table(exp)
-        meta = {"n": exp.n, "d": exp.d, "reps": exp.reps, "B": exp.B, "seed": exp.seed}
-        experiments.write_coverage_csv(table, out, metadata=meta)
-        rows = len(table.rows)
-    elif name == "effdim_error":
-        if cfg.get("reps") is not None:
-            overrides["reps"] = int(cfg["reps"])
-        rows_out = experiments.run_effdim_error(experiments.EffDimErrorExperiment(**overrides))
-        experiments.write_effdim_csv(rows_out, out)
-        rows = len(rows_out)
-    else:
-        for key in ("B", "n"):
-            if cfg.get(key) is not None:
-                overrides[key] = int(cfg[key])
-        rows_out = experiments.run_confset_shape(experiments.ConfsetShapeExperiment(**overrides))
-        experiments.write_shape_csv(rows_out, out)
-        rows = len(rows_out)
-    print(f"experiment {name}: wrote {rows} rows to {out}", file=sys.stderr)
+    for key in ("reps", "B", "n"):
+        if cfg.get(key) is not None:
+            if key not in fields:
+                raise ParseError(f"experiment {name} takes no --{key}")
+            overrides[key] = int(cfg[key])
+    rows, metadata = run(config_cls(**overrides))
+    out = cfg.get("out") or f"{name}.csv"
+    write_table(rows, out, metadata=metadata)
+    print(f"experiment {name}: wrote {len(rows)} rows to {out}", file=sys.stderr)
     return 0
 
 

@@ -2,7 +2,10 @@
 
 Every error raised by this package derives from :class:`ScmestError`, and each
 class also inherits the closest builtin so callers can catch either way
-(e.g. ``DimensionMismatch`` is a ``ValueError``).
+(e.g. ``DimensionMismatch`` is a ``ValueError``).  The three fit failures
+carry the ``cause`` of the Newton engine status they stand for
+(``singular``, ``overflow``, ``max_iter``), so failure counts use one
+vocabulary whether a fit ran alone or as a bootstrap slot.
 """
 
 
@@ -29,6 +32,8 @@ class InvalidLabel(ScmestError, ValueError):
 class NumericOverflow(ScmestError, FloatingPointError):
     """An exponential term overflowed double precision; refusing to return inf."""
 
+    cause = "overflow"
+
 
 class EmptyDataset(ScmestError, ValueError):
     """An operation that needs at least one observation received none."""
@@ -37,9 +42,13 @@ class EmptyDataset(ScmestError, ValueError):
 class SingularHessian(ScmestError, RuntimeError):
     """A Hessian factorization failed even after a diagonal jitter retry."""
 
+    cause = "singular"
+
 
 class NonConverged(ScmestError, RuntimeError):
     """A solver result is required to be converged but is not."""
+
+    cause = "max_iter"
 
 
 class MissingSampler(ScmestError, ValueError):
@@ -53,8 +62,9 @@ class TooManyFailures(ScmestError, RuntimeError):
 def check_failures(causes: dict[str, int], total: int, what: str) -> None:
     """Raise TooManyFailures when more than total/10 of ``total`` ``what`` failed.
 
-    ``causes`` counts the failures per cause; the message gives each count,
-    e.g. "3 of 20 replications failed (NonConverged: 2, SingularHessian: 1)".
+    ``causes`` counts the failures per cause, named by the engine statuses;
+    the message gives each count, e.g. "3 of 20 replications failed
+    (max_iter: 2, singular: 1)".
     """
     failed = sum(causes.values())
     if failed > total / 10:

@@ -44,8 +44,6 @@ from .scfun import (
     SpectralSummary,
     certify_unique_minimizer,
     d_nu,
-    k_nu,
-    r_nu,
 )
 from .simdata import Dataset
 
@@ -352,11 +350,11 @@ def localization_certificate(
 ) -> LocalizationCertificate:
     """Certify existence and localization of theta_n from one reference point.
 
-    Computes the Newton decrement of the empirical risk at ``theta_ref`` and
-    the critical radius of the empirical self-concordance parameters over
-    the spectrum of H_n(theta_ref).  When their product is at most K_nu, a
-    unique minimizer exists and ``||theta_n - theta_ref||_{H_n(theta_ref)}``
-    is at most ``bound = 4 score_norm``.
+    Applies :func:`scmest.scfun.certify_unique_minimizer`, the rule behind
+    ``FitResult.certificate``, to the empirical risk at ``theta_ref``: the
+    Newton decrement there (``score_norm``) and the spectrum of
+    H_n(theta_ref).  When it passes, a unique minimizer exists and
+    ``||theta_n - theta_ref||_{H_n(theta_ref)}`` is at most ``bound``.
     """
     batch = prepare_batch(model, data.X, data.y)
     S, H = batch.score_hessian(check_theta(model, theta_ref), check_weights(None, batch.n))
@@ -364,11 +362,5 @@ def localization_certificate(
     spec = _spectral_summary(H)
     if spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")
-    params_n = empirical_sc_params(model, data.n)
-    radius = r_nu(params_n, spec)
-    passes = radius * dec <= k_nu(model.sc.nu)
-    return LocalizationCertificate(
-        passes=passes,
-        score_norm=dec,
-        bound=4.0 * dec if passes else math.inf,
-    )
+    cert = certify_unique_minimizer(empirical_sc_params(model, data.n), spec, dec)
+    return LocalizationCertificate(passes=cert.passes, score_norm=dec, bound=cert.radius_bound)

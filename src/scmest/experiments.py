@@ -17,14 +17,14 @@ deterministic function of its config seed:
   a 2-d logistic model under three design covariances, showing how the
   set's shape tracks the local curvature.
 
-Rows count the replications that :func:`scmest.simdata.replicate` kept.
+Rows count the replications that :func:`scmest.simdata.replicate` kept,
+and :func:`scmest.simdata.write_table` writes any study's rows as CSV.
 A process that fails entirely still yields rows (NaN coverage, all
 replications counted as failures) so partial runs remain inspectable.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -51,9 +51,6 @@ __all__ = [
     "run_coverage_table",
     "run_effdim_error",
     "run_confset_shape",
-    "write_effdim_csv",
-    "write_shape_csv",
-    "write_coverage_csv",
 ]
 
 _METHODS = ("oracle", "bootwald", "bootlr")
@@ -179,32 +176,6 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
     return CoverageTable(rows=tuple(rows))
 
 
-def write_coverage_csv(table: CoverageTable, path, metadata=None) -> None:
-    """Write a coverage table as CSV with a schema-version comment line.
-
-    ``metadata`` key/value pairs (run configuration: n, d, reps, ...) are
-    recorded as additional ``# key=value`` comment lines.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version=1\n")
-        for key in sorted(metadata or {}):
-            fh.write(f"# {key}={metadata[key]}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["model", "method", "delta", "coverage", "stderr", "reps", "failures"])
-        for row in table.rows:
-            writer.writerow(
-                [
-                    row.model,
-                    row.method,
-                    repr(row.delta),
-                    f"{row.coverage:.17g}",
-                    f"{row.stderr:.17g}",
-                    row.reps,
-                    row.failures,
-                ]
-            )
-
-
 _COVERAGE_PROCESSES = ("linear_wellspec", "linear_misspec_t", "logistic_wellspec")
 
 
@@ -315,17 +286,6 @@ def run_effdim_error(config: EffDimErrorExperiment | None = None) -> tuple[EffDi
     return tuple(rows)
 
 
-def write_effdim_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version=1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["model", "d", "n", "mean_abs_err", "stderr", "reps"])
-        for row in rows:
-            writer.writerow(
-                [row.model, row.d, row.n, f"{row.mean_abs_err:.17g}", f"{row.stderr:.17g}", row.reps]
-            )
-
-
 @dataclass(frozen=True)
 class ConfsetShapeExperiment:
     """Config of the confidence-set shape study: 2-d logistic, three designs.
@@ -390,12 +350,3 @@ def run_confset_shape(config: ConfsetShapeExperiment | None = None) -> tuple[Sha
         for t, (x1, x2) in zip(ts, pts.T):
             rows.append(ShapeRow(sigma=label, t=float(t), x1=float(x1), x2=float(x2)))
     return tuple(rows)
-
-
-def write_shape_csv(rows, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version=1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["sigma", "t", "x1", "x2"])
-        for row in rows:
-            writer.writerow([row.sigma, f"{row.t:.17g}", f"{row.x1:.17g}", f"{row.x2:.17g}"])

@@ -23,7 +23,6 @@ phase uses seed base + r, with per-phase bases from
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
@@ -47,7 +46,6 @@ __all__ = [
     "null_statistics",
     "run_test",
     "power_curve",
-    "write_power_csv",
 ]
 
 TEST_KINDS = ("rao", "lr", "wald")
@@ -284,15 +282,3 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
                     )
                 )
     return PowerTable(rows=tuple(rows))
-
-
-def write_power_csv(table: PowerTable, path) -> None:
-    """Write a power table as CSV with a schema-version comment line."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("# schema_version=1\n")
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "n", "dist", "power", "stderr"])
-        for row in table.rows:
-            writer.writerow(
-                [row.kind, row.n, repr(row.dist), f"{row.power:.17g}", f"{row.stderr:.17g}"]
-            )

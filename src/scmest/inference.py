@@ -45,6 +45,7 @@ from .estimate import (
     FitResult,
     SolverOptions,
     _solve_pd,
+    _spectral_summary,
     aggregates,
     empirical_sc_params,
 )
@@ -275,11 +276,10 @@ def _explicit_sq_radius(
 ) -> float:
     agg = fit.aggregates_at_opt
     n = agg.n
-    eigs = np.linalg.eigvalsh(agg.H_n)
-    if eigs[0] <= 0.0:
+    spec = _spectral_summary(agg.H_n)
+    if spec is None:
         raise DomainError("H_n(theta_n) must be positive definite")
-    params_n = empirical_sc_params(model, n)
-    r_star = r_nu(params_n, SpectralSummary(float(eigs[0]), float(eigs[-1])))
+    r_star = r_nu(empirical_sc_params(model, n), spec)
     log_term = 1.0 - math.log(delta)
     d_star = effective_dim_empirical(fit).value
     r_n = math.sqrt(c_abs * constants.K1**2 * log_term * d_star / n)

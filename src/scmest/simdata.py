@@ -26,14 +26,15 @@ exactly.
 
 Datasets round-trip through CSV (header ``x1..xd[,y]``) at full double
 precision.  :func:`replicate` is the one loop that draws and measures
-replications of an experiment.
+replications of an experiment, and :func:`write_table` the one writer of
+the tables that studies produce.
 """
 
 from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from typing import Any, Callable
 
@@ -57,6 +58,7 @@ __all__ = [
     "replicate",
     "read_csv",
     "write_csv",
+    "write_table",
 ]
 
 PROCESS_KINDS = (
@@ -163,7 +165,8 @@ class Dataset:
     """An in-memory dataset: feature matrix plus optional response vector.
 
     ``y`` is None for score-matching data, where ``X`` holds raw sample
-    vectors.  ``rows`` materializes the per-sample view on first access.
+    vectors.  Every value must be finite.  ``rows`` materializes the
+    per-sample view on first access.
     """
 
     X: np.ndarray
@@ -184,6 +187,10 @@ class Dataset:
                 raise DimensionMismatch(
                     f"y has shape {y.shape}, expected ({X.shape[0]},)"
                 )
+        for name, values in (("X", X), ("y", self.y)):
+            if values is not None and not np.isfinite(values).all():
+                row = int(np.argmin(np.isfinite(values).reshape(X.shape[0], -1).all(axis=1)))
+                raise DomainError(f"{name} has a non-finite value in row {row} (0-based)")
 
     @property
     def n(self) -> int:
@@ -284,7 +291,8 @@ def replicate(
     replication whose measure raises SingularHessian, NumericOverflow or
     NonConverged is dropped; the other values come back in replication
     order.  More than reps/10 dropped raises TooManyFailures with the count
-    per cause.
+    per cause, named as the bootstrap names its failed refits: ``singular``,
+    ``overflow``, ``max_iter``.
     """
     kind = loss_kind_for(process)
     values = []
@@ -294,7 +302,7 @@ def replicate(
         try:
             values.append(measure(model_for_data(kind, data.X), data))
         except _REPLICATION_FAILURES as exc:
-            causes[type(exc).__name__] += 1
+            causes[exc.cause] += 1
     check_failures(causes, reps, "replications")
     return values
 
@@ -312,6 +320,26 @@ def write_csv(dataset: Dataset, path) -> None:
             if dataset.y is not None:
                 row.append(f"{dataset.y[i]:.17g}")
             writer.writerow(row)
+
+
+def write_table(rows, path, metadata=None) -> None:
+    """Write study rows (instances of one dataclass) as a versioned CSV table.
+
+    The file opens with ``# schema_version=1`` and one ``# key=value`` line
+    per ``metadata`` item in key order; the header is the row class's field
+    names, and floats are written as their shortest round-trip ``repr``.
+    A table without rows has no header.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("# schema_version=1\n")
+        for key in sorted(metadata or {}):
+            fh.write(f"# {key}={metadata[key]}\n")
+        if not rows:
+            return
+        writer = csv.writer(fh)
+        writer.writerow([f.name for f in fields(rows[0])])
+        for row in rows:
+            writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in astuple(row)])
 
 
 def read_csv(path) -> Dataset:

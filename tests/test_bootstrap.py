@@ -18,7 +18,7 @@ from scmest.errors import (
     TooManyFailures,
 )
 from scmest.estimate import SolverOptions, _newton_engine, aggregates, fit_erm
-from scmest.experiments import CoverageConfig, coverage_experiment, write_coverage_csv
+from scmest.experiments import CoverageConfig, coverage_experiment
 from scmest.gof import wald_statistic
 from scmest.losses import (
     _OuterTable,
@@ -28,7 +28,7 @@ from scmest.losses import (
     poisson_loss,
     prepare_batch,
 )
-from scmest.simdata import Dataset, Process, generate, theta0_equispaced
+from scmest.simdata import Dataset, Process, generate, theta0_equispaced, write_table
 
 
 def _fit(kind, proc_kind, n, d, seed=0):
@@ -387,7 +387,7 @@ class TestCoverageCsv:
             )
         )
         path = tmp_path / "coverage.csv"
-        write_coverage_csv(table, path, metadata={"n": 40, "d": 2})
+        write_table(table.rows, path, metadata={"n": 40, "d": 2})
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "# d=2"
@@ -412,5 +412,5 @@ class TestCoverageCsv:
             )
         )
         path = tmp_path / "coverage.csv"
-        write_coverage_csv(table, path)
+        write_table(table.rows, path)
         assert path.read_text().splitlines()[1].startswith("model,")

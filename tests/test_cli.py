@@ -119,6 +119,20 @@ class TestFitCommand:
         assert code == 1
         assert "--n" in err
 
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            ("poisson", "x1,x2,y\n1,2,3\n0.5,nan,1\n"),
+            ("squared", "x1,x2,y\n1,2,3\n0.5,1,inf\n2,1,1\n"),
+        ],
+    )
+    def test_non_finite_data_exits_1(self, capsys, tmp_path, model, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        code, _, err = _run(capsys, ["fit", "--data", str(path), "--model", model])
+        assert code == 1
+        assert "non-finite" in err and "row 1" in err
+
     def test_fit_matches_library(self, capsys):
         code, doc, _ = _run_json(
             capsys,
@@ -460,6 +474,16 @@ class TestExperimentCommand:
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "sigma,t,x1,x2"
         assert len(lines) == 2 + 3 * 128  # three designs x boundary points
+
+    @pytest.mark.parametrize(
+        "argv", [["effdim_error", "--n", "7"], ["confset_shape", "--reps", "3"]]
+    )
+    def test_flag_the_study_lacks_exits_1(self, capsys, tmp_path, argv):
+        out = tmp_path / "table.csv"
+        code, _, err = _run(capsys, ["experiment", *argv, "--out", str(out)])
+        assert code == 1
+        assert argv[1] in err
+        assert not out.exists()
 
     def test_unknown_experiment_name(self):
         with pytest.raises(SystemExit) as info:

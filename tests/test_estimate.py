@@ -342,6 +342,16 @@ class TestLocalizationCertificate:
         dist = math.sqrt(float(diff @ agg0.H_n @ diff))
         assert cert.passes and dist <= cert.bound
 
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_matches_the_fit_certificate_at_the_fit(self, kind):
+        # one rule certifies both: at theta_n the two certificates agree
+        model, data = _model_and_data(kind)
+        fit = fit_erm(model, data)
+        assert fit.converged
+        cert = localization_certificate(model, data, fit.theta_n)
+        assert cert.passes == fit.certificate.passes
+        assert cert.bound == pytest.approx(fit.certificate.radius_bound, rel=1e-12)
+
     def test_failing_certificate_reports_inf(self):
         # absurdly small sample: the score norm is too large to certify
         p = Process(kind="logistic_wellspec", theta0=theta0_equispaced(4) + 3.0)

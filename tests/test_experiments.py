@@ -14,11 +14,9 @@ from scmest.experiments import (
     run_confset_shape,
     run_coverage_table,
     run_effdim_error,
-    write_effdim_csv,
-    write_shape_csv,
 )
 from scmest.losses import model_for_data
-from scmest.simdata import Process, generate, phase_seed
+from scmest.simdata import Process, generate, phase_seed, write_table
 
 
 class TestCoverageTable:
@@ -60,7 +58,7 @@ class TestEffDimError:
     def test_csv_round_trip(self, tmp_path):
         rows = run_effdim_error(self.config)
         path = tmp_path / "effdim.csv"
-        write_effdim_csv(rows, path)
+        write_table(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "model,d,n,mean_abs_err,stderr,reps"
@@ -106,7 +104,7 @@ class TestConfsetShape:
     def test_csv_format(self, tmp_path):
         rows = run_confset_shape(self.config)
         path = tmp_path / "shape.csv"
-        write_shape_csv(rows, path)
+        write_table(rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "sigma,t,x1,x2"

@@ -16,11 +16,10 @@ from scmest.gof import (
     rao_statistic,
     run_test,
     wald_statistic,
-    write_power_csv,
 )
 from scmest.gof import TestReport as Report
 from scmest.losses import model_for_data
-from scmest.simdata import Dataset, Process, generate, phase_seed, theta0_equispaced
+from scmest.simdata import Dataset, Process, generate, phase_seed, theta0_equispaced, write_table
 
 LINEAR3 = Process(kind="linear_wellspec", theta0=theta0_equispaced(3))
 
@@ -330,7 +329,7 @@ class TestPowerCsv:
             )
         )
         path = tmp_path / "power.csv"
-        write_power_csv(table, path)
+        write_table(table.rows, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "kind,n,dist,power,stderr"

@@ -1,7 +1,11 @@
-"""Package surface: lazy exports, version, attribute resolution."""
+"""Package surface: lazy exports, version, attribute resolution, README example."""
 
+import ast
+import io
 import subprocess
 import sys
+import tokenize
+from pathlib import Path
 
 import pytest
 
@@ -39,3 +43,29 @@ def test_version():
 def test_unknown_attribute():
     with pytest.raises(AttributeError):
         scmest.nonexistent_name
+
+
+def test_readme_quick_start_runs_and_gives_its_commented_results():
+    # a statement whose trailing comment is a Python literal, such as
+    # "report.reject  # False", must evaluate to that literal
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Quick start", 1)[1]
+    source = section.split("```python\n", 1)[1].split("```", 1)[0]
+    comments = {
+        tok.start[0]: tok.string.lstrip("#").strip()
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+        if tok.type == tokenize.COMMENT
+    }
+    namespace: dict = {}
+    checked = 0
+    for stmt in ast.parse(source).body:
+        try:
+            expected = ast.literal_eval(comments.get(stmt.end_lineno, ""))
+        except (ValueError, SyntaxError):
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+            continue
+        assert isinstance(stmt, ast.Expr)
+        value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
+        assert value == expected, ast.unparse(stmt)
+        checked += 1
+    assert checked >= 3

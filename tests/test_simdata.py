@@ -1,5 +1,8 @@
 """Synthetic processes: determinism, distributional sanity, CSV round trips."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,6 +27,7 @@ from scmest.simdata import (
     replicate,
     theta0_equispaced,
     write_csv,
+    write_table,
 )
 
 # logistic at d = 5, n = 30: the fits of seeds 108 and 129 stop at max_iter
@@ -240,12 +244,47 @@ class TestDataset:
         np.testing.assert_array_equal(rows[2].features, data.X[2])
         assert rows[2].response == data.y[2]
 
+    @pytest.mark.parametrize(
+        "X, y, where",
+        [
+            ([[1.0, 2.0], [np.nan, 0.0]], [1.0, 2.0], "X has a non-finite value in row 1"),
+            ([[1.0], [2.0], [3.0]], [0.0, 1.0, np.inf], "y has a non-finite value in row 2"),
+            ([[1.0, -np.inf]], None, "X has a non-finite value in row 0"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, X, y, where):
+        with pytest.raises(DomainError, match=where):
+            Dataset(X=np.array(X), y=None if y is None else np.array(y))
+
     @given(st.integers(0, 10**6))
     def test_generation_is_pure(self, seed):
         p = _proc("linear_wellspec", d=2)
         a = generate(p, 4, seed=seed)
         b = generate(p, 4, seed=seed)
         assert np.array_equal(a.X, b.X) and np.array_equal(a.y, b.y)
+
+
+@dataclass(frozen=True)
+class _Row:
+    label: str
+    count: int
+    value: float
+
+
+class TestWriteTable:
+    def test_layout_and_round_trip(self, tmp_path):
+        rows = (_Row("a", 3, 0.1 + 0.2), _Row("b", 0, math.nan), _Row("c", 7, np.float64(1e-300)))
+        path = tmp_path / "table.csv"
+        write_table(rows, path, metadata={"seed": 0, "B": 60})
+        lines = path.read_text().splitlines()
+        assert lines[:4] == ["# schema_version=1", "# B=60", "# seed=0", "label,count,value"]
+        assert lines[4:] == ["a,3,0.30000000000000004", "b,0,nan", "c,7,1e-300"]
+        assert float(lines[4].split(",")[2]) == rows[0].value
+
+    def test_empty_table_has_no_header(self, tmp_path):
+        path = tmp_path / "table.csv"
+        write_table((), path)
+        assert path.read_text() == "# schema_version=1\n"
 
 
 class TestReplicate:
@@ -260,7 +299,7 @@ class TestReplicate:
 
     def test_more_than_a_tenth_failing_raises_with_causes(self):
         # one failure among five replications exceeds the budget of 0.5
-        match = r"1 of 5 replications failed \(NonConverged: 1\)"
+        match = r"1 of 5 replications failed \(max_iter: 1\)"
         with pytest.raises(TooManyFailures, match=match):
             replicate(STALLING, 30, 108, 5, self._seed_and_wald)
 
