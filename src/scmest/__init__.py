@@ -126,14 +126,17 @@ _EXPORTS = {
         "CoverageRow",
         "CoverageTable",
         "coverage_experiment",
+        "COVERAGE_TARGETS",
         "CoverageTableExperiment",
         "EffDimErrorExperiment",
         "ConfsetShapeExperiment",
+        "PowerCurvesExperiment",
         "EffDimRow",
         "ShapeRow",
         "run_coverage_table",
         "run_effdim_error",
         "run_confset_shape",
+        "run_power_curves",
     ),
 }
 

@@ -2,10 +2,15 @@
 
 Every subcommand reads its parameters from flags, optionally merged over a
 JSON ``--config`` file (flags win; unknown config keys are rejected), and
-writes a versioned JSON artifact to ``--out`` or stdout.  The ``experiment``
-subcommand runs one prepackaged study and writes its table as CSV through
-:func:`scmest.simdata.write_table`; ``--reps``, ``--B`` and ``--n`` override
-the study's config and are rejected by a study that has no such field.
+writes a versioned JSON artifact to ``--out`` or stdout.
+
+``experiment`` is the one front end of the four studies in
+:mod:`scmest.experiments`.  It runs one study and writes its table as CSV
+through :func:`scmest.simdata.write_table`.  Its config file may set any
+field of the study's config dataclass (JSON arrays become tuples);
+``--reps``, ``--B``, ``--n`` and ``--seed`` override a field and are
+rejected by a study that has no such field.  ``--check`` compares the
+coverage table's pinned cells with their targets.
 
 ``--tol``/``--max-iter`` set the solver options of the fit, and every
 refit that calibrates it (bootstrap or oracle replications) runs under the
@@ -23,6 +28,7 @@ the BLAS pool before numpy loads.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -47,7 +53,7 @@ _PROCESS_KINDS = (
     "poisson_wellspec",
     "gaussian_expfam_scorematch",
 )
-_EXPERIMENTS = ("coverage_table", "effdim_error", "confset_shape")
+_EXPERIMENTS = ("coverage_table", "effdim_error", "confset_shape", "power_curves")
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that exits with code 1 on usage errors.
@@ -136,6 +142,12 @@ def build_parser() -> _Parser:
     p.add_argument("--reps", type=int, default=None, help="replications override")
     p.add_argument("--B", type=int, default=None, help="bootstrap replications override")
     p.add_argument("--n", type=int, default=None, help="sample size override")
+    p.add_argument(
+        "--check",
+        action="store_true",
+        default=None,
+        help="coverage_table only: exit 1 unless the pinned cells hit their targets",
+    )
     return parser
 
 
@@ -144,9 +156,11 @@ def _merged_config(args: argparse.Namespace) -> dict:
 
     The keys a config file may set are the subcommand's own parsed options,
     less the ones that only steer the run (``--config``, ``--threads``,
-    ``--out``).
+    ``--out``), and for ``experiment`` the fields of the study's config.
     """
     allowed = set(vars(args)) - {"command", "config", "threads", "out"}
+    if args.command == "experiment":
+        allowed |= _study_fields(args.name)
     cfg: dict = {}
     if args.config is not None:
         with open(args.config, encoding="utf-8") as fh:
@@ -183,15 +197,15 @@ def _emit_json(payload: dict, out: str | None) -> None:
             fh.write(text)
 
 
+def _given(cfg, **casts) -> dict:
+    """The keys of ``cfg`` that were given, each cast; the callee defaults the rest."""
+    return {key: cast(cfg[key]) for key, cast in casts.items() if cfg.get(key) is not None}
+
+
 def _solver_opts(cfg):
     from .estimate import SolverOptions
 
-    kwargs = {}
-    if cfg.get("tol") is not None:
-        kwargs["tol"] = float(cfg["tol"])
-    if cfg.get("max_iter") is not None:
-        kwargs["max_iter"] = int(cfg["max_iter"])
-    return SolverOptions(**kwargs)
+    return SolverOptions(**_given(cfg, tol=float, max_iter=int))
 
 
 def _resolve_process(cfg):
@@ -293,10 +307,8 @@ def cmd_confset(cfg) -> int:
         data=data,
         process=proc,
         constants=constants,
-        c_abs=float(cfg.get("c_abs", 0.0)),
-        calib_reps=int(cfg.get("calib_reps", 1000)),
-        B=int(cfg.get("B", 2000)),
         seed=int(cfg["seed"]),
+        **_given(cfg, c_abs=float, calib_reps=int, B=int),
     )
     cs = confidence_set(fit, kind, delta, calibration, sq)
     _emit_json(json.loads(cs.to_json()), cfg.get("out"))
@@ -354,9 +366,9 @@ def cmd_gof(cfg) -> int:
         c_scale=cfg.get("c_scale"),
         critical=cfg.get("critical"),
         process=proc,
-        calib_reps=int(cfg.get("calib_reps", 1000)),
         seed=int(cfg["seed"]),
         opts=_solver_opts(cfg),
+        **_given(cfg, calib_reps=int),
     )
     _emit_json(
         {
@@ -384,7 +396,7 @@ def cmd_bootstrap(cfg) -> int:
     fit = fit_erm(model, data, _solver_opts(cfg))
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
-    bcfg = BootstrapConfig(delta=delta, B=int(cfg.get("B", 2000)), seed=int(cfg["seed"]))
+    bcfg = BootstrapConfig(delta=delta, seed=int(cfg["seed"]), **_given(cfg, B=int))
     bq = bootstrap_quantile(model, data, fit, bcfg, kind=kind)
     _emit_json(
         {
@@ -401,45 +413,72 @@ def cmd_bootstrap(cfg) -> int:
     return 0
 
 
-def cmd_experiment(cfg) -> int:
-    import dataclasses
+def _studies() -> dict:
+    """Study name -> (config dataclass, runner returning (rows, CSV metadata))."""
+    from . import experiments as ex
 
-    from . import experiments
-    from .errors import ParseError
-    from .simdata import write_table
-
-    # name -> (config class, runner returning (rows, metadata))
-    studies = {
+    return {
         "coverage_table": (
-            experiments.CoverageTableExperiment,
+            ex.CoverageTableExperiment,
             lambda c: (
-                experiments.run_coverage_table(c).rows,
+                ex.run_coverage_table(c).rows,
                 {"n": c.n, "d": c.d, "reps": c.reps, "B": c.B, "seed": c.seed},
             ),
         ),
-        "effdim_error": (
-            experiments.EffDimErrorExperiment,
-            lambda c: (experiments.run_effdim_error(c), None),
-        ),
-        "confset_shape": (
-            experiments.ConfsetShapeExperiment,
-            lambda c: (experiments.run_confset_shape(c), None),
-        ),
+        "effdim_error": (ex.EffDimErrorExperiment, lambda c: (ex.run_effdim_error(c), None)),
+        "confset_shape": (ex.ConfsetShapeExperiment, lambda c: (ex.run_confset_shape(c), None)),
+        "power_curves": (ex.PowerCurvesExperiment, lambda c: (ex.run_power_curves(c), None)),
     }
-    name = cfg["name"]
-    config_cls, run = studies[name]
-    fields = {f.name for f in dataclasses.fields(config_cls)}
-    overrides = {"seed": int(cfg["seed"])}
-    for key in ("reps", "B", "n"):
-        if cfg.get(key) is not None:
-            if key not in fields:
-                raise ParseError(f"experiment {name} takes no --{key}")
-            overrides[key] = int(cfg[key])
-    rows, metadata = run(config_cls(**overrides))
-    out = cfg.get("out") or f"{name}.csv"
+
+
+def _study_fields(name: str) -> set[str]:
+    return {f.name for f in dataclasses.fields(_studies()[name][0])}
+
+
+def _tuples(value):
+    """A JSON array as a tuple, recursively: the study configs hold tuples."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _check_coverage(rows) -> int:
+    """PASS/FAIL per pinned coverage cell on stderr; 1 if any misses its target.
+
+    The tolerance 0.03 allows for the targets' own Monte-Carlo noise at
+    1000 replications; a cell the configured table lacks fails.
+    """
+    from .experiments import COVERAGE_TARGETS
+
+    coverage = {(row.model, row.method, row.delta): row.coverage for row in rows}
+    failed = 0
+    for model, method, delta, target in COVERAGE_TARGETS:
+        value = coverage.get((model, method, delta), float("nan"))
+        ok = abs(value - target) <= 0.03
+        failed += not ok
+        print(
+            f"[{'PASS' if ok else 'FAIL'}] {model}/{method}@{delta}: "
+            f"{value:.3f} vs target {target} (tol 0.03)",
+            file=sys.stderr,
+        )
+    return 1 if failed else 0
+
+
+def cmd_experiment(cfg) -> int:
+    from .errors import ParseError
+    from .simdata import write_table
+
+    name = cfg.pop("name")
+    check = cfg.pop("check", None)
+    out = cfg.pop("out", None) or f"{name}.csv"
+    if check and name != "coverage_table":
+        raise ParseError(f"--check applies to coverage_table only, not {name}")
+    config_cls, run = _studies()[name]
+    lacking = sorted(set(cfg) - _study_fields(name))
+    if lacking:
+        raise ParseError(f"experiment {name} takes no " + ", ".join(f"--{k}" for k in lacking))
+    rows, metadata = run(config_cls(**{key: _tuples(value) for key, value in cfg.items()}))
     write_table(rows, out, metadata=metadata)
     print(f"experiment {name}: wrote {len(rows)} rows to {out}", file=sys.stderr)
-    return 0
+    return _check_coverage(rows) if check else 0
 
 
 _DISPATCH = {

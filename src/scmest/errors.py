@@ -8,6 +8,21 @@ carry the ``cause`` of the Newton engine status they stand for
 vocabulary whether a fit ran alone or as a bootstrap slot.
 """
 
+__all__ = [
+    "ScmestError",
+    "DomainError",
+    "ConvergenceError",
+    "DimensionMismatch",
+    "InvalidLabel",
+    "NumericOverflow",
+    "EmptyDataset",
+    "SingularHessian",
+    "NonConverged",
+    "MissingSampler",
+    "TooManyFailures",
+    "ParseError",
+]
+
 
 class ScmestError(Exception):
     """Base class for all package errors."""

@@ -2,9 +2,10 @@
 
 :func:`coverage_experiment` runs the calibration protocol for one process:
 replicate data draws, compare each statistic against its calibrated
-quantile, and tabulate coverage per method and confidence level.  Three
-prepackaged experiments build on it and on the package's estimators, each a
-deterministic function of its config seed:
+quantile, and tabulate coverage per method and confidence level.  Four
+prepackaged studies build on it and on the package's estimators, each a
+config dataclass and a ``run_<name>`` function, deterministic in the
+config seed.  ``scmest experiment <name>`` runs them from the command line:
 
 - coverage_table: coverage of oracle- and bootstrap-calibrated confidence
   sets for well-specified least squares, misspecified least squares
@@ -16,6 +17,8 @@ deterministic function of its config seed:
 - confset_shape: boundary points of bootstrap-calibrated Wald ellipses for
   a 2-d logistic model under three design covariances, showing how the
   set's shape tracks the local curvature.
+- power_curves: empirical power of the Rao, LR and Wald tests along an n
+  grid, at alternatives a given distance from the null.
 
 Rows count the replications that :func:`scmest.simdata.replicate` kept,
 and :func:`scmest.simdata.write_table` writes any study's rows as CSV.
@@ -33,7 +36,8 @@ import numpy as np
 from .bootstrap import _bootstrap_statistics
 from .errors import DomainError, NumericOverflow, ScmestError, SingularHessian, TooManyFailures
 from .estimate import SolverOptions, fit_erm
-from .gof import lr_statistic, null_statistics, wald_statistic
+from .gof import PowerCurveConfig, PowerRow, lr_statistic, null_statistics, power_curve
+from .gof import wald_statistic
 from .inference import calibrated_radius, effective_dim_empirical
 from .losses import model_for_data
 from .simdata import Process, generate, phase_seed, replicate, theta0_equispaced
@@ -43,14 +47,17 @@ __all__ = [
     "CoverageRow",
     "CoverageTable",
     "coverage_experiment",
+    "COVERAGE_TARGETS",
     "CoverageTableExperiment",
     "EffDimErrorExperiment",
     "ConfsetShapeExperiment",
+    "PowerCurvesExperiment",
     "EffDimRow",
     "ShapeRow",
     "run_coverage_table",
     "run_effdim_error",
     "run_confset_shape",
+    "run_power_curves",
 ]
 
 _METHODS = ("oracle", "bootwald", "bootlr")
@@ -177,6 +184,16 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
 
 
 _COVERAGE_PROCESSES = ("linear_wellspec", "linear_misspec_t", "logistic_wellspec")
+
+# pinned (process, method, level, target coverage) cells of the coverage
+# table, from the reference study at n = 100, d = 5, B = 2000; the targets
+# carry that study's own Monte-Carlo noise
+COVERAGE_TARGETS = (
+    ("linear_wellspec", "oracle", 0.95, 0.957),
+    ("logistic_wellspec", "bootwald", 0.95, 0.938),
+    ("logistic_wellspec", "bootlr", 0.95, 0.976),
+    ("linear_misspec_t", "bootwald", 0.75, 0.727),
+)
 
 
 @dataclass(frozen=True)
@@ -350,3 +367,44 @@ def run_confset_shape(config: ConfsetShapeExperiment | None = None) -> tuple[Sha
         for t, (x1, x2) in zip(ts, pts.T):
             rows.append(ShapeRow(sigma=label, t=float(t), x1=float(x1), x2=float(x2)))
     return tuple(rows)
+
+
+@dataclass(frozen=True)
+class PowerCurvesExperiment:
+    """Config of the power study: Rao, LR and Wald tests along an n grid.
+
+    The null is ``theta0_equispaced(d)``; alternatives sit at distance
+    ``dists`` from it along the evenly spread direction (1, ..., 1)/sqrt(d).
+    """
+
+    process: str = "logistic_wellspec"
+    d: int = 5
+    dists: tuple[float, ...] = (0.25, 0.5, 1.0)
+    n_grid: tuple[int, ...] = (500, 1000, 2000)
+    alpha: float = 0.05
+    reps: int = 500
+    calib_reps: int = 500
+    seed: int = 0
+
+
+def run_power_curves(config: PowerCurvesExperiment | None = None) -> tuple[PowerRow, ...]:
+    """Power of each test per (n, alternative); see :func:`scmest.gof.power_curve`.
+
+    Critical values are recalibrated per n by oracle Monte Carlo under the
+    null, so size is held at ``alpha`` by construction.
+    """
+    config = config or PowerCurvesExperiment()
+    theta0 = theta0_equispaced(config.d)
+    direction = np.full(config.d, 1.0 / np.sqrt(config.d))
+    table = power_curve(
+        PowerCurveConfig(
+            process=Process(kind=config.process, theta0=theta0),
+            alternatives=tuple(theta0 + dist * direction for dist in config.dists),
+            n_grid=config.n_grid,
+            alpha=config.alpha,
+            reps=config.reps,
+            calib_reps=config.calib_reps,
+            seed=config.seed,
+        )
+    )
+    return table.rows

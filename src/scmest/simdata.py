@@ -33,6 +33,7 @@ the tables that studies produce.
 from __future__ import annotations
 
 import csv
+import math
 from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
@@ -345,8 +346,9 @@ def write_table(rows, path, metadata=None) -> None:
 def read_csv(path) -> Dataset:
     """Read a dataset written by :func:`write_csv`.
 
-    The header must be ``x1..xd`` optionally followed by ``y``.  Malformed
-    cells raise ParseError citing the 1-based row and column.
+    The header must be ``x1..xd`` optionally followed by ``y``.  A malformed
+    or non-finite cell raises ParseError citing its 1-based file row (the
+    header is row 1) and column.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -374,11 +376,14 @@ def read_csv(path) -> Dataset:
             vals = []
             for c, cell in enumerate(row, start=1):
                 try:
-                    vals.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise ParseError(
                         f"{path}: row {r}, column {c}: cannot parse {cell!r} as a number"
                     ) from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: row {r}, column {c}: non-finite value {cell!r}")
+                vals.append(value)
             if has_y:
                 X_rows.append(vals[:-1])
                 y_vals.append(vals[-1])

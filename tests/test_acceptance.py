@@ -342,7 +342,7 @@ def test_08_coverage_reproduction_smoke():
     # against targets pinned from the reference study at n=100, d=5,
     # B=2000.  Those targets carry the reference run's own Monte-Carlo
     # noise, so this gate allows +-0.06; the full-replication check
-    # (1000 reps, +-0.03) lives in scripts/run_coverage_table.py.
+    # (1000 reps, +-0.03) is `scmest experiment coverage_table --check`.
     t0 = time.time()
     cells = [
         ("linear_wellspec", "oracle", 0.95, 0.957),

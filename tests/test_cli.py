@@ -12,10 +12,26 @@ from scmest.bootstrap import bootstrap_fit, bootstrap_weights
 from scmest.cli import main
 from scmest.errors import DomainError, SingularHessian
 from scmest.estimate import SolverOptions, fit_erm
-from scmest.gof import wald_statistic
+from scmest.experiments import (
+    COVERAGE_TARGETS,
+    CoverageRow,
+    CoverageTable,
+    CoverageTableExperiment,
+    EffDimErrorExperiment,
+    run_effdim_error,
+)
+from scmest.gof import PowerCurveConfig, power_curve, wald_statistic
 from scmest.inference import ConfidenceSet, effective_dim_empirical
 from scmest.losses import LOSS_KINDS, model_for_data
-from scmest.simdata import PROCESS_KINDS, Dataset, generate, Process, theta0_equispaced, write_csv
+from scmest.simdata import (
+    PROCESS_KINDS,
+    Dataset,
+    Process,
+    generate,
+    theta0_equispaced,
+    write_csv,
+    write_table,
+)
 
 
 def _run(capsys, argv):
@@ -131,7 +147,7 @@ class TestFitCommand:
         path.write_text(text)
         code, _, err = _run(capsys, ["fit", "--data", str(path), "--model", model])
         assert code == 1
-        assert "non-finite" in err and "row 1" in err
+        assert "non-finite" in err and "row 3" in err
 
     def test_fit_matches_library(self, capsys):
         code, doc, _ = _run_json(
@@ -445,16 +461,26 @@ class TestConfsetCommand:
 
 
 class TestExperimentCommand:
+    @staticmethod
+    def _config(tmp_path, **fields):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(fields))
+        return str(path)
+
     def test_coverage_table_csv(self, capsys, tmp_path):
         out = tmp_path / "cov.csv"
         code, _, err = _run(
             capsys,
             [
-                "experiment", "coverage_table", "--reps", "4", "--B", "60",
-                "--n", "60", "--out", str(out),
+                "experiment", "coverage_table", "--reps", "3", "--B", "100",
+                "--check", "--out", str(out),
             ],
         )
-        assert code == 0
+        # at 3 replications the oracle cell (target 0.957) cannot lie
+        # within 0.03, so --check fails, after the table is written
+        assert code == 1
+        assert "[FAIL] linear_wellspec/oracle@0.95" in err
+        assert err.count("[PASS]") + err.count("[FAIL]") == len(COVERAGE_TARGETS)
         assert "wrote" in err and str(out) in err
         lines = out.read_text().splitlines()
         assert lines[0] == "# schema_version=1"
@@ -475,8 +501,78 @@ class TestExperimentCommand:
         assert lines[1] == "sigma,t,x1,x2"
         assert len(lines) == 2 + 3 * 128  # three designs x boundary points
 
+    def test_check_passes_on_target_coverage(self, capsys, tmp_path, monkeypatch):
+        seen = {}
+
+        def run_coverage_table(config):
+            seen["config"] = config
+            return CoverageTable(
+                rows=tuple(
+                    CoverageRow(model, method, delta, target, 0.0, config.reps, 0)
+                    for model, method, delta, target in COVERAGE_TARGETS
+                )
+            )
+
+        monkeypatch.setattr("scmest.experiments.run_coverage_table", run_coverage_table)
+        cfg = self._config(tmp_path, deltas=[0.95, 0.75])
+        out = tmp_path / "cov.csv"
+        code, _, err = _run(
+            capsys,
+            ["experiment", "coverage_table", "--config", cfg, "--check", "--out", str(out)],
+        )
+        assert code == 0
+        assert err.count("[PASS]") == len(COVERAGE_TARGETS) and "[FAIL]" not in err
+        assert seen["config"] == CoverageTableExperiment(deltas=(0.95, 0.75))
+
+    def test_effdim_grid_from_config(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, d_grid=[3], n_grid=[200, 400])
+        out, ref = tmp_path / "effdim.csv", tmp_path / "ref.csv"
+        code, _, _ = _run(
+            capsys,
+            ["experiment", "effdim_error", "--config", cfg, "--reps", "3", "--out", str(out)],
+        )
+        assert code == 0
+        config = EffDimErrorExperiment(d_grid=(3,), n_grid=(200, 400), reps=3)
+        write_table(run_effdim_error(config), ref)
+        assert out.read_text() == ref.read_text()
+
+    def test_power_curves_csv_matches_library(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, n_grid=[100], calib_reps=5)
+        out, ref = tmp_path / "power.csv", tmp_path / "ref.csv"
+        code, _, _ = _run(
+            capsys,
+            ["experiment", "power_curves", "--config", cfg, "--reps", "5", "--out", str(out)],
+        )
+        assert code == 0
+        theta0 = theta0_equispaced(5)
+        direction = np.full(5, 1.0 / np.sqrt(5))
+        config = PowerCurveConfig(
+            process=Process(kind="logistic_wellspec", theta0=theta0),
+            alternatives=tuple(theta0 + dist * direction for dist in (0.25, 0.5, 1.0)),
+            n_grid=(100,),
+            reps=5,
+            calib_reps=5,
+        )
+        write_table(power_curve(config).rows, ref)
+        assert out.read_text() == ref.read_text()
+
+    def test_config_key_of_another_study_rejected(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, d_grid=[3], boundary_points=8)
+        out = tmp_path / "effdim.csv"
+        code, _, err = _run(
+            capsys, ["experiment", "effdim_error", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1
+        assert "boundary_points" in err and "d_grid" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
-        "argv", [["effdim_error", "--n", "7"], ["confset_shape", "--reps", "3"]]
+        "argv",
+        [
+            ["effdim_error", "--n", "7"],
+            ["confset_shape", "--reps", "3"],
+            ["effdim_error", "--check"],
+        ],
     )
     def test_flag_the_study_lacks_exits_1(self, capsys, tmp_path, argv):
         out = tmp_path / "table.csv"

@@ -1,6 +1,7 @@
 """Package surface: lazy exports, version, attribute resolution, README example."""
 
 import ast
+import importlib
 import io
 import subprocess
 import sys
@@ -28,6 +29,12 @@ def test_attributes_resolve_to_their_modules():
 
     assert scmest.omega is omega
     assert scmest.fit_erm is fit_erm
+
+
+def test_export_table_matches_each_module_all():
+    # a public name missing from _EXPORTS would not resolve as scmest.<name>
+    for mod, names in scmest._EXPORTS.items():
+        assert list(names) == importlib.import_module(f"scmest.{mod}").__all__, mod
 
 
 def test_dir_lists_exports():
