@@ -8,17 +8,20 @@ self-concordant per-sample loss is itself self-concordant with parameters
 point, a unique minimizer exists inside the Dikin ellipsoid of radius four
 times the Newton decrement at that point.
 
-One damped-Newton engine, :func:`_newton_engine`, fits m weight rows at
-once; :func:`fit_erm` is its case m = 1, the multiplier bootstrap runs its
-refits as slots.  Every slot starts from theta = 0 and takes damped Newton
-steps alpha = 1 / (1 + d_nu(...)), which guarantee monotone descent for
-self-concordant losses; quadratic losses converge in one full step.  A
-slot finishes as converged, max_iter, singular or overflow.  Every Newton
-system, and every solve of the Rao statistic, the localization
-certificate and the effective dimension, passes one positive-definiteness
-test: Cholesky pivots against the trace, with a single diagonal-jitter
-retry (1e-10 trace/d), so genuine non-existence (separable logistic data,
-n < d designs) is distinguished from round-off.
+One damped-Newton engine, :func:`_newton_engine`, fits m slots at once:
+the weight rows of one dataset, or one row per dataset of a stacked
+batch.  :func:`fit_erm` is its case m = 1, the multiplier bootstrap runs
+its refits as slots, and :func:`scmest.simdata.replicate` fits a chunk of
+replications in one call, each slot's FitResult equal to fit_erm's bit for
+bit.  Every slot starts from theta = 0 and takes damped Newton steps
+alpha = 1 / (1 + d_nu(...)), with the R of its own model, which guarantee
+monotone descent for self-concordant losses; quadratic losses converge in
+one full step.  A slot finishes as converged, max_iter, singular or
+overflow.  Every Newton system, and every solve of the Rao statistic, the
+localization certificate and the effective dimension, passes one
+positive-definiteness test: Cholesky pivots against the trace, with a
+single diagonal-jitter retry (1e-10 trace/d), so genuine non-existence
+(separable logistic data, n < d designs) is distinguished from round-off.
 
 Work per call: X, y and the weights are checked and the per-sample stacks
 built once, in a :class:`~scmest.losses.Batch`.  Each iteration computes
@@ -33,11 +36,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, NumericOverflow, SingularHessian
-from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch
+from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch, stack_batches
 from .scfun import (
     Certificate,
     ScParams,
@@ -45,7 +49,10 @@ from .scfun import (
     certify_unique_minimizer,
     d_nu,
 )
-from .simdata import Dataset
+
+if TYPE_CHECKING:
+    # simdata fits its replications here, so it is imported for annotations only
+    from .simdata import Dataset
 
 __all__ = [
     "EmpiricalAggregates",
@@ -140,6 +147,13 @@ def empirical_sc_params(model: LossModel, n: int) -> ScParams:
     """Self-concordance parameters of the empirical risk: (R n^{nu/2-1}, nu)."""
     sc = model.sc
     return ScParams(R=sc.R * float(n) ** (sc.nu / 2.0 - 1.0), nu=sc.nu)
+
+
+def _slot_sc_params(batch: Batch) -> ScParams:
+    """empirical_sc_params of the slots' risks, R one per slot for a stacked batch."""
+    sc = batch.model.sc
+    R = batch.R if batch.stacked else sc.R
+    return ScParams(R=R * float(batch.n) ** (sc.nu / 2.0 - 1.0), nu=sc.nu)
 
 
 def aggregates(
@@ -251,15 +265,17 @@ class _SlotFits:
 def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFits:
     """Damped Newton from theta = 0 on the W_b-weighted risk of every row b of W.
 
-    The live slots advance together, one damped step alpha = 1 / (1 + d_nu)
-    each, and leave when they converge, fail, or run out of iterations.  An
-    iteration evaluates only S and H, for the live slots only
+    Slot b fits the data of ``batch``, or its slot b's dataset when the
+    batch is stacked.  The live slots advance together, one damped step
+    alpha = 1 / (1 + d_nu) each, and leave when they converge, fail, or run
+    out of iterations; a stacked batch leaves with them.  An iteration
+    evaluates only S and H, for the live slots only
     (:meth:`Batch.slot_score_hessian`); the risk L is evaluated for the
     slots that finish, at the iterate they finish on.
     """
     m = W.shape[0]
     d = batch.model.dim
-    params_n = empirical_sc_params(batch.model, batch.n)
+    params_n = _slot_sc_params(batch)
     theta = np.zeros((m, d))
     S_fin = np.zeros((m, d))
     H_fin = np.zeros((m, d, d))
@@ -285,42 +301,75 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
                 np.where(overflow[done], "overflow", "singular"),
             )
             fin = done & ok
-            L_fin[live[fin]] = batch.slot_risk(th[fin], W_live[fin])
+            L_fin[live[fin]] = batch.take(fin).slot_risk(th[fin], W_live[fin])
             live, th, W_live = live[stepping], th[stepping], W_live[stepping]
             X, dec = X[stepping], dec[stepping]
             if live.size == 0:
                 break
+            batch = batch.take(stepping)
+            params_n = _slot_sc_params(batch)
         # the step is -X, and ||X||_{H_n} equals the Newton decrement
         th -= (1.0 / (1.0 + d_nu(params_n, X, dec)))[:, None] * X
     return _SlotFits(theta, S_fin, H_fin, L_fin, dec_fin, iters, status)
 
 
-def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
-    """The one-slot engine run on the w-weighted empirical risk, as a FitResult.
+def _fit_result(
+    batch: Batch, opts: SolverOptions, w: np.ndarray, fits: _SlotFits, b: int
+) -> FitResult:
+    """Slot b of an engine run as the FitResult of the w-weighted risk on ``batch``.
 
-    ``batch`` holds the checked data and the per-sample stacks, and ``w``
-    checked weights.  The full aggregates are completed once, at the
-    returned iterate, where the certificate is evaluated.
+    ``batch`` holds the checked data of slot b's dataset and its per-sample
+    stacks, and ``w`` checked weights.  A slot that ended singular or in
+    overflow raises SingularHessian or NumericOverflow.  The full
+    aggregates are completed once, at the returned iterate, where the
+    certificate is evaluated.
     """
-    fits = _newton_engine(batch, w[None], opts)
-    status, it = fits.status[0], int(fits.iterations[0])
+    status, it = fits.status[b], int(fits.iterations[b])
     if status == "singular":
         raise SingularHessian(f"Hessian not positive definite at Newton iteration {it}")
     if status == "overflow":
         raise NumericOverflow(f"exp(theta'x) overflows at Newton iteration {it}")
-    theta, S, H, dec = fits.theta[0], fits.S[0], fits.H[0], float(fits.decrement[0])
+    theta, S, H, dec = fits.theta[b], fits.S[b], fits.H[b], float(fits.decrement[b])
     spec = _spectral_summary(H)
     params_n = empirical_sc_params(batch.model, batch.n)
     cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
     return FitResult(
         theta_n=theta,
-        aggregates_at_opt=_complete(batch, theta, w, float(fits.L[0]), S, H),
+        aggregates_at_opt=_complete(batch, theta, w, float(fits.L[b]), S, H),
         newton_decrement=dec,
         iterations=it,
         converged=status == "converged",
         certificate=cert,
         opts=opts,
     )
+
+
+def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
+    """The one-slot engine run on the w-weighted empirical risk, as a FitResult."""
+    return _fit_result(batch, opts, w, _newton_engine(batch, w[None], opts), 0)
+
+
+def _fit_datasets(
+    models: Sequence[LossModel], datasets: Sequence[Dataset], opts: SolverOptions
+) -> list:
+    """fit_erm of every dataset, in one engine call with a slot per dataset.
+
+    The datasets have equal n and their models differ in R only.  Entry b
+    is dataset b's FitResult, bit for bit what ``fit_erm(models[b],
+    datasets[b], opts)`` returns, or the SingularHessian or NumericOverflow
+    that fit_erm raises.
+    """
+    batches = [prepare_batch(model, data.X, data.y) for model, data in zip(models, datasets)]
+    stack = stack_batches(batches)
+    W = np.ones((len(batches), stack.n))
+    fits = _newton_engine(stack, W, opts)
+    out = []
+    for b, batch in enumerate(batches):
+        try:
+            out.append(_fit_result(batch, opts, W[b], fits, b))
+        except (SingularHessian, NumericOverflow) as exc:
+            out.append(exc)
+    return out
 
 
 def _spectral_summary(H: np.ndarray) -> SpectralSummary | None:

@@ -139,9 +139,8 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
         radius = {level: float(np.quantile(cal["wald"], level)) for level in config.deltas}
     want_boot = "bootwald" in config.methods or "bootlr" in config.methods
 
-    def covers(model, data):
+    def covers(model, data, fit):
         """Per method, whether each level's set holds theta0; None where the bootstrap failed."""
-        fit = fit_erm(model, data, config.opts)
         base_wald = wald_statistic(fit, theta0)
         out = {}
         if "oracle" in config.methods:
@@ -161,7 +160,7 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
                     ]
         return out
 
-    results = replicate(proc, config.n, eval_base, config.reps, covers)
+    results = replicate(proc, config.n, eval_base, config.reps, covers, config.opts)
     rows = []
     for m in config.methods:
         hits = [res[m] for res in results if res[m] is not None]
@@ -248,15 +247,30 @@ def run_coverage_table(config: CoverageTableExperiment | None = None) -> Coverag
     return CoverageTable(rows=tuple(rows))
 
 
+_PROCESS_FOR_MODEL = {"squared": "linear_wellspec", "logistic": "logistic_wellspec"}
+
+
 @dataclass(frozen=True)
 class EffDimErrorExperiment:
-    """Config of the effective-dimension error study on well-specified models."""
+    """Config of the effective-dimension error study on well-specified models.
+
+    ``models`` are loss kinds with a well-specified process, and ``reps`` is
+    at least 2, so that every row has a standard error.
+    """
 
     models: tuple[str, ...] = ("squared", "logistic")
     d_grid: tuple[int, ...] = (5, 10, 15, 20)
     n_grid: tuple[int, ...] = (2000, 4000, 6000, 8000, 10000)
     reps: int = 100
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for model in self.models:
+            if model not in _PROCESS_FOR_MODEL:
+                allowed = sorted(_PROCESS_FOR_MODEL)
+                raise DomainError(f"effdim_error has no model {model!r}; choose from {allowed}")
+        if self.reps < 2:
+            raise DomainError(f"effdim_error needs reps >= 2 for a stderr, got {self.reps}")
 
 
 @dataclass(frozen=True)
@@ -269,9 +283,6 @@ class EffDimRow:
     reps: int
 
 
-_PROCESS_FOR_MODEL = {"squared": "linear_wellspec", "logistic": "logistic_wellspec"}
-
-
 def run_effdim_error(config: EffDimErrorExperiment | None = None) -> tuple[EffDimRow, ...]:
     """Mean |d_n/d - 1| over the (model, d, n) grid; d* = d by well-specification.
 
@@ -279,8 +290,8 @@ def run_effdim_error(config: EffDimErrorExperiment | None = None) -> tuple[EffDi
     """
     config = config or EffDimErrorExperiment()
 
-    def relative_error(model, data):
-        return abs(effective_dim_empirical(fit_erm(model, data)).value / model.dim - 1.0)
+    def relative_error(model, data, fit):
+        return abs(effective_dim_empirical(fit).value / model.dim - 1.0)
 
     rows = []
     for m_idx, model_kind in enumerate(config.models):

@@ -18,7 +18,10 @@ with binomial standard errors.
 :func:`null_statistics` is the one oracle calibration, here and in
 :mod:`scmest.inference` and the coverage experiment.  Replication r of any
 phase uses seed base + r, with per-phase bases from
-:func:`scmest.simdata.phase_seed`, so phases never share streams.
+:func:`scmest.simdata.phase_seed`, so phases never share streams.  The
+replications are fitted by :func:`scmest.simdata.replicate`, a chunk of
+datasets per engine call, and only when an LR or Wald statistic needs the
+fit: the Rao statistic fits nothing.
 """
 
 from __future__ import annotations
@@ -99,18 +102,19 @@ def wald_statistic(fit: FitResult, theta0) -> float:
     return float(diff @ fit.aggregates_at_opt.H_n @ diff)
 
 
+def _needs_fit(kinds: tuple[str, ...]) -> bool:
+    return "lr" in kinds or "wald" in kinds
+
+
 def _statistics(
     kinds: tuple[str, ...],
     model: LossModel,
     data: Dataset,
+    fit: FitResult | None,
     theta0,
-    opts: SolverOptions | None,
 ) -> dict[str, float]:
-    """Evaluate the requested statistics, fitting at most once."""
+    """Evaluate the requested statistics from one fit (None when only Rao is asked)."""
     out = {}
-    fit = None
-    if "lr" in kinds or "wald" in kinds:
-        fit = fit_erm(model, data, opts)
     for kind in kinds:
         if kind == "rao":
             out[kind] = rao_statistic(model, data, theta0)
@@ -132,14 +136,14 @@ def null_statistics(
     """Per-kind statistics at process.theta0 over replications of the null process.
 
     Replication r fits the dataset of seed ``seed_base + r`` once for all
-    kinds.  Failed replications are dropped under the rule of
-    :func:`scmest.simdata.replicate`.
+    kinds, or not at all for Rao alone.  Failed replications are dropped
+    under the rule of :func:`scmest.simdata.replicate`.
     """
 
-    def statistics(model, data):
-        return _statistics(kinds, model, data, process.theta0, opts)
+    def statistics(model, data, fit):
+        return _statistics(kinds, model, data, fit, process.theta0)
 
-    rows = replicate(process, n, seed_base, reps, statistics)
+    rows = replicate(process, n, seed_base, reps, statistics, opts, _needs_fit(kinds))
     return {kind: np.array([row[kind] for row in rows]) for kind in kinds}
 
 
@@ -187,7 +191,8 @@ def run_test(
             raise MissingSampler("oracle_mc critical rule needs a null process")
         null = null_statistics((kind,), process, data.n, calib_reps, phase_seed(seed, 0), opts)
         crit = float(np.quantile(null[kind], 1.0 - alpha))
-    stat = _statistics((kind,), model, data, theta0, opts)[kind]
+    fit = fit_erm(model, data, opts) if _needs_fit((kind,)) else None
+    stat = _statistics((kind,), model, data, fit, theta0)[kind]
     return TestReport(
         statistic=stat, kind=kind, critical=crit, reject=stat > crit, n=data.n, d=d
     )
@@ -256,8 +261,8 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
     kinds = tuple(config.kinds)
     theta0 = config.process.theta0
 
-    def statistics(model, data):
-        return _statistics(kinds, model, data, theta0, config.opts)
+    def statistics(model, data, fit):
+        return _statistics(kinds, model, data, fit, theta0)
 
     rows = []
     for n_idx, n in enumerate(config.n_grid):
@@ -268,7 +273,9 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
         for theta_star in config.alternatives:
             theta_star = np.asarray(theta_star, dtype=float)
             proc_alt = replace(config.process, theta0=theta_star)
-            values = replicate(proc_alt, n, eval_base, config.reps, statistics)
+            values = replicate(
+                proc_alt, n, eval_base, config.reps, statistics, config.opts, _needs_fit(kinds)
+            )
             dist = float(np.linalg.norm(theta_star - theta0))
             for kind in kinds:
                 p = sum(v[kind] > crit[kind] for v in values) / len(values)

@@ -27,6 +27,9 @@ that every later evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
 m parameter and weight rows at once, for every kind, so the Newton engine
 of :mod:`scmest.estimate` has no per-kind arithmetic; H_n of one row is one
 matrix product ((w c) x)' x, more rows share a packed table of x_i x_i'.
+:func:`stack_batches` gives the rows a dataset axis instead: m datasets of
+equal n, one per row, whose H_n are one batched matrix product, with the
+arithmetic of the single row.
 The squared, logistic and Poisson losses are each defined once, in
 :func:`linear_coefficients`.  LossModel instances are immutable and all
 evaluations are pure.
@@ -34,7 +37,7 @@ evaluations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -494,16 +497,35 @@ class Batch:
     them, so a fit that holds one Batch runs the per-sample callbacks once.
     The ``slot_`` methods evaluate m slots at once, slot b at ``Theta[b]``
     with weights ``W[b]``; the one-parameter methods are their case m = 1.
+
+    A batch made by :func:`stack_batches` is stacked: slot b has a dataset
+    of its own, X is (m, n, d), y (m, n), every stack has a leading slot
+    axis, and ``R`` holds the declared R of each slot's model.  Its slot b
+    evaluates with the arithmetic of the single dataset's batch at m = 1,
+    so the two agree bit for bit.
     """
 
     model: LossModel
     X: np.ndarray
     y: np.ndarray | None
     stacks: tuple = ()
+    R: np.ndarray | None = None
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X.shape[-2]
+
+    @property
+    def stacked(self) -> bool:
+        return self.R is not None
+
+    def take(self, keep) -> "Batch":
+        """The batch of the slots ``keep``; a batch that is not stacked serves any slots."""
+        if not self.stacked:
+            return self
+        y = None if self.y is None else self.y[keep]
+        stacks = tuple(s[keep] for s in self.stacks)
+        return Batch(self.model, self.X[keep], y, stacks, self.R[keep])
 
     def max_slots(self) -> int:
         """How many slots fit ``_CHUNK_ELEMENTS``: (n,) rows, (n, K, dim) for expfam_glm."""
@@ -519,9 +541,31 @@ class Batch:
             return _OuterTable(self.stacks[0].reshape(-1, self.model.dim))
         return _OuterTable(self.X)
 
+    def _dot_rows(self, V: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """V_b'z_i for every slot b and row z_i of Z (of slot b's Z when stacked), (m, n)."""
+        if self.stacked:
+            return (V[:, None, :] @ Z.swapaxes(1, 2))[:, 0]
+        return V @ Z.T
+
+    def _sum_rows(self, C: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """sum_i C_bi z_i for every slot b over the rows of Z (of slot b's Z when stacked)."""
+        if self.stacked:
+            return (C[:, None, :] @ Z)[:, 0]
+        return C @ Z
+
+    def _sum_outer(self, C: np.ndarray) -> np.ndarray:
+        """sum_i C_bi x_i x_i' for every slot b, an (m, d, d) array.
+
+        One matrix product ((c x)' x) per slot when stacked; otherwise the
+        slots share the rows of X (see :class:`_OuterTable`).
+        """
+        if self.stacked:
+            return (C[:, :, None] * self.X).swapaxes(1, 2) @ self.X
+        return self._outer.products(C)
+
     def _eta(self, Theta: np.ndarray) -> np.ndarray:
-        """Linear predictors Theta X'; a Poisson exp(eta) that overflows raises."""
-        eta = Theta @ self.X.T
+        """Linear predictors x_i'theta_b; a Poisson exp(eta) that overflows raises."""
+        eta = self._dot_rows(Theta, self.X)
         if self.model.kind == "poisson" and np.any(exp_overflow(eta)):
             raise NumericOverflow(
                 f"exp(theta'x) overflows double precision (max eta = {np.max(eta):.3g})"
@@ -548,7 +592,8 @@ class Batch:
             A, b, c = self.stacks
             m, d = Theta.shape
             outer = (Theta[:, :, None] * Theta[:, None, :]).reshape(m, d * d)
-            return 0.5 * (outer @ A.reshape(-1, d * d).T) - Theta @ b.T + c
+            A_rows = A.reshape(*A.shape[:-2], d * d)
+            return 0.5 * self._dot_rows(outer, A_rows) - self._dot_rows(Theta, b) + c
         return linear_coefficients(kind, self._eta(Theta), self.y)[0]
 
     def values(self, theta: np.ndarray) -> np.ndarray:
@@ -573,7 +618,7 @@ class Batch:
         S is (m, dim), H (m, dim, dim) and symmetrized, and ``overflow``
         marks the Poisson slots whose exp(eta) overflows, whose S and H are
         placeholders.  H, like the first term of the expfam_glm Hessian, is
-        one matrix product (see :class:`_OuterTable`).
+        one matrix product (see :meth:`_sum_outer`).
         """
         kind = self.model.kind
         n = self.n
@@ -581,15 +626,15 @@ class Batch:
         overflow = np.zeros(m, dtype=bool)
         if kind == "score_matching":
             A, b, _ = self.stacks
-            H = (W @ A.reshape(n, d * d)).reshape(m, d, d) / n
-            S = np.einsum("bjk,bk->bj", H, Theta) - W @ b / n
+            H = self._sum_rows(W, A.reshape(*A.shape[:-2], d * d)).reshape(m, d, d) / n
+            S = np.einsum("bjk,bk->bj", H, Theta) - self._sum_rows(W, b) / n
         elif kind == "expfam_glm":
             probs, mean_t = self._expfam(Theta)
             S = np.einsum("bi,bij->bj", W, mean_t - self.stacks[1]) / n
             second = (W[:, :, None] * mean_t).swapaxes(1, 2) @ mean_t
             H = (self._outer.products((W[:, :, None] * probs).reshape(m, -1)) - second) / n
         else:
-            eta = Theta @ self.X.T
+            eta = self._dot_rows(Theta, self.X)
             if kind == "poisson":
                 overflow = exp_overflow(eta)
                 if overflow.any():
@@ -597,8 +642,8 @@ class Batch:
                     W = W * ~overflow[:, None]
             _, gfac, curv = linear_coefficients(kind, eta, self.y, value=False)
             # weighted in place: an (m, n) temporary less per product
-            S = np.multiply(W, gfac, out=gfac) @ self.X / n
-            H = self._outer.products(np.multiply(W, curv, out=curv)) / n
+            S = self._sum_rows(np.multiply(W, gfac, out=gfac), self.X) / n
+            H = self._sum_outer(np.multiply(W, curv, out=curv)) / n
         return S, _symmetric(H), overflow
 
     def score_hessian(self, theta: np.ndarray, w: np.ndarray):
@@ -637,6 +682,28 @@ def prepare_batch(model: LossModel, X, y=None) -> Batch:
     else:
         stacks = ()
     return Batch(model=model, X=X, y=y, stacks=stacks)
+
+
+def stack_batches(batches: Sequence[Batch]) -> Batch:
+    """One stacked batch of m datasets of equal n, slot b holding ``batches[b]``.
+
+    The datasets' models may differ in their declared R only.  expfam_glm
+    batches do not stack: their Hessians sum one shared table of outer
+    products.
+    """
+    model = batches[0].model
+    if model.kind == "expfam_glm":
+        raise DomainError("expfam_glm batches do not stack")
+    if any(replace(b.model, sc=model.sc) != model for b in batches):
+        raise DomainError("stacked datasets need models that differ in R only")
+    y = None if batches[0].y is None else np.stack([b.y for b in batches])
+    return Batch(
+        model=model,
+        X=np.stack([b.X for b in batches]),
+        y=y,
+        stacks=tuple(np.stack(parts) for parts in zip(*(b.stacks for b in batches))),
+        R=np.array([b.model.sc.R for b in batches]),
+    )
 
 
 def check_weights(w, n: int) -> np.ndarray:

@@ -62,17 +62,19 @@ class ScParams:
 
     Parameters
     ----------
-    R : float
-        Nonnegative self-concordance constant.
+    R : float or ndarray
+        Nonnegative self-concordance constant; an array holds one constant
+        per function, for :func:`d_nu` of a stack of steps of as many
+        functions.
     nu : float
         Self-concordance order, at least 2.
     """
 
-    R: float
+    R: float | np.ndarray
     nu: float
 
     def __post_init__(self) -> None:
-        if not (self.R >= 0.0):
+        if not np.all(np.asarray(self.R) >= 0.0):
             raise DomainError(f"R must be nonnegative, got {self.R}")
         if not (self.nu >= 2.0):
             raise DomainError(f"nu must be at least 2, got {self.nu}")
@@ -252,7 +254,8 @@ def d_nu(params: ScParams, step, hess_norm_of_step):
     Parameters
     ----------
     params : ScParams
-        Self-concordance parameters of the function.
+        Self-concordance parameters of the function, or of one function per
+        step when R is an array.
     step : array_like
         The step y - x, or a stack of steps along the last axis.
     hess_norm_of_step : float or array_like

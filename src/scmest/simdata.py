@@ -25,9 +25,11 @@ rows of ``generate(process, 2n, seed)`` equal ``generate(process, n, seed)``
 exactly.
 
 Datasets round-trip through CSV (header ``x1..xd[,y]``) at full double
-precision.  :func:`replicate` is the one loop that draws and measures
-replications of an experiment, and :func:`write_table` the one writer of
-the tables that studies produce.
+precision.  :func:`replicate` is the one loop that draws, fits and
+measures replications of an experiment, and :func:`write_table` the one
+writer of the tables that studies produce.  It fits a chunk of
+replications in one call of the damped-Newton engine of
+:mod:`scmest.estimate`, one slot per dataset.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from scipy.stats import poisson as poisson_dist
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, NonConverged, NumericOverflow
 from .errors import ParseError, SingularHessian, check_failures
+from .estimate import FitResult, SolverOptions, _fit_datasets
 from .losses import LossModel, Observation, model_for_data
 
 __all__ = [
@@ -277,33 +280,52 @@ def phase_seed(seed: int, phase: int) -> int:
 # the failures that drop one replication instead of stopping the study
 _REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
 
+# elements of the designs fitted in one engine call: about ten datasets at
+# n = 1000, d = 5, past which a larger chunk saves no time but adds memory
+_STACK_ELEMENTS = 50_000
+
 
 def replicate(
     process: Process,
     n: int,
     seed_base: int,
     reps: int,
-    measure: Callable[[LossModel, Dataset], Any],
+    measure: Callable[[LossModel, Dataset, FitResult | None], Any],
+    opts: SolverOptions | None = None,
+    fit: bool = True,
 ) -> list:
     """Measure ``reps`` fresh datasets from a process, dropping failed replications.
 
-    Replication r draws ``generate(process, n, seed_base + r)`` and returns
-    ``measure(model_for_data(loss_kind_for(process), X), data)``.  A
-    replication whose measure raises SingularHessian, NumericOverflow or
-    NonConverged is dropped; the other values come back in replication
-    order.  More than reps/10 dropped raises TooManyFailures with the count
-    per cause, named as the bootstrap names its failed refits: ``singular``,
-    ``overflow``, ``max_iter``.
+    Replication r draws ``data = generate(process, n, seed_base + r)``,
+    builds ``model = model_for_data(loss_kind_for(process), data.X)`` and
+    returns ``measure(model, data, fit_erm(model, data, opts))``.  The fits
+    of a chunk of replications, whose designs hold at most 50 000 entries
+    (n d per dataset) or are one dataset, run as one engine call.  With
+    ``fit=False`` nothing is fitted and the measure gets None.  A
+    replication whose fit or measure raises SingularHessian,
+    NumericOverflow or NonConverged is dropped; the other values come back
+    in replication order.  More than reps/10 dropped raises TooManyFailures
+    with the count per cause, named as the bootstrap names its failed
+    refits: ``singular``, ``overflow``, ``max_iter``.
     """
     kind = loss_kind_for(process)
+    opts = opts or SolverOptions()
+    chunk = max(1, _STACK_ELEMENTS // (n * process.d))
     values = []
     causes: Counter[str] = Counter()
-    for r in range(reps):
-        data = generate(process, n, seed_base + r)
-        try:
-            values.append(measure(model_for_data(kind, data.X), data))
-        except _REPLICATION_FAILURES as exc:
-            causes[exc.cause] += 1
+    for start in range(0, reps, chunk):
+        seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
+        datasets = [generate(process, n, seed) for seed in seeds]
+        models = [model_for_data(kind, data.X) for data in datasets]
+        fits = _fit_datasets(models, datasets, opts) if fit else [None] * len(datasets)
+        for model, data, result in zip(models, datasets, fits):
+            if isinstance(result, _REPLICATION_FAILURES):
+                causes[result.cause] += 1
+                continue
+            try:
+                values.append(measure(model, data, result))
+            except _REPLICATION_FAILURES as exc:
+                causes[exc.cause] += 1
     check_failures(causes, reps, "replications")
     return values
 

@@ -566,6 +566,28 @@ class TestExperimentCommand:
         assert "boundary_points" in err and "d_grid" not in err
         assert not out.exists()
 
+    def test_effdim_unknown_model_exits_1(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, models=["poisson"])
+        out = tmp_path / "effdim.csv"
+        code, _, err = _run(
+            capsys, ["experiment", "effdim_error", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1
+        assert "'poisson'" in err and "['logistic', 'squared']" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_effdim_single_replication_exits_1(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, d_grid=[3], n_grid=[200])
+        out = tmp_path / "effdim.csv"
+        code, _, err = _run(
+            capsys,
+            ["experiment", "effdim_error", "--config", cfg, "--reps", "1", "--out", str(out)],
+        )
+        assert code == 1
+        assert "reps >= 2" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv",
         [

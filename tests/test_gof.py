@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from scmest.errors import DomainError, MissingSampler, NonConverged, SingularHessian
+from scmest import estimate
+from scmest.errors import (
+    DomainError,
+    MissingSampler,
+    NonConverged,
+    SingularHessian,
+    TooManyFailures,
+)
 from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_erm
 from scmest.gof import (
     TEST_KINDS,
@@ -216,6 +223,30 @@ class TestRunTest:
             process=proc, calib_reps=40, seed=3,
         )
         assert report.critical == float(np.quantile(null, 0.9))
+
+    def test_rao_null_statistics_fit_nothing(self, monkeypatch):
+        # logistic at d = 2, n = 6 under 1000 iterations: the fits of three of
+        # seeds 0..19 run down to a singular Hessian, so Wald drops them
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(2))
+        opts = SolverOptions(max_iter=1000)
+        calls = []
+        engine = estimate._newton_engine
+        monkeypatch.setattr(estimate, "_newton_engine", lambda *a: calls.append(1) or engine(*a))
+        rao = null_statistics(("rao",), proc, 6, 20, 0, opts)["rao"]
+        assert calls == []
+        singular = 0
+        for seed in range(20):
+            data = generate(proc, 6, seed)
+            model = model_for_data("logistic", data.X)
+            assert rao[seed] == rao_statistic(model, data, proc.theta0)
+            try:
+                fit_erm(model, data, opts)
+            except SingularHessian:
+                singular += 1
+        assert singular == 3
+        with pytest.raises(TooManyFailures, match=r"3 of 20 replications failed \(singular: 3\)"):
+            null_statistics(("rao", "wald"), proc, 6, 20, 0, opts)
+        assert calls
 
     def test_validation(self):
         model, data, _ = _linear_fit()

@@ -1,6 +1,7 @@
 """Synthetic processes: determinism, distributional sanity, CSV round trips."""
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -8,15 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scmest import estimate, simdata
 from scmest.errors import (
     DimensionMismatch,
     DomainError,
     EmptyDataset,
+    NumericOverflow,
     ParseError,
+    SingularHessian,
     TooManyFailures,
 )
-from scmest.estimate import fit_erm
+from scmest.estimate import SolverOptions, fit_erm
 from scmest.gof import wald_statistic
+from scmest.losses import model_for_data
 from scmest.simdata import (
     PROCESS_KINDS,
     Dataset,
@@ -289,8 +294,8 @@ class TestWriteTable:
 
 class TestReplicate:
     @staticmethod
-    def _seed_and_wald(model, data):
-        return data.provenance.seed, wald_statistic(fit_erm(model, data), STALLING.theta0)
+    def _seed_and_wald(model, data, fit):
+        return data.provenance.seed, wald_statistic(fit, STALLING.theta0)
 
     def test_drops_exactly_the_failed_replications(self):
         values = replicate(STALLING, 30, 100, 40, self._seed_and_wald)
@@ -304,8 +309,83 @@ class TestReplicate:
             replicate(STALLING, 30, 108, 5, self._seed_and_wald)
 
     def test_other_errors_propagate(self):
-        def measure(model, data):
+        def measure(model, data, fit):
             raise DomainError("not a replication failure")
 
         with pytest.raises(DomainError):
             replicate(_proc("linear_wellspec"), 10, 0, 3, measure)
+
+
+def _fit_erm_loop(process, n, seed_base, reps, opts=None):
+    """Per-replication fit_erm, the reference of replicate's stacked fits: fits and causes."""
+    fits, causes = [], Counter()
+    for seed in range(seed_base, seed_base + reps):
+        data = generate(process, n, seed)
+        try:
+            fits.append(fit_erm(model_for_data(loss_kind_for(process), data.X), data, opts))
+        except (SingularHessian, NumericOverflow) as exc:
+            causes[exc.cause] += 1
+    return fits, causes
+
+
+def _assert_same_fits(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.theta_n, b.theta_n)
+        agg_a, agg_b = a.aggregates_at_opt, b.aggregates_at_opt
+        assert agg_a.L_n == agg_b.L_n
+        for name in ("S_n", "H_n", "G_n"):
+            assert np.array_equal(getattr(agg_a, name), getattr(agg_b, name))
+        for name in ("newton_decrement", "iterations", "converged", "certificate", "opts"):
+            assert getattr(a, name) == getattr(b, name)
+
+
+def _fit_of(model, data, fit):
+    return fit
+
+
+class TestReplicationsAsSlots:
+    @pytest.mark.parametrize("kind", PROCESS_KINDS)
+    def test_fits_equal_fit_erm_bit_for_bit(self, kind):
+        process = _proc(kind, d=6)
+        expected, _ = _fit_erm_loop(process, 80, 7, 12)
+        _assert_same_fits(replicate(process, 80, 7, 12, _fit_of), expected)
+
+    def test_solver_options_reach_the_fits(self):
+        opts = SolverOptions(tol=1e-4, max_iter=7)
+        expected, _ = _fit_erm_loop(STALLING, 30, 100, 10, opts)
+        got = replicate(STALLING, 30, 100, 10, _fit_of, opts)
+        _assert_same_fits(got, expected)
+        assert all(fit.opts == opts for fit in got)
+
+    def test_stalled_seeds_are_the_unconverged_fit_erm_fits(self):
+        # TestReplicate's drops, and its per-cause message, follow from these
+        fits, causes = _fit_erm_loop(STALLING, 30, 100, 40)
+        assert not causes
+        assert tuple(100 + i for i, fit in enumerate(fits) if not fit.converged) == STALLED_SEEDS
+
+    def test_singular_replication_dropped_as_singular(self):
+        # logistic at d = 2, n = 6: a separable fit given 1000 iterations
+        # runs its Hessian down to singular
+        process = _proc("logistic_wellspec", d=2)
+        opts = SolverOptions(max_iter=1000)
+        expected, causes = _fit_erm_loop(process, 6, 8, 10, opts)
+        assert causes == {"singular": 1}
+        _assert_same_fits(replicate(process, 6, 8, 10, _fit_of, opts), expected)
+        _, causes = _fit_erm_loop(process, 6, 8, 20, opts)
+        k = causes["singular"]
+        assert causes == {"singular": k} and k > 2
+        message = rf"^{k} of 20 replications failed \(singular: {k}\)$"
+        with pytest.raises(TooManyFailures, match=message):
+            replicate(process, 6, 8, 20, _fit_of, opts)
+
+    @pytest.mark.parametrize("per_chunk", [1, 3, 7])
+    def test_chunking_leaves_results_unchanged(self, monkeypatch, per_chunk):
+        whole = replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald)
+        # a budget of per_chunk datasets of STALLING's 30 x 5 design
+        monkeypatch.setattr(simdata, "_STACK_ELEMENTS", per_chunk * 30 * 5)
+        calls = []
+        engine = estimate._newton_engine
+        monkeypatch.setattr(estimate, "_newton_engine", lambda *a: calls.append(1) or engine(*a))
+        assert replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald) == whole
+        assert len(calls) == -(-40 // per_chunk)
