@@ -71,7 +71,6 @@ _EXPORTS = {
         "theta0_equispaced",
         "loss_kind_for",
         "phase_seed",
-        "replicate",
         "read_csv",
         "write_csv",
         "write_table",
@@ -84,6 +83,7 @@ _EXPORTS = {
         "empirical_sc_params",
         "aggregates",
         "fit_erm",
+        "replicate",
         "localization_certificate",
     ),
     "inference": (

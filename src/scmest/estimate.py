@@ -11,9 +11,10 @@ times the Newton decrement at that point.
 One damped-Newton engine, :func:`_newton_engine`, fits m slots at once:
 the weight rows of one dataset, or one row per dataset of a stacked
 batch.  :func:`fit_erm` is its case m = 1, the multiplier bootstrap runs
-its refits as slots, and :func:`scmest.simdata.replicate` fits a chunk of
-replications in one call, each slot's FitResult equal to fit_erm's bit for
-bit.  Every slot starts from theta = 0 and takes damped Newton steps
+its refits as slots, and :func:`replicate`, the one replicate-and-fit loop
+of the studies and oracle calibrations, fits a chunk of replications in
+one call, each slot's FitResult equal to fit_erm's bit for bit.  Every
+slot starts from theta = 0 and takes damped Newton steps
 alpha = 1 / (1 + d_nu(...)), with the R of its own model, which guarantee
 monotone descent for self-concordant losses; quadratic losses converge in
 one full step.  A slot finishes as converged, max_iter, singular or
@@ -35,13 +36,16 @@ bit for bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NumericOverflow, SingularHessian
-from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch, stack_batches
+from .errors import DimensionMismatch, DomainError, NonConverged, NumericOverflow
+from .errors import SingularHessian, check_failures
+from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
+from .losses import stack_batches
 from .scfun import (
     Certificate,
     ScParams,
@@ -49,10 +53,7 @@ from .scfun import (
     certify_unique_minimizer,
     d_nu,
 )
-
-if TYPE_CHECKING:
-    # simdata fits its replications here, so it is imported for annotations only
-    from .simdata import Dataset
+from .simdata import Dataset, Process, generate, loss_kind_for
 
 __all__ = [
     "EmpiricalAggregates",
@@ -62,6 +63,7 @@ __all__ = [
     "empirical_sc_params",
     "aggregates",
     "fit_erm",
+    "replicate",
     "localization_certificate",
 ]
 
@@ -349,29 +351,6 @@ def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
     return _fit_result(batch, opts, w, _newton_engine(batch, w[None], opts), 0)
 
 
-def _fit_datasets(
-    models: Sequence[LossModel], datasets: Sequence[Dataset], opts: SolverOptions
-) -> list:
-    """fit_erm of every dataset, in one engine call with a slot per dataset.
-
-    The datasets have equal n and their models differ in R only.  Entry b
-    is dataset b's FitResult, bit for bit what ``fit_erm(models[b],
-    datasets[b], opts)`` returns, or the SingularHessian or NumericOverflow
-    that fit_erm raises.
-    """
-    batches = [prepare_batch(model, data.X, data.y) for model, data in zip(models, datasets)]
-    stack = stack_batches(batches)
-    W = np.ones((len(batches), stack.n))
-    fits = _newton_engine(stack, W, opts)
-    out = []
-    for b, batch in enumerate(batches):
-        try:
-            out.append(_fit_result(batch, opts, W[b], fits, b))
-        except (SingularHessian, NumericOverflow) as exc:
-            out.append(exc)
-    return out
-
-
 def _spectral_summary(H: np.ndarray) -> SpectralSummary | None:
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] <= 0.0:
@@ -392,6 +371,63 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
     """
     batch = prepare_batch(model, data.X, data.y)
     return _newton_fit(batch, opts or SolverOptions(), check_weights(None, batch.n))
+
+
+# the failures that drop one replication instead of stopping the study
+_REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
+
+# elements of the designs fitted in one engine call: about ten datasets at
+# n = 1000, d = 5, past which a larger chunk saves no time but adds memory
+_STACK_ELEMENTS = 50_000
+
+
+def replicate(
+    process: Process,
+    n: int,
+    seed_base: int,
+    reps: int,
+    measure: Callable[[LossModel, Dataset, FitResult | None], Any],
+    opts: SolverOptions | None = None,
+    fit: bool = True,
+) -> list:
+    """Measure ``reps`` fresh datasets from a process, dropping failed replications.
+
+    Replication r draws ``data = generate(process, n, seed_base + r)``,
+    builds ``model = model_for_data(loss_kind_for(process), data.X)`` and
+    returns ``measure(model, data, fit_erm(model, data, opts))``.  The fits
+    of a chunk of replications, whose designs hold at most 50 000 entries
+    (n d per dataset) or are one dataset, run as one engine call with a
+    slot per dataset.  With ``fit=False`` nothing is fitted and the measure
+    gets None.  A replication whose fit or measure raises SingularHessian,
+    NumericOverflow or NonConverged is dropped; the other values come back
+    in replication order.  More than reps/10 dropped raises TooManyFailures
+    with the count per cause, named as the bootstrap names its failed
+    refits: ``singular``, ``overflow``, ``max_iter``.  ``reps`` below 1
+    raises DomainError.
+    """
+    if reps < 1:
+        raise DomainError(f"replications must be positive, got {reps}")
+    kind = loss_kind_for(process)
+    opts = opts or SolverOptions()
+    chunk = max(1, _STACK_ELEMENTS // (n * process.d))
+    values = []
+    causes: Counter[str] = Counter()
+    for start in range(0, reps, chunk):
+        seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
+        datasets = [generate(process, n, seed) for seed in seeds]
+        models = [model_for_data(kind, data.X) for data in datasets]
+        if fit:
+            batches = [prepare_batch(m, data.X, data.y) for m, data in zip(models, datasets)]
+            W = np.ones((len(batches), n))
+            fits = _newton_engine(stack_batches(batches), W, opts)
+        for b, (model, data) in enumerate(zip(models, datasets)):
+            try:
+                result = _fit_result(batches[b], opts, W[b], fits, b) if fit else None
+                values.append(measure(model, data, result))
+            except _REPLICATION_FAILURES as exc:
+                causes[exc.cause] += 1
+    check_failures(causes, reps, "replications")
+    return values
 
 
 def localization_certificate(

@@ -20,7 +20,7 @@ config seed.  ``scmest experiment <name>`` runs them from the command line:
 - power_curves: empirical power of the Rao, LR and Wald tests along an n
   grid, at alternatives a given distance from the null.
 
-Rows count the replications that :func:`scmest.simdata.replicate` kept,
+Rows count the replications that :func:`scmest.estimate.replicate` kept,
 and :func:`scmest.simdata.write_table` writes any study's rows as CSV.
 A process that fails entirely still yields rows (NaN coverage, all
 replications counted as failures) so partial runs remain inspectable.
@@ -35,12 +35,12 @@ import numpy as np
 
 from .bootstrap import _bootstrap_statistics
 from .errors import DomainError, NumericOverflow, ScmestError, SingularHessian, TooManyFailures
-from .estimate import SolverOptions, fit_erm
+from .estimate import fit_erm, replicate
 from .gof import PowerCurveConfig, PowerRow, lr_statistic, null_statistics, power_curve
 from .gof import wald_statistic
 from .inference import calibrated_radius, effective_dim_empirical
 from .losses import model_for_data
-from .simdata import Process, generate, phase_seed, replicate, theta0_equispaced
+from .simdata import Process, generate, phase_seed, theta0_equispaced
 
 __all__ = [
     "CoverageConfig",
@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 _METHODS = ("oracle", "bootwald", "bootlr")
+_BOOT_METHODS = {"bootwald", "bootlr"}
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class CoverageConfig:
     oracle method calibrates the Wald radius from its own replication set,
     the bootstrap methods recalibrate per dataset.  Evaluation, oracle
     calibration, and bootstrap weights use three disjoint seed phases.
+    ``B`` must be positive when a bootstrap method is requested.
     """
 
     process: Process
@@ -80,7 +82,6 @@ class CoverageConfig:
     B: int = 2000
     seed: int = 0
     methods: tuple[str, ...] = _METHODS
-    opts: SolverOptions | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
@@ -93,6 +94,8 @@ class CoverageConfig:
                 raise DomainError(f"confidence level must lie in (0, 1), got {v}")
         if self.n < 1 or self.reps < 1:
             raise DomainError("n and reps must be positive")
+        if self.B < 1 and _BOOT_METHODS & set(self.methods):
+            raise DomainError(f"B must be positive for the bootstrap methods, got {self.B}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +127,7 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
 
     Per replication: draw a dataset, fit, and check whether theta0 falls
     inside each method's set at each confidence level.  A replication whose
-    base fit fails is dropped by :func:`scmest.simdata.replicate` and counts
+    base fit fails is dropped by :func:`scmest.estimate.replicate` and counts
     as a failure for every method; one whose bootstrap exceeds the failure
     budget counts as a failure for the bootstrap methods only.
     """
@@ -135,9 +138,9 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
     boot_base = phase_seed(config.seed, 2)
 
     if "oracle" in config.methods:
-        cal = null_statistics(("wald",), proc, config.n, config.reps, cal_base, config.opts)
+        cal = null_statistics(("wald",), proc, config.n, config.reps, cal_base)
         radius = {level: float(np.quantile(cal["wald"], level)) for level in config.deltas}
-    want_boot = "bootwald" in config.methods or "bootlr" in config.methods
+    want_boot = bool(_BOOT_METHODS & set(config.methods))
 
     def covers(model, data, fit):
         """Per method, whether each level's set holds theta0; None where the bootstrap failed."""
@@ -160,7 +163,7 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
                     ]
         return out
 
-    results = replicate(proc, config.n, eval_base, config.reps, covers, config.opts)
+    results = replicate(proc, config.n, eval_base, config.reps, covers)
     rows = []
     for m in config.methods:
         hits = [res[m] for res in results if res[m] is not None]

@@ -19,9 +19,9 @@ with binomial standard errors.
 :mod:`scmest.inference` and the coverage experiment.  Replication r of any
 phase uses seed base + r, with per-phase bases from
 :func:`scmest.simdata.phase_seed`, so phases never share streams.  The
-replications are fitted by :func:`scmest.simdata.replicate`, a chunk of
-datasets per engine call, and only when an LR or Wald statistic needs the
-fit: the Rao statistic fits nothing.
+replications run through :func:`scmest.estimate.replicate`, which fits a
+chunk of datasets per engine call, and only when an LR or Wald statistic
+needs the fit: the Rao statistic fits nothing.
 """
 
 from __future__ import annotations
@@ -33,9 +33,9 @@ import numpy as np
 from scipy.stats import chi2
 
 from .errors import DomainError, MissingSampler, NonConverged
-from .estimate import FitResult, SolverOptions, _decrement, fit_erm
+from .estimate import FitResult, SolverOptions, _decrement, fit_erm, replicate
 from .losses import LossModel, check_theta, check_weights, prepare_batch
-from .simdata import Dataset, Process, phase_seed, replicate
+from .simdata import Dataset, Process, phase_seed
 
 __all__ = [
     "TEST_KINDS",
@@ -137,7 +137,7 @@ def null_statistics(
 
     Replication r fits the dataset of seed ``seed_base + r`` once for all
     kinds, or not at all for Rao alone.  Failed replications are dropped
-    under the rule of :func:`scmest.simdata.replicate`.
+    under the rule of :func:`scmest.estimate.replicate`.
     """
 
     def statistics(model, data, fit):
@@ -216,7 +216,6 @@ class PowerCurveConfig:
     reps: int = 500
     calib_reps: int = 500
     seed: int = 0
-    opts: SolverOptions | None = None
 
     def __post_init__(self) -> None:
         kinds = (self.kinds,) if isinstance(self.kinds, str) else tuple(self.kinds)
@@ -267,14 +266,14 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
     rows = []
     for n_idx, n in enumerate(config.n_grid):
         cal_base = phase_seed(config.seed, 2 * n_idx)
-        null = null_statistics(kinds, config.process, n, config.calib_reps, cal_base, config.opts)
+        null = null_statistics(kinds, config.process, n, config.calib_reps, cal_base)
         crit = {kind: float(np.quantile(v, 1.0 - config.alpha)) for kind, v in null.items()}
         eval_base = phase_seed(config.seed, 2 * n_idx + 1)
         for theta_star in config.alternatives:
             theta_star = np.asarray(theta_star, dtype=float)
             proc_alt = replace(config.process, theta0=theta_star)
             values = replicate(
-                proc_alt, n, eval_base, config.reps, statistics, config.opts, _needs_fit(kinds)
+                proc_alt, n, eval_base, config.reps, statistics, fit=_needs_fit(kinds)
             )
             dist = float(np.linalg.norm(theta_star - theta0))
             for kind in kinds:

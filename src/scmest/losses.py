@@ -280,21 +280,22 @@ def gaussian_score_matching_loss(p: int) -> LossModel:
     return score_matching_loss(dim=2 * p, raw_dim=p, triple_fn=_gaussian_triple)
 
 
-def model_for_data(kind: str, X: np.ndarray, dim: int | None = None) -> LossModel:
+def model_for_data(kind: str, X: np.ndarray) -> LossModel:
     """Build the canonical LossModel of a kind for a given design matrix.
 
     For logistic and poisson the data bound max_i ||x_i||_2 enters the
-    declared R.  ``X`` is the (n, p) feature (or raw-sample) matrix; ``dim``
-    defaults to p (2p for score matching, where the Gaussian family is used).
+    declared R.  ``X`` is the (n, p) feature (or raw-sample) matrix; the
+    model has dimension p (2p for score matching, where the Gaussian family
+    is used).
     """
     X = np.asarray(X, dtype=float)
     p = X.shape[1]
     if kind == "squared":
-        return squared_loss(dim or p)
+        return squared_loss(p)
     if kind == "logistic":
-        return logistic_loss(dim or p, float(np.max(np.linalg.norm(X, axis=1))))
+        return logistic_loss(p, float(np.max(np.linalg.norm(X, axis=1))))
     if kind == "poisson":
-        return poisson_loss(dim or p, float(np.max(np.linalg.norm(X, axis=1))))
+        return poisson_loss(p, float(np.max(np.linalg.norm(X, axis=1))))
     if kind == "score_matching":
         return gaussian_score_matching_loss(p)
     raise DomainError(f"no data-driven constructor for kind {kind!r}")
@@ -439,10 +440,10 @@ _CHUNK_ELEMENTS = 8_000_000
 class _OuterTable:
     """Sums sum_r C_br z_r z_r' over the rows z_r of Z, for every row b of C.
 
-    One row of C is one matrix product ((c z)' z).  More rows share a table
-    of the upper triangles of z_r z_r', d(d+1)/2 columns per row r, built on
-    first use: the sums are one matrix product C @ table, mirrored into
-    full matrices that are exactly symmetric.  The table counts against
+    The rows of C share a table of the upper triangles of z_r z_r',
+    d(d+1)/2 columns per row r, built on first use: the sums are one matrix
+    product C @ table, mirrored into full matrices that are exactly
+    symmetric.  The table counts against
     ``_CHUNK_ELEMENTS``: when it would exceed the budget it is not kept,
     and each product runs over row blocks of Z whose tables are built as
     they are needed.
@@ -471,8 +472,6 @@ class _OuterTable:
     def products(self, C: np.ndarray) -> np.ndarray:
         """sum_r C_br z_r z_r' for every row b of C, an (m, d, d) array."""
         m, d = C.shape[0], self.Z.shape[1]
-        if m == 1:
-            return ((C[0][:, None] * self.Z).T @ self.Z)[None]
         if self.table is None and len(self.blocks) == 1:
             self.table = self._build(self.blocks[0])
         G = sum(
@@ -553,14 +552,15 @@ class Batch:
             return (C[:, None, :] @ Z)[:, 0]
         return C @ Z
 
-    def _sum_outer(self, C: np.ndarray) -> np.ndarray:
-        """sum_i C_bi x_i x_i' for every slot b, an (m, d, d) array.
+    def _sum_outer(self, C: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """sum_i C_bi z_i z_i' for every slot b over the rows z_i of Z, an (m, d, d) array.
 
-        One matrix product ((c x)' x) per slot when stacked; otherwise the
-        slots share the rows of X (see :class:`_OuterTable`).
+        The rows are X (slot b's X when stacked), or the t(x_i, label_k) of
+        expfam_glm.  A stacked or one-slot batch takes one matrix product
+        ((c z)' z) per slot; more slots share a table (see :class:`_OuterTable`).
         """
-        if self.stacked:
-            return (C[:, :, None] * self.X).swapaxes(1, 2) @ self.X
+        if self.stacked or C.shape[0] == 1:
+            return (C[:, :, None] * Z).swapaxes(-1, -2) @ Z
         return self._outer.products(C)
 
     def _eta(self, Theta: np.ndarray) -> np.ndarray:
@@ -632,7 +632,8 @@ class Batch:
             probs, mean_t = self._expfam(Theta)
             S = np.einsum("bi,bij->bj", W, mean_t - self.stacks[1]) / n
             second = (W[:, :, None] * mean_t).swapaxes(1, 2) @ mean_t
-            H = (self._outer.products((W[:, :, None] * probs).reshape(m, -1)) - second) / n
+            rows = self.stacks[0].reshape(-1, d)
+            H = (self._sum_outer((W[:, :, None] * probs).reshape(m, -1), rows) - second) / n
         else:
             eta = self._dot_rows(Theta, self.X)
             if kind == "poisson":
@@ -643,7 +644,7 @@ class Batch:
             _, gfac, curv = linear_coefficients(kind, eta, self.y, value=False)
             # weighted in place: an (m, n) temporary less per product
             S = self._sum_rows(np.multiply(W, gfac, out=gfac), self.X) / n
-            H = self._sum_outer(np.multiply(W, curv, out=curv)) / n
+            H = self._sum_outer(np.multiply(W, curv, out=curv), self.X) / n
         return S, _symmetric(H), overflow
 
     def score_hessian(self, theta: np.ndarray, w: np.ndarray):

@@ -25,30 +25,25 @@ rows of ``generate(process, 2n, seed)`` equal ``generate(process, n, seed)``
 exactly.
 
 Datasets round-trip through CSV (header ``x1..xd[,y]``) at full double
-precision.  :func:`replicate` is the one loop that draws, fits and
-measures replications of an experiment, and :func:`write_table` the one
-writer of the tables that studies produce.  It fits a chunk of
-replications in one call of the damped-Newton engine of
-:mod:`scmest.estimate`, one slot per dataset.
+precision, and :func:`write_table` is the one writer of the tables that
+studies produce.  This module generates and stores data only: the loop
+that fits and measures replications of an experiment is
+:func:`scmest.estimate.replicate`.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from collections import Counter
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
-from typing import Any, Callable
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import poisson as poisson_dist
 
-from .errors import DimensionMismatch, DomainError, EmptyDataset, NonConverged, NumericOverflow
-from .errors import ParseError, SingularHessian, check_failures
-from .estimate import FitResult, SolverOptions, _fit_datasets
-from .losses import LossModel, Observation, model_for_data
+from .errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
+from .losses import Observation
 
 __all__ = [
     "PROCESS_KINDS",
@@ -59,7 +54,6 @@ __all__ = [
     "theta0_equispaced",
     "loss_kind_for",
     "phase_seed",
-    "replicate",
     "read_csv",
     "write_csv",
     "write_table",
@@ -275,59 +269,6 @@ def phase_seed(seed: int, phase: int) -> int:
     """Derive a nonnegative int64 seed base for one phase of an experiment."""
     state = np.random.SeedSequence([int(seed), int(phase)]).generate_state(1, np.uint64)
     return int(state[0] & np.uint64(0x7FFF_FFFF_FFFF_FFFF))
-
-
-# the failures that drop one replication instead of stopping the study
-_REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
-
-# elements of the designs fitted in one engine call: about ten datasets at
-# n = 1000, d = 5, past which a larger chunk saves no time but adds memory
-_STACK_ELEMENTS = 50_000
-
-
-def replicate(
-    process: Process,
-    n: int,
-    seed_base: int,
-    reps: int,
-    measure: Callable[[LossModel, Dataset, FitResult | None], Any],
-    opts: SolverOptions | None = None,
-    fit: bool = True,
-) -> list:
-    """Measure ``reps`` fresh datasets from a process, dropping failed replications.
-
-    Replication r draws ``data = generate(process, n, seed_base + r)``,
-    builds ``model = model_for_data(loss_kind_for(process), data.X)`` and
-    returns ``measure(model, data, fit_erm(model, data, opts))``.  The fits
-    of a chunk of replications, whose designs hold at most 50 000 entries
-    (n d per dataset) or are one dataset, run as one engine call.  With
-    ``fit=False`` nothing is fitted and the measure gets None.  A
-    replication whose fit or measure raises SingularHessian,
-    NumericOverflow or NonConverged is dropped; the other values come back
-    in replication order.  More than reps/10 dropped raises TooManyFailures
-    with the count per cause, named as the bootstrap names its failed
-    refits: ``singular``, ``overflow``, ``max_iter``.
-    """
-    kind = loss_kind_for(process)
-    opts = opts or SolverOptions()
-    chunk = max(1, _STACK_ELEMENTS // (n * process.d))
-    values = []
-    causes: Counter[str] = Counter()
-    for start in range(0, reps, chunk):
-        seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
-        datasets = [generate(process, n, seed) for seed in seeds]
-        models = [model_for_data(kind, data.X) for data in datasets]
-        fits = _fit_datasets(models, datasets, opts) if fit else [None] * len(datasets)
-        for model, data, result in zip(models, datasets, fits):
-            if isinstance(result, _REPLICATION_FAILURES):
-                causes[result.cause] += 1
-                continue
-            try:
-                values.append(measure(model, data, result))
-            except _REPLICATION_FAILURES as exc:
-                causes[exc.cause] += 1
-    check_failures(causes, reps, "replications")
-    return values
 
 
 def write_csv(dataset: Dataset, path) -> None:

@@ -45,6 +45,14 @@ def _run_json(capsys, argv):
     return code, json.loads(out), err
 
 
+def _assert_one_error_line(code, out, err):
+    assert code == 1 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("scmest: error:")] == [
+        "scmest: error: replications must be positive, got 0"
+    ]
+    assert "Traceback" not in err
+
+
 @pytest.fixture
 def degenerate_csv(tmp_path):
     # second feature identically zero: the Hessian is singular at step one
@@ -71,6 +79,9 @@ class TestKindMirrors:
 
     def test_process_kinds_in_sync(self):
         assert cli._PROCESS_KINDS == PROCESS_KINDS
+
+    def test_experiments_in_sync(self):
+        assert cli._EXPERIMENTS == tuple(cli._studies())
 
 
 class TestFitCommand:
@@ -331,6 +342,19 @@ class TestGofCommand:
         )
         assert code == 1
 
+    def test_oracle_rule_without_replications_exits_1(self, capsys, tmp_path):
+        null = tmp_path / "null.json"
+        null.write_text(json.dumps(theta0_equispaced(5).tolist()))
+        code, out, err = _run(
+            capsys,
+            [
+                "gof", "--process", "logistic_wellspec", "--n", "200", "--d", "5",
+                "--test", "rao", "--null", str(null), "--critical-rule", "oracle_mc",
+                "--calib-reps", "0",
+            ],
+        )
+        _assert_one_error_line(code, out, err)
+
 
 class TestBootstrapCommand:
     ARGS = [
@@ -443,6 +467,16 @@ class TestConfsetCommand:
         )
         assert code == 0
         assert seen["opts"] == SolverOptions(tol=1e-8, max_iter=7)
+
+    def test_oracle_without_replications_exits_1(self, capsys):
+        code, out, err = _run(
+            capsys,
+            [
+                "confset", "--process", "logistic_wellspec", "--n", "200", "--d", "5",
+                "--calibration", "oracle_mc", "--calib-reps", "0",
+            ],
+        )
+        _assert_one_error_line(code, out, err)
 
     def test_oracle_needs_process(self, capsys, tmp_path):
         proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(2))
@@ -586,6 +620,19 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert "reps >= 2" in err
+        assert not out.exists()
+
+    def test_coverage_without_bootstrap_replications_exits_1(self, capsys, tmp_path):
+        out = tmp_path / "cov.csv"
+        code, _, err = _run(
+            capsys,
+            [
+                "experiment", "coverage_table", "--reps", "2", "--B", "0", "--n", "60",
+                "--out", str(out),
+            ],
+        )
+        assert code == 1
+        assert "B must be positive" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -7,8 +7,10 @@ import pytest
 
 from scmest.bootstrap import BootstrapConfig, bootstrap_quantile
 from scmest.estimate import fit_erm
+from scmest.errors import DomainError
 from scmest.experiments import (
     ConfsetShapeExperiment,
+    CoverageConfig,
     CoverageTableExperiment,
     EffDimErrorExperiment,
     run_confset_shape,
@@ -37,6 +39,18 @@ class TestCoverageTable:
         for row in table.rows:
             assert math.isnan(row.coverage)
             assert row.reps == 0 and row.failures == 3
+
+
+class TestCoverageConfig:
+    process = Process(kind="linear_wellspec", theta0=np.ones(2))
+
+    def test_bootstrap_methods_need_replications(self):
+        for methods in (("bootwald",), ("oracle", "bootlr")):
+            with pytest.raises(DomainError, match="B must be positive"):
+                CoverageConfig(process=self.process, n=60, B=0, methods=methods)
+
+    def test_oracle_alone_needs_no_bootstrap_replications(self):
+        assert CoverageConfig(process=self.process, n=60, B=0, methods=("oracle",)).B == 0
 
 
 class TestEffDimError:

@@ -395,6 +395,8 @@ class TestOracleRadius:
             oracle_radius("score", self.proc, 50, 0.1, reps=10)
         with pytest.raises(MissingSampler):
             oracle_radius("wald", None, 50, 0.1, reps=10)
+        with pytest.raises(DomainError, match="replications must be positive"):
+            oracle_radius("wald", self.proc, 50, 0.1, reps=0)
 
 
 class TestConfidenceSetMembership:

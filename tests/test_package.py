@@ -1,8 +1,9 @@
-"""Package surface: lazy exports, version, attribute resolution, README example."""
+"""Package surface: lazy exports, version, attribute resolution, README examples."""
 
 import ast
 import importlib
 import io
+import shlex
 import subprocess
 import sys
 import tokenize
@@ -11,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import scmest
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_import_defers_numpy():
@@ -23,12 +26,20 @@ def test_import_defers_numpy():
     assert proc.returncode == 0
 
 
+def test_simdata_does_not_load_estimate():
+    # data generation and I/O stand apart from the fitting machinery
+    code = "import sys; import scmest.simdata; sys.exit('scmest.estimate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code])
+    assert proc.returncode == 0
+
+
 def test_attributes_resolve_to_their_modules():
     from scmest.scfun import omega
-    from scmest.estimate import fit_erm
+    from scmest.estimate import fit_erm, replicate
 
     assert scmest.omega is omega
     assert scmest.fit_erm is fit_erm
+    assert scmest.replicate is replicate
 
 
 def test_export_table_matches_each_module_all():
@@ -55,8 +66,7 @@ def test_unknown_attribute():
 def test_readme_quick_start_runs_and_gives_its_commented_results():
     # a statement whose trailing comment is a Python literal, such as
     # "report.reject  # False", must evaluate to that literal
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("## Quick start", 1)[1]
+    section = README.read_text().split("## Quick start", 1)[1]
     source = section.split("```python\n", 1)[1].split("```", 1)[0]
     comments = {
         tok.start[0]: tok.string.lstrip("#").strip()
@@ -76,3 +86,29 @@ def test_readme_quick_start_runs_and_gives_its_commented_results():
         assert value == expected, ast.unparse(stmt)
         checked += 1
     assert checked >= 3
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch):
+    # every scmest line of the block exits 0, in a directory holding the
+    # mydata.csv it reads (logistic, d = 5); "echo 'text' > file" lines
+    # write their file
+    from scmest.cli import main
+    from scmest.simdata import Process, generate, theta0_equispaced, write_csv
+
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    lines = [ln for ln in block.splitlines() if ln.strip() and not ln.startswith("#")]
+    monkeypatch.chdir(tmp_path)
+    process = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+    write_csv(generate(process, 500, 0), "mydata.csv")
+    ran = 0
+    for line in lines:
+        argv = shlex.split(line)
+        if argv[0] == "echo":
+            assert len(argv) == 4 and argv[2] == ">", line
+            Path(argv[3]).write_text(argv[1] + "\n")
+            continue
+        assert argv[0] == "scmest", line
+        assert main(argv[1:]) == 0, line
+        ran += 1
+    assert ran == 7

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scmest import estimate, simdata
+from scmest import estimate
 from scmest.errors import (
     DimensionMismatch,
     DomainError,
@@ -19,7 +19,7 @@ from scmest.errors import (
     SingularHessian,
     TooManyFailures,
 )
-from scmest.estimate import SolverOptions, fit_erm
+from scmest.estimate import SolverOptions, fit_erm, replicate
 from scmest.gof import wald_statistic
 from scmest.losses import model_for_data
 from scmest.simdata import (
@@ -29,7 +29,6 @@ from scmest.simdata import (
     generate,
     loss_kind_for,
     read_csv,
-    replicate,
     theta0_equispaced,
     write_csv,
     write_table,
@@ -383,7 +382,7 @@ class TestReplicationsAsSlots:
     def test_chunking_leaves_results_unchanged(self, monkeypatch, per_chunk):
         whole = replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald)
         # a budget of per_chunk datasets of STALLING's 30 x 5 design
-        monkeypatch.setattr(simdata, "_STACK_ELEMENTS", per_chunk * 30 * 5)
+        monkeypatch.setattr(estimate, "_STACK_ELEMENTS", per_chunk * 30 * 5)
         calls = []
         engine = estimate._newton_engine
         monkeypatch.setattr(estimate, "_newton_engine", lambda *a: calls.append(1) or engine(*a))
