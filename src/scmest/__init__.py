@@ -47,8 +47,6 @@ _EXPORTS = {
     "losses": (
         "LOSS_KINDS",
         "LossModel",
-        "Observation",
-        "ScoreMatchingTriple",
         "squared_loss",
         "logistic_loss",
         "poisson_loss",
@@ -56,10 +54,6 @@ _EXPORTS = {
         "score_matching_loss",
         "gaussian_score_matching_loss",
         "model_for_data",
-        "loss_value",
-        "loss_grad",
-        "loss_hess",
-        "loss_third_dir",
         "score_matching_assemble",
     ),
     "simdata": (

@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, NonConverged, NumericOverflow
+from .errors import DimensionMismatch, DomainError, EmptyDataset, NonConverged, NumericOverflow
 from .errors import SingularHessian, check_failures
 from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
 from .losses import stack_batches
@@ -403,10 +403,12 @@ def replicate(
     in replication order.  More than reps/10 dropped raises TooManyFailures
     with the count per cause, named as the bootstrap names its failed
     refits: ``singular``, ``overflow``, ``max_iter``.  ``reps`` below 1
-    raises DomainError.
+    raises DomainError, and ``n`` below 1 EmptyDataset.
     """
     if reps < 1:
         raise DomainError(f"replications must be positive, got {reps}")
+    if n < 1:
+        raise EmptyDataset(f"n must be positive, got {n}")
     kind = loss_kind_for(process)
     opts = opts or SolverOptions()
     chunk = max(1, _STACK_ELEMENTS // (n * process.d))

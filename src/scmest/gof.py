@@ -227,6 +227,8 @@ class PowerCurveConfig:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.reps < 1 or self.calib_reps < 1:
             raise DomainError("reps and calib_reps must be positive")
+        if any(n < 1 for n in self.n_grid):
+            raise DomainError(f"n_grid entries must be positive, got {tuple(self.n_grid)}")
 
 
 @dataclass(frozen=True)

@@ -142,18 +142,17 @@ class ConfidenceSet:
 class AssumptionConstants:
     """Constants of the moment assumptions on the population loss.
 
-    K1 bounds the sub-Gaussian norm of the whitened score, (K2, sigma_H)
-    are the Bernstein parameters of the Hessian deviation, and M_lip is the
-    Hessian Lipschitz constant.  None are estimated from data.
+    K1 bounds the sub-Gaussian norm of the whitened score, and (K2,
+    sigma_H) are the Bernstein parameters of the Hessian deviation.  None
+    are estimated from data.
     """
 
     K1: float
     K2: float
     sigma_H: float
-    M_lip: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("K1", "K2", "sigma_H", "M_lip"):
+        for name in ("K1", "K2", "sigma_H"):
             if getattr(self, name) <= 0.0:
                 raise DomainError(f"{name} must be positive")
 
@@ -167,7 +166,7 @@ class EffDimReport:
     mc_stderr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("oracle_analytic", "oracle_mc", "empirical"):
+        if self.kind not in ("oracle_mc", "empirical"):
             raise DomainError(f"unknown effective-dimension kind {self.kind!r}")
         if not self.value > 0.0:
             raise DomainError(f"effective dimension must be positive, got {self.value}")

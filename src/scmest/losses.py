@@ -1,4 +1,4 @@
-"""The loss zoo: per-sample values, gradients, Hessians, and (R, nu) declarations.
+"""The loss zoo: batch values, gradients, Hessians, and (R, nu) declarations.
 
 Five loss kinds are supported, all convex in theta:
 
@@ -14,16 +14,18 @@ score_matching  theta'A(z)theta/2 - b(z)'theta + c(z)                  (0, 2)
 
 For ``expfam_glm`` the label set is finite and the sufficient statistic is
 bounded, ``||t(x, y)||_2 <= M``, so the log-partition is an exact finite sum
-evaluated with the max-shift trick.  ``score_matching`` consumes raw sample
-vectors z and a callback producing the per-sample quadratic form (A, b, c);
-:func:`score_matching_assemble` builds that triple from derivatives of the
-sufficient statistic t and the base density term h.
+evaluated with the max-shift trick.  ``score_matching`` consumes the (n,
+raw_dim) matrix of raw samples z and a callback mapping it to the stacks of
+per-sample quadratic forms (A, b, c); :func:`score_matching_assemble` builds
+those stacks from derivatives of the sufficient statistic t and the base
+density term h.
 
-Besides the per-sample operations the module exposes batch versions; both
-run the same arithmetic.  The fitting code works on a :class:`Batch`, made
-once per call by :func:`prepare_batch`: it checks X and y and builds the
-per-sample stacks (the expfam_glm statistics, the score-matching (A, b, c))
-that every later evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
+Samples are always the rows of a design matrix X (raw samples for score
+matching) with responses y; a single sample is a one-row X.  The fitting
+code works on a :class:`Batch`, made once per call by :func:`prepare_batch`:
+it checks X and y and builds the per-sample stacks (the expfam_glm
+statistics, the score-matching (A, b, c)) that every later evaluation
+reuses.  A Batch evaluates S_n, H_n and L_n of
 m parameter and weight rows at once, for every kind, so the Newton engine
 of :mod:`scmest.estimate` has no per-kind arithmetic; H_n of one row is one
 matrix product ((w c) x)' x, more rows share a packed table of x_i x_i'.
@@ -56,8 +58,6 @@ from .scfun import ScParams
 __all__ = [
     "LOSS_KINDS",
     "LossModel",
-    "Observation",
-    "ScoreMatchingTriple",
     "squared_loss",
     "logistic_loss",
     "poisson_loss",
@@ -65,10 +65,6 @@ __all__ = [
     "score_matching_loss",
     "gaussian_score_matching_loss",
     "model_for_data",
-    "loss_value",
-    "loss_grad",
-    "loss_hess",
-    "loss_third_dir",
     "score_matching_assemble",
 ]
 
@@ -76,58 +72,6 @@ LOSS_KINDS = ("squared", "logistic", "poisson", "expfam_glm", "score_matching")
 
 # exp(eta) beyond this overflows double precision
 _EXP_LIMIT = 700.0
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One sample: a feature vector plus scalar response, or a raw vector.
-
-    ``response`` is None for score matching, where ``features`` holds the raw
-    sample z.
-    """
-
-    features: np.ndarray
-    response: float | None = None
-
-    def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
-        object.__setattr__(self, "features", feats)
-        if feats.ndim != 1 or not np.all(np.isfinite(feats)):
-            raise DomainError("observation features must be a finite 1-d vector")
-        if self.response is not None and not np.isfinite(self.response):
-            raise DomainError("observation response must be finite")
-
-
-@dataclass(frozen=True)
-class ScoreMatchingTriple:
-    """Per-sample quadratic form (A, b, c) of the score-matching loss.
-
-    A must be symmetric positive semidefinite (eigenvalues >= -1e-10 ||A||).
-    """
-
-    A: np.ndarray
-    b: np.ndarray
-    c: float
-
-    def __post_init__(self) -> None:
-        A = np.asarray(self.A, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "b", b)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise DimensionMismatch(f"A must be square, got shape {A.shape}")
-        if b.shape != (A.shape[0],):
-            raise DimensionMismatch(
-                f"b has shape {b.shape}, expected ({A.shape[0]},)"
-            )
-        eigs = np.linalg.eigvalsh(A) if A.size else np.zeros(1)
-        # ||A||_2 of a symmetric A is its largest |eigenvalue|: no SVD needed
-        symmetric = np.array_equal(A, A.T)
-        scale = float(np.max(np.abs(eigs))) if symmetric else float(np.linalg.norm(A, 2))
-        if float(np.max(np.abs(A - A.T), initial=0.0)) > 1e-10 * max(scale, 1.0):
-            raise DomainError("A must be symmetric")
-        if float(eigs[0]) < -1e-10 * max(scale, 1.0):
-            raise DomainError("A must be positive semidefinite")
 
 
 @dataclass(frozen=True)
@@ -152,8 +96,10 @@ class LossModel:
         ``t(x, y) -> (dim,)`` sufficient statistic (expfam_glm only).
     stat_bound : float, optional
         Bound M with ||t(x, y)|| <= M (expfam_glm only).
-    triple_fn : callable, optional
-        ``z -> ScoreMatchingTriple`` (score_matching only).
+    stacks_fn : callable, optional
+        ``Z -> (A, b, c)``: maps the (n, raw_dim) matrix of raw samples to
+        the stacks of per-sample quadratic forms, A (n, dim, dim), b
+        (n, dim) and c (n,) (score_matching only).
     raw_dim : int, optional
         Dimension of the raw sample z (score_matching only).
     """
@@ -164,7 +110,7 @@ class LossModel:
     labels: tuple[float, ...] | None = None
     feature_map: Callable[[np.ndarray, float], np.ndarray] | None = None
     stat_bound: float | None = None
-    triple_fn: Callable[[np.ndarray], ScoreMatchingTriple] | None = None
+    stacks_fn: Callable[[np.ndarray], tuple] | None = None
     raw_dim: int | None = None
 
     def __post_init__(self) -> None:
@@ -176,8 +122,8 @@ class LossModel:
             not self.labels or self.feature_map is None or self.stat_bound is None
         ):
             raise DomainError("expfam_glm needs labels, feature_map, and stat_bound")
-        if self.kind == "score_matching" and (self.triple_fn is None or self.raw_dim is None):
-            raise DomainError("score_matching needs triple_fn and raw_dim")
+        if self.kind == "score_matching" and (self.stacks_fn is None or self.raw_dim is None):
+            raise DomainError("score_matching needs stacks_fn and raw_dim")
 
 
 def squared_loss(dim: int) -> LossModel:
@@ -239,33 +185,78 @@ def expfam_glm_loss(
 def score_matching_loss(
     dim: int,
     raw_dim: int,
-    triple_fn: Callable[[np.ndarray], ScoreMatchingTriple],
+    stacks_fn: Callable[[np.ndarray], tuple],
 ) -> LossModel:
-    """Score-matching loss from a per-sample quadratic-form callback.
+    """Score-matching loss from a callback building the per-sample quadratic forms.
 
-    ``triple_fn(z)`` must return the :class:`ScoreMatchingTriple` of the raw
-    sample z (a ``raw_dim``-vector).  Quadratic in theta, so (R, nu) = (0, 2).
+    ``stacks_fn(Z)`` maps the (n, raw_dim) matrix of raw samples to the
+    stacks (A, b, c): A (n, dim, dim), each symmetric positive
+    semidefinite, b (n, dim) and c (n,), so that sample i has loss
+    theta'A_i theta/2 - b_i'theta + c_i.  :func:`prepare_batch` checks them
+    once per call.  Quadratic in theta, so (R, nu) = (0, 2).
     """
     return LossModel(
         kind="score_matching",
         dim=dim,
         sc=ScParams(0.0, 2.0),
-        triple_fn=triple_fn,
+        stacks_fn=stacks_fn,
         raw_dim=int(raw_dim),
     )
 
 
-def _gaussian_triple(z: np.ndarray) -> ScoreMatchingTriple:
-    """Triple for the Gaussian family with t(z) = (z, -z^2/2) coordinatewise."""
-    z = np.asarray(z, dtype=float)
-    p = z.shape[0]
-    # rows of t_grad are dt/dz_k: e_k in the first block, -z_k e_k in the second
-    t_grad = np.zeros((p, 2 * p))
+def score_matching_assemble(t_grad, t_lap, h_grad, h_lap):
+    """Assemble the stacks of per-sample quadratic forms of the score-matching loss.
+
+    Every argument has a leading axis of the n samples.
+
+    Parameters
+    ----------
+    t_grad : (n, p, d) array
+        Rows are the coordinate derivatives dt/dz_k of the sufficient
+        statistic at each sample.
+    t_lap : (n, d) array
+        Coordinate Laplacian sum_k d2t/dz_k^2.
+    h_grad : (n, p) array
+        Gradient of the log base density h at each sample.
+    h_lap : (n,) array
+        Laplacian of h at each sample.
+
+    Returns
+    -------
+    (A, b, c) : (n, d, d), (n, d) and (n,) arrays
+        A = sum_k (dt/dz_k)(dt/dz_k)', symmetric PSD by construction;
+        b = -sum_k [d2t/dz_k^2 + (dh/dz_k)(dt/dz_k)];
+        c = sum_k [d2h/dz_k^2 + (dh/dz_k)^2/2], so that the loss of sample i
+        is theta'A_i theta/2 - b_i'theta + c_i.
+    """
+    t_grad = np.asarray(t_grad, dtype=float)
+    t_lap = np.asarray(t_lap, dtype=float)
+    h_grad = np.asarray(h_grad, dtype=float)
+    h_lap = np.asarray(h_lap, dtype=float)
+    if t_grad.ndim != 3:
+        raise DimensionMismatch(f"t_grad must be 3-d, got shape {t_grad.shape}")
+    n, p, d = t_grad.shape
+    for name, arr, shape in (
+        ("t_lap", t_lap, (n, d)), ("h_grad", h_grad, (n, p)), ("h_lap", h_lap, (n,))
+    ):
+        if arr.shape != shape:
+            raise DimensionMismatch(f"{name} has shape {arr.shape}, expected {shape}")
+    A = t_grad.swapaxes(1, 2) @ t_grad
+    b = -(t_lap + (h_grad[:, None, :] @ t_grad)[:, 0])
+    c = h_lap + 0.5 * np.einsum("ik,ik->i", h_grad, h_grad)
+    return _symmetric(A), b, c
+
+
+def _gaussian_stacks(Z: np.ndarray):
+    """(A, b, c) stacks of the Gaussian family with t(z) = (z, -z^2/2) coordinatewise."""
+    n, p = Z.shape
+    # rows of t_grad[i] are dt/dz_k: e_k in the first block, -z_ik e_k in the second
+    t_grad = np.zeros((n, p, 2 * p))
     idx = np.arange(p)
-    t_grad[idx, idx] = 1.0
-    t_grad[idx, p + idx] = -z
-    t_lap = np.concatenate([np.zeros(p), -np.ones(p)])
-    return score_matching_assemble(t_grad, t_lap, np.zeros(p), 0.0)
+    t_grad[:, idx, idx] = 1.0
+    t_grad[:, idx, p + idx] = -Z
+    t_lap = np.broadcast_to(np.concatenate([np.zeros(p), -np.ones(p)]), (n, 2 * p))
+    return score_matching_assemble(t_grad, t_lap, np.zeros((n, p)), np.zeros(n))
 
 
 def gaussian_score_matching_loss(p: int) -> LossModel:
@@ -277,7 +268,7 @@ def gaussian_score_matching_loss(p: int) -> LossModel:
     """
     if p < 1:
         raise DimensionMismatch(f"p must be positive, got {p}")
-    return score_matching_loss(dim=2 * p, raw_dim=p, triple_fn=_gaussian_triple)
+    return score_matching_loss(dim=2 * p, raw_dim=p, stacks_fn=_gaussian_stacks)
 
 
 def model_for_data(kind: str, X: np.ndarray) -> LossModel:
@@ -408,21 +399,33 @@ def _expfam_observed(model: LossModel, T: np.ndarray, y: np.ndarray) -> np.ndarr
 
 
 def _score_matching_stacks(model: LossModel, X: np.ndarray):
-    """Stack per-sample (A, b, c) into (n, d, d), (n, d), (n,) arrays."""
-    n = X.shape[0]
-    d = model.dim
-    A = np.empty((n, d, d))
-    b = np.empty((n, d))
-    c = np.empty(n)
-    for i in range(n):
-        triple = model.triple_fn(X[i])
-        if triple.A.shape != (d, d):
-            raise DimensionMismatch(
-                f"triple A has shape {triple.A.shape}, expected ({d}, {d})"
-            )
-        A[i] = triple.A
-        b[i] = triple.b
-        c[i] = triple.c
+    """The checked (A, b, c) stacks of ``model.stacks_fn(X)``.
+
+    Each array must have its shape and finite entries, and each A_i must be
+    symmetric and positive semidefinite to within 1e-10 of its spectral
+    scale ||A_i||_2 (or of 1, when that is smaller); an error names the
+    first sample row that breaks a rule.
+    """
+    n, d = X.shape[0], model.dim
+    A, b, c = (np.asarray(s, dtype=float) for s in model.stacks_fn(X))
+    for name, arr, shape in (("A", A, (n, d, d)), ("b", b, (n, d)), ("c", c, (n,))):
+        if arr.shape != shape:
+            raise DimensionMismatch(f"stacks_fn returned {name} of shape {arr.shape}, "
+                                    f"expected {shape}")
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(b).all(axis=1) & np.isfinite(c)
+    if not finite.all():
+        raise DomainError(f"score-matching stacks have a non-finite value in sample "
+                          f"row {np.argmin(finite)}")
+    eigs = np.linalg.eigvalsh(A)
+    asym = np.max(np.abs(A - A.swapaxes(1, 2)), axis=(1, 2))
+    # ||A_i||_2 of a symmetric A_i is its largest |eigenvalue|: no SVD needed
+    scale = np.max(np.abs(eigs), axis=1)
+    scale[asym > 0.0] = np.linalg.norm(A[asym > 0.0], 2, axis=(1, 2))
+    tol = 1e-10 * np.maximum(scale, 1.0)
+    rules = ((asym > tol, "symmetric"), (eigs[:, 0] < -tol, "positive semidefinite"))
+    for bad, rule in rules:
+        if bad.any():
+            raise DomainError(f"A of sample row {np.argmax(bad)} must be {rule}")
     return A, b, c
 
 
@@ -493,7 +496,8 @@ class Batch:
     linear-predictor kinds, ``(T, T_obs)`` for expfam_glm (t(x_i, label_k)
     as an (n, K, dim) array and the observed rows t(x_i, y_i) as (n, dim)),
     and ``(A, b, c)`` for score_matching.  Every evaluation below reuses
-    them, so a fit that holds one Batch runs the per-sample callbacks once.
+    them, so a fit that holds one Batch runs the model's callbacks
+    (``feature_map``, ``stacks_fn``) once.
     The ``slot_`` methods evaluate m slots at once, slot b at ``Theta[b]``
     with weights ``W[b]``; the one-parameter methods are their case m = 1.
 
@@ -743,86 +747,3 @@ def mean_hessian(model: LossModel, theta, X, y=None, weights=None) -> np.ndarray
     batch = prepare_batch(model, X, y)
     theta = check_theta(model, theta)
     return batch.score_hessian(theta, check_weights(weights, batch.n))[1]
-
-
-# ---------------------------------------------------------------------------
-# per-sample operations
-# ---------------------------------------------------------------------------
-
-
-def _single(z: Observation):
-    X = z.features[None, :]
-    y = None if z.response is None else np.array([z.response])
-    return X, y
-
-
-def loss_value(model: LossModel, theta, z: Observation) -> float:
-    """Loss value l(theta; z) for one observation."""
-    X, y = _single(z)
-    return float(batch_values(model, theta, X, y)[0])
-
-
-def loss_grad(model: LossModel, theta, z: Observation) -> np.ndarray:
-    """Gradient of the loss in theta for one observation."""
-    X, y = _single(z)
-    return batch_grads(model, theta, X, y)[0]
-
-
-def loss_hess(model: LossModel, theta, z: Observation) -> np.ndarray:
-    """Hessian of the loss in theta for one observation (symmetric PSD)."""
-    X, y = _single(z)
-    return mean_hessian(model, theta, X, y)
-
-
-def loss_third_dir(model: LossModel, theta, z: Observation, u, v, step: float = 1e-5) -> float:
-    """Third directional derivative D^3 l(theta; z)[u, u, v] by central differences.
-
-    Test-only: differentiates s -> v' (grad^2 l)(theta + s u; z) u with a
-    central difference of width ``step``.  Used to verify the declared
-    self-concordance inequality, not in any fitting path.
-    """
-    theta = np.asarray(theta, dtype=float)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    hi = loss_hess(model, theta + step * u, z)
-    lo = loss_hess(model, theta - step * u, z)
-    return float(v @ ((hi - lo) / (2.0 * step)) @ u)
-
-
-def score_matching_assemble(t_grad, t_lap, h_grad, h_lap: float) -> ScoreMatchingTriple:
-    """Assemble the per-sample quadratic form of the score-matching loss.
-
-    Parameters
-    ----------
-    t_grad : (p, d) array
-        Rows are the coordinate derivatives dt/dz_k of the sufficient
-        statistic at the sample.
-    t_lap : (d,) array
-        Coordinate Laplacian sum_k d2t/dz_k^2.
-    h_grad : (p,) array
-        Gradient of the log base density h at the sample.
-    h_lap : float
-        Laplacian of h at the sample.
-
-    Returns
-    -------
-    ScoreMatchingTriple
-        A = sum_k (dt/dz_k)(dt/dz_k)', symmetric PSD by construction;
-        b = -sum_k [d2t/dz_k^2 + (dh/dz_k)(dt/dz_k)];
-        c = sum_k [d2h/dz_k^2 + (dh/dz_k)^2/2], so that the per-sample loss
-        is theta'A theta/2 - b'theta + c.
-    """
-    t_grad = np.asarray(t_grad, dtype=float)
-    t_lap = np.asarray(t_lap, dtype=float)
-    h_grad = np.asarray(h_grad, dtype=float)
-    if t_grad.ndim != 2:
-        raise DimensionMismatch(f"t_grad must be 2-d, got shape {t_grad.shape}")
-    p, d = t_grad.shape
-    if t_lap.shape != (d,):
-        raise DimensionMismatch(f"t_lap has shape {t_lap.shape}, expected ({d},)")
-    if h_grad.shape != (p,):
-        raise DimensionMismatch(f"h_grad has shape {h_grad.shape}, expected ({p},)")
-    A = t_grad.T @ t_grad
-    b = -(t_lap + t_grad.T @ h_grad)
-    c = float(h_lap) + 0.5 * float(h_grad @ h_grad)
-    return ScoreMatchingTriple(A=0.5 * (A + A.T), b=b, c=c)

@@ -36,14 +36,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import astuple, dataclass, fields
-from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 from scipy.stats import poisson as poisson_dist
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
-from .losses import Observation
 
 __all__ = [
     "PROCESS_KINDS",
@@ -163,8 +161,7 @@ class Dataset:
     """An in-memory dataset: feature matrix plus optional response vector.
 
     ``y`` is None for score-matching data, where ``X`` holds raw sample
-    vectors.  Every value must be finite.  ``rows`` materializes the
-    per-sample view on first access.
+    vectors.  Every value must be finite.
     """
 
     X: np.ndarray
@@ -197,12 +194,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return int(self.X.shape[1])
-
-    @cached_property
-    def rows(self) -> list[Observation]:
-        if self.y is None:
-            return [Observation(x) for x in self.X]
-        return [Observation(x, float(v)) for x, v in zip(self.X, self.y)]
 
 
 def theta0_equispaced(d: int) -> np.ndarray:

@@ -26,14 +26,11 @@ from scmest.gof import (
 from scmest.inference import effective_dim_empirical, effective_dim_spectrum
 from scmest.losses import (
     LOSS_KINDS,
-    Observation,
+    batch_grads,
+    batch_values,
     expfam_glm_loss,
     gaussian_score_matching_loss,
     logistic_loss,
-    loss_grad,
-    loss_hess,
-    loss_third_dir,
-    loss_value,
     mean_hessian,
     model_for_data,
     poisson_loss,
@@ -111,32 +108,38 @@ def _draw(kind, rng, n=1, clip=None):
     return model, theta, Z, None
 
 
-def _obs(X, y, i):
-    return Observation(features=X[i], response=None if y is None else float(y[i]))
+def _row(X, y, i):
+    """Sample i as a one-row design and its response."""
+    return X[i : i + 1], None if y is None else y[i : i + 1]
 
 
-def _fd_grad(model, theta, z, step=1e-6):
+def _fd_grad(model, theta, X, y, step=1e-6):
     d = theta.size
     g = np.empty(d)
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        g[j] = (loss_value(model, theta + e, z) - loss_value(model, theta - e, z)) / (
-            2 * step
-        )
+        hi, lo = batch_values(model, theta + e, X, y), batch_values(model, theta - e, X, y)
+        g[j] = (hi[0] - lo[0]) / (2 * step)
     return g
 
 
-def _fd_hess(model, theta, z, step=1e-6):
+def _fd_hess(model, theta, X, y, step=1e-6):
     d = theta.size
     H = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        H[:, j] = (loss_grad(model, theta + e, z) - loss_grad(model, theta - e, z)) / (
-            2 * step
-        )
+        hi, lo = batch_grads(model, theta + e, X, y), batch_grads(model, theta - e, X, y)
+        H[:, j] = (hi[0] - lo[0]) / (2 * step)
     return 0.5 * (H + H.T)
+
+
+def _fd_third_dir(model, theta, X, y, u, v, step=1e-5):
+    # D^3 L_n(theta)[u, u, v] by central differences of v' H_n(theta + s u) u
+    hi = mean_hessian(model, theta + step * u, X, y)
+    lo = mean_hessian(model, theta - step * u, X, y)
+    return float(v @ ((hi - lo) / (2.0 * step)) @ u)
 
 
 # ---------------------------------------------------------------------------
@@ -175,14 +178,13 @@ def test_02_derivatives_match_finite_differences():
         rng = np.random.default_rng(2)
         for _ in range(100):
             model, theta, X, y = _draw(kind, rng)
-            z = _obs(X, y, 0)
-            g = loss_grad(model, theta, z)
-            H = loss_hess(model, theta, z)
+            g = batch_grads(model, theta, X, y)[0]
+            H = mean_hessian(model, theta, X, y)
             worst = max(
                 worst,
-                np.linalg.norm(g - _fd_grad(model, theta, z))
+                np.linalg.norm(g - _fd_grad(model, theta, X, y))
                 / max(1.0, np.linalg.norm(g)),
-                np.linalg.norm(H - _fd_hess(model, theta, z))
+                np.linalg.norm(H - _fd_hess(model, theta, X, y))
                 / max(1.0, np.linalg.norm(H)),
             )
     elapsed = time.time() - t0
@@ -209,7 +211,7 @@ def test_03_self_concordance_inequality():
             theta = rng.normal(size=_D) * 0.5
             u, v = rng.normal(size=_D), rng.normal(size=_D)
             third = float(
-                np.mean([loss_third_dir(model, theta, _obs(X, y, i), u, v) for i in range(n)])
+                np.mean([_fd_third_dir(model, theta, *_row(X, y, i), u, v) for i in range(n)])
             )
             H = mean_hessian(model, theta, X, y)
             bound = R * float(u @ H @ u) * float(np.linalg.norm(v))
@@ -224,12 +226,12 @@ def test_03_self_concordance_inequality():
         rng = np.random.default_rng(31)
         for _ in range(100):
             model, theta, X, y = _draw(kind, rng)
-            z = _obs(X, y, 0)
             u = rng.normal(size=theta.size)
             v = rng.normal(size=theta.size)
             h = 1e-4
             fd_third = float(
-                u @ (loss_hess(model, theta + h * v, z) - loss_hess(model, theta - h * v, z)) @ u
+                u @ (mean_hessian(model, theta + h * v, X, y)
+                     - mean_hessian(model, theta - h * v, X, y)) @ u
             ) / (2 * h)
             worst_quad = max(worst_quad, abs(fd_third))
     ok = worst_excess <= 1e-5 and worst_quad <= 1e-6

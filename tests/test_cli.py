@@ -590,6 +590,19 @@ class TestExperimentCommand:
         write_table(power_curve(config).rows, ref)
         assert out.read_text() == ref.read_text()
 
+    def test_power_curves_empty_sample_exits_1(self, capsys, tmp_path):
+        cfg = self._config(tmp_path, n_grid=[0], calib_reps=5)
+        out = tmp_path / "power.csv"
+        code, stdout, err = _run(
+            capsys, ["experiment", "power_curves", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1 and stdout == ""
+        assert [line for line in err.splitlines() if line.startswith("scmest: error:")] == [
+            "scmest: error: n_grid entries must be positive, got (0,)"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_config_key_of_another_study_rejected(self, capsys, tmp_path):
         cfg = self._config(tmp_path, d_grid=[3], boundary_points=8)
         out = tmp_path / "effdim.csv"

@@ -263,21 +263,22 @@ class TestPdSolve:
 
 class TestStacksBuiltOncePerCall:
     def test_score_matching_triples(self):
+        # the (A, b, c) stacks of all n samples come from one stacks_fn call
         model, data = _model_and_data("score_matching")
         calls = []
-        triple_fn = model.triple_fn
+        stacks_fn = model.stacks_fn
 
-        def counting(z):
-            calls.append(1)
-            return triple_fn(z)
+        def counting(Z):
+            calls.append(Z.shape[0])
+            return stacks_fn(Z)
 
         counted = score_matching_loss(model.dim, model.raw_dim, counting)
         fit = fit_erm(counted, data)
         assert fit.converged
-        assert len(calls) == data.n
+        assert calls == [data.n]
         calls.clear()
         rao_statistic(counted, data, fit.theta_n + 0.1)
-        assert len(calls) == data.n
+        assert calls == [data.n]
 
     def test_expfam_statistics(self):
         _, data = _model_and_data("logistic")

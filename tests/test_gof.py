@@ -344,6 +344,8 @@ class TestPowerCurve:
             self._config(alpha=0.0)
         with pytest.raises(DomainError):
             self._config(reps=0)
+        with pytest.raises(DomainError, match="n_grid entries must be positive"):
+            self._config(n_grid=(100, 0))
 
 
 class TestPowerCsv:

@@ -10,6 +10,7 @@ from scmest.bootstrap import BootstrapConfig, bootstrap_quantile
 from scmest.errors import (
     DimensionMismatch,
     DomainError,
+    EmptyDataset,
     MissingSampler,
     NonConverged,
     SingularHessian,
@@ -243,8 +244,6 @@ class TestTnBound:
             AssumptionConstants(K1=0.0, K2=1.0, sigma_H=1.0)
         with pytest.raises(DomainError):
             AssumptionConstants(K1=1.0, K2=-1.0, sigma_H=1.0)
-        with pytest.raises(DomainError):
-            AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0, M_lip=0.0)
 
 
 class TestWaldRadius:
@@ -397,6 +396,8 @@ class TestOracleRadius:
             oracle_radius("wald", None, 50, 0.1, reps=10)
         with pytest.raises(DomainError, match="replications must be positive"):
             oracle_radius("wald", self.proc, 50, 0.1, reps=0)
+        with pytest.raises(EmptyDataset, match="n must be positive, got 0"):
+            oracle_radius("wald", self.proc, 0, 0.1, reps=10)
 
 
 class TestConfidenceSetMembership:

@@ -16,21 +16,17 @@ from scmest.errors import (
 )
 from scmest.losses import (
     LOSS_KINDS,
-    Observation,
-    ScoreMatchingTriple,
+    _gaussian_stacks,
     batch_grads,
     batch_values,
     expfam_glm_loss,
     gaussian_score_matching_loss,
     logistic_loss,
-    loss_grad,
-    loss_hess,
-    loss_third_dir,
-    loss_value,
     mean_hessian,
     model_for_data,
     poisson_loss,
     score_matching_assemble,
+    score_matching_loss,
     squared_loss,
 )
 
@@ -65,32 +61,42 @@ def _draw(kind, rng, n=1):
     return model, theta, Z, None
 
 
-def _obs(X, y, i):
-    return Observation(features=X[i], response=None if y is None else float(y[i]))
+def _row(X, y, i):
+    """Sample i as a one-row design and its response."""
+    return X[i : i + 1], None if y is None else y[i : i + 1]
 
 
-def _fd_grad(model, theta, z, step=1e-6):
+def _fd_grad(model, theta, X, y, step=1e-6):
     d = theta.size
     g = np.empty(d)
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        g[j] = (loss_value(model, theta + e, z) - loss_value(model, theta - e, z)) / (
-            2 * step
-        )
+        hi, lo = batch_values(model, theta + e, X, y), batch_values(model, theta - e, X, y)
+        g[j] = (hi[0] - lo[0]) / (2 * step)
     return g
 
 
-def _fd_hess(model, theta, z, step=1e-6):
+def _fd_hess(model, theta, X, y, step=1e-6):
     d = theta.size
     H = np.empty((d, d))
     for j in range(d):
         e = np.zeros(d)
         e[j] = step
-        H[:, j] = (loss_grad(model, theta + e, z) - loss_grad(model, theta - e, z)) / (
-            2 * step
-        )
+        hi, lo = batch_grads(model, theta + e, X, y), batch_grads(model, theta - e, X, y)
+        H[:, j] = (hi[0] - lo[0]) / (2 * step)
     return 0.5 * (H + H.T)
+
+
+def _fd_third_dir(model, theta, X, y, u, v, step=1e-5):
+    """D^3 L_n(theta)[u, u, v] of the mean loss over X by central differences.
+
+    Differentiates s -> v' H_n(theta + s u) u with a central difference of
+    width ``step``; on a one-row X it is the third derivative of one sample.
+    """
+    hi = mean_hessian(model, theta + step * u, X, y)
+    lo = mean_hessian(model, theta - step * u, X, y)
+    return float(v @ ((hi - lo) / (2.0 * step)) @ u)
 
 
 class TestDerivativesAgainstFiniteDifferences:
@@ -99,19 +105,18 @@ class TestDerivativesAgainstFiniteDifferences:
         rng = np.random.default_rng(7)
         for _ in range(20):
             model, theta, X, y = _draw(kind, rng)
-            z = _obs(X, y, 0)
-            g = loss_grad(model, theta, z)
-            H = loss_hess(model, theta, z)
+            g = batch_grads(model, theta, X, y)[0]
+            H = mean_hessian(model, theta, X, y)
             scale_g = max(1.0, float(np.linalg.norm(g)))
             scale_h = max(1.0, float(np.linalg.norm(H)))
-            assert np.linalg.norm(g - _fd_grad(model, theta, z)) / scale_g < 1e-4
-            assert np.linalg.norm(H - _fd_hess(model, theta, z)) / scale_h < 1e-4
+            assert np.linalg.norm(g - _fd_grad(model, theta, X, y)) / scale_g < 1e-4
+            assert np.linalg.norm(H - _fd_hess(model, theta, X, y)) / scale_h < 1e-4
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_hessian_symmetric_psd(self, kind):
         rng = np.random.default_rng(11)
         model, theta, X, y = _draw(kind, rng)
-        H = loss_hess(model, theta, _obs(X, y, 0))
+        H = mean_hessian(model, theta, X, y)
         assert np.allclose(H, H.T)
         assert np.linalg.eigvalsh(H)[0] > -1e-12
 
@@ -122,14 +127,13 @@ class TestSelfConcordanceInequality:
         rng = np.random.default_rng(23)
         for _ in range(30):
             model, theta, X, y = _draw(kind, rng)
-            z = _obs(X, y, 0)
             if kind == "logistic":
-                R = 2.0 * float(np.linalg.norm(z.features))
+                R = 2.0 * float(np.linalg.norm(X[0]))
             else:
-                R = 2.0 * 0.5 * float(np.linalg.norm(z.features))
-            H = loss_hess(model, theta, z)
+                R = 2.0 * 0.5 * float(np.linalg.norm(X[0]))
+            H = mean_hessian(model, theta, X, y)
             u, v = rng.normal(size=_D), rng.normal(size=_D)
-            third = loss_third_dir(model, theta, z, u, v)
+            third = _fd_third_dir(model, theta, X, y, u, v)
             bound = R * float(u @ H @ u) * float(np.linalg.norm(v))
             assert abs(third) <= bound + 1e-5 * max(1.0, bound)
 
@@ -139,36 +143,34 @@ class TestSelfConcordanceInequality:
         model, theta, X, y = _draw(kind, rng)
         u = rng.normal(size=_D)
         v = rng.normal(size=_D)
-        assert abs(loss_third_dir(model, theta, _obs(X, y, 0), u, v)) < 1e-6
+        assert abs(_fd_third_dir(model, theta, X, y, u, v)) < 1e-6
 
 
 class TestClosedFormValues:
     def test_squared(self):
         model = squared_loss(2)
-        z = Observation(features=np.array([1.0, 2.0]), response=3.0)
         theta = np.array([0.5, 0.25])
-        assert loss_value(model, theta, z) == pytest.approx(0.5 * (3.0 - 1.0) ** 2)
+        value = batch_values(model, theta, [[1.0, 2.0]], [3.0])[0]
+        assert value == pytest.approx(0.5 * (3.0 - 1.0) ** 2)
 
     def test_logistic(self):
         model = logistic_loss(2, 5.0)
-        z = Observation(features=np.array([1.0, -1.0]), response=-1.0)
         theta = np.array([2.0, 1.0])
         # margin y theta'x = -1, value log(1 + e^1)
-        assert loss_value(model, theta, z) == pytest.approx(np.logaddexp(0.0, 1.0))
+        value = batch_values(model, theta, [[1.0, -1.0]], [-1.0])[0]
+        assert value == pytest.approx(np.logaddexp(0.0, 1.0))
 
     def test_poisson(self):
         model = poisson_loss(1, 5.0)
-        z = Observation(features=np.array([2.0]), response=3.0)
         theta = np.array([0.5])
-        assert loss_value(model, theta, z) == pytest.approx(math.e - 3.0)
+        assert batch_values(model, theta, [[2.0]], [3.0])[0] == pytest.approx(math.e - 3.0)
 
     def test_one_dim_gaussian_score_matching_is_hyvarinen_objective(self):
         model = gaussian_score_matching_loss(1)
-        z = Observation(features=np.array([1.7]))
         a, b = 0.4, 1.3
         # (1/2)(a - b z)^2 - b: squared model score plus its z-derivative
         expected = 0.5 * (a - b * 1.7) ** 2 - b
-        assert loss_value(model, np.array([a, b]), z) == pytest.approx(expected)
+        assert batch_values(model, np.array([a, b]), [[1.7]])[0] == pytest.approx(expected)
 
 
 class TestBatchConsistency:
@@ -181,9 +183,10 @@ class TestBatchConsistency:
         assert vals.shape == (13,)
         assert grads.shape == (13, _D)
         for i in range(13):
-            z = _obs(X, y, i)
-            assert vals[i] == pytest.approx(loss_value(model, theta, z), rel=1e-12, abs=1e-12)
-            np.testing.assert_allclose(grads[i], loss_grad(model, theta, z), atol=1e-12)
+            Xi, yi = _row(X, y, i)
+            value = batch_values(model, theta, Xi, yi)[0]
+            assert vals[i] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            np.testing.assert_allclose(grads[i], batch_grads(model, theta, Xi, yi)[0], atol=1e-12)
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_mean_hessian_matches_per_sample_average(self, kind):
@@ -191,7 +194,7 @@ class TestBatchConsistency:
         model, theta, X, y = _draw(kind, rng, n=9)
         H = mean_hessian(model, theta, X, y)
         H_ref = np.mean(
-            [loss_hess(model, theta, _obs(X, y, i)) for i in range(9)], axis=0
+            [mean_hessian(model, theta, *_row(X, y, i)) for i in range(9)], axis=0
         )
         np.testing.assert_allclose(H, H_ref, atol=1e-13)
 
@@ -202,7 +205,7 @@ class TestBatchConsistency:
         w = rng.uniform(0.2, 2.0, size=7)
         H = mean_hessian(model, theta, X, y, weights=w)
         H_ref = np.sum(
-            [w[i] * loss_hess(model, theta, _obs(X, y, i)) for i in range(7)], axis=0
+            [w[i] * mean_hessian(model, theta, *_row(X, y, i)) for i in range(7)], axis=0
         ) / 7.0
         np.testing.assert_allclose(H, H_ref, atol=1e-13)
 
@@ -274,21 +277,58 @@ class TestValidation:
         assert m.sc.R == 0.0 and m.dim == 2
 
     def test_score_matching_assemble_identity(self):
+        # the stacks equal the per-sample formulas, row by row
         rng = np.random.default_rng(43)
-        t_grad = rng.normal(size=(3, 5))
-        t_lap = rng.normal(size=5)
-        h_grad = rng.normal(size=3)
-        h_lap = 0.7
-        triple = score_matching_assemble(t_grad, t_lap, h_grad, h_lap)
-        np.testing.assert_allclose(triple.A, t_grad.T @ t_grad, atol=1e-14)
-        np.testing.assert_allclose(
-            triple.b, -(t_lap + t_grad.T @ h_grad), atol=1e-14
-        )
-        assert triple.c == pytest.approx(h_lap + 0.5 * float(h_grad @ h_grad))
-        assert np.linalg.eigvalsh(triple.A)[0] > -1e-12
+        n, p, d = 6, 3, 5
+        t_grad = rng.normal(size=(n, p, d))
+        t_lap = rng.normal(size=(n, d))
+        h_grad = rng.normal(size=(n, p))
+        h_lap = rng.normal(size=n)
+        A, b, c = score_matching_assemble(t_grad, t_lap, h_grad, h_lap)
+        assert A.shape == (n, d, d) and b.shape == (n, d) and c.shape == (n,)
+        for i in range(n):
+            np.testing.assert_allclose(A[i], t_grad[i].T @ t_grad[i], atol=1e-14)
+            np.testing.assert_allclose(b[i], -(t_lap[i] + t_grad[i].T @ h_grad[i]), atol=1e-14)
+            assert c[i] == pytest.approx(h_lap[i] + 0.5 * float(h_grad[i] @ h_grad[i]))
+            assert np.array_equal(A[i], A[i].T)
+            assert np.linalg.eigvalsh(A[i])[0] > -1e-12
 
-    def test_score_matching_triple_rejects_asymmetric_or_indefinite_A(self):
-        with pytest.raises(DomainError, match="symmetric"):
-            ScoreMatchingTriple(A=np.array([[1.0, 0.5], [0.0, 1.0]]), b=np.zeros(2), c=0.0)
-        with pytest.raises(DomainError, match="positive semidefinite"):
-            ScoreMatchingTriple(A=np.array([[1.0, 2.0], [2.0, 1.0]]), b=np.zeros(2), c=0.0)
+    def test_gaussian_stacks_equal_the_per_sample_construction(self):
+        rng = np.random.default_rng(47)
+        p, n = 3, 40
+        Z = rng.normal(size=(n, p))
+        A, b, c = _gaussian_stacks(Z)
+        for i in range(n):
+            t_grad = np.zeros((p, 2 * p))
+            t_grad[np.arange(p), np.arange(p)] = 1.0
+            t_grad[np.arange(p), p + np.arange(p)] = -Z[i]
+            assert np.array_equal(A[i], t_grad.T @ t_grad)
+            assert np.array_equal(b[i], np.concatenate([np.zeros(p), np.ones(p)]))
+            assert c[i] == 0.0
+
+    @pytest.mark.parametrize(
+        "fault, error, match",
+        [
+            ("asymmetric", DomainError, "sample row 2 must be symmetric"),
+            ("indefinite", DomainError, "sample row 2 must be positive semidefinite"),
+            ("non_finite", DomainError, "non-finite value in sample row 2"),
+            ("wrong_shape", DimensionMismatch, r"b of shape \(5, 3\), expected \(5, 2\)"),
+        ],
+        ids=["asymmetric", "indefinite", "non_finite", "wrong_shape"],
+    )
+    def test_bad_score_matching_stacks_rejected(self, fault, error, match):
+        def stacks_fn(Z):
+            A, b, c = _gaussian_stacks(Z)
+            if fault == "asymmetric":
+                A[2, 0, 1] += 0.5
+            elif fault == "indefinite":
+                A[2] = [[1.0, 2.0], [2.0, 1.0]]
+            elif fault == "non_finite":
+                c[2] = np.nan
+            else:
+                b = np.zeros((len(Z), 3))
+            return A, b, c
+
+        model = score_matching_loss(2, 1, stacks_fn)
+        with pytest.raises(error, match=match):
+            batch_values(model, np.array([0.0, 1.0]), np.linspace(-1.0, 1.0, 5)[:, None])

@@ -33,6 +33,13 @@ def test_simdata_does_not_load_estimate():
     assert proc.returncode == 0
 
 
+def test_simdata_does_not_load_losses():
+    # a dataset is its arrays: simdata needs no per-sample loss objects
+    code = "import sys; import scmest.simdata; sys.exit('scmest.losses' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code])
+    assert proc.returncode == 0
+
+
 def test_attributes_resolve_to_their_modules():
     from scmest.scfun import omega
     from scmest.estimate import fit_erm, replicate

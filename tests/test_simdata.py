@@ -241,13 +241,6 @@ class TestCsvRoundTrip:
 
 
 class TestDataset:
-    def test_rows_view(self):
-        data = generate(_proc("logistic_wellspec", d=3), 5, seed=2)
-        rows = data.rows
-        assert len(rows) == 5
-        np.testing.assert_array_equal(rows[2].features, data.X[2])
-        assert rows[2].response == data.y[2]
-
     @pytest.mark.parametrize(
         "X, y, where",
         [
