@@ -1,7 +1,8 @@
 """Multiplier-bootstrap calibration of Wald and LR confidence sets.
 
-Each bootstrap replication b reweights the empirical risk with i.i.d.
-Gaussian multipliers W_i ~ N(1, 1), refits, and evaluates
+Each bootstrap replication b reweights the empirical risk of the base fit
+(``FitResult.model`` on ``FitResult.data``) with i.i.d. Gaussian
+multipliers W_i ~ N(1, 1), refits, and evaluates
 
     T_wald^b = ||theta^b - theta_n||^2 in the H_n^b(theta^b) metric,
     T_lr^b   = 2 [L_n^b(theta_n) - L_n^b(theta^b)],
@@ -107,20 +108,20 @@ def bootstrap_fit(
     weights = check_weights(weights, batch.n)
     if not np.all(np.isfinite(weights)):
         raise DomainError("bootstrap weights must be finite")
-    return _newton_fit(batch, opts or SolverOptions(), weights)
+    return _newton_fit(batch, data, opts or SolverOptions(), weights)
 
 
-def _bootstrap_statistics(model: LossModel, data: Dataset, fit: FitResult, B: int, seed: int):
-    """All B bootstrap Wald and LR statistics plus the failure count.
+def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
+    """All B bootstrap Wald and LR statistics of a fit plus the failure count.
 
-    The refits run under the base fit's solver options.  The checked data,
-    the per-sample stacks and the outer-product table of the Hessians are
-    built once here and shared by every replication.
+    The refits run on the fit's model and data, under its solver options.
+    The checked data, the per-sample stacks and the outer-product table of
+    the Hessians are built once here and shared by every replication.
     """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
-    n = data.n
-    batch = prepare_batch(model, data.X, data.y)
+    n = fit.data.n
+    batch = prepare_batch(fit.model, fit.data.X, fit.data.y)
     vals_base = batch.values(fit.theta_n)
 
     wald = np.full(B, np.nan)
@@ -142,6 +143,13 @@ def _bootstrap_statistics(model: LossModel, data: Dataset, fit: FitResult, B: in
     return wald[good], lr[good], int(B - np.count_nonzero(good))
 
 
+def _same_problem(fit: FitResult, model: LossModel, data: Dataset) -> bool:
+    """Whether (model, data) is the problem ``fit`` minimized."""
+    return model == fit.model and (data is fit.data or (
+        np.array_equal(data.X, fit.data.X) and np.array_equal(data.y, fit.data.y)
+    ))
+
+
 def bootstrap_quantile(
     model: LossModel,
     data: Dataset,
@@ -151,13 +159,17 @@ def bootstrap_quantile(
 ) -> BootstrapQuantile:
     """Upper-delta quantile of the bootstrap statistic of the given kind.
 
-    The B refits run under the solver options of ``fit``.  Failed
-    replications (nonconvex reweighting, non-convergence) are excluded from
-    the quantile and counted; more than B/10 of them raises TooManyFailures.
+    ``model`` and ``data`` must be the fit's own (an equal model, the same
+    or equal X and y), else DomainError.  The B refits run under the solver
+    options of ``fit``.  Failed replications (nonconvex reweighting,
+    non-convergence) are excluded from the quantile and counted; more than
+    B/10 of them raises TooManyFailures.
     """
     if kind not in ("wald", "lr"):
         raise DomainError(f"kind must be 'wald' or 'lr', got {kind!r}")
-    wald, lr, n_failed = _bootstrap_statistics(model, data, fit, config.B, config.seed)
+    if not _same_problem(fit, model, data):
+        raise DomainError("bootstrap_quantile needs the model and data the fit was made on")
+    wald, lr, n_failed = _bootstrap_statistics(fit, config.B, config.seed)
     stats = wald if kind == "wald" else lr
     return BootstrapQuantile(
         quantile=float(np.quantile(stats, 1.0 - config.delta)), n_failed=n_failed

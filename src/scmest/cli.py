@@ -303,8 +303,6 @@ def cmd_confset(cfg) -> int:
         kind,
         delta,
         calibration,
-        model=model,
-        data=data,
         process=proc,
         constants=constants,
         seed=int(cfg["seed"]),

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
@@ -119,7 +119,10 @@ class FitResult:
     the unique-minimizer certificate evaluated at theta_n (None when the
     final Hessian is too ill-conditioned to summarize spectrally).  ``opts``
     are the solver options of the fit; the refits that calibrate it run
-    under the same options.
+    under the same options.  ``model`` and ``data`` are the loss model and
+    dataset of the minimized risk, held by reference, where the LR
+    statistic and the calibrations read them.  A bootstrap_fit records no
+    weights: those readers take every fit to minimize the unweighted risk.
     """
 
     theta_n: np.ndarray
@@ -129,6 +132,8 @@ class FitResult:
     converged: bool
     certificate: Certificate | None = None
     opts: SolverOptions = SolverOptions()
+    model: LossModel | None = field(default=None, repr=False, compare=False)
+    data: Dataset | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -316,11 +321,11 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
 
 
 def _fit_result(
-    batch: Batch, opts: SolverOptions, w: np.ndarray, fits: _SlotFits, b: int
+    batch: Batch, data: Dataset, opts: SolverOptions, w: np.ndarray, fits: _SlotFits, b: int
 ) -> FitResult:
     """Slot b of an engine run as the FitResult of the w-weighted risk on ``batch``.
 
-    ``batch`` holds the checked data of slot b's dataset and its per-sample
+    ``batch`` holds the checked ``data`` of slot b and its per-sample
     stacks, and ``w`` checked weights.  A slot that ended singular or in
     overflow raises SingularHessian or NumericOverflow.  The full
     aggregates are completed once, at the returned iterate, where the
@@ -343,12 +348,14 @@ def _fit_result(
         converged=status == "converged",
         certificate=cert,
         opts=opts,
+        model=batch.model,
+        data=data,
     )
 
 
-def _newton_fit(batch: Batch, opts: SolverOptions, w: np.ndarray) -> FitResult:
+def _newton_fit(batch: Batch, data: Dataset, opts: SolverOptions, w: np.ndarray) -> FitResult:
     """The one-slot engine run on the w-weighted empirical risk, as a FitResult."""
-    return _fit_result(batch, opts, w, _newton_engine(batch, w[None], opts), 0)
+    return _fit_result(batch, data, opts, w, _newton_engine(batch, w[None], opts), 0)
 
 
 def _spectral_summary(H: np.ndarray) -> SpectralSummary | None:
@@ -370,7 +377,7 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
     overflows.
     """
     batch = prepare_batch(model, data.X, data.y)
-    return _newton_fit(batch, opts or SolverOptions(), check_weights(None, batch.n))
+    return _newton_fit(batch, data, opts or SolverOptions(), check_weights(None, batch.n))
 
 
 # the failures that drop one replication instead of stopping the study
@@ -424,7 +431,7 @@ def replicate(
             fits = _newton_engine(stack_batches(batches), W, opts)
         for b, (model, data) in enumerate(zip(models, datasets)):
             try:
-                result = _fit_result(batches[b], opts, W[b], fits, b) if fit else None
+                result = _fit_result(batches[b], data, opts, W[b], fits, b) if fit else None
                 values.append(measure(model, data, result))
             except _REPLICATION_FAILURES as exc:
                 causes[exc.cause] += 1

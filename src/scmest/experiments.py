@@ -149,11 +149,11 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
         if "oracle" in config.methods:
             out["oracle"] = [base_wald <= radius[level] for level in config.deltas]
         if want_boot:
-            base_lr = lr_statistic(model, data, fit, theta0)
+            base_lr = lr_statistic(fit, theta0)
             # the bootstrap seed of replication r is boot_base + r
             seed = boot_base + data.provenance.seed - eval_base
             try:
-                boot = _bootstrap_statistics(model, data, fit, config.B, seed)
+                boot = _bootstrap_statistics(fit, config.B, seed)
             except (TooManyFailures, SingularHessian, NumericOverflow):
                 boot = None
             for m, base, i in (("bootwald", base_wald, 0), ("bootlr", base_lr, 1)):
@@ -361,15 +361,12 @@ def run_confset_shape(config: ConfsetShapeExperiment | None = None) -> tuple[Sha
         label = "(%g %g; %g %g)" % (cov[0, 0], cov[0, 1], cov[1, 0], cov[1, 1])
         proc = Process(kind="logistic_wellspec", theta0=theta0, x_cov=cov)
         data = generate(proc, config.n, phase_seed(config.seed, 200 + s_idx))
-        model = model_for_data("logistic", data.X)
-        fit = fit_erm(model, data)
+        fit = fit_erm(model_for_data("logistic", data.X), data)
         sq_radius = calibrated_radius(
             fit,
             "wald",
             config.delta,
             "bootstrap",
-            model=model,
-            data=data,
             B=config.B,
             seed=phase_seed(config.seed, 300 + s_idx),
         )

@@ -8,10 +8,10 @@ null:
 - wald: ||theta_n - theta0||^2 in the H_n(theta_n) metric
 
 Critical values come from one of three rules.  ``oracle_mc`` (the default
-posture) replays the experiment under the null process and takes the
-(1 - alpha)-quantile of the statistic; ``scaled_dim`` uses c d/n with the
-default c matching the chi-square limit of n T; ``explicit`` takes a user
-value.  :func:`power_curve` sweeps sample sizes and alternatives,
+posture) replays the experiment under the process moved to the null and
+takes the (1 - alpha)-quantile of the statistic; ``scaled_dim`` uses c d/n
+with the default c matching the chi-square limit of n T; ``explicit`` takes
+a user value.  :func:`power_curve` sweeps sample sizes and alternatives,
 recalibrating the critical value at each n, and reports empirical power
 with binomial standard errors.
 
@@ -26,7 +26,7 @@ needs the fit: the Rao statistic fits nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -80,12 +80,12 @@ def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
     return _decrement(S, H) ** 2
 
 
-def lr_statistic(model: LossModel, data: Dataset, fit: FitResult, theta0) -> float:
-    """Likelihood-ratio statistic 2 [L_n(theta0) - L_n(theta_n)], nonnegative."""
+def lr_statistic(fit: FitResult, theta0) -> float:
+    """Likelihood-ratio statistic 2 [L_n(theta0) - L_n(theta_n)] on the fit's data, nonnegative."""
     if not fit.converged:
         raise NonConverged("lr_statistic requires a converged fit")
-    batch = prepare_batch(model, data.X, data.y)
-    risk0 = batch.risk(check_theta(model, theta0), check_weights(None, batch.n))
+    batch = prepare_batch(fit.model, fit.data.X, fit.data.y)
+    risk0 = batch.risk(check_theta(fit.model, theta0), check_weights(None, batch.n))
     value = 2.0 * (risk0 - fit.aggregates_at_opt.L_n)
     if value < -1e-10:
         raise DomainError(
@@ -119,7 +119,7 @@ def _statistics(
         if kind == "rao":
             out[kind] = rao_statistic(model, data, theta0)
         elif kind == "lr":
-            out[kind] = lr_statistic(model, data, fit, theta0)
+            out[kind] = lr_statistic(fit, theta0)
         else:
             out[kind] = wald_statistic(fit, theta0)
     return out
@@ -169,7 +169,7 @@ def run_test(
     makes the level asymptotically exact under a well-specified null);
     ``explicit`` uses the given ``critical``; ``oracle_mc`` takes the
     (1 - alpha)-quantile of the statistic over ``calib_reps`` replications
-    of the null ``process`` at this sample size.
+    of ``process`` moved to theta0, at this sample size.
     """
     if kind not in TEST_KINDS:
         raise DomainError(f"kind must be one of {TEST_KINDS}, got {kind!r}")
@@ -189,7 +189,8 @@ def run_test(
     else:
         if process is None:
             raise MissingSampler("oracle_mc critical rule needs a null process")
-        null = null_statistics((kind,), process, data.n, calib_reps, phase_seed(seed, 0), opts)
+        null_process = replace(process, theta0=theta0)
+        null = null_statistics((kind,), null_process, data.n, calib_reps, phase_seed(seed, 0), opts)
         crit = float(np.quantile(null[kind], 1.0 - alpha))
     fit = fit_erm(model, data, opts) if _needs_fit((kind,)) else None
     stat = _statistics((kind,), model, data, fit, theta0)[kind]

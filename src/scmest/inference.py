@@ -20,9 +20,11 @@ closed-form radius of the Wald set
 whose absolute constant C is not sharp (default 0 keeps the leading term
 only).  ``oracle_mc`` replicates the experiment from a known process and
 takes the empirical upper-delta quantile of the statistic; ``bootstrap``
-delegates to the multiplier bootstrap.  Both refit under the solver options
-of the fit they calibrate (``FitResult.opts``).  Throughout this module
-``delta`` is the tail mass: coverage targets 1 - delta.
+delegates to the multiplier bootstrap of the fit's own model and data
+(``FitResult.model``, ``FitResult.data``).  Both refit under the solver
+options of the fit they calibrate (``FitResult.opts``).  A set belongs to
+one fit: LR membership, too, reads the risk from the fit.  Throughout this
+module ``delta`` is the tail mass: coverage targets 1 - delta.
 """
 
 from __future__ import annotations
@@ -267,12 +269,9 @@ def oracle_radius(
 
 
 def _explicit_sq_radius(
-    fit: FitResult,
-    model: LossModel,
-    delta: float,
-    constants: AssumptionConstants,
-    c_abs: float,
+    fit: FitResult, delta: float, constants: AssumptionConstants, c_abs: float
 ) -> float:
+    model = fit.model
     agg = fit.aggregates_at_opt
     n = agg.n
     spec = _spectral_summary(agg.H_n)
@@ -297,8 +296,6 @@ def calibrated_radius(
     delta: float,
     calibration: str,
     *,
-    model: LossModel | None = None,
-    data: Dataset | None = None,
     process: Process | None = None,
     constants: AssumptionConstants | None = None,
     c_abs: float = 0.0,
@@ -310,11 +307,11 @@ def calibrated_radius(
 
     calibration selects the source: ``explicit_constant`` evaluates the
     closed-form radius of the Wald set at the empirical effective dimension
-    (needs ``model`` and ``constants``; ``c_abs`` is the non-sharp absolute
-    constant, 0 keeps the leading term), ``oracle_mc`` replays the
-    experiment from ``process`` (calib_reps fresh replications seeded
-    seed + r), and ``bootstrap`` refits ``model`` on ``data`` under B
-    multiplier reweightings drawn from ``seed``.  Refits use ``fit.opts``.
+    (needs ``constants``; ``c_abs`` is the non-sharp absolute constant, 0
+    keeps the leading term), ``oracle_mc`` replays the experiment from
+    ``process`` (calib_reps fresh replications seeded seed + r), and
+    ``bootstrap`` refits the fit's own model and data under B multiplier
+    reweightings drawn from ``seed``.  Refits use ``fit.opts``.
     """
     if not fit.converged:
         raise NonConverged("calibrated_radius requires a converged fit")
@@ -323,21 +320,17 @@ def calibrated_radius(
     if calibration == "explicit_constant":
         if kind != "wald":
             raise DomainError("explicit_constant calibration applies to wald sets only")
-        if model is None or constants is None:
-            raise MissingSampler(
-                "explicit_constant calibration needs the loss model and constants"
-            )
-        return _explicit_sq_radius(fit, model, delta, constants, c_abs)
+        if constants is None:
+            raise MissingSampler("explicit_constant calibration needs the constants")
+        return _explicit_sq_radius(fit, delta, constants, c_abs)
     if calibration == "oracle_mc":
         if process is None:
             raise MissingSampler("oracle_mc calibration needs a data-generating process")
         n = fit.aggregates_at_opt.n
         return oracle_radius(kind, process, n, delta, calib_reps, seed, fit.opts)
     if calibration == "bootstrap":
-        if model is None or data is None:
-            raise MissingSampler("bootstrap calibration needs the loss model and data")
         config = BootstrapConfig(delta=delta, B=B, seed=seed)
-        return bootstrap_quantile(model, data, fit, config, kind=kind).quantile
+        return bootstrap_quantile(fit.model, fit.data, fit, config, kind=kind).quantile
     raise DomainError(f"unknown calibration {calibration!r}")
 
 
@@ -359,17 +352,12 @@ def confidence_set(
     )
 
 
-def set_membership(
-    conf_set: ConfidenceSet,
-    fit: FitResult,
-    model: LossModel,
-    data: Dataset,
-    theta,
-) -> bool:
-    """Whether theta belongs to the confidence set.
+def set_membership(conf_set: ConfidenceSet, fit: FitResult, theta) -> bool:
+    """Whether theta belongs to the confidence set of ``fit``.
 
     Wald membership is the ellipsoid inequality in the stored shape; LR
-    membership re-evaluates the empirical risk at theta on the given data.
+    membership re-evaluates the empirical risk at theta on the fit's own
+    model and data.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != conf_set.center.shape:
@@ -379,7 +367,7 @@ def set_membership(
     if conf_set.kind == "wald":
         diff = theta - conf_set.center
         return bool(diff @ conf_set.shape @ diff <= conf_set.sq_radius)
-    return lr_statistic(model, data, fit, theta) <= conf_set.sq_radius
+    return lr_statistic(fit, theta) <= conf_set.sq_radius
 
 
 def critical_sample_size(

@@ -93,7 +93,8 @@ class LossModel:
     labels : tuple of float, optional
         Finite label set (expfam_glm only).
     feature_map : callable, optional
-        ``t(x, y) -> (dim,)`` sufficient statistic (expfam_glm only).
+        ``(X, label) -> (n, dim)``: maps the (n, p) sample matrix to the
+        sufficient statistics t(x_i, label) of one label (expfam_glm only).
     stat_bound : float, optional
         Bound M with ||t(x, y)|| <= M (expfam_glm only).
     stacks_fn : callable, optional
@@ -164,7 +165,8 @@ def expfam_glm_loss(
     labels : sequence of float
         The finite label set; responses must take values in it.
     feature_map : callable
-        ``t(x, y) -> (dim,)`` sufficient statistic, bounded by ``stat_bound``.
+        ``(X, label) -> (n, dim)``: maps the (n, p) sample matrix to the
+        sufficient statistics t(x_i, label), bounded by ``stat_bound``.
     stat_bound : float
         M with ||t(x, y)||_2 <= M; the declared parameters are (2M, 2).
     """
@@ -375,18 +377,16 @@ def exp_overflow(eta: np.ndarray):
 
 
 def _expfam_stats(model: LossModel, X: np.ndarray) -> np.ndarray:
-    """Stack t(x_i, label_k) into an (n, K, dim) array."""
+    """Stack t(x_i, label_k) into an (n, K, dim) array, one feature_map call per label."""
     n = X.shape[0]
-    K = len(model.labels)
-    T = np.empty((n, K, model.dim))
-    for i in range(n):
-        for k, lab in enumerate(model.labels):
-            t = np.asarray(model.feature_map(X[i], lab), dtype=float)
-            if t.shape != (model.dim,):
-                raise DimensionMismatch(
-                    f"feature_map returned shape {t.shape}, expected ({model.dim},)"
-                )
-            T[i, k] = t
+    T = np.empty((n, len(model.labels), model.dim))
+    for k, lab in enumerate(model.labels):
+        t = np.asarray(model.feature_map(X, lab), dtype=float)
+        if t.shape != (n, model.dim):
+            raise DimensionMismatch(
+                f"feature_map returned shape {t.shape}, expected ({n}, {model.dim})"
+            )
+        T[:, k] = t
     return T
 
 

@@ -169,7 +169,7 @@ def omega_bar(nu: float, tau: float) -> float:
         return 1.0
     c1 = 1.0 if nu == 2.0 else 2.0 / (nu - 2.0)
     if abs(c1 * tau) < _SERIES_WINDOW:
-        return _bar_series(nu, tau)
+        return _averaged_series(nu, tau, second=False)
     try:
         if nu == 2.0:
             return math.expm1(tau) / tau
@@ -181,24 +181,14 @@ def omega_bar(nu: float, tau: float) -> float:
         return math.inf
 
 
-def _bar_series(nu: float, tau: float) -> float:
-    """Small-argument series sum_k c_k tau^k / (k+1) for omega_bar."""
+def _averaged_series(nu: float, tau: float, second: bool) -> float:
+    """Small-argument series sum_k c_k tau^k / (k+1) for omega_bar, or
+    sum_k c_k tau^k / ((k+1)(k+2)) for omega_dbar when ``second``."""
     coeffs = _series_coefficients(nu, 8)
     total = 0.0
     power = 1.0
     for k, c in enumerate(coeffs):
-        total += c * power / (k + 1.0)
-        power *= tau
-    return total
-
-
-def _dbar_series(nu: float, tau: float) -> float:
-    """Small-argument series sum_k c_k tau^k / ((k+1)(k+2)) for omega_dbar."""
-    coeffs = _series_coefficients(nu, 8)
-    total = 0.0
-    power = 1.0
-    for k, c in enumerate(coeffs):
-        total += c * power / ((k + 1.0) * (k + 2.0))
+        total += c * power / ((k + 1.0) * (k + 2.0) if second else k + 1.0)
         power *= tau
     return total
 
@@ -222,7 +212,7 @@ def omega_dbar(nu: float, tau: float) -> float:
         return 0.5
     c1 = 1.0 if nu == 2.0 else 2.0 / (nu - 2.0)
     if abs(c1 * tau) < _SERIES_WINDOW:
-        return _dbar_series(nu, tau)
+        return _averaged_series(nu, tau, second=True)
     try:
         if nu == 2.0:
             return (math.expm1(tau) - tau) / (tau * tau)

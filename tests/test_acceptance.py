@@ -305,7 +305,7 @@ def test_06_wilks_means():
         data = generate(proc, n=n, seed=phase_seed(6, rep))
         model = model_for_data(loss_kind_for(proc), data.X)
         fit = fit_erm(model, data)
-        lrs.append(n * lr_statistic(model, data, fit, proc.theta0))
+        lrs.append(n * lr_statistic(fit, proc.theta0))
         walds.append(n * wald_statistic(fit, proc.theta0))
     mean_lr, mean_wald = float(np.mean(lrs)), float(np.mean(walds))
     ok = 0.9 * d <= mean_lr <= 1.1 * d and 0.9 * d <= mean_wald <= 1.1 * d

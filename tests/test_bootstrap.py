@@ -123,7 +123,7 @@ def _assert_matches_sequential_refits(data, model, fit, B=30, seed=7):
     weighted sums, so agreement is near machine precision rather than
     bitwise.  Returns the failure count.
     """
-    wald_b, lr_b, n_failed = _bootstrap_statistics(model, data, fit, B, seed)
+    wald_b, lr_b, n_failed = _bootstrap_statistics(fit, B, seed)
     vals = batch_values(model, fit.theta_n, data.X, data.y)
     wald_s, lr_s = [], []
     for b in range(B):
@@ -225,19 +225,20 @@ class TestBatchedEngine:
 
     def test_least_squares_deviance_equals_wald(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 100, 3)
-        wald_b, lr_b, _ = _bootstrap_statistics(model, data, fit, 40, 0)
+        wald_b, lr_b, _ = _bootstrap_statistics(fit, 40, 0)
         assert np.allclose(wald_b, lr_b, atol=1e-9)
 
 
 class TestBootstrapQuantile:
     def test_expfam_statistics_built_once_per_call(self):
-        # every expfam_glm refit shares one stack of t(x_i, label_k)
+        # every expfam_glm refit shares one stack of t(x_i, label_k), made
+        # by one feature_map call per label
         _, data, _, _ = _fit("logistic", "logistic_wellspec", 100, 2)
         calls = []
 
-        def counting(x, y):
+        def counting(X, y):
             calls.append(1)
-            return 0.5 * y * x
+            return 0.5 * y * X
 
         bound = 0.5 * float(np.max(np.linalg.norm(data.X, axis=1)))
         model = expfam_glm_loss(2, (-1.0, 1.0), counting, bound)
@@ -245,7 +246,7 @@ class TestBootstrapQuantile:
         calls.clear()
         result = bootstrap_quantile(model, data, fit, BootstrapConfig(delta=0.1, B=100), "wald")
         assert result.n_failed == 0
-        assert len(calls) == data.n * len(model.labels)
+        assert len(calls) == len(model.labels)
 
     def test_deterministic(self):
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 100, 2)
@@ -285,6 +286,21 @@ class TestBootstrapQuantile:
         assert result.n_failed == 300 - len(stats)
         assert result.quantile == pytest.approx(float(np.quantile(stats, 0.95)), rel=1e-12)
 
+    def test_needs_the_fit_problem(self):
+        # a fit on other data of the same n and d does not calibrate this
+        # data; equal arrays in another Dataset are the same problem
+        proc, data, model, fit = _fit("logistic", "logistic_wellspec", 100, 2)
+        other = generate(proc, 100, 1)
+        config = BootstrapConfig(delta=0.1, B=100, seed=2)
+        with pytest.raises(DomainError, match="the fit was made on"):
+            bootstrap_quantile(model, other, fit, config, "wald")
+        with pytest.raises(DomainError, match="the fit was made on"):
+            bootstrap_quantile(model_for_data("logistic", other.X), data, fit, config, "wald")
+        copy = Dataset(X=data.X.copy(), y=data.y.copy())
+        assert bootstrap_quantile(model, copy, fit, config, "wald") == bootstrap_quantile(
+            model, data, fit, config, "wald"
+        )
+
     def test_kind_validated(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 60, 2)
         with pytest.raises(DomainError):
@@ -308,7 +324,7 @@ class TestBootstrapQuantile:
         with pytest.raises(
             TooManyFailures, match=r"12 of 60 bootstrap replications failed \(singular: 12\)"
         ):
-            _bootstrap_statistics(model, data, fit, 60, 1)
+            _bootstrap_statistics(fit, 60, 1)
 
     def test_config_validation_and_warning(self):
         with pytest.raises(DomainError):

@@ -342,6 +342,26 @@ class TestGofCommand:
         )
         assert code == 1
 
+    def test_oracle_rule_calibrates_under_the_null(self, capsys, tmp_path):
+        # --theta0 sets the process that draws the data and --null the tested
+        # parameter; the oracle critical value depends on the null alone
+        null = tmp_path / "null.json"
+        null.write_text(json.dumps([0.0, 0.0, 0.0]))
+        critical = {}
+        for theta0 in ("1.5,1.5,1.5", "0,0,0"):
+            code, doc, _ = _run_json(
+                capsys,
+                [
+                    "gof", "--model", "logistic", "--process", "logistic_wellspec",
+                    "--d", "3", "--n", "300", "--theta0", theta0, "--test", "rao",
+                    "--null", str(null), "--critical-rule", "oracle_mc",
+                    "--calib-reps", "100", "--seed", "0",
+                ],
+            )
+            assert code == 0
+            critical[theta0] = doc["critical"]
+        assert critical["1.5,1.5,1.5"] == critical["0,0,0"]
+
     def test_oracle_rule_without_replications_exits_1(self, capsys, tmp_path):
         null = tmp_path / "null.json"
         null.write_text(json.dumps(theta0_equispaced(5).tolist()))

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
+from scmest.bootstrap import bootstrap_fit
 from scmest.errors import SingularHessian
 from scmest.estimate import (
     SolverOptions,
@@ -17,6 +18,7 @@ from scmest.estimate import (
     empirical_sc_params,
     fit_erm,
     localization_certificate,
+    replicate,
 )
 from scmest.gof import rao_statistic
 from scmest.losses import (
@@ -281,20 +283,36 @@ class TestStacksBuiltOncePerCall:
         assert calls == [data.n]
 
     def test_expfam_statistics(self):
+        # one feature_map call per label maps the whole sample matrix
         _, data = _model_and_data("logistic")
         calls = []
 
-        def counting(x, y):
-            calls.append(1)
-            return _expfam_stat(x, y)
+        def counting(X, y):
+            calls.append(X.shape[0])
+            return _expfam_stat(X, y)
 
         model = _expfam_model(data, counting)
         fit = fit_erm(model, data)
         assert fit.converged and fit.iterations > 1
-        assert len(calls) == data.n * len(model.labels)
+        assert calls == [data.n] * len(model.labels)
         calls.clear()
         rao_statistic(model, data, np.zeros(model.dim))
-        assert len(calls) == data.n * len(model.labels)
+        assert calls == [data.n] * len(model.labels)
+
+
+class TestFitRecordsItsProblem:
+    def test_fits_hold_the_model_and_data_they_were_given(self):
+        data = _logistic_data(n=100, d=3)
+        model = model_for_data("logistic", data.X)
+        for fit in (fit_erm(model, data), bootstrap_fit(model, data, np.ones(data.n))):
+            assert fit.model is model and fit.data is data
+            assert "data=" not in repr(fit)
+        # three replications share one engine call, a slot each
+        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
+        slots = replicate(proc, 100, 0, 3, lambda model, data, fit: (model, data, fit))
+        assert len(slots) == 3
+        for model, data, fit in slots:
+            assert fit.model is model and fit.data is data
 
 
 class TestSolverOptions:

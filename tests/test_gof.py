@@ -81,14 +81,14 @@ class TestRaoStatistic:
 class TestLrAndWaldStatistics:
     def test_zero_at_the_optimum(self):
         model, data, fit = _linear_fit()
-        assert lr_statistic(model, data, fit, fit.theta_n) <= 1e-10
+        assert lr_statistic(fit, fit.theta_n) <= 1e-10
         assert wald_statistic(fit, fit.theta_n) <= 1e-10
 
     def test_quadratic_case_all_three_agree(self):
         # with a constant Hessian the deviance is exactly the Wald distance,
         # and the score at theta0 is H (theta0 - theta_n)
         model, data, fit = _linear_fit(seed=3)
-        t_lr = lr_statistic(model, data, fit, LINEAR3.theta0)
+        t_lr = lr_statistic(fit, LINEAR3.theta0)
         t_wald = wald_statistic(fit, LINEAR3.theta0)
         t_rao = rao_statistic(model, data, LINEAR3.theta0)
         assert t_lr == pytest.approx(t_wald, abs=1e-9)
@@ -98,7 +98,7 @@ class TestLrAndWaldStatistics:
         vals = []
         for seed in range(200):
             model, data, fit = _linear_fit(n=1000, seed=seed)
-            vals.append(1000 * lr_statistic(model, data, fit, LINEAR3.theta0) / 3)
+            vals.append(1000 * lr_statistic(fit, LINEAR3.theta0) / 3)
         assert 0.85 < np.mean(vals) < 1.15
 
     def test_lr_guards_against_bogus_fit(self):
@@ -112,9 +112,11 @@ class TestLrAndWaldStatistics:
             newton_decrement=0.0,
             iterations=1,
             converged=True,
+            model=model,
+            data=data,
         )
         with pytest.raises(DomainError, match="not a minimizer"):
-            lr_statistic(model, data, bogus, LINEAR3.theta0)
+            lr_statistic(bogus, LINEAR3.theta0)
 
     def test_both_require_convergence(self):
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
@@ -123,7 +125,7 @@ class TestLrAndWaldStatistics:
         stalled = fit_erm(model, data, SolverOptions(max_iter=1, tol=1e-12))
         assert not stalled.converged
         with pytest.raises(NonConverged):
-            lr_statistic(model, data, stalled, proc.theta0)
+            lr_statistic(stalled, proc.theta0)
         with pytest.raises(NonConverged):
             wald_statistic(stalled, proc.theta0)
 
@@ -139,7 +141,7 @@ class TestLrAndWaldStatistics:
         fit2 = fit_erm(model2, data2)
         theta2 = np.linalg.solve(A.T, proc.theta0)
         for s1, s2 in [
-            (lr_statistic(model, data, fit, proc.theta0), lr_statistic(model2, data2, fit2, theta2)),
+            (lr_statistic(fit, proc.theta0), lr_statistic(fit2, theta2)),
             (wald_statistic(fit, proc.theta0), wald_statistic(fit2, theta2)),
             (rao_statistic(model, data, proc.theta0), rao_statistic(model2, data2, theta2)),
         ]:
@@ -223,6 +225,20 @@ class TestRunTest:
             process=proc, calib_reps=40, seed=3,
         )
         assert report.critical == float(np.quantile(null, 0.9))
+
+    def test_oracle_rule_calibrates_under_the_null(self):
+        # the process draws the data at theta = 1.5 (1, 1, 1) and the test's
+        # null is 0: the critical value is the quantile under the null
+        proc = Process(kind="logistic_wellspec", theta0=np.full(3, 1.5))
+        theta0 = np.zeros(3)
+        data = generate(proc, 300, 0)
+        report = run_test(
+            "rao", model_for_data("logistic", data.X), data, theta0, 0.05, "oracle_mc",
+            process=proc, calib_reps=100, seed=0,
+        )
+        null_proc = Process(kind="logistic_wellspec", theta0=theta0)
+        null = null_statistics(("rao",), null_proc, 300, 100, phase_seed(0, 0))["rao"]
+        assert report.critical == float(np.quantile(null, 0.95))
 
     def test_rao_null_statistics_fit_nothing(self, monkeypatch):
         # logistic at d = 2, n = 6 under 1000 iterations: the fits of three of

@@ -255,14 +255,13 @@ class TestWaldRadius:
         model, data, fit = _logistic_fit(n=200, d=2)
         report = effective_dim_empirical(fit)
         sq = calibrated_radius(
-            fit, "wald", 0.05, "explicit_constant",
-            model=model, constants=self.constants, c_abs=0.0,
+            fit, "wald", 0.05, "explicit_constant", constants=self.constants, c_abs=0.0
         )
         assert sq == pytest.approx(24.0 * report.value / 200, rel=1e-12)
 
     def test_positive_constant_enlarges(self):
-        model, data, fit = _logistic_fit(n=200, d=2)
-        kw = dict(model=model, constants=self.constants)
+        _, _, fit = _logistic_fit(n=200, d=2)
+        kw = dict(constants=self.constants)
         base = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_abs=0.0, **kw)
         wide = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_abs=1.0, **kw)
         assert wide > base
@@ -272,23 +271,19 @@ class TestWaldRadius:
         stalled = fit_erm(model, data, SolverOptions(max_iter=1, tol=1e-12))
         assert not stalled.converged
         with pytest.raises(NonConverged):
-            calibrated_radius(
-                stalled, "wald", 0.05, "explicit_constant", model=model, constants=self.constants
-            )
+            calibrated_radius(stalled, "wald", 0.05, "explicit_constant", constants=self.constants)
 
     def test_validation(self):
-        model, data, fit = _logistic_fit()
-        kw = dict(model=model, constants=self.constants)
+        _, _, fit = _logistic_fit()
+        kw = dict(constants=self.constants)
         with pytest.raises(DomainError):
             calibrated_radius(fit, "wald", 1.5, "explicit_constant", **kw)
         with pytest.raises(DomainError):
             calibrated_radius(fit, "score", 0.05, "explicit_constant", **kw)
         with pytest.raises(MissingSampler):
-            calibrated_radius(fit, "wald", 0.05, "explicit_constant", model=model)
+            calibrated_radius(fit, "wald", 0.05, "explicit_constant")
         with pytest.raises(MissingSampler):
             calibrated_radius(fit, "wald", 0.05, "oracle_mc")
-        with pytest.raises(MissingSampler):
-            calibrated_radius(fit, "wald", 0.05, "bootstrap", model=model, data=None)
         with pytest.raises(DomainError):
             calibrated_radius(fit, "wald", 0.05, "plugin", **kw)
 
@@ -303,9 +298,7 @@ class TestWaldRadius:
     def test_bootstrap_calibration_delegates(self):
         model, data, fit = _logistic_fit(n=120, d=2)
         with pytest.warns(UserWarning, match="too few"):
-            sq = calibrated_radius(
-                fit, "wald", 0.1, "bootstrap", model=model, data=data, B=80, seed=4
-            )
+            sq = calibrated_radius(fit, "wald", 0.1, "bootstrap", B=80, seed=4)
         with pytest.warns(UserWarning, match="too few"):
             config = BootstrapConfig(delta=0.1, B=80, seed=4)
         assert sq == bootstrap_quantile(model, data, fit, config, kind="wald").quantile
@@ -316,7 +309,7 @@ class TestCalibratedRadius:
 
     def test_lr_calibrations_delegate(self):
         model, data, fit = _logistic_fit(n=120, d=2)
-        sq = calibrated_radius(fit, "lr", 0.1, "bootstrap", model=model, data=data, B=150, seed=4)
+        sq = calibrated_radius(fit, "lr", 0.1, "bootstrap", B=150, seed=4)
         config = BootstrapConfig(delta=0.1, B=150, seed=4)
         assert sq == bootstrap_quantile(model, data, fit, config, kind="lr").quantile
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(2))
@@ -324,11 +317,9 @@ class TestCalibratedRadius:
         assert sq == oracle_radius("lr", proc, 120, 0.1, reps=30, seed=5)
 
     def test_explicit_constant_is_wald_only(self):
-        model, data, fit = _logistic_fit(n=200, d=2)
+        _, _, fit = _logistic_fit(n=200, d=2)
         with pytest.raises(DomainError, match="wald sets only"):
-            calibrated_radius(
-                fit, "lr", 0.05, "explicit_constant", model=model, constants=self.constants
-            )
+            calibrated_radius(fit, "lr", 0.05, "explicit_constant", constants=self.constants)
 
     def test_oracle_replications_use_the_fit_solver_options(self, monkeypatch):
         seen = {}
@@ -349,7 +340,7 @@ class TestCalibratedRadius:
 
     def test_bootstrap_quantile_is_at_the_requested_tail_mass(self):
         model, data, fit = _logistic_fit(n=120, d=2)
-        kw = dict(model=model, data=data, B=150, seed=1)
+        kw = dict(B=150, seed=1)
         narrow = calibrated_radius(fit, "wald", 0.5, "bootstrap", **kw)
         wide = calibrated_radius(fit, "wald", 0.05, "bootstrap", **kw)
         config = BootstrapConfig(delta=0.05, B=150, seed=1)
@@ -410,28 +401,28 @@ class TestConfidenceSetMembership:
             delta=0.05,
             calibration="explicit_constant",
         )
-        model, data, fit = _logistic_fit(n=60, d=2)
-        assert not set_membership(cs, fit, model, data, np.array([2.0, 0.0]))
-        assert set_membership(cs, fit, model, data, np.array([0.5, 0.5]))
-        assert set_membership(cs, fit, model, data, np.array([1.0, 0.0]))
+        _, _, fit = _logistic_fit(n=60, d=2)
+        assert not set_membership(cs, fit, np.array([2.0, 0.0]))
+        assert set_membership(cs, fit, np.array([0.5, 0.5]))
+        assert set_membership(cs, fit, np.array([1.0, 0.0]))
 
     def test_center_membership_both_kinds(self):
-        model, data, fit = _logistic_fit(n=120, d=2)
+        _, _, fit = _logistic_fit(n=120, d=2)
         for kind in ("wald", "lr"):
             cs = confidence_set(fit, kind, 0.05, "bootstrap", 0.3)
-            assert set_membership(cs, fit, model, data, fit.theta_n)
+            assert set_membership(cs, fit, fit.theta_n)
 
     def test_wald_set_is_convex(self):
-        model, data, fit = _logistic_fit(n=120, d=3)
+        _, _, fit = _logistic_fit(n=120, d=3)
         cs = confidence_set(fit, "wald", 0.05, "explicit_constant", 0.25)
         rng = np.random.default_rng(0)
         members = []
         while len(members) < 12:
             theta = fit.theta_n + 0.5 * rng.standard_normal(3)
-            if set_membership(cs, fit, model, data, theta):
+            if set_membership(cs, fit, theta):
                 members.append(theta)
         for a, b in zip(members[::2], members[1::2]):
-            assert set_membership(cs, fit, model, data, 0.5 * (a + b))
+            assert set_membership(cs, fit, 0.5 * (a + b))
 
     def test_lr_membership_affine_invariant(self):
         model, data, fit = _logistic_fit(n=300, d=3)
@@ -450,15 +441,15 @@ class TestConfidenceSetMembership:
             for sq in (0.5 * stat, 2.0 * stat):
                 cs1 = confidence_set(fit, "lr", 0.05, "oracle_mc", sq)
                 cs2 = confidence_set(fit2, "lr", 0.05, "oracle_mc", sq)
-                inside1 = set_membership(cs1, fit, model, data, theta)
-                inside2 = set_membership(cs2, fit2, model2, data2, np.linalg.solve(A.T, theta))
+                inside1 = set_membership(cs1, fit, theta)
+                inside2 = set_membership(cs2, fit2, np.linalg.solve(A.T, theta))
                 assert inside1 == inside2
 
     def test_dimension_mismatch(self):
-        model, data, fit = _logistic_fit(n=60, d=2)
+        _, _, fit = _logistic_fit(n=60, d=2)
         cs = confidence_set(fit, "wald", 0.05, "bootstrap", 1.0)
         with pytest.raises(DimensionMismatch):
-            set_membership(cs, fit, model, data, np.zeros(3))
+            set_membership(cs, fit, np.zeros(3))
 
     def test_json_round_trip(self):
         model, data, fit = _logistic_fit(n=60, d=2)
