@@ -14,8 +14,12 @@ coverage table's pinned cells with their targets.
 
 ``--tol``/``--max-iter`` set the solver options of the fit, and every
 refit that calibrates it (bootstrap or oracle replications) runs under the
-same options.  ``confset`` takes its radius from the one calibration entry
-point, :func:`scmest.inference.calibrated_radius`.
+same options.  ``confset`` builds its set with
+:func:`scmest.inference.confidence_set`, which takes the radius from the
+one calibration entry point, :func:`scmest.inference.calibrated_radius`.
+``oracle_mc`` calibrations (``confset``, and ``gof``'s critical rule)
+replay the ``--process`` that drew the data; ``--data`` has none to
+replay and is rejected for them.
 
 Exit codes: 0 success, 1 configuration, data or I/O error (a flag the
 study lacks, a non-finite data value), 2 fit did not converge, 3 singular
@@ -224,7 +228,7 @@ def _resolve_process(cfg):
 
 
 def _load_inputs(cfg):
-    """Resolve (model, data, process-or-None) from a merged config."""
+    """Resolve (model, data) from a merged config; generated data record their process."""
     from .errors import ParseError
     from .losses import model_for_data
     from .simdata import generate, loss_kind_for, read_csv
@@ -236,7 +240,7 @@ def _load_inputs(cfg):
         kind = cfg.get("model")
         if kind is None:
             raise ParseError("--model is required with --data")
-        return model_for_data(kind, data.X), data, None
+        return model_for_data(kind, data.X), data
     if cfg.get("process") is None:
         raise ParseError("provide a dataset via --data or a process via --process")
     if cfg.get("n") is None:
@@ -244,10 +248,10 @@ def _load_inputs(cfg):
     proc = _resolve_process(cfg)
     data = generate(proc, int(cfg["n"]), int(cfg["seed"]))
     kind = cfg.get("model") or loss_kind_for(proc)
-    return model_for_data(kind, data.X), data, proc
+    return model_for_data(kind, data.X), data
 
 
-def _fit_payload(fit, model) -> dict:
+def _fit_payload(fit) -> dict:
     cert = None
     if fit.certificate is not None:
         cert = {
@@ -257,7 +261,7 @@ def _fit_payload(fit, model) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "fit",
-        "model": model.kind,
+        "model": fit.model.kind,
         "n": fit.aggregates_at_opt.n,
         "d": int(fit.theta_n.size),
         "theta_n": fit.theta_n.tolist(),
@@ -272,9 +276,9 @@ def _fit_payload(fit, model) -> dict:
 def cmd_fit(cfg) -> int:
     from .estimate import fit_erm
 
-    model, data, _ = _load_inputs(cfg)
+    model, data = _load_inputs(cfg)
     fit = fit_erm(model, data, _solver_opts(cfg))
-    _emit_json(_fit_payload(fit, model), cfg.get("out"))
+    _emit_json(_fit_payload(fit), cfg.get("out"))
     if not fit.converged:
         print("fit: did not converge within the iteration budget", file=sys.stderr)
         return 2
@@ -284,9 +288,9 @@ def cmd_fit(cfg) -> int:
 def cmd_confset(cfg) -> int:
     from .errors import MissingSampler
     from .estimate import fit_erm
-    from .inference import AssumptionConstants, calibrated_radius, confidence_set
+    from .inference import AssumptionConstants, confidence_set
 
-    model, data, proc = _load_inputs(cfg)
+    model, data = _load_inputs(cfg)
     fit = fit_erm(model, data, _solver_opts(cfg))
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
@@ -298,17 +302,15 @@ def cmd_confset(cfg) -> int:
         constants = AssumptionConstants(
             K1=float(cfg["k1"]), K2=float(cfg["k2"]), sigma_H=float(cfg["sigma_h"])
         )
-    sq = calibrated_radius(
+    cs = confidence_set(
         fit,
         kind,
         delta,
         calibration,
-        process=proc,
         constants=constants,
         seed=int(cfg["seed"]),
         **_given(cfg, c_abs=float, calib_reps=int, B=int),
     )
-    cs = confidence_set(fit, kind, delta, calibration, sq)
     _emit_json(json.loads(cs.to_json()), cfg.get("out"))
     return 0
 
@@ -317,7 +319,7 @@ def cmd_effdim(cfg) -> int:
     from .estimate import fit_erm
     from .inference import effective_dim_empirical
 
-    model, data, _ = _load_inputs(cfg)
+    model, data = _load_inputs(cfg)
     fit = fit_erm(model, data, _solver_opts(cfg))
     report = effective_dim_empirical(fit)
     _emit_json(
@@ -341,7 +343,7 @@ def cmd_gof(cfg) -> int:
     from .errors import ParseError
     from .gof import run_test
 
-    model, data, proc = _load_inputs(cfg)
+    model, data = _load_inputs(cfg)
     test = cfg.get("test")
     if test is None:
         raise ParseError("--test is required (rao, lr, or wald)")
@@ -363,7 +365,6 @@ def cmd_gof(cfg) -> int:
         critical_rule=cfg.get("critical_rule", "scaled_dim"),
         c_scale=cfg.get("c_scale"),
         critical=cfg.get("critical"),
-        process=proc,
         seed=int(cfg["seed"]),
         opts=_solver_opts(cfg),
         **_given(cfg, calib_reps=int),
@@ -390,7 +391,7 @@ def cmd_bootstrap(cfg) -> int:
     from .bootstrap import BootstrapConfig, bootstrap_quantile
     from .estimate import fit_erm
 
-    model, data, _ = _load_inputs(cfg)
+    model, data = _load_inputs(cfg)
     fit = fit_erm(model, data, _solver_opts(cfg))
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))

@@ -119,10 +119,11 @@ class FitResult:
     the unique-minimizer certificate evaluated at theta_n (None when the
     final Hessian is too ill-conditioned to summarize spectrally).  ``opts``
     are the solver options of the fit; the refits that calibrate it run
-    under the same options.  ``model`` and ``data`` are the loss model and
-    dataset of the minimized risk, held by reference, where the LR
-    statistic and the calibrations read them.  A bootstrap_fit records no
-    weights: those readers take every fit to minimize the unweighted risk.
+    under the same options.  ``model``, ``data`` and ``weights`` are the
+    loss model, dataset and multiplier weights of the minimized risk (unit
+    weights for an unweighted fit), held by reference, where the LR
+    statistic and the calibrations read them; a fit has no default for
+    them.
     """
 
     theta_n: np.ndarray
@@ -132,8 +133,9 @@ class FitResult:
     converged: bool
     certificate: Certificate | None = None
     opts: SolverOptions = SolverOptions()
-    model: LossModel | None = field(default=None, repr=False, compare=False)
-    data: Dataset | None = field(default=None, repr=False, compare=False)
+    model: LossModel = field(kw_only=True, repr=False, compare=False)
+    data: Dataset = field(kw_only=True, repr=False, compare=False)
+    weights: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -350,6 +352,7 @@ def _fit_result(
         opts=opts,
         model=batch.model,
         data=data,
+        weights=w,
     )
 
 

@@ -8,8 +8,9 @@ null:
 - wald: ||theta_n - theta0||^2 in the H_n(theta_n) metric
 
 Critical values come from one of three rules.  ``oracle_mc`` (the default
-posture) replays the experiment under the process moved to the null and
-takes the (1 - alpha)-quantile of the statistic; ``scaled_dim`` uses c d/n
+posture) replays the experiment under the process that drew the data
+(``Dataset.provenance``) moved to the null and takes the
+(1 - alpha)-quantile of the statistic; ``scaled_dim`` uses c d/n
 with the default c matching the chi-square limit of n T; ``explicit`` takes
 a user value.  :func:`power_curve` sweeps sample sizes and alternatives,
 recalibrating the critical value at each n, and reports empirical power
@@ -62,15 +63,16 @@ class TestReport:
     statistic: float
     kind: str
     critical: float
-    reject: bool
     n: int
     d: int
 
     def __post_init__(self) -> None:
         if self.kind not in TEST_KINDS:
             raise DomainError(f"kind must be one of {TEST_KINDS}, got {self.kind!r}")
-        if self.reject != (self.statistic > self.critical):
-            raise DomainError("reject flag must equal statistic > critical")
+
+    @property
+    def reject(self) -> bool:
+        return self.statistic > self.critical
 
 
 def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
@@ -81,11 +83,15 @@ def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
 
 
 def lr_statistic(fit: FitResult, theta0) -> float:
-    """Likelihood-ratio statistic 2 [L_n(theta0) - L_n(theta_n)] on the fit's data, nonnegative."""
+    """Likelihood-ratio statistic 2 [L_n(theta0) - L_n(theta_n)] of the fit's risk, nonnegative.
+
+    L_n is the risk the fit minimized: its model on its data, under its
+    weights (the multipliers of a bootstrap fit).
+    """
     if not fit.converged:
         raise NonConverged("lr_statistic requires a converged fit")
     batch = prepare_batch(fit.model, fit.data.X, fit.data.y)
-    risk0 = batch.risk(check_theta(fit.model, theta0), check_weights(None, batch.n))
+    risk0 = batch.risk(check_theta(fit.model, theta0), fit.weights)
     value = 2.0 * (risk0 - fit.aggregates_at_opt.L_n)
     if value < -1e-10:
         raise DomainError(
@@ -157,7 +163,6 @@ def run_test(
     *,
     c_scale: float | None = None,
     critical: float | None = None,
-    process: Process | None = None,
     calib_reps: int = 1000,
     seed: int = 0,
     opts: SolverOptions | None = None,
@@ -169,7 +174,9 @@ def run_test(
     makes the level asymptotically exact under a well-specified null);
     ``explicit`` uses the given ``critical``; ``oracle_mc`` takes the
     (1 - alpha)-quantile of the statistic over ``calib_reps`` replications
-    of ``process`` moved to theta0, at this sample size.
+    of the process that drew ``data`` (``data.provenance.process``) moved
+    to theta0, at this sample size; data without provenance (read from CSV
+    or built by hand) raise MissingSampler.
     """
     if kind not in TEST_KINDS:
         raise DomainError(f"kind must be one of {TEST_KINDS}, got {kind!r}")
@@ -187,16 +194,14 @@ def run_test(
             raise DomainError("explicit critical rule needs a critical value")
         crit = float(critical)
     else:
-        if process is None:
-            raise MissingSampler("oracle_mc critical rule needs a null process")
-        null_process = replace(process, theta0=theta0)
+        if data.provenance is None:
+            raise MissingSampler("oracle_mc critical rule needs data drawn from a known process")
+        null_process = replace(data.provenance.process, theta0=theta0)
         null = null_statistics((kind,), null_process, data.n, calib_reps, phase_seed(seed, 0), opts)
         crit = float(np.quantile(null[kind], 1.0 - alpha))
     fit = fit_erm(model, data, opts) if _needs_fit((kind,)) else None
     stat = _statistics((kind,), model, data, fit, theta0)[kind]
-    return TestReport(
-        statistic=stat, kind=kind, critical=crit, reject=stat > crit, n=data.n, d=d
-    )
+    return TestReport(statistic=stat, kind=kind, critical=crit, n=data.n, d=d)
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,22 @@ closed-form radius of the Wald set
     24 omega_nu^2(r_n R*) d*/n + C K1^2 omega_nu^2(r_n R*) log(e/delta) ||Omega||/n
 
 whose absolute constant C is not sharp (default 0 keeps the leading term
-only).  ``oracle_mc`` replicates the experiment from a known process and
-takes the empirical upper-delta quantile of the statistic; ``bootstrap``
-delegates to the multiplier bootstrap of the fit's own model and data
-(``FitResult.model``, ``FitResult.data``).  Both refit under the solver
-options of the fit they calibrate (``FitResult.opts``).  A set belongs to
-one fit: LR membership, too, reads the risk from the fit.  Throughout this
-module ``delta`` is the tail mass: coverage targets 1 - delta.
+only).  ``oracle_mc`` replicates the experiment from the process that drew
+the fit's data (``Dataset.provenance``) and takes the empirical upper-delta
+quantile of the statistic; ``bootstrap`` delegates to the multiplier
+bootstrap of the fit's own model and data (``FitResult.model``,
+``FitResult.data``).  Both refit under the solver options of the fit they
+calibrate (``FitResult.opts``).  A set belongs to one fit:
+:func:`confidence_set` calibrates it from the fit and keeps the fit, where
+LR membership reads the risk.  Throughout this module ``delta`` is the tail
+mass: coverage targets 1 - delta.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh
@@ -84,7 +86,9 @@ class ConfidenceSet:
     """A calibrated confidence set centered at the fitted parameter.
 
     ``shape`` is H_n(theta_n) for Wald sets and None for LR sets, whose
-    membership is evaluated through the empirical risk instead.
+    membership is evaluated through the risk of ``fit``, the fit the set
+    was built from.  The JSON form does not carry the fit, so a set read
+    back with :meth:`from_json` has ``fit`` None.
     """
 
     kind: str
@@ -93,6 +97,7 @@ class ConfidenceSet:
     sq_radius: float
     delta: float
     calibration: str
+    fit: FitResult | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.kind not in _SET_KINDS:
@@ -296,7 +301,6 @@ def calibrated_radius(
     delta: float,
     calibration: str,
     *,
-    process: Process | None = None,
     constants: AssumptionConstants | None = None,
     c_abs: float = 0.0,
     calib_reps: int = 1000,
@@ -309,9 +313,11 @@ def calibrated_radius(
     closed-form radius of the Wald set at the empirical effective dimension
     (needs ``constants``; ``c_abs`` is the non-sharp absolute constant, 0
     keeps the leading term), ``oracle_mc`` replays the experiment from
-    ``process`` (calib_reps fresh replications seeded seed + r), and
-    ``bootstrap`` refits the fit's own model and data under B multiplier
-    reweightings drawn from ``seed``.  Refits use ``fit.opts``.
+    the process that drew the fit's data, ``fit.data.provenance.process``
+    (calib_reps fresh replications seeded seed + r; data without
+    provenance raise MissingSampler), and ``bootstrap`` refits the fit's
+    own model and data under B multiplier reweightings drawn from
+    ``seed``.  Refits use ``fit.opts``.
     """
     if not fit.converged:
         raise NonConverged("calibrated_radius requires a converged fit")
@@ -324,10 +330,8 @@ def calibrated_radius(
             raise MissingSampler("explicit_constant calibration needs the constants")
         return _explicit_sq_radius(fit, delta, constants, c_abs)
     if calibration == "oracle_mc":
-        if process is None:
-            raise MissingSampler("oracle_mc calibration needs a data-generating process")
-        n = fit.aggregates_at_opt.n
-        return oracle_radius(kind, process, n, delta, calib_reps, seed, fit.opts)
+        process = fit.data.provenance.process if fit.data.provenance else None
+        return oracle_radius(kind, process, fit.data.n, delta, calib_reps, seed, fit.opts)
     if calibration == "bootstrap":
         config = BootstrapConfig(delta=delta, B=B, seed=seed)
         return bootstrap_quantile(fit.model, fit.data, fit, config, kind=kind).quantile
@@ -339,25 +343,30 @@ def confidence_set(
     kind: str,
     delta: float,
     calibration: str,
-    sq_radius: float,
+    **options,
 ) -> ConfidenceSet:
-    """Assemble a ConfidenceSet around a fit from an already-calibrated radius."""
+    """The set of kind ``kind`` around a fit, calibrated and holding the fit.
+
+    The squared radius is ``calibrated_radius(fit, kind, delta,
+    calibration, **options)``; ``options`` are that function's keywords.
+    """
     return ConfidenceSet(
         kind=kind,
         center=fit.theta_n.copy(),
         shape=fit.aggregates_at_opt.H_n.copy() if kind == "wald" else None,
-        sq_radius=sq_radius,
+        sq_radius=calibrated_radius(fit, kind, delta, calibration, **options),
         delta=delta,
         calibration=calibration,
+        fit=fit,
     )
 
 
-def set_membership(conf_set: ConfidenceSet, fit: FitResult, theta) -> bool:
-    """Whether theta belongs to the confidence set of ``fit``.
+def set_membership(conf_set: ConfidenceSet, theta) -> bool:
+    """Whether theta belongs to the confidence set.
 
     Wald membership is the ellipsoid inequality in the stored shape; LR
-    membership re-evaluates the empirical risk at theta on the fit's own
-    model and data.
+    membership re-evaluates the empirical risk at theta through
+    ``conf_set.fit``, and a set without its fit raises DomainError.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != conf_set.center.shape:
@@ -367,7 +376,9 @@ def set_membership(conf_set: ConfidenceSet, fit: FitResult, theta) -> bool:
     if conf_set.kind == "wald":
         diff = theta - conf_set.center
         return bool(diff @ conf_set.shape @ diff <= conf_set.sq_radius)
-    return lr_statistic(fit, theta) <= conf_set.sq_radius
+    if conf_set.fit is None:
+        raise DomainError("LR membership needs the fit the set was built from")
+    return lr_statistic(conf_set.fit, theta) <= conf_set.sq_radius
 
 
 def critical_sample_size(

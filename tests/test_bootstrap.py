@@ -19,7 +19,7 @@ from scmest.errors import (
 )
 from scmest.estimate import SolverOptions, _newton_engine, aggregates, fit_erm
 from scmest.experiments import CoverageConfig, coverage_experiment
-from scmest.gof import wald_statistic
+from scmest.gof import lr_statistic, wald_statistic
 from scmest.losses import (
     _OuterTable,
     batch_values,
@@ -81,6 +81,27 @@ class TestBootstrapFit:
         _, data, model, _ = _fit("squared", "linear_wellspec", 50, 2)
         with pytest.raises(SingularHessian):
             bootstrap_fit(model, data, -np.ones(data.n))
+
+    def test_lr_statistic_reads_the_fit_weights(self):
+        # a bootstrap fit minimized the weighted risk, so its LR statistic
+        # compares weighted risks, as the bootstrap's LR of that slot does
+        for kind, proc_kind in [
+            ("squared", "linear_wellspec"),
+            ("logistic", "logistic_wellspec"),
+            ("poisson", "poisson_wellspec"),
+        ]:
+            _, data, model, fit = _fit(kind, proc_kind, 200, 3)
+            _, lr_b, _ = _bootstrap_statistics(fit, 40, 0)
+            lr_s = []
+            for b in range(40):
+                try:
+                    refit = bootstrap_fit(model, data, bootstrap_weights(0, b, data.n))
+                except SingularHessian:
+                    continue
+                assert lr_statistic(refit, refit.theta_n) == 0.0
+                lr_s.append(lr_statistic(refit, fit.theta_n))
+            assert len(lr_s) == lr_b.size
+            np.testing.assert_allclose(lr_s, lr_b, rtol=1e-12, atol=1e-15)
 
     def test_weights_must_be_finite(self):
         _, data, model, _ = _fit("squared", "linear_wellspec", 50, 2)

@@ -11,6 +11,7 @@ from scipy.optimize import minimize
 from scmest.bootstrap import bootstrap_fit
 from scmest.errors import SingularHessian
 from scmest.estimate import (
+    FitResult,
     SolverOptions,
     _newton_steps,
     _pd_solve,
@@ -304,15 +305,38 @@ class TestFitRecordsItsProblem:
     def test_fits_hold_the_model_and_data_they_were_given(self):
         data = _logistic_data(n=100, d=3)
         model = model_for_data("logistic", data.X)
-        for fit in (fit_erm(model, data), bootstrap_fit(model, data, np.ones(data.n))):
-            assert fit.model is model and fit.data is data
-            assert "data=" not in repr(fit)
+        fit = fit_erm(model, data)
+        assert fit.model is model and fit.data is data
+        assert np.array_equal(fit.weights, np.ones(data.n))
+        w = 1.0 + 0.1 * np.arange(data.n) / data.n
+        fit = bootstrap_fit(model, data, w)
+        assert fit.model is model and fit.data is data and fit.weights is w
+        assert "data=" not in repr(fit) and "weights=" not in repr(fit)
         # three replications share one engine call, a slot each
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
         slots = replicate(proc, 100, 0, 3, lambda model, data, fit: (model, data, fit))
         assert len(slots) == 3
         for model, data, fit in slots:
             assert fit.model is model and fit.data is data
+            assert np.array_equal(fit.weights, np.ones(100))
+
+    def test_a_fit_cannot_be_built_without_its_problem(self):
+        data = _logistic_data(n=100, d=3)
+        model = model_for_data("logistic", data.X)
+        fit = fit_erm(model, data)
+        fields = dict(
+            theta_n=fit.theta_n,
+            aggregates_at_opt=fit.aggregates_at_opt,
+            newton_decrement=fit.newton_decrement,
+            iterations=fit.iterations,
+            converged=fit.converged,
+        )
+        problem = dict(model=model, data=data, weights=fit.weights)
+        assert FitResult(**fields, **problem).weights is fit.weights
+        for missing in problem:
+            partial = {k: v for k, v in problem.items() if k != missing}
+            with pytest.raises(TypeError, match=missing):
+                FitResult(**fields, **partial)
 
 
 class TestSolverOptions:

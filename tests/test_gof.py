@@ -114,6 +114,7 @@ class TestLrAndWaldStatistics:
             converged=True,
             model=model,
             data=data,
+            weights=fit.weights,
         )
         with pytest.raises(DomainError, match="not a minimizer"):
             lr_statistic(bogus, LINEAR3.theta0)
@@ -150,16 +151,16 @@ class TestLrAndWaldStatistics:
 
 class TestTestReport:
     def test_reject_flag_must_be_consistent(self):
-        with pytest.raises(DomainError):
+        # reject is derived, statistic > critical, so it cannot disagree
+        assert Report(statistic=2.0, kind="wald", critical=1.0, n=10, d=2).reject
+        assert not Report(statistic=0.5, kind="wald", critical=1.0, n=10, d=2).reject
+        assert not Report(statistic=1.0, kind="wald", critical=1.0, n=10, d=2).reject
+        with pytest.raises(TypeError):
             Report(statistic=2.0, kind="wald", critical=1.0, reject=False, n=10, d=2)
-        with pytest.raises(DomainError):
-            Report(statistic=0.5, kind="wald", critical=1.0, reject=True, n=10, d=2)
-        report = Report(statistic=2.0, kind="wald", critical=1.0, reject=True, n=10, d=2)
-        assert report.reject
 
     def test_kind_validated(self):
         with pytest.raises(DomainError):
-            Report(statistic=1.0, kind="score", critical=1.0, reject=False, n=10, d=2)
+            Report(statistic=1.0, kind="score", critical=1.0, n=10, d=2)
 
 
 class TestRunTest:
@@ -182,18 +183,17 @@ class TestRunTest:
             run_test("lr", model, data, fit.theta_n, 0.05, "explicit")
 
     def test_oracle_rule_needs_process_and_is_deterministic(self):
+        # the oracle replays the process recorded in the data's provenance,
+        # which data built by hand (or read from CSV) lack
         model, data, _ = _linear_fit(n=100)
+        bare = Dataset(X=data.X, y=data.y)
         with pytest.raises(MissingSampler):
-            run_test("wald", model, data, LINEAR3.theta0, 0.1, "oracle_mc")
-        a = run_test(
-            "wald", model, data, LINEAR3.theta0, 0.1, "oracle_mc",
-            process=LINEAR3, calib_reps=50, seed=4,
-        )
-        b = run_test(
-            "wald", model, data, LINEAR3.theta0, 0.1, "oracle_mc",
-            process=LINEAR3, calib_reps=50, seed=4,
-        )
+            run_test("wald", model, bare, LINEAR3.theta0, 0.1, "oracle_mc", calib_reps=50)
+        a = run_test("wald", model, data, LINEAR3.theta0, 0.1, "oracle_mc", calib_reps=50, seed=4)
+        b = run_test("wald", model, data, LINEAR3.theta0, 0.1, "oracle_mc", calib_reps=50, seed=4)
         assert a == b
+        null = null_statistics(("wald",), LINEAR3, 100, 50, phase_seed(4, 0))["wald"]
+        assert a.critical == float(np.quantile(null, 0.9))
 
     def test_oracle_calibration_holds_its_level(self):
         # the critical value depends only on (process, n, alpha, reps, seed),
@@ -202,8 +202,7 @@ class TestRunTest:
         data0 = generate(LINEAR3, 200, 10_000)
         model0 = model_for_data("squared", data0.X)
         report = run_test(
-            "wald", model0, data0, LINEAR3.theta0, alpha, "oracle_mc",
-            process=LINEAR3, calib_reps=800, seed=3,
+            "wald", model0, data0, LINEAR3.theta0, alpha, "oracle_mc", calib_reps=800, seed=3
         )
         rejections = 0
         for seed in range(600):
@@ -222,7 +221,7 @@ class TestRunTest:
         data = generate(proc, 30, 0)
         report = run_test(
             "wald", model_for_data("logistic", data.X), data, proc.theta0, 0.1, "oracle_mc",
-            process=proc, calib_reps=40, seed=3,
+            calib_reps=40, seed=3,
         )
         assert report.critical == float(np.quantile(null, 0.9))
 
@@ -234,7 +233,7 @@ class TestRunTest:
         data = generate(proc, 300, 0)
         report = run_test(
             "rao", model_for_data("logistic", data.X), data, theta0, 0.05, "oracle_mc",
-            process=proc, calib_reps=100, seed=0,
+            calib_reps=100, seed=0,
         )
         null_proc = Process(kind="logistic_wellspec", theta0=theta0)
         null = null_statistics(("rao",), null_proc, 300, 100, phase_seed(0, 0))["rao"]

@@ -38,19 +38,41 @@ EULER_GAMMA = 0.5772156649015329
 
 
 def _fake_fit(H, G, theta=None):
-    """A converged FitResult carrying prescribed aggregate matrices."""
+    """A converged FitResult carrying prescribed aggregate matrices.
+
+    Its model and data are a least-squares problem of the same size that
+    the aggregates do not come from; the tests using it read only the
+    aggregates.
+    """
     H = np.asarray(H, dtype=float)
     d = H.shape[0]
     theta = np.zeros(d) if theta is None else np.asarray(theta, dtype=float)
     agg = EmpiricalAggregates(
         L_n=0.0, S_n=np.zeros(d), H_n=H, G_n=np.asarray(G, dtype=float), n=100
     )
+    data = Dataset(X=np.random.default_rng(0).standard_normal((100, d)), y=np.zeros(100))
     return FitResult(
         theta_n=theta,
         aggregates_at_opt=agg,
         newton_decrement=0.0,
         iterations=1,
         converged=True,
+        model=model_for_data("squared", data.X),
+        data=data,
+        weights=np.ones(100),
+    )
+
+
+def _set_of(fit, kind, sq_radius, calibration="bootstrap"):
+    """The set of ``fit`` at a given squared radius, without calibrating one."""
+    return ConfidenceSet(
+        kind=kind,
+        center=fit.theta_n,
+        shape=fit.aggregates_at_opt.H_n if kind == "wald" else None,
+        sq_radius=sq_radius,
+        delta=0.05,
+        calibration=calibration,
+        fit=fit,
     )
 
 
@@ -274,7 +296,7 @@ class TestWaldRadius:
             calibrated_radius(stalled, "wald", 0.05, "explicit_constant", constants=self.constants)
 
     def test_validation(self):
-        _, _, fit = _logistic_fit()
+        _, data, fit = _logistic_fit()
         kw = dict(constants=self.constants)
         with pytest.raises(DomainError):
             calibrated_radius(fit, "wald", 1.5, "explicit_constant", **kw)
@@ -282,17 +304,21 @@ class TestWaldRadius:
             calibrated_radius(fit, "score", 0.05, "explicit_constant", **kw)
         with pytest.raises(MissingSampler):
             calibrated_radius(fit, "wald", 0.05, "explicit_constant")
-        with pytest.raises(MissingSampler):
-            calibrated_radius(fit, "wald", 0.05, "oracle_mc")
         with pytest.raises(DomainError):
             calibrated_radius(fit, "wald", 0.05, "plugin", **kw)
+        # data built by hand record no process for the oracle to replay
+        bare = Dataset(X=data.X, y=data.y)
+        bare_fit = fit_erm(model_for_data("logistic", bare.X), bare)
+        with pytest.raises(MissingSampler, match="process"):
+            calibrated_radius(bare_fit, "wald", 0.05, "oracle_mc", calib_reps=10)
 
     def test_oracle_calibration_delegates(self):
+        # the oracle replays the process recorded in the fit's data
         proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(3))
         data = generate(proc, 60, 0)
         model = model_for_data("squared", data.X)
         fit = fit_erm(model, data)
-        sq = calibrated_radius(fit, "wald", 0.1, "oracle_mc", process=proc, calib_reps=50, seed=11)
+        sq = calibrated_radius(fit, "wald", 0.1, "oracle_mc", calib_reps=50, seed=11)
         assert sq == oracle_radius("wald", proc, 60, 0.1, reps=50, seed=11)
 
     def test_bootstrap_calibration_delegates(self):
@@ -313,7 +339,7 @@ class TestCalibratedRadius:
         config = BootstrapConfig(delta=0.1, B=150, seed=4)
         assert sq == bootstrap_quantile(model, data, fit, config, kind="lr").quantile
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(2))
-        sq = calibrated_radius(fit, "lr", 0.1, "oracle_mc", process=proc, calib_reps=30, seed=5)
+        sq = calibrated_radius(fit, "lr", 0.1, "oracle_mc", calib_reps=30, seed=5)
         assert sq == oracle_radius("lr", proc, 120, 0.1, reps=30, seed=5)
 
     def test_explicit_constant_is_wald_only(self):
@@ -326,6 +352,7 @@ class TestCalibratedRadius:
 
         def oracle_radius(kind, process, n, delta, reps=1000, seed=0, opts=None):
             seen.update(kind=kind, n=n, delta=delta, reps=reps, seed=seed, opts=opts)
+            seen["process"] = process
             return 0.5
 
         monkeypatch.setattr("scmest.inference.oracle_radius", oracle_radius)
@@ -334,8 +361,9 @@ class TestCalibratedRadius:
         opts = SolverOptions(tol=1e-8, max_iter=7)
         fit = fit_erm(model_for_data("squared", data.X), data, opts)
         assert fit.opts == opts
-        sq = calibrated_radius(fit, "lr", 0.1, "oracle_mc", process=proc, calib_reps=30, seed=4)
+        sq = calibrated_radius(fit, "lr", 0.1, "oracle_mc", calib_reps=30, seed=4)
         assert sq == 0.5
+        assert seen.pop("process") is proc
         assert seen == dict(kind="lr", n=50, delta=0.1, reps=30, seed=4, opts=opts)
 
     def test_bootstrap_quantile_is_at_the_requested_tail_mass(self):
@@ -401,28 +429,44 @@ class TestConfidenceSetMembership:
             delta=0.05,
             calibration="explicit_constant",
         )
-        _, _, fit = _logistic_fit(n=60, d=2)
-        assert not set_membership(cs, fit, np.array([2.0, 0.0]))
-        assert set_membership(cs, fit, np.array([0.5, 0.5]))
-        assert set_membership(cs, fit, np.array([1.0, 0.0]))
+        # wald membership needs no fit
+        assert not set_membership(cs, np.array([2.0, 0.0]))
+        assert set_membership(cs, np.array([0.5, 0.5]))
+        assert set_membership(cs, np.array([1.0, 0.0]))
 
     def test_center_membership_both_kinds(self):
         _, _, fit = _logistic_fit(n=120, d=2)
         for kind in ("wald", "lr"):
-            cs = confidence_set(fit, kind, 0.05, "bootstrap", 0.3)
-            assert set_membership(cs, fit, fit.theta_n)
+            assert set_membership(_set_of(fit, kind, 0.3), fit.theta_n)
+
+    def test_the_set_is_calibrated_by_calibrated_radius(self):
+        _, _, fit = _logistic_fit(n=120, d=2)
+        constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
+        for kind, calibration, options in [
+            ("wald", "bootstrap", dict(B=150, seed=4)),
+            ("lr", "bootstrap", dict(B=150, seed=4)),
+            ("lr", "oracle_mc", dict(calib_reps=30, seed=5)),
+            ("wald", "explicit_constant", dict(constants=constants, c_abs=1.0)),
+        ]:
+            cs = confidence_set(fit, kind, 0.1, calibration, **options)
+            assert cs.sq_radius == calibrated_radius(fit, kind, 0.1, calibration, **options)
+            assert (cs.kind, cs.delta, cs.calibration) == (kind, 0.1, calibration)
+            assert cs.fit is fit
+            assert np.array_equal(cs.center, fit.theta_n)
+        with pytest.raises(DomainError, match="wald sets only"):
+            confidence_set(fit, "lr", 0.1, "explicit_constant", constants=constants)
 
     def test_wald_set_is_convex(self):
         _, _, fit = _logistic_fit(n=120, d=3)
-        cs = confidence_set(fit, "wald", 0.05, "explicit_constant", 0.25)
+        cs = _set_of(fit, "wald", 0.25, "explicit_constant")
         rng = np.random.default_rng(0)
         members = []
         while len(members) < 12:
             theta = fit.theta_n + 0.5 * rng.standard_normal(3)
-            if set_membership(cs, fit, theta):
+            if set_membership(cs, theta):
                 members.append(theta)
         for a, b in zip(members[::2], members[1::2]):
-            assert set_membership(cs, fit, 0.5 * (a + b))
+            assert set_membership(cs, 0.5 * (a + b))
 
     def test_lr_membership_affine_invariant(self):
         model, data, fit = _logistic_fit(n=300, d=3)
@@ -439,21 +483,18 @@ class TestConfidenceSetMembership:
                 - fit.aggregates_at_opt.L_n
             )
             for sq in (0.5 * stat, 2.0 * stat):
-                cs1 = confidence_set(fit, "lr", 0.05, "oracle_mc", sq)
-                cs2 = confidence_set(fit2, "lr", 0.05, "oracle_mc", sq)
-                inside1 = set_membership(cs1, fit, theta)
-                inside2 = set_membership(cs2, fit2, np.linalg.solve(A.T, theta))
+                inside1 = set_membership(_set_of(fit, "lr", sq), theta)
+                inside2 = set_membership(_set_of(fit2, "lr", sq), np.linalg.solve(A.T, theta))
                 assert inside1 == inside2
 
     def test_dimension_mismatch(self):
         _, _, fit = _logistic_fit(n=60, d=2)
-        cs = confidence_set(fit, "wald", 0.05, "bootstrap", 1.0)
         with pytest.raises(DimensionMismatch):
-            set_membership(cs, fit, np.zeros(3))
+            set_membership(_set_of(fit, "wald", 1.0), np.zeros(3))
 
     def test_json_round_trip(self):
         model, data, fit = _logistic_fit(n=60, d=2)
-        cs = confidence_set(fit, "wald", 0.1, "bootstrap", 0.7)
+        cs = _set_of(fit, "wald", 0.7)
         doc = json.loads(cs.to_json())
         assert doc["schema_version"] == "1"
         assert doc["shape"] == [list(row) for row in fit.aggregates_at_opt.H_n]
@@ -464,13 +505,20 @@ class TestConfidenceSetMembership:
         assert back.calibration == cs.calibration
         assert np.array_equal(back.center, cs.center)
         assert np.array_equal(back.shape, cs.shape)
+        # the JSON does not carry the fit; a Wald set answers without it
+        assert back.fit is None
+        for theta in (fit.theta_n, fit.theta_n + 1.0):
+            assert set_membership(back, theta) == set_membership(cs, theta)
 
     def test_lr_set_serializes_without_shape(self):
         model, data, fit = _logistic_fit(n=60, d=2)
-        cs = confidence_set(fit, "lr", 0.1, "bootstrap", 0.7)
+        cs = _set_of(fit, "lr", 0.7)
         back = ConfidenceSet.from_json(cs.to_json())
         assert back.shape is None
         assert np.array_equal(back.center, cs.center)
+        assert set_membership(cs, fit.theta_n)
+        with pytest.raises(DomainError, match="needs the fit"):
+            set_membership(back, fit.theta_n)
 
     def test_validation(self):
         with pytest.raises(DomainError):
