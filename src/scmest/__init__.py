@@ -7,8 +7,12 @@ and goodness-of-fit tests by multiplier bootstrap, Monte Carlo oracle,
 or explicit constants.  ``scmest.cli`` exposes the same operations as a
 command line.
 
-Submodules load lazily so the CLI can cap BLAS threads before numpy is
-imported.
+Each public name is declared once, in the ``__all__`` of the submodule
+that defines it, and ``scmest.<name>`` resolves it from there.
+Submodules load lazily, on the first lookup, so the CLI can cap BLAS
+threads before numpy is imported; ``errors`` is searched first and loads
+no numpy.  Listing the names (``dir(scmest)``, ``scmest.__all__``)
+imports every submodule.
 """
 
 from __future__ import annotations
@@ -17,136 +21,29 @@ import importlib
 
 __version__ = "0.1.0"
 
-_EXPORTS = {
-    "errors": (
-        "ScmestError",
-        "DomainError",
-        "ConvergenceError",
-        "DimensionMismatch",
-        "InvalidLabel",
-        "NumericOverflow",
-        "EmptyDataset",
-        "SingularHessian",
-        "NonConverged",
-        "MissingSampler",
-        "TooManyFailures",
-        "ParseError",
-    ),
-    "scfun": (
-        "ScParams",
-        "SpectralSummary",
-        "Certificate",
-        "omega",
-        "omega_bar",
-        "omega_dbar",
-        "d_nu",
-        "r_nu",
-        "k_nu",
-        "certify_unique_minimizer",
-    ),
-    "losses": (
-        "LOSS_KINDS",
-        "LossModel",
-        "squared_loss",
-        "logistic_loss",
-        "poisson_loss",
-        "expfam_glm_loss",
-        "score_matching_loss",
-        "gaussian_score_matching_loss",
-        "model_for_data",
-        "score_matching_assemble",
-    ),
-    "simdata": (
-        "PROCESS_KINDS",
-        "Process",
-        "Dataset",
-        "Provenance",
-        "generate",
-        "theta0_equispaced",
-        "loss_kind_for",
-        "phase_seed",
-        "read_csv",
-        "write_csv",
-        "write_table",
-    ),
-    "estimate": (
-        "EmpiricalAggregates",
-        "FitResult",
-        "SolverOptions",
-        "LocalizationCertificate",
-        "empirical_sc_params",
-        "aggregates",
-        "fit_erm",
-        "replicate",
-        "localization_certificate",
-    ),
-    "inference": (
-        "SCHEMA_VERSION",
-        "ConfidenceSet",
-        "AssumptionConstants",
-        "EffDimReport",
-        "effective_dim_empirical",
-        "effective_dim_spectrum",
-        "effective_dim_oracle",
-        "t_n_bound",
-        "oracle_radius",
-        "calibrated_radius",
-        "confidence_set",
-        "set_membership",
-        "critical_sample_size",
-    ),
-    "gof": (
-        "TEST_KINDS",
-        "TestReport",
-        "PowerCurveConfig",
-        "PowerRow",
-        "PowerTable",
-        "rao_statistic",
-        "lr_statistic",
-        "wald_statistic",
-        "null_statistics",
-        "run_test",
-        "power_curve",
-    ),
-    "bootstrap": (
-        "BootstrapConfig",
-        "BootstrapQuantile",
-        "bootstrap_weights",
-        "bootstrap_fit",
-        "bootstrap_quantile",
-    ),
-    "experiments": (
-        "CoverageConfig",
-        "CoverageRow",
-        "CoverageTable",
-        "coverage_experiment",
-        "COVERAGE_TARGETS",
-        "CoverageTableExperiment",
-        "EffDimErrorExperiment",
-        "ConfsetShapeExperiment",
-        "PowerCurvesExperiment",
-        "EffDimRow",
-        "ShapeRow",
-        "run_coverage_table",
-        "run_effdim_error",
-        "run_confset_shape",
-        "run_power_curves",
-    ),
-}
+# searched in this order; each imports only modules before it
+_SUBMODULES = (
+    "errors", "scfun", "simdata", "losses", "estimate",
+    "bootstrap", "gof", "inference", "experiments",
+)
 
-_ATTR_MODULE = {name: mod for mod, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted(_ATTR_MODULE) + ["__version__"]
+def _modules():
+    for mod in _SUBMODULES:
+        yield importlib.import_module(f".{mod}", __name__)
 
 
 def __getattr__(name: str):
-    mod = _ATTR_MODULE.get(name)
-    if mod is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{mod}", __name__), name)
-    globals()[name] = value
-    return value
+    if name == "__all__":
+        value = globals()[name] = sorted(n for m in _modules() for n in m.__all__) + ["__version__"]
+        return value
+    if not name.startswith("_"):
+        for module in _modules():
+            if name in module.__all__:
+                value = globals()[name] = getattr(module, name)
+                return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
+    return sorted(set(globals()) | set(__getattr__("__all__")))

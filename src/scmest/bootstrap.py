@@ -1,8 +1,9 @@
 """Multiplier-bootstrap calibration of Wald and LR confidence sets.
 
 Each bootstrap replication b reweights the empirical risk of the base fit
-(``FitResult.model`` on ``FitResult.data``) with i.i.d. Gaussian
-multipliers W_i ~ N(1, 1), refits, and evaluates
+(``FitResult.model`` on ``FitResult.data`` under ``FitResult.weights``,
+ones for an unweighted fit) with i.i.d. Gaussian multipliers
+W_i ~ N(1, 1), refits, and evaluates
 
     T_wald^b = ||theta^b - theta_n||^2 in the H_n^b(theta^b) metric,
     T_lr^b   = 2 [L_n^b(theta_n) - L_n^b(theta^b)],
@@ -102,21 +103,23 @@ def bootstrap_fit(
 
     Runs the same damped-Newton machinery as the unweighted fit; with unit
     weights the result is bit-for-bit identical to fit_erm.  Nonconvexity
-    induced by negative weights surfaces as SingularHessian.
+    induced by negative weights surfaces as SingularHessian; non-finite
+    weights raise DomainError.
     """
     batch = prepare_batch(model, data.X, data.y)
-    weights = check_weights(weights, batch.n)
-    if not np.all(np.isfinite(weights)):
-        raise DomainError("bootstrap weights must be finite")
-    return _newton_fit(batch, data, opts or SolverOptions(), weights)
+    return _newton_fit(batch, data, opts or SolverOptions(), check_weights(weights, batch.n))
 
 
 def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
     """All B bootstrap Wald and LR statistics of a fit plus the failure count.
 
-    The refits run on the fit's model and data, under its solver options.
-    The checked data, the per-sample stacks and the outer-product table of
-    the Hessians are built once here and shared by every replication.
+    The refits run on the fit's model and data, under its solver options,
+    and replication b minimizes the risk the fit minimized reweighted by
+    W_b: its weights are ``fit.weights * W_b``, and its LR compares the
+    two risks of those weights.  Unit fit weights multiply exactly, so an
+    unweighted fit gets the plain W_b statistics bit for bit.  The checked
+    data, the per-sample stacks and the outer-product table of the
+    Hessians are built once here and shared by every replication.
     """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
@@ -130,7 +133,7 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
     chunk = min(B, batch.max_slots())
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
-        W = np.stack([bootstrap_weights(seed, b, n) for b in range(start, stop)])
+        W = fit.weights * np.stack([bootstrap_weights(seed, b, n) for b in range(start, stop)])
         fits = _newton_engine(batch, W, fit.opts)
         ok = fits.status == "converged"
         diff = fits.theta - fit.theta_n

@@ -286,7 +286,7 @@ def cmd_fit(cfg) -> int:
 
 
 def cmd_confset(cfg) -> int:
-    from .errors import MissingSampler
+    from .errors import DomainError
     from .estimate import fit_erm
     from .inference import AssumptionConstants, confidence_set
 
@@ -298,7 +298,7 @@ def cmd_confset(cfg) -> int:
     constants = None
     if calibration == "explicit_constant":
         if any(cfg.get(name) is None for name in ("k1", "k2", "sigma_h")):
-            raise MissingSampler("explicit_constant calibration needs --k1, --k2, --sigma-h")
+            raise DomainError("explicit_constant calibration needs --k1, --k2, --sigma-h")
         constants = AssumptionConstants(
             K1=float(cfg["k1"]), K2=float(cfg["k2"]), sigma_H=float(cfg["sigma_h"])
         )

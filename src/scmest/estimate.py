@@ -42,7 +42,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, EmptyDataset, NonConverged, NumericOverflow
+from .errors import DomainError, EmptyDataset, NonConverged, NumericOverflow
 from .errors import SingularHessian, check_failures
 from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
 from .losses import stack_batches
@@ -97,17 +97,18 @@ class SolverOptions:
 
     tol is the Newton-decrement stopping threshold, measured in the
     H_n^{-1} norm of the gradient; max_iter caps the number of Newton
-    steps.
+    steps.  A tolerance that is not positive (NaN included) or a budget
+    below one raises DomainError.
     """
 
     tol: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if self.tol <= 0.0:
-            raise DimensionMismatch(f"tol must be positive, got {self.tol}")
+        if not self.tol > 0.0:
+            raise DomainError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
-            raise DimensionMismatch(f"max_iter must be >= 1, got {self.max_iter}")
+            raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -329,9 +330,10 @@ def _fit_result(
 
     ``batch`` holds the checked ``data`` of slot b and its per-sample
     stacks, and ``w`` checked weights.  A slot that ended singular or in
-    overflow raises SingularHessian or NumericOverflow.  The full
-    aggregates are completed once, at the returned iterate, where the
-    certificate is evaluated.
+    overflow raises SingularHessian or NumericOverflow; :func:`replicate`
+    drops such slots before it gets here.  The full aggregates are
+    completed once, at the returned iterate, where the certificate is
+    evaluated.
     """
     status, it = fits.status[b], int(fits.iterations[b])
     if status == "singular":
@@ -408,12 +410,14 @@ def replicate(
     of a chunk of replications, whose designs hold at most 50 000 entries
     (n d per dataset) or are one dataset, run as one engine call with a
     slot per dataset.  With ``fit=False`` nothing is fitted and the measure
-    gets None.  A replication whose fit or measure raises SingularHessian,
-    NumericOverflow or NonConverged is dropped; the other values come back
-    in replication order.  More than reps/10 dropped raises TooManyFailures
-    with the count per cause, named as the bootstrap names its failed
-    refits: ``singular``, ``overflow``, ``max_iter``.  ``reps`` below 1
-    raises DomainError, and ``n`` below 1 EmptyDataset.
+    gets None.  A replication whose fit did not converge is dropped before
+    ``measure`` runs, counted under its engine status, as the bootstrap
+    counts its failed refits: ``singular``, ``overflow``, ``max_iter``.  A
+    replication whose measure raises SingularHessian, NumericOverflow or
+    NonConverged is dropped and counted under that error's cause.  The
+    other values come back in replication order.  More than reps/10
+    dropped raises TooManyFailures with the count per cause.  ``reps``
+    below 1 raises DomainError, and ``n`` below 1 EmptyDataset.
     """
     if reps < 1:
         raise DomainError(f"replications must be positive, got {reps}")
@@ -433,6 +437,9 @@ def replicate(
             W = np.ones((len(batches), n))
             fits = _newton_engine(stack_batches(batches), W, opts)
         for b, (model, data) in enumerate(zip(models, datasets)):
+            if fit and fits.status[b] != "converged":
+                causes[fits.status[b]] += 1
+                continue
             try:
                 result = _fit_result(batches[b], data, opts, W[b], fits, b) if fit else None
                 values.append(measure(model, data, result))

@@ -20,12 +20,13 @@ closed-form radius of the Wald set
 whose absolute constant C is not sharp (default 0 keeps the leading term
 only).  ``oracle_mc`` replicates the experiment from the process that drew
 the fit's data (``Dataset.provenance``) and takes the empirical upper-delta
-quantile of the statistic; ``bootstrap`` delegates to the multiplier
-bootstrap of the fit's own model and data (``FitResult.model``,
-``FitResult.data``).  Both refit under the solver options of the fit they
-calibrate (``FitResult.opts``).  A set belongs to one fit:
-:func:`confidence_set` calibrates it from the fit and keeps the fit, where
-LR membership reads the risk.  Throughout this module ``delta`` is the tail
+quantile of the statistic, so it refuses a weighted fit; ``bootstrap``
+delegates to the multiplier bootstrap of the fit's own model, data and
+weights (``FitResult.model``, ``FitResult.data``, ``FitResult.weights``).
+Both refit under the solver options of the fit they calibrate
+(``FitResult.opts``).  A set belongs to one fit: :func:`confidence_set`
+calibrates it from the fit and keeps the fit, where LR membership reads
+the risk.  Throughout this module ``delta`` is the tail
 mass: coverage targets 1 - delta.
 """
 
@@ -311,13 +312,15 @@ def calibrated_radius(
 
     calibration selects the source: ``explicit_constant`` evaluates the
     closed-form radius of the Wald set at the empirical effective dimension
-    (needs ``constants``; ``c_abs`` is the non-sharp absolute constant, 0
-    keeps the leading term), ``oracle_mc`` replays the experiment from
-    the process that drew the fit's data, ``fit.data.provenance.process``
-    (calib_reps fresh replications seeded seed + r; data without
-    provenance raise MissingSampler), and ``bootstrap`` refits the fit's
-    own model and data under B multiplier reweightings drawn from
-    ``seed``.  Refits use ``fit.opts``.
+    (needs ``constants``, else DomainError; ``c_abs`` is the non-sharp
+    absolute constant, 0 keeps the leading term), ``oracle_mc`` replays the
+    experiment from the process that drew the fit's data,
+    ``fit.data.provenance.process`` (calib_reps fresh replications seeded
+    seed + r; data without provenance raise MissingSampler, and a fit whose
+    ``weights`` are not all ones DomainError, since replaying the process
+    cannot reproduce them), and ``bootstrap`` refits the fit's own model
+    and data under its ``weights`` times B multiplier reweightings drawn
+    from ``seed``.  Refits use ``fit.opts``.
     """
     if not fit.converged:
         raise NonConverged("calibrated_radius requires a converged fit")
@@ -327,9 +330,11 @@ def calibrated_radius(
         if kind != "wald":
             raise DomainError("explicit_constant calibration applies to wald sets only")
         if constants is None:
-            raise MissingSampler("explicit_constant calibration needs the constants")
+            raise DomainError("explicit_constant calibration needs the constants")
         return _explicit_sq_radius(fit, delta, constants, c_abs)
     if calibration == "oracle_mc":
+        if not np.all(fit.weights == 1.0):
+            raise DomainError("oracle_mc calibration cannot replay a weighted fit")
         process = fit.data.provenance.process if fit.data.provenance else None
         return oracle_radius(kind, process, fit.data.n, delta, calib_reps, seed, fit.opts)
     if calibration == "bootstrap":

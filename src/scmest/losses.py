@@ -715,13 +715,16 @@ def check_weights(w, n: int) -> np.ndarray:
     """Weights as a length-n float vector; None means all ones.
 
     Multiplying by unit weights is exact, so weights=ones reproduces the
-    unweighted results bit for bit.
+    unweighted results bit for bit.  A wrong shape raises
+    DimensionMismatch, and a NaN or infinite weight DomainError.
     """
     if w is None:
         return np.ones(n)
     w = np.asarray(w, dtype=float)
     if w.shape != (n,):
         raise DimensionMismatch(f"weights have shape {w.shape}, expected ({n},)")
+    if not np.all(np.isfinite(w)):
+        raise DomainError("weights must be finite")
     return w
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from scmest import experiments
 from scmest.bootstrap import (
     BootstrapConfig,
     _bootstrap_statistics,
@@ -20,6 +21,7 @@ from scmest.errors import (
 from scmest.estimate import SolverOptions, _newton_engine, aggregates, fit_erm
 from scmest.experiments import CoverageConfig, coverage_experiment
 from scmest.gof import lr_statistic, wald_statistic
+from scmest.inference import calibrated_radius
 from scmest.losses import (
     _OuterTable,
     batch_values,
@@ -102,6 +104,33 @@ class TestBootstrapFit:
                 lr_s.append(lr_statistic(refit, fit.theta_n))
             assert len(lr_s) == lr_b.size
             np.testing.assert_allclose(lr_s, lr_b, rtol=1e-12, atol=1e-15)
+
+    def test_calibrations_read_the_fit_weights(self):
+        # refit b of a weighted fit minimizes its risk under fit.weights * W_b
+        base = np.random.default_rng(1).exponential(size=200)
+        for kind, proc_kind in [
+            ("squared", "linear_wellspec"),
+            ("logistic", "logistic_wellspec"),
+            ("poisson", "poisson_wellspec"),
+        ]:
+            _, data, model, _ = _fit(kind, proc_kind, 200, 3)
+            fit = bootstrap_fit(model, data, base)
+            wald_b, lr_b, _ = _bootstrap_statistics(fit, 40, 0)
+            wald_s, lr_s = [], []
+            for b in range(40):
+                try:
+                    refit = bootstrap_fit(model, data, fit.weights * bootstrap_weights(0, b, 200))
+                except (SingularHessian, NumericOverflow):
+                    continue
+                if refit.converged:
+                    wald_s.append(wald_statistic(refit, fit.theta_n))
+                    lr_s.append(lr_statistic(refit, fit.theta_n))
+            assert len(wald_s) == wald_b.size
+            np.testing.assert_allclose(wald_s, wald_b, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(lr_s, lr_b, rtol=1e-12, atol=1e-15)
+            # replaying the process cannot reproduce the weights
+            with pytest.raises(DomainError, match="weighted"):
+                calibrated_radius(fit, "wald", 0.05, "oracle_mc", calib_reps=20)
 
     def test_weights_must_be_finite(self):
         _, data, model, _ = _fit("squared", "linear_wellspec", 50, 2)
@@ -395,6 +424,29 @@ class TestCoverageExperiment:
         config = self._config(process=proc, n=30, reps=40, seed=3, methods=("oracle",))
         row = coverage_experiment(config).lookup("oracle", 0.9)
         assert (row.reps, row.failures) == (38, 2)
+
+    def test_failed_bootstrap_counts_for_the_bootstrap_methods_only(self, monkeypatch):
+        # replications 1 and 4 get a bootstrap over its failure budget
+        config = self._config(reps=10, B=100)
+        clean = coverage_experiment(config)
+        calls = []
+        statistics = experiments._bootstrap_statistics
+
+        def failing(fit, B, seed):
+            calls.append(seed)
+            if len(calls) in (2, 5):
+                raise TooManyFailures("forced")
+            return statistics(fit, B, seed)
+
+        monkeypatch.setattr(experiments, "_bootstrap_statistics", failing)
+        table = coverage_experiment(config)
+        assert len(calls) == 10
+        for level in config.deltas:
+            assert table.lookup("oracle", level) == clean.lookup("oracle", level)
+            for method in ("bootwald", "bootlr"):
+                row, ref = table.lookup(method, level), clean.lookup(method, level)
+                assert (ref.reps, ref.failures) == (10, 0)
+                assert (row.reps, row.failures) == (8, 2)
 
     def test_method_subset(self):
         table = coverage_experiment(self._config(methods=("oracle",), reps=10, B=50))

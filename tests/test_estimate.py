@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from scmest.bootstrap import bootstrap_fit
-from scmest.errors import SingularHessian
+from scmest.errors import DomainError, SingularHessian
 from scmest.estimate import (
     FitResult,
     SolverOptions,
@@ -92,6 +92,13 @@ class TestAggregates:
         np.testing.assert_allclose(agg.L_n, 0.5 * np.mean(resid**2), rtol=1e-13)
         np.testing.assert_allclose(agg.S_n, data.X.T @ resid / data.n, rtol=1e-12)
         np.testing.assert_allclose(agg.H_n, data.X.T @ data.X / data.n, rtol=1e-12)
+
+    def test_weights_must_be_finite(self):
+        data = _linear_data()
+        model = model_for_data("squared", data.X)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError):
+                aggregates(model, data, np.zeros(4), weights=np.full(data.n, bad))
 
     def test_unit_weights_bit_identical_to_no_weights(self):
         data = _logistic_data()
@@ -341,10 +348,13 @@ class TestFitRecordsItsProblem:
 
 class TestSolverOptions:
     def test_validation(self):
-        with pytest.raises(Exception):
-            SolverOptions(tol=-1.0)
-        with pytest.raises(Exception):
-            SolverOptions(max_iter=-1)
+        bad_options = (
+            dict(tol=-1.0), dict(tol=0.0), dict(tol=float("nan")),
+            dict(max_iter=-1), dict(max_iter=0),
+        )
+        for bad in bad_options:
+            with pytest.raises(DomainError):
+                SolverOptions(**bad)
 
     def test_loose_tolerance_stops_early(self):
         data = _logistic_data()

@@ -302,7 +302,7 @@ class TestWaldRadius:
             calibrated_radius(fit, "wald", 1.5, "explicit_constant", **kw)
         with pytest.raises(DomainError):
             calibrated_radius(fit, "score", 0.05, "explicit_constant", **kw)
-        with pytest.raises(MissingSampler):
+        with pytest.raises(DomainError, match="constants"):
             calibrated_radius(fit, "wald", 0.05, "explicit_constant")
         with pytest.raises(DomainError):
             calibrated_radius(fit, "wald", 0.05, "plugin", **kw)

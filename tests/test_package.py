@@ -3,6 +3,7 @@
 import ast
 import importlib
 import io
+import json
 import shlex
 import subprocess
 import sys
@@ -17,9 +18,10 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_import_defers_numpy():
-    # the CLI relies on this to set BLAS thread caps before numpy loads
+    # the CLI relies on this to set BLAS thread caps before numpy loads;
+    # the error classes, searched first, load none either
     code = (
-        "import sys; import scmest; "
+        "import sys; import scmest; scmest.ScmestError; "
         "sys.exit(1 if 'numpy' in sys.modules else 0)"
     )
     proc = subprocess.run([sys.executable, "-c", code])
@@ -49,10 +51,50 @@ def test_attributes_resolve_to_their_modules():
     assert scmest.replicate is replicate
 
 
-def test_export_table_matches_each_module_all():
-    # a public name missing from _EXPORTS would not resolve as scmest.<name>
-    for mod, names in scmest._EXPORTS.items():
-        assert list(names) == importlib.import_module(f"scmest.{mod}").__all__, mod
+def test_public_names_resolve_from_each_module_all():
+    # each public name is declared once, in the __all__ of its module
+    seen = {}
+    for mod in scmest._SUBMODULES:
+        module = importlib.import_module(f"scmest.{mod}")
+        for name in module.__all__:
+            assert name not in seen, (name, seen.get(name), mod)
+            seen[name] = mod
+            assert getattr(scmest, name) is getattr(module, name), name
+    assert scmest.__all__ == sorted(seen) + ["__version__"]
+    assert set(scmest.__all__) <= set(dir(scmest))
+
+
+def test_private_names_do_not_import_submodules():
+    code = (
+        "import sys, scmest\n"
+        "for name in ('_EXPORTS', '_anything', '__wrapped__'):\n"
+        "    try:\n"
+        "        getattr(scmest, name)\n"
+        "    except AttributeError:\n"
+        "        continue\n"
+        "    sys.exit(2)\n"
+        "sys.exit(1 if 'scmest.errors' in sys.modules else 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code])
+    assert proc.returncode == 0
+
+
+def test_submodules_import_as_names():
+    code = "from scmest import cli, estimate; print(cli.main, estimate.fit_erm)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_runs_the_command_line():
+    argv = ["fit", "--threads", "1", "--model", "squared", "--process", "linear_wellspec"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "scmest", *argv, "--d", "2", "--n", "50"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert len(payload["theta_n"]) == 2 and payload["converged"] is True
 
 
 def test_dir_lists_exports():
