@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NonConverged, check_failures
-from .estimate import FitResult, SolverOptions, _newton_engine, _newton_fit
+from .estimate import FitResult, SolverOptions, _fit_result, _newton_engine
 from .losses import LossModel, check_weights, prepare_batch
 from .simdata import Dataset
 
@@ -106,8 +106,9 @@ def bootstrap_fit(
     induced by negative weights surfaces as SingularHessian; non-finite
     weights raise DomainError.
     """
-    batch = prepare_batch(model, data.X, data.y)
-    return _newton_fit(batch, data, opts or SolverOptions(), check_weights(weights, batch.n))
+    batch = prepare_batch(model, data)
+    opts, w = opts or SolverOptions(), check_weights(weights, batch.n)
+    return _fit_result(batch, data, opts, w, _newton_engine(batch, w[None], opts), 0)
 
 
 def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
@@ -124,7 +125,7 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
     n = fit.data.n
-    batch = prepare_batch(fit.model, fit.data.X, fit.data.y)
+    batch = prepare_batch(fit.model, fit.data)
     vals_base = batch.values(fit.theta_n)
 
     wald = np.full(B, np.nan)

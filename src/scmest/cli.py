@@ -2,7 +2,11 @@
 
 Every subcommand reads its parameters from flags, optionally merged over a
 JSON ``--config`` file (flags win; unknown config keys are rejected), and
-writes a versioned JSON artifact to ``--out`` or stdout.
+writes a versioned JSON artifact to ``--out`` or stdout.  The commands
+that fit share one fit path, and every artifact but ``confset``'s (the
+set's own :meth:`~scmest.inference.ConfidenceSet.to_json`) opens with one
+header, ``schema_version`` (:data:`scmest.inference.SCHEMA_VERSION`) and
+``command``.
 
 ``experiment`` is the one front end of the four studies in
 :mod:`scmest.experiments`.  It runs one study and writes its table as CSV
@@ -22,7 +26,8 @@ replay the ``--process`` that drew the data; ``--data`` has none to
 replay and is rejected for them.
 
 Exit codes: 0 success, 1 configuration, data or I/O error (a flag the
-study lacks, a non-finite data value), 2 fit did not converge, 3 singular
+study lacks, a non-finite data value, a ``--null`` that is not a finite
+vector of the model's dimension), 2 fit did not converge, 3 singular
 Hessian.  Only ``fit`` writes its artifact on a non-zero exit (at 2).
 
 Heavy imports happen after argument parsing so that ``--threads`` can cap
@@ -36,8 +41,6 @@ import dataclasses
 import json
 import os
 import sys
-
-SCHEMA_VERSION = "1"
 
 _THREAD_VARS = (
     "OMP_NUM_THREADS",
@@ -251,34 +254,41 @@ def _load_inputs(cfg):
     return model_for_data(kind, data.X), data
 
 
-def _fit_payload(fit) -> dict:
+def _fit(cfg):
+    """The fit of a command: its model on its data under its solver options."""
+    from .estimate import fit_erm
+
+    return fit_erm(*_load_inputs(cfg), _solver_opts(cfg))
+
+
+def _emit(cfg, command: str, **fields) -> None:
+    """Write a command's artifact: the one header, then its fields in order."""
+    from .inference import SCHEMA_VERSION
+
+    _emit_json({"schema_version": SCHEMA_VERSION, "command": command, **fields}, cfg.get("out"))
+
+
+def cmd_fit(cfg) -> int:
+    fit = _fit(cfg)
     cert = None
     if fit.certificate is not None:
         cert = {
             "passes": bool(fit.certificate.passes),
             "radius_bound": float(fit.certificate.radius_bound),
         }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fit",
-        "model": fit.model.kind,
-        "n": fit.aggregates_at_opt.n,
-        "d": int(fit.theta_n.size),
-        "theta_n": fit.theta_n.tolist(),
-        "objective_value": fit.aggregates_at_opt.L_n,
-        "newton_decrement": fit.newton_decrement,
-        "iterations": fit.iterations,
-        "converged": fit.converged,
-        "certificate": cert,
-    }
-
-
-def cmd_fit(cfg) -> int:
-    from .estimate import fit_erm
-
-    model, data = _load_inputs(cfg)
-    fit = fit_erm(model, data, _solver_opts(cfg))
-    _emit_json(_fit_payload(fit), cfg.get("out"))
+    _emit(
+        cfg,
+        "fit",
+        model=fit.model.kind,
+        n=fit.aggregates_at_opt.n,
+        d=int(fit.theta_n.size),
+        theta_n=fit.theta_n.tolist(),
+        objective_value=fit.aggregates_at_opt.L_n,
+        newton_decrement=fit.newton_decrement,
+        iterations=fit.iterations,
+        converged=fit.converged,
+        certificate=cert,
+    )
     if not fit.converged:
         print("fit: did not converge within the iteration budget", file=sys.stderr)
         return 2
@@ -287,11 +297,9 @@ def cmd_fit(cfg) -> int:
 
 def cmd_confset(cfg) -> int:
     from .errors import DomainError
-    from .estimate import fit_erm
     from .inference import AssumptionConstants, confidence_set
 
-    model, data = _load_inputs(cfg)
-    fit = fit_erm(model, data, _solver_opts(cfg))
+    fit = _fit(cfg)
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
     calibration = cfg.get("calibration", "bootstrap")
@@ -316,30 +324,23 @@ def cmd_confset(cfg) -> int:
 
 
 def cmd_effdim(cfg) -> int:
-    from .estimate import fit_erm
     from .inference import effective_dim_empirical
 
-    model, data = _load_inputs(cfg)
-    fit = fit_erm(model, data, _solver_opts(cfg))
+    fit = _fit(cfg)
     report = effective_dim_empirical(fit)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "effdim",
-            "model": model.kind,
-            "n": data.n,
-            "d": int(fit.theta_n.size),
-            "kind": report.kind,
-            "value": report.value,
-        },
-        cfg.get("out"),
+    _emit(
+        cfg,
+        "effdim",
+        model=fit.model.kind,
+        n=fit.data.n,
+        d=int(fit.theta_n.size),
+        kind=report.kind,
+        value=report.value,
     )
     return 0
 
 
 def cmd_gof(cfg) -> int:
-    import numpy as np
-
     from .errors import ParseError
     from .gof import run_test
 
@@ -350,10 +351,11 @@ def cmd_gof(cfg) -> int:
     if cfg.get("null") is None:
         raise ParseError("--null is required: JSON file holding the null parameter")
     with open(cfg["null"], encoding="utf-8") as fh:
-        loaded = json.load(fh)
-    if isinstance(loaded, dict):
-        loaded = loaded.get("theta0")
-    theta0 = np.asarray(loaded, dtype=float)
+        theta0 = json.load(fh)
+    if isinstance(theta0, dict):
+        theta0 = theta0.get("theta0")
+    alpha = float(cfg.get("alpha", 0.05))
+    critical_rule = cfg.get("critical_rule", "scaled_dim")
     if test == "rao":
         print("gof: rao statistic evaluated at the null, no fit performed", file=sys.stderr)
     report = run_test(
@@ -361,53 +363,45 @@ def cmd_gof(cfg) -> int:
         model,
         data,
         theta0,
-        alpha=float(cfg.get("alpha", 0.05)),
-        critical_rule=cfg.get("critical_rule", "scaled_dim"),
+        alpha=alpha,
+        critical_rule=critical_rule,
         c_scale=cfg.get("c_scale"),
         critical=cfg.get("critical"),
         seed=int(cfg["seed"]),
         opts=_solver_opts(cfg),
         **_given(cfg, calib_reps=int),
     )
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "gof",
-            "test": report.kind,
-            "statistic": report.statistic,
-            "critical": report.critical,
-            "reject": report.reject,
-            "alpha": float(cfg.get("alpha", 0.05)),
-            "critical_rule": cfg.get("critical_rule", "scaled_dim"),
-            "n": report.n,
-            "d": report.d,
-        },
-        cfg.get("out"),
+    _emit(
+        cfg,
+        "gof",
+        test=report.kind,
+        statistic=report.statistic,
+        critical=report.critical,
+        reject=report.reject,
+        alpha=alpha,
+        critical_rule=critical_rule,
+        n=report.n,
+        d=report.d,
     )
     return 0
 
 
 def cmd_bootstrap(cfg) -> int:
     from .bootstrap import BootstrapConfig, bootstrap_quantile
-    from .estimate import fit_erm
 
-    model, data = _load_inputs(cfg)
-    fit = fit_erm(model, data, _solver_opts(cfg))
+    fit = _fit(cfg)
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
     bcfg = BootstrapConfig(delta=delta, seed=int(cfg["seed"]), **_given(cfg, B=int))
-    bq = bootstrap_quantile(model, data, fit, bcfg, kind=kind)
-    _emit_json(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "command": "bootstrap",
-            "kind": kind,
-            "delta": delta,
-            "B": bcfg.B,
-            "quantile": bq.quantile,
-            "n_failed": bq.n_failed,
-        },
-        cfg.get("out"),
+    bq = bootstrap_quantile(fit.model, fit.data, fit, bcfg, kind=kind)
+    _emit(
+        cfg,
+        "bootstrap",
+        kind=kind,
+        delta=delta,
+        B=bcfg.B,
+        quantile=bq.quantile,
+        n_failed=bq.n_failed,
     )
     return 0
 

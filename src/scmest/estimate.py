@@ -97,16 +97,16 @@ class SolverOptions:
 
     tol is the Newton-decrement stopping threshold, measured in the
     H_n^{-1} norm of the gradient; max_iter caps the number of Newton
-    steps.  A tolerance that is not positive (NaN included) or a budget
-    below one raises DomainError.
+    steps.  A tolerance that is not finite and positive or a budget below
+    one raises DomainError.
     """
 
     tol: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self) -> None:
-        if not self.tol > 0.0:
-            raise DomainError(f"tol must be positive, got {self.tol}")
+        if not 0.0 < self.tol < math.inf:
+            raise DomainError(f"tol must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise DomainError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -175,7 +175,7 @@ def aggregates(
     G_n averages the outer products of the weighted per-sample gradients.
     Unit weights reproduce the unweighted aggregates bit for bit.
     """
-    batch = prepare_batch(model, data.X, data.y)
+    batch = prepare_batch(model, data)
     theta = check_theta(model, theta)
     w = check_weights(weights, batch.n)
     S, H = batch.score_hessian(theta, w)
@@ -358,11 +358,6 @@ def _fit_result(
     )
 
 
-def _newton_fit(batch: Batch, data: Dataset, opts: SolverOptions, w: np.ndarray) -> FitResult:
-    """The one-slot engine run on the w-weighted empirical risk, as a FitResult."""
-    return _fit_result(batch, data, opts, w, _newton_engine(batch, w[None], opts), 0)
-
-
 def _spectral_summary(H: np.ndarray) -> SpectralSummary | None:
     eigs = np.linalg.eigvalsh(H)
     if eigs[0] <= 0.0:
@@ -381,8 +376,9 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
     logistic data) surfaces, and NumericOverflow when a Poisson predictor
     overflows.
     """
-    batch = prepare_batch(model, data.X, data.y)
-    return _newton_fit(batch, data, opts or SolverOptions(), check_weights(None, batch.n))
+    batch = prepare_batch(model, data)
+    opts, w = opts or SolverOptions(), check_weights(None, batch.n)
+    return _fit_result(batch, data, opts, w, _newton_engine(batch, w[None], opts), 0)
 
 
 # the failures that drop one replication instead of stopping the study
@@ -433,7 +429,7 @@ def replicate(
         datasets = [generate(process, n, seed) for seed in seeds]
         models = [model_for_data(kind, data.X) for data in datasets]
         if fit:
-            batches = [prepare_batch(m, data.X, data.y) for m, data in zip(models, datasets)]
+            batches = [prepare_batch(m, data) for m, data in zip(models, datasets)]
             W = np.ones((len(batches), n))
             fits = _newton_engine(stack_batches(batches), W, opts)
         for b, (model, data) in enumerate(zip(models, datasets)):
@@ -460,7 +456,7 @@ def localization_certificate(
     H_n(theta_ref).  When it passes, a unique minimizer exists and
     ``||theta_n - theta_ref||_{H_n(theta_ref)}`` is at most ``bound``.
     """
-    batch = prepare_batch(model, data.X, data.y)
+    batch = prepare_batch(model, data)
     S, H = batch.score_hessian(check_theta(model, theta_ref), check_weights(None, batch.n))
     dec = _decrement(S, H)
     spec = _spectral_summary(H)

@@ -17,8 +17,10 @@ recalibrating the critical value at each n, and reports empirical power
 with binomial standard errors.
 
 :func:`null_statistics` is the one oracle calibration, here and in
-:mod:`scmest.inference` and the coverage experiment.  Replication r of any
-phase uses seed base + r, with per-phase bases from
+:mod:`scmest.inference` and the coverage experiment.  It and the power
+replications under each alternative share one statistics loop, which
+evaluates the statistics at a null theta0 over replications of a process.
+Replication r of any phase uses seed base + r, with per-phase bases from
 :func:`scmest.simdata.phase_seed`, so phases never share streams.  The
 replications run through :func:`scmest.estimate.replicate`, which fits a
 chunk of datasets per engine call, and only when an LR or Wald statistic
@@ -77,7 +79,7 @@ class TestReport:
 
 def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
     """Score statistic S_n' H_n^{-1} S_n at theta0, the squared Newton decrement."""
-    batch = prepare_batch(model, data.X, data.y)
+    batch = prepare_batch(model, data)
     S, H = batch.score_hessian(check_theta(model, theta0), check_weights(None, batch.n))
     return _decrement(S, H) ** 2
 
@@ -90,7 +92,7 @@ def lr_statistic(fit: FitResult, theta0) -> float:
     """
     if not fit.converged:
         raise NonConverged("lr_statistic requires a converged fit")
-    batch = prepare_batch(fit.model, fit.data.X, fit.data.y)
+    batch = prepare_batch(fit.model, fit.data)
     risk0 = batch.risk(check_theta(fit.model, theta0), fit.weights)
     value = 2.0 * (risk0 - fit.aggregates_at_opt.L_n)
     if value < -1e-10:
@@ -104,7 +106,7 @@ def wald_statistic(fit: FitResult, theta0) -> float:
     """Wald statistic ||theta_n - theta0||^2 in the H_n(theta_n) metric."""
     if not fit.converged:
         raise NonConverged("wald_statistic requires a converged fit")
-    diff = fit.theta_n - np.asarray(theta0, dtype=float)
+    diff = fit.theta_n - check_theta(fit.model, theta0)
     return float(diff @ fit.aggregates_at_opt.H_n @ diff)
 
 
@@ -131,6 +133,30 @@ def _statistics(
     return out
 
 
+def _statistics_at(
+    kinds: tuple[str, ...],
+    theta0: np.ndarray,
+    process: Process,
+    n: int,
+    reps: int,
+    seed_base: int,
+    opts: SolverOptions | None = None,
+) -> dict[str, np.ndarray]:
+    """Per-kind statistics at theta0 over replications of a process.
+
+    Replication r fits the dataset of seed ``seed_base + r`` once for all
+    kinds, or not at all for Rao alone.  Failed replications are dropped
+    under the rule of :func:`scmest.estimate.replicate`; the arrays of the
+    kinds hold the same replications, in replication order.
+    """
+
+    def statistics(model, data, fit):
+        return _statistics(kinds, model, data, fit, theta0)
+
+    rows = replicate(process, n, seed_base, reps, statistics, opts, _needs_fit(kinds))
+    return {kind: np.array([row[kind] for row in rows]) for kind in kinds}
+
+
 def null_statistics(
     kinds: tuple[str, ...],
     process: Process,
@@ -139,18 +165,8 @@ def null_statistics(
     seed_base: int,
     opts: SolverOptions | None = None,
 ) -> dict[str, np.ndarray]:
-    """Per-kind statistics at process.theta0 over replications of the null process.
-
-    Replication r fits the dataset of seed ``seed_base + r`` once for all
-    kinds, or not at all for Rao alone.  Failed replications are dropped
-    under the rule of :func:`scmest.estimate.replicate`.
-    """
-
-    def statistics(model, data, fit):
-        return _statistics(kinds, model, data, fit, process.theta0)
-
-    rows = replicate(process, n, seed_base, reps, statistics, opts, _needs_fit(kinds))
-    return {kind: np.array([row[kind] for row in rows]) for kind in kinds}
+    """Per-kind statistics at process.theta0 over replications of the null process."""
+    return _statistics_at(kinds, process.theta0, process, n, reps, seed_base, opts)
 
 
 def run_test(
@@ -176,16 +192,17 @@ def run_test(
     (1 - alpha)-quantile of the statistic over ``calib_reps`` replications
     of the process that drew ``data`` (``data.provenance.process``) moved
     to theta0, at this sample size; data without provenance (read from CSV
-    or built by hand) raise MissingSampler.
+    or built by hand) raise MissingSampler.  A theta0 that is not a finite
+    vector of the model's dimension raises before anything runs.
     """
+    theta0 = check_theta(model, theta0)
+    d = model.dim
     if kind not in TEST_KINDS:
         raise DomainError(f"kind must be one of {TEST_KINDS}, got {kind!r}")
     if critical_rule not in _CRITICAL_RULES:
         raise DomainError(f"unknown critical rule {critical_rule!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    theta0 = np.asarray(theta0, dtype=float)
-    d = theta0.size
     if critical_rule == "scaled_dim":
         c = c_scale if c_scale is not None else float(chi2.ppf(1.0 - alpha, d)) / d
         crit = c * d / data.n
@@ -267,10 +284,6 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
     """
     kinds = tuple(config.kinds)
     theta0 = config.process.theta0
-
-    def statistics(model, data, fit):
-        return _statistics(kinds, model, data, fit, theta0)
-
     rows = []
     for n_idx, n in enumerate(config.n_grid):
         cal_base = phase_seed(config.seed, 2 * n_idx)
@@ -280,19 +293,17 @@ def power_curve(config: PowerCurveConfig) -> PowerTable:
         for theta_star in config.alternatives:
             theta_star = np.asarray(theta_star, dtype=float)
             proc_alt = replace(config.process, theta0=theta_star)
-            values = replicate(
-                proc_alt, n, eval_base, config.reps, statistics, fit=_needs_fit(kinds)
-            )
+            stats = _statistics_at(kinds, theta0, proc_alt, n, config.reps, eval_base)
             dist = float(np.linalg.norm(theta_star - theta0))
-            for kind in kinds:
-                p = sum(v[kind] > crit[kind] for v in values) / len(values)
+            for kind, values in stats.items():
+                p = int(np.count_nonzero(values > crit[kind])) / values.size
                 rows.append(
                     PowerRow(
                         kind=kind,
                         n=int(n),
                         dist=dist,
                         power=p,
-                        stderr=float(np.sqrt(p * (1.0 - p) / len(values))),
+                        stderr=float(np.sqrt(p * (1.0 - p) / values.size)),
                     )
                 )
     return PowerTable(rows=tuple(rows))

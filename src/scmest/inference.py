@@ -371,13 +371,17 @@ def set_membership(conf_set: ConfidenceSet, theta) -> bool:
 
     Wald membership is the ellipsoid inequality in the stored shape; LR
     membership re-evaluates the empirical risk at theta through
-    ``conf_set.fit``, and a set without its fit raises DomainError.
+    ``conf_set.fit``, and a set without its fit raises DomainError.  A
+    theta of the wrong shape raises DimensionMismatch, and a NaN or
+    infinite entry DomainError.
     """
     theta = np.asarray(theta, dtype=float)
     if theta.shape != conf_set.center.shape:
         raise DimensionMismatch(
             f"theta has shape {theta.shape}, set center has {conf_set.center.shape}"
         )
+    if not np.all(np.isfinite(theta)):
+        raise DomainError(f"theta must be finite, got {theta.tolist()}")
     if conf_set.kind == "wald":
         diff = theta - conf_set.center
         return bool(diff @ conf_set.shape @ diff <= conf_set.sq_radius)

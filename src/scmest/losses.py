@@ -22,10 +22,11 @@ density term h.
 
 Samples are always the rows of a design matrix X (raw samples for score
 matching) with responses y; a single sample is a one-row X.  The fitting
-code works on a :class:`Batch`, made once per call by :func:`prepare_batch`:
-it checks X and y and builds the per-sample stacks (the expfam_glm
-statistics, the score-matching (A, b, c)) that every later evaluation
-reuses.  A Batch evaluates S_n, H_n and L_n of
+code works on a :class:`Batch`, made once per call from a checked
+:class:`~scmest.simdata.Dataset` by :func:`prepare_batch`: it adds the
+checks that need the model and builds the per-sample stacks (the
+expfam_glm statistics, the score-matching (A, b, c)) that every later
+evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
 m parameter and weight rows at once, for every kind, so the Newton engine
 of :mod:`scmest.estimate` has no per-kind arithmetic; H_n of one row is one
 matrix product ((w c) x)' x, more rows share a packed table of x_i x_i'.
@@ -46,14 +47,9 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyDataset,
-    InvalidLabel,
-    NumericOverflow,
-)
+from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
 from .scfun import ScParams
+from .simdata import Dataset
 
 __all__ = [
     "LOSS_KINDS",
@@ -299,27 +295,22 @@ def model_for_data(kind: str, X: np.ndarray) -> LossModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_data(model: LossModel, X, y):
-    """Validate the design matrix and responses of one call against the model."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise DimensionMismatch(f"X must be 2-d, got shape {X.shape}")
-    if X.shape[0] == 0:
-        raise EmptyDataset("need at least one observation")
+def _check_data(model: LossModel, data: Dataset) -> np.ndarray | None:
+    """The dataset's responses checked against the model; None for score matching.
+
+    The Dataset checked its own values; this checks the column count, the
+    responses' presence and their label set.
+    """
     expected_cols = model.raw_dim if model.kind == "score_matching" else model.dim
-    if X.shape[1] != expected_cols:
+    if data.d != expected_cols:
         raise DimensionMismatch(
-            f"data has {X.shape[1]} columns, model expects {expected_cols}"
+            f"data has {data.d} columns, model expects {expected_cols}"
         )
     if model.kind == "score_matching":
-        return X, None
+        return None
+    y = data.y
     if y is None:
         raise DimensionMismatch(f"loss kind {model.kind!r} requires responses")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (X.shape[0],):
-        raise DimensionMismatch(
-            f"y has shape {y.shape}, expected ({X.shape[0]},)"
-        )
     if model.kind == "logistic":
         if not np.all((y == 1.0) | (y == -1.0)):
             bad = y[(y != 1.0) & (y != -1.0)][0]
@@ -334,16 +325,18 @@ def _check_data(model: LossModel, X, y):
             raise InvalidLabel(
                 f"label {y[~mask][0]} not in the model label set {model.labels}"
             )
-    return X, y
+    return y
 
 
 def check_theta(model: LossModel, theta) -> np.ndarray:
-    """theta as a float vector of the model's dimension."""
+    """theta as a finite float vector of the model's dimension."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (model.dim,):
         raise DimensionMismatch(
             f"theta has shape {theta.shape}, model dim is {model.dim}"
         )
+    if not np.all(np.isfinite(theta)):
+        raise DomainError(f"theta must be finite, got {theta.tolist()}")
     return theta
 
 
@@ -676,17 +669,17 @@ class Batch:
         return _symmetric(wg.T @ wg / self.n)
 
 
-def prepare_batch(model: LossModel, X, y=None) -> Batch:
-    """Check (X, y) against the model and build its per-sample stacks once."""
-    X, y = _check_data(model, X, y)
+def prepare_batch(model: LossModel, data: Dataset) -> Batch:
+    """Check a dataset against the model and build its per-sample stacks once."""
+    y = _check_data(model, data)
     if model.kind == "expfam_glm":
-        T = _expfam_stats(model, X)
+        T = _expfam_stats(model, data.X)
         stacks = (T, _expfam_observed(model, T, y))
     elif model.kind == "score_matching":
-        stacks = _score_matching_stacks(model, X)
+        stacks = _score_matching_stacks(model, data.X)
     else:
         stacks = ()
-    return Batch(model=model, X=X, y=y, stacks=stacks)
+    return Batch(model=model, X=data.X, y=y, stacks=stacks)
 
 
 def stack_batches(batches: Sequence[Batch]) -> Batch:
@@ -730,13 +723,13 @@ def check_weights(w, n: int) -> np.ndarray:
 
 def batch_values(model: LossModel, theta, X, y=None) -> np.ndarray:
     """Per-sample loss values, an (n,) array."""
-    batch = prepare_batch(model, X, y)
+    batch = prepare_batch(model, Dataset(X=X, y=y))
     return batch.values(check_theta(model, theta))
 
 
 def batch_grads(model: LossModel, theta, X, y=None) -> np.ndarray:
     """Per-sample gradients, an (n, dim) array."""
-    batch = prepare_batch(model, X, y)
+    batch = prepare_batch(model, Dataset(X=X, y=y))
     return batch.grads(check_theta(model, theta))
 
 
@@ -747,6 +740,6 @@ def mean_hessian(model: LossModel, theta, X, y=None, weights=None) -> np.ndarray
     :meth:`Batch.score_hessian`; the result is symmetrized to remove
     reduction round-off.
     """
-    batch = prepare_batch(model, X, y)
+    batch = prepare_batch(model, Dataset(X=X, y=y))
     theta = check_theta(model, theta)
     return batch.score_hessian(theta, check_weights(weights, batch.n))[1]

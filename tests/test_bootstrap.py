@@ -212,7 +212,7 @@ class TestBatchedEngine:
     @pytest.mark.parametrize("kind", sorted(_ENGINE_CASES))
     def test_returns_hessian_and_risk_of_each_converged_slot(self, kind):
         _, data, model, fit = _ENGINE_CASES[kind]()
-        batch = prepare_batch(model, data.X, data.y)
+        batch = prepare_batch(model, data)
         W = np.stack([bootstrap_weights(11, b, data.n) for b in range(12)])
         fits = _newton_engine(batch, W, SolverOptions())
         assert np.all(fits.status == "converged")
@@ -235,7 +235,7 @@ class TestBatchedEngine:
         converging, heavy = np.ones(data.n), np.ones(data.n)
         converging[0], heavy[0] = 0.0, 1e6
         W = np.stack([converging, -np.ones(data.n), heavy])
-        fits = _newton_engine(prepare_batch(model, X, y), W, SolverOptions())
+        fits = _newton_engine(prepare_batch(model, data), W, SolverOptions())
         assert fits.status.tolist() == ["converged", "singular", "overflow"]
         refit = bootstrap_fit(model, data, W[0])
         assert refit.converged

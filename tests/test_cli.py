@@ -160,6 +160,18 @@ class TestFitCommand:
         assert code == 1
         assert "non-finite" in err and "row 3" in err
 
+    def test_infinite_tolerance_exits_1(self, capsys):
+        # an infinite tolerance called the start point converged
+        code, out, err = _run(
+            capsys,
+            [
+                "fit", "--model", "logistic", "--process", "logistic_wellspec",
+                "--d", "3", "--n", "200", "--tol", "inf",
+            ],
+        )
+        assert code == 1 and out == ""
+        assert "tol must be finite and positive" in err
+
     def test_fit_matches_library(self, capsys):
         code, doc, _ = _run_json(
             capsys,
@@ -361,6 +373,23 @@ class TestGofCommand:
             assert code == 0
             critical[theta0] = doc["critical"]
         assert critical["1.5,1.5,1.5"] == critical["0,0,0"]
+
+    @pytest.mark.parametrize("test", ["rao", "lr", "wald"])
+    @pytest.mark.parametrize("null", ["[0.5]", "[NaN, 0.5, 1]"])
+    def test_bad_null_exits_1(self, capsys, tmp_path, test, null):
+        # json.load accepts NaN; a Wald run printed "statistic": NaN, which
+        # is not JSON, or the test of a 1-vector null at d = 1
+        path = tmp_path / "null.json"
+        path.write_text(null)
+        code, out, err = _run(
+            capsys,
+            [
+                "gof", "--process", "logistic_wellspec", "--d", "3", "--n", "200",
+                "--critical-rule", "scaled_dim", "--test", test, "--null", str(path),
+            ],
+        )
+        assert code == 1 and out == ""
+        assert "scmest: error: theta" in err and "Traceback" not in err
 
     def test_oracle_rule_without_replications_exits_1(self, capsys, tmp_path):
         null = tmp_path / "null.json"

@@ -349,7 +349,7 @@ class TestFitRecordsItsProblem:
 class TestSolverOptions:
     def test_validation(self):
         bad_options = (
-            dict(tol=-1.0), dict(tol=0.0), dict(tol=float("nan")),
+            dict(tol=-1.0), dict(tol=0.0), dict(tol=float("nan")), dict(tol=float("inf")),
             dict(max_iter=-1), dict(max_iter=0),
         )
         for bad in bad_options:

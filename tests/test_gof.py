@@ -6,6 +6,7 @@ from scipy.stats import chi2
 
 from scmest import estimate
 from scmest.errors import (
+    DimensionMismatch,
     DomainError,
     MissingSampler,
     NonConverged,
@@ -129,6 +130,20 @@ class TestLrAndWaldStatistics:
             lr_statistic(stalled, proc.theta0)
         with pytest.raises(NonConverged):
             wald_statistic(stalled, proc.theta0)
+
+    def test_theta0_must_be_a_finite_vector_of_the_model_dim(self):
+        # a 1-vector broadcast against theta_n in the Wald statistic, and a
+        # NaN entry made the Wald and LR statistics NaN
+        model, data, fit = _linear_fit()
+        for statistic in (
+            lambda theta0: rao_statistic(model, data, theta0),
+            lambda theta0: lr_statistic(fit, theta0),
+            lambda theta0: wald_statistic(fit, theta0),
+        ):
+            with pytest.raises(DimensionMismatch):
+                statistic([0.5])
+            with pytest.raises(DomainError, match="theta must be finite"):
+                statistic([np.nan, 0.5, 1.0])
 
     def test_reparameterization_invariance(self):
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
@@ -262,6 +277,18 @@ class TestRunTest:
         with pytest.raises(TooManyFailures, match=r"3 of 20 replications failed \(singular: 3\)"):
             null_statistics(("rao", "wald"), proc, 6, 20, 0, opts)
         assert calls
+
+    @pytest.mark.parametrize("kind", TEST_KINDS)
+    def test_bad_null_raises_before_calibrating(self, kind):
+        # without provenance the oracle rule raises MissingSampler; the null
+        # is checked first, and d is the model's
+        model, data, _ = _linear_fit()
+        bare = Dataset(X=data.X, y=data.y)
+        with pytest.raises(DimensionMismatch):
+            run_test(kind, model, bare, [0.5], 0.05, "oracle_mc")
+        with pytest.raises(DomainError, match="theta must be finite"):
+            run_test(kind, model, bare, [np.nan, 0.5, 1.0], 0.05, "oracle_mc")
+        assert run_test(kind, model, data, LINEAR3.theta0, 0.05, "scaled_dim").d == model.dim
 
     def test_validation(self):
         model, data, _ = _linear_fit()

@@ -492,6 +492,13 @@ class TestConfidenceSetMembership:
         with pytest.raises(DimensionMismatch):
             set_membership(_set_of(fit, "wald", 1.0), np.zeros(3))
 
+    def test_non_finite_theta_rejected(self):
+        # a NaN entry compared false against the radius and read as outside
+        _, _, fit = _logistic_fit(n=60, d=2)
+        for kind in ("wald", "lr"):
+            with pytest.raises(DomainError, match="theta must be finite"):
+                set_membership(_set_of(fit, kind, 1.0), np.array([np.nan, 0.0]))
+
     def test_json_round_trip(self):
         model, data, fit = _logistic_fit(n=60, d=2)
         cs = _set_of(fit, "wald", 0.7)

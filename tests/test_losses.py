@@ -254,6 +254,18 @@ class TestValidation:
         with pytest.raises(DimensionMismatch):
             batch_values(model, np.zeros(3), np.ones((2, 3)), np.zeros(5))
 
+    @pytest.mark.parametrize("wrapper", [batch_values, batch_grads, mean_hessian])
+    def test_non_finite_inputs_rejected(self, wrapper):
+        # the array wrappers check their arrays as a Dataset does
+        model = squared_loss(2)
+        X, y = np.ones((2, 2)), np.zeros(2)
+        nan_X = np.array([[1.0, np.nan], [1.0, 1.0]])
+        for bad_X, bad_y in ((nan_X, y), (X, np.array([0.0, np.inf]))):
+            with pytest.raises(DomainError, match="non-finite"):
+                wrapper(model, np.zeros(2), bad_X, bad_y)
+        with pytest.raises(DomainError, match="theta must be finite"):
+            wrapper(model, np.array([np.nan, 0.0]), X, y)
+
     def test_supervised_model_requires_response(self):
         model = squared_loss(2)
         with pytest.raises(DimensionMismatch):

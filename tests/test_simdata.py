@@ -20,7 +20,7 @@ from scmest.errors import (
     TooManyFailures,
 )
 from scmest.estimate import SolverOptions, fit_erm, replicate
-from scmest.gof import wald_statistic
+from scmest.gof import null_statistics, wald_statistic
 from scmest.losses import model_for_data
 from scmest.simdata import (
     PROCESS_KINDS,
@@ -311,6 +311,25 @@ class TestReplicate:
         match = r"10 of 10 replications failed \(max_iter: 10\)"
         with pytest.raises(TooManyFailures, match=match):
             replicate(process, 200, 0, 10, measure, SolverOptions(max_iter=2))
+
+    def test_failing_measures_count_under_their_cause(self):
+        # a Rao-only calibration fits nothing, and with n = 3 < d = 5 every
+        # H_n(theta0) is singular, so each measure raises SingularHessian
+        process = Process(kind="linear_wellspec", theta0=theta0_equispaced(5))
+        match = r"10 of 10 replications failed \(singular: 10\)"
+        with pytest.raises(TooManyFailures, match=match):
+            null_statistics(("rao",), process, 3, 10, 0)
+
+    def test_failing_measures_drop_their_replications_only(self):
+        failing = (3, 11)
+
+        def measure(model, data, fit):
+            if data.provenance.seed in failing:
+                raise SingularHessian("forced")
+            return data.provenance.seed
+
+        values = replicate(_proc("linear_wellspec"), 20, 0, 20, measure)
+        assert values == [seed for seed in range(20) if seed not in failing]
 
     def test_other_errors_propagate(self):
         def measure(model, data, fit):
