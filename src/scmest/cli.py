@@ -356,8 +356,6 @@ def cmd_gof(cfg) -> int:
         theta0 = theta0.get("theta0")
     alpha = float(cfg.get("alpha", 0.05))
     critical_rule = cfg.get("critical_rule", "scaled_dim")
-    if test == "rao":
-        print("gof: rao statistic evaluated at the null, no fit performed", file=sys.stderr)
     report = run_test(
         test,
         model,
@@ -371,6 +369,8 @@ def cmd_gof(cfg) -> int:
         opts=_solver_opts(cfg),
         **_given(cfg, calib_reps=int),
     )
+    if test == "rao":
+        print("gof: rao statistic evaluated at the null, no fit performed", file=sys.stderr)
     _emit(
         cfg,
         "gof",

@@ -2,11 +2,11 @@
 
 The empirical risk L_n(theta) = n^-1 sum_i l(theta; z_i) of an (R, nu)
 self-concordant per-sample loss is itself self-concordant with parameters
-(R n^{nu/2-1}, nu).  That scaled pair drives both the Newton step damping in
-:func:`fit_erm` and the existence certificate in
-:func:`localization_certificate`: when the certificate passes at a reference
-point, a unique minimizer exists inside the Dikin ellipsoid of radius four
-times the Newton decrement at that point.
+(R n^{nu/2-1}, nu), here (R, 2) with R measured from the data.  That pair
+drives both the Newton step damping in :func:`fit_erm` and the existence
+certificate in :func:`localization_certificate`: when the certificate
+passes at a reference point, a unique minimizer exists inside the Dikin
+ellipsoid of radius four times the Newton decrement at that point.
 
 One damped-Newton engine, :func:`_newton_engine`, fits m slots at once:
 the weight rows of one dataset, or one row per dataset of a stacked
@@ -15,7 +15,7 @@ its refits as slots, and :func:`replicate`, the one replicate-and-fit loop
 of the studies and oracle calibrations, fits a chunk of replications in
 one call, each slot's FitResult equal to fit_erm's bit for bit.  Every
 slot starts from theta = 0 and takes damped Newton steps
-alpha = 1 / (1 + d_nu(...)), with the R of its own model, which guarantee
+alpha = 1 / (1 + d_nu(...)), with the R of its own data, which guarantee
 monotone descent for self-concordant losses; quadratic losses converge in
 one full step.  A slot finishes as converged, max_iter, singular or
 overflow.  Every Newton system, and every solve of the Rao statistic, the
@@ -153,17 +153,13 @@ class LocalizationCertificate:
     bound: float
 
 
-def empirical_sc_params(model: LossModel, n: int) -> ScParams:
-    """Self-concordance parameters of the empirical risk: (R n^{nu/2-1}, nu)."""
-    sc = model.sc
-    return ScParams(R=sc.R * float(n) ** (sc.nu / 2.0 - 1.0), nu=sc.nu)
+def empirical_sc_params(batch: Batch) -> ScParams:
+    """Self-concordance parameters (R n^{nu/2-1}, nu) of the batch's empirical risks.
 
-
-def _slot_sc_params(batch: Batch) -> ScParams:
-    """empirical_sc_params of the slots' risks, R one per slot for a stacked batch."""
-    sc = batch.model.sc
-    R = batch.R if batch.stacked else sc.R
-    return ScParams(R=R * float(batch.n) ** (sc.nu / 2.0 - 1.0), nu=sc.nu)
+    Every kind has nu = 2, so they are the R the batch measured (one per
+    slot when stacked) and 2.
+    """
+    return ScParams(R=batch.R, nu=2.0)
 
 
 def aggregates(
@@ -285,7 +281,7 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
     """
     m = W.shape[0]
     d = batch.model.dim
-    params_n = _slot_sc_params(batch)
+    params_n = empirical_sc_params(batch)
     theta = np.zeros((m, d))
     S_fin = np.zeros((m, d))
     H_fin = np.zeros((m, d, d))
@@ -317,8 +313,10 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
             if live.size == 0:
                 break
             batch = batch.take(stepping)
-            params_n = _slot_sc_params(batch)
-        # the step is -X, and ||X||_{H_n} equals the Newton decrement
+            params_n = empirical_sc_params(batch)
+        # the step is -X, and ||X||_{H_n} equals the Newton decrement; as
+        # d_nu = R ||X||_2 with R >= max_i ||x_i||, no x_i'theta moves by 1 or
+        # more, so a Poisson slot can overflow only after ~700 iterations
         th -= (1.0 / (1.0 + d_nu(params_n, X, dec)))[:, None] * X
     return _SlotFits(theta, S_fin, H_fin, L_fin, dec_fin, iters, status)
 
@@ -342,7 +340,7 @@ def _fit_result(
         raise NumericOverflow(f"exp(theta'x) overflows at Newton iteration {it}")
     theta, S, H, dec = fits.theta[b], fits.S[b], fits.H[b], float(fits.decrement[b])
     spec = _spectral_summary(H)
-    params_n = empirical_sc_params(batch.model, batch.n)
+    params_n = empirical_sc_params(batch)
     cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
     return FitResult(
         theta_n=theta,
@@ -400,9 +398,9 @@ def replicate(
 ) -> list:
     """Measure ``reps`` fresh datasets from a process, dropping failed replications.
 
-    Replication r draws ``data = generate(process, n, seed_base + r)``,
-    builds ``model = model_for_data(loss_kind_for(process), data.X)`` and
-    returns ``measure(model, data, fit_erm(model, data, opts))``.  The fits
+    Replication r draws ``data = generate(process, n, seed_base + r)`` and
+    returns ``measure(model, data, fit_erm(model, data, opts))``, with one
+    ``model_for_data(loss_kind_for(process), data.X)`` per chunk.  The fits
     of a chunk of replications, whose designs hold at most 50 000 entries
     (n d per dataset) or are one dataset, run as one engine call with a
     slot per dataset.  With ``fit=False`` nothing is fitted and the measure
@@ -427,12 +425,12 @@ def replicate(
     for start in range(0, reps, chunk):
         seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
         datasets = [generate(process, n, seed) for seed in seeds]
-        models = [model_for_data(kind, data.X) for data in datasets]
+        model = model_for_data(kind, datasets[0].X)
         if fit:
-            batches = [prepare_batch(m, data) for m, data in zip(models, datasets)]
+            batches = [prepare_batch(model, data) for data in datasets]
             W = np.ones((len(batches), n))
             fits = _newton_engine(stack_batches(batches), W, opts)
-        for b, (model, data) in enumerate(zip(models, datasets)):
+        for b, data in enumerate(datasets):
             if fit and fits.status[b] != "converged":
                 causes[fits.status[b]] += 1
                 continue
@@ -462,5 +460,5 @@ def localization_certificate(
     spec = _spectral_summary(H)
     if spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")
-    cert = certify_unique_minimizer(empirical_sc_params(model, data.n), spec, dec)
+    cert = certify_unique_minimizer(empirical_sc_params(batch), spec, dec)
     return LocalizationCertificate(passes=cert.passes, score_norm=dec, bound=cert.radius_bound)

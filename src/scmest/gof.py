@@ -193,7 +193,8 @@ def run_test(
     of the process that drew ``data`` (``data.provenance.process``) moved
     to theta0, at this sample size; data without provenance (read from CSV
     or built by hand) raise MissingSampler.  A theta0 that is not a finite
-    vector of the model's dimension raises before anything runs.
+    vector of the model's dimension, a NaN or infinite ``critical`` and a
+    ``c_scale`` that is not finite and positive raise before anything runs.
     """
     theta0 = check_theta(model, theta0)
     d = model.dim
@@ -203,6 +204,10 @@ def run_test(
         raise DomainError(f"unknown critical rule {critical_rule!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    if c_scale is not None and not 0.0 < c_scale < np.inf:
+        raise DomainError(f"c_scale must be finite and positive, got {c_scale}")
+    if critical is not None and not np.isfinite(critical):
+        raise DomainError(f"critical must be finite, got {critical}")
     if critical_rule == "scaled_dim":
         c = c_scale if c_scale is not None else float(chi2.ppf(1.0 - alpha, d)) / d
         crit = c * d / data.n

@@ -55,7 +55,7 @@ from .estimate import (
     empirical_sc_params,
 )
 from .gof import lr_statistic, null_statistics
-from .losses import LossModel
+from .losses import LossModel, prepare_batch
 from .scfun import ScParams, SpectralSummary, k_nu, omega, r_nu
 from .simdata import Dataset, Process, generate
 
@@ -277,17 +277,17 @@ def oracle_radius(
 def _explicit_sq_radius(
     fit: FitResult, delta: float, constants: AssumptionConstants, c_abs: float
 ) -> float:
-    model = fit.model
     agg = fit.aggregates_at_opt
     n = agg.n
     spec = _spectral_summary(agg.H_n)
     if spec is None:
         raise DomainError("H_n(theta_n) must be positive definite")
-    r_star = r_nu(empirical_sc_params(model, n), spec)
+    params = empirical_sc_params(prepare_batch(fit.model, fit.data))
+    r_star = r_nu(params, spec)
     log_term = 1.0 - math.log(delta)
     d_star = effective_dim_empirical(fit).value
     r_n = math.sqrt(c_abs * constants.K1**2 * log_term * d_star / n)
-    w = omega(model.sc.nu, r_n * r_star)
+    w = omega(params.nu, r_n * r_star)
     # largest eigenvalue of the H_n-whitened G_n
     omega_norm = float(eigh(agg.G_n, agg.H_n, eigvals_only=True)[-1])
     return (

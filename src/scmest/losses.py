@@ -1,31 +1,32 @@
-"""The loss zoo: batch values, gradients, Hessians, and (R, nu) declarations.
+"""The loss zoo: batch values, gradients, Hessians, and the (R, nu) of the data.
 
 Five loss kinds are supported, all convex in theta:
 
-==============  =====================================================  ==========
+==============  =====================================================  ==============
 kind            per-sample loss l(theta; z)                            (R, nu)
-==============  =====================================================  ==========
+==============  =====================================================  ==============
 squared         (y - theta'x)^2 / 2                                    (0, 2)
-logistic        log(1 + exp(-y theta'x)),  y in {-1, +1}               (2 max||x||, 2)
-poisson         -y theta'x + exp(theta'x),  y in {0, 1, 2, ...}        (max||x||, 2)
+logistic        log(1 + exp(-y theta'x)),  y in {-1, +1}               (2 max_i||x_i||, 2)
+poisson         -y theta'x + exp(theta'x),  y in {0, 1, 2, ...}        (max_i||x_i||, 2)
 expfam_glm      -theta't(x, y) + log sum_y' exp(theta't(x, y'))        (2M, 2)
 score_matching  theta'A(z)theta/2 - b(z)'theta + c(z)                  (0, 2)
-==============  =====================================================  ==========
+==============  =====================================================  ==============
 
-For ``expfam_glm`` the label set is finite and the sufficient statistic is
-bounded, ``||t(x, y)||_2 <= M``, so the log-partition is an exact finite sum
-evaluated with the max-shift trick.  ``score_matching`` consumes the (n,
-raw_dim) matrix of raw samples z and a callback mapping it to the stacks of
-per-sample quadratic forms (A, b, c); :func:`score_matching_assemble` builds
-those stacks from derivatives of the sufficient statistic t and the base
-density term h.
+R is measured from the data by :func:`prepare_batch`, never declared.  For
+``expfam_glm`` the label set is finite and the model bounds the sufficient
+statistic, ``||t(x, y)||_2 <= M``, a bound checked on the data, so the
+log-partition is an exact finite sum evaluated with the max-shift trick.
+``score_matching`` consumes the (n, raw_dim) matrix of raw samples z and a
+callback mapping it to the stacks of per-sample quadratic forms (A, b, c);
+:func:`score_matching_assemble` builds those stacks from derivatives of the
+sufficient statistic t and the base density term h.
 
 Samples are always the rows of a design matrix X (raw samples for score
 matching) with responses y; a single sample is a one-row X.  The fitting
 code works on a :class:`Batch`, made once per call from a checked
 :class:`~scmest.simdata.Dataset` by :func:`prepare_batch`: it adds the
-checks that need the model and builds the per-sample stacks (the
-expfam_glm statistics, the score-matching (A, b, c)) that every later
+checks that need the model, measures R and builds the per-sample stacks
+(the expfam_glm statistics, the score-matching (A, b, c)) that every later
 evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
 m parameter and weight rows at once, for every kind, so the Newton engine
 of :mod:`scmest.estimate` has no per-kind arithmetic; H_n of one row is one
@@ -40,7 +41,7 @@ evaluations are pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -48,7 +49,6 @@ import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
 from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
-from .scfun import ScParams
 from .simdata import Dataset
 
 __all__ = [
@@ -69,14 +69,16 @@ LOSS_KINDS = ("squared", "logistic", "poisson", "expfam_glm", "score_matching")
 # exp(eta) beyond this overflows double precision
 _EXP_LIMIT = 700.0
 
+# R per unit of max_i ||x_i||, for the kinds whose R the design sets
+_R_PER_X_NORM = {"logistic": 2.0, "poisson": 1.0}
+
 
 @dataclass(frozen=True)
 class LossModel:
-    """A per-sample loss with declared self-concordance parameters.
+    """A per-sample loss, independent of any dataset.
 
     Build instances through the factory functions (:func:`squared_loss`,
-    :func:`logistic_loss`, ...) rather than directly; they fill in the
-    canonical (R, nu) declaration for each kind.
+    :func:`logistic_loss`, ...) rather than directly; R comes from the data.
 
     Attributes
     ----------
@@ -84,15 +86,13 @@ class LossModel:
         One of ``LOSS_KINDS``.
     dim : int
         Length of theta.
-    sc : ScParams
-        Declared self-concordance parameters of the per-sample loss.
     labels : tuple of float, optional
         Finite label set (expfam_glm only).
     feature_map : callable, optional
         ``(X, label) -> (n, dim)``: maps the (n, p) sample matrix to the
         sufficient statistics t(x_i, label) of one label (expfam_glm only).
     stat_bound : float, optional
-        Bound M with ||t(x, y)|| <= M (expfam_glm only).
+        Bound M with ||t(x, y)|| <= M, checked on the data (expfam_glm only).
     stacks_fn : callable, optional
         ``Z -> (A, b, c)``: maps the (n, raw_dim) matrix of raw samples to
         the stacks of per-sample quadratic forms, A (n, dim, dim), b
@@ -103,7 +103,6 @@ class LossModel:
 
     kind: str
     dim: int
-    sc: ScParams
     labels: tuple[float, ...] | None = None
     feature_map: Callable[[np.ndarray, float], np.ndarray] | None = None
     stat_bound: float | None = None
@@ -125,25 +124,17 @@ class LossModel:
 
 def squared_loss(dim: int) -> LossModel:
     """Least-squares loss (y - theta'x)^2 / 2; quadratic, so (R, nu) = (0, 2)."""
-    return LossModel(kind="squared", dim=dim, sc=ScParams(0.0, 2.0))
+    return LossModel(kind="squared", dim=dim)
 
 
-def logistic_loss(dim: int, x_bound: float) -> LossModel:
-    """Logistic loss with labels in {-1, +1}.
-
-    ``x_bound`` is max_i ||x_i||_2 over the data the model will see; the
-    declared parameters are (R, nu) = (2 x_bound, 2).
-    """
-    if x_bound < 0.0:
-        raise DomainError("x_bound must be nonnegative")
-    return LossModel(kind="logistic", dim=dim, sc=ScParams(2.0 * x_bound, 2.0))
+def logistic_loss(dim: int) -> LossModel:
+    """Logistic loss with labels in {-1, +1}; (R, nu) = (2 max_i ||x_i||, 2)."""
+    return LossModel(kind="logistic", dim=dim)
 
 
-def poisson_loss(dim: int, x_bound: float) -> LossModel:
-    """Poisson log-likelihood loss with rate exp(theta'x); (R, nu) = (x_bound, 2)."""
-    if x_bound < 0.0:
-        raise DomainError("x_bound must be nonnegative")
-    return LossModel(kind="poisson", dim=dim, sc=ScParams(x_bound, 2.0))
+def poisson_loss(dim: int) -> LossModel:
+    """Poisson log-likelihood loss with rate exp(theta'x); (R, nu) = (max_i ||x_i||, 2)."""
+    return LossModel(kind="poisson", dim=dim)
 
 
 def expfam_glm_loss(
@@ -164,7 +155,7 @@ def expfam_glm_loss(
         ``(X, label) -> (n, dim)``: maps the (n, p) sample matrix to the
         sufficient statistics t(x_i, label), bounded by ``stat_bound``.
     stat_bound : float
-        M with ||t(x, y)||_2 <= M; the declared parameters are (2M, 2).
+        M with ||t(x, y)||_2 <= M, checked on the data; (R, nu) = (2M, 2).
     """
     if stat_bound <= 0.0:
         raise DomainError("stat_bound must be positive")
@@ -173,7 +164,6 @@ def expfam_glm_loss(
     return LossModel(
         kind="expfam_glm",
         dim=dim,
-        sc=ScParams(2.0 * stat_bound, 2.0),
         labels=tuple(float(v) for v in labels),
         feature_map=feature_map,
         stat_bound=float(stat_bound),
@@ -196,7 +186,6 @@ def score_matching_loss(
     return LossModel(
         kind="score_matching",
         dim=dim,
-        sc=ScParams(0.0, 2.0),
         stacks_fn=stacks_fn,
         raw_dim=int(raw_dim),
     )
@@ -272,22 +261,14 @@ def gaussian_score_matching_loss(p: int) -> LossModel:
 def model_for_data(kind: str, X: np.ndarray) -> LossModel:
     """Build the canonical LossModel of a kind for a given design matrix.
 
-    For logistic and poisson the data bound max_i ||x_i||_2 enters the
-    declared R.  ``X`` is the (n, p) feature (or raw-sample) matrix; the
-    model has dimension p (2p for score matching, where the Gaussian family
-    is used).
+    ``X`` is the (n, p) feature (or raw-sample) matrix; the model has
+    dimension p (2p for score matching, where the Gaussian family is used).
     """
-    X = np.asarray(X, dtype=float)
-    p = X.shape[1]
-    if kind == "squared":
-        return squared_loss(p)
-    if kind == "logistic":
-        return logistic_loss(p, float(np.max(np.linalg.norm(X, axis=1))))
-    if kind == "poisson":
-        return poisson_loss(p, float(np.max(np.linalg.norm(X, axis=1))))
-    if kind == "score_matching":
-        return gaussian_score_matching_loss(p)
-    raise DomainError(f"no data-driven constructor for kind {kind!r}")
+    factories = {"squared": squared_loss, "logistic": logistic_loss, "poisson": poisson_loss,
+                 "score_matching": gaussian_score_matching_loss}
+    if kind not in factories:
+        raise DomainError(f"no data-driven constructor for kind {kind!r}")
+    return factories[kind](np.shape(X)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +351,10 @@ def exp_overflow(eta: np.ndarray):
 
 
 def _expfam_stats(model: LossModel, X: np.ndarray) -> np.ndarray:
-    """Stack t(x_i, label_k) into an (n, K, dim) array, one feature_map call per label."""
+    """Stack t(x_i, label_k) into an (n, K, dim) array, one feature_map call per label.
+
+    A statistic longer than the model's ``stat_bound`` raises DomainError.
+    """
     n = X.shape[0]
     T = np.empty((n, len(model.labels), model.dim))
     for k, lab in enumerate(model.labels):
@@ -380,6 +364,10 @@ def _expfam_stats(model: LossModel, X: np.ndarray) -> np.ndarray:
                 f"feature_map returned shape {t.shape}, expected ({n}, {model.dim})"
             )
         T[:, k] = t
+    longest = float(np.max(np.linalg.norm(T, axis=2)))
+    if longest > model.stat_bound:
+        raise DomainError(f"a statistic t(x, y) has norm {longest:.6g}, "
+                          f"past the model's stat_bound {model.stat_bound:.6g}")
     return T
 
 
@@ -490,13 +478,13 @@ class Batch:
     as an (n, K, dim) array and the observed rows t(x_i, y_i) as (n, dim)),
     and ``(A, b, c)`` for score_matching.  Every evaluation below reuses
     them, so a fit that holds one Batch runs the model's callbacks
-    (``feature_map``, ``stacks_fn``) once.
+    (``feature_map``, ``stacks_fn``) once.  ``R`` is the loss's R on this data.
     The ``slot_`` methods evaluate m slots at once, slot b at ``Theta[b]``
     with weights ``W[b]``; the one-parameter methods are their case m = 1.
 
     A batch made by :func:`stack_batches` is stacked: slot b has a dataset
     of its own, X is (m, n, d), y (m, n), every stack has a leading slot
-    axis, and ``R`` holds the declared R of each slot's model.  Its slot b
+    axis, and ``R`` holds the R of each slot's dataset.  Its slot b
     evaluates with the arithmetic of the single dataset's batch at m = 1,
     so the two agree bit for bit.
     """
@@ -504,8 +492,8 @@ class Batch:
     model: LossModel
     X: np.ndarray
     y: np.ndarray | None
+    R: float | np.ndarray
     stacks: tuple = ()
-    R: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -513,7 +501,7 @@ class Batch:
 
     @property
     def stacked(self) -> bool:
-        return self.R is not None
+        return self.X.ndim == 3
 
     def take(self, keep) -> "Batch":
         """The batch of the slots ``keep``; a batch that is not stacked serves any slots."""
@@ -521,7 +509,7 @@ class Batch:
             return self
         y = None if self.y is None else self.y[keep]
         stacks = tuple(s[keep] for s in self.stacks)
-        return Batch(self.model, self.X[keep], y, stacks, self.R[keep])
+        return Batch(self.model, self.X[keep], y, self.R[keep], stacks)
 
     def max_slots(self) -> int:
         """How many slots fit ``_CHUNK_ELEMENTS``: (n,) rows, (n, K, dim) for expfam_glm."""
@@ -670,37 +658,38 @@ class Batch:
 
 
 def prepare_batch(model: LossModel, data: Dataset) -> Batch:
-    """Check a dataset against the model and build its per-sample stacks once."""
+    """Check a dataset against the model, measure R and build its per-sample stacks once."""
     y = _check_data(model, data)
+    R, stacks = 0.0, ()
     if model.kind == "expfam_glm":
         T = _expfam_stats(model, data.X)
-        stacks = (T, _expfam_observed(model, T, y))
+        R, stacks = 2.0 * model.stat_bound, (T, _expfam_observed(model, T, y))
     elif model.kind == "score_matching":
         stacks = _score_matching_stacks(model, data.X)
-    else:
-        stacks = ()
-    return Batch(model=model, X=data.X, y=y, stacks=stacks)
+    elif model.kind in _R_PER_X_NORM:
+        R = _R_PER_X_NORM[model.kind] * float(np.max(np.linalg.norm(data.X, axis=1)))
+    return Batch(model, data.X, y, R, stacks)
 
 
 def stack_batches(batches: Sequence[Batch]) -> Batch:
     """One stacked batch of m datasets of equal n, slot b holding ``batches[b]``.
 
-    The datasets' models may differ in their declared R only.  expfam_glm
-    batches do not stack: their Hessians sum one shared table of outer
-    products.
+    The batches share one model, and slot b keeps the R of its dataset.
+    expfam_glm batches do not stack: their Hessians sum one shared table of
+    outer products.
     """
     model = batches[0].model
     if model.kind == "expfam_glm":
         raise DomainError("expfam_glm batches do not stack")
-    if any(replace(b.model, sc=model.sc) != model for b in batches):
-        raise DomainError("stacked datasets need models that differ in R only")
+    if any(b.model != model for b in batches):
+        raise DomainError("stacked datasets need one model")
     y = None if batches[0].y is None else np.stack([b.y for b in batches])
     return Batch(
         model=model,
         X=np.stack([b.X for b in batches]),
         y=y,
+        R=np.array([b.R for b in batches]),
         stacks=tuple(np.stack(parts) for parts in zip(*(b.stacks for b in batches))),
-        R=np.array([b.model.sc.R for b in batches]),
     )
 
 

@@ -34,10 +34,18 @@ from scmest.losses import (
     mean_hessian,
     model_for_data,
     poisson_loss,
+    prepare_batch,
     squared_loss,
 )
-from scmest.scfun import d_nu, k_nu, omega, omega_bar, omega_dbar
-from scmest.simdata import Process, generate, loss_kind_for, phase_seed, theta0_equispaced
+from scmest.scfun import ScParams, d_nu, k_nu, omega, omega_bar, omega_dbar
+from scmest.simdata import (
+    Dataset,
+    Process,
+    generate,
+    loss_kind_for,
+    phase_seed,
+    theta0_equispaced,
+)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -97,11 +105,14 @@ def _draw(kind, rng, n=1, clip=None):
     if kind == "squared":
         return squared_loss(_D), theta, X, rng.normal(size=n)
     if kind == "logistic":
-        return logistic_loss(_D, 10.0), theta, X, rng.choice([-1.0, 1.0], size=n)
+        return logistic_loss(_D), theta, X, rng.choice([-1.0, 1.0], size=n)
     if kind == "poisson":
-        return poisson_loss(_D, 10.0), theta, X, rng.poisson(2.0, size=n).astype(float)
+        return poisson_loss(_D), theta, X, rng.poisson(2.0, size=n).astype(float)
     if kind == "expfam_glm":
-        return _expfam_testmodel(), theta, X, rng.choice([-1.0, 0.0, 1.0], size=n)
+        # the clip radius, or the drawn rows' own bound: derivative checks
+        # do not read R
+        x_bound = clip if clip is not None else float(np.max(np.linalg.norm(X, axis=1)))
+        return _expfam_testmodel(x_bound), theta, X, rng.choice([-1.0, 0.0, 1.0], size=n)
     model = gaussian_score_matching_loss(_D // 2)
     Z = rng.normal(size=(n, _D // 2))
     theta = np.concatenate([rng.normal(size=_D // 2), rng.uniform(0.5, 2.0, _D // 2)])
@@ -203,10 +214,8 @@ def test_03_self_concordance_inequality():
     for kind in ("logistic", "expfam_glm"):
         n = 50
         model, _, X, y = _draw(kind, rng, n=n, clip=3.0 if kind == "expfam_glm" else None)
-        if kind == "logistic":
-            R = 2.0 * float(np.max(np.linalg.norm(X, axis=1)))
-        else:
-            R = model.sc.R  # 2M for the statistic bound M
+        # 2 max ||x|| for logistic, 2M for the statistic bound M
+        R = prepare_batch(model, Dataset(X=X, y=y)).R
         for _ in range(100):
             theta = rng.normal(size=_D) * 0.5
             u, v = rng.normal(size=_D), rng.normal(size=_D)
@@ -248,7 +257,8 @@ def test_04_hessian_sandwich():
     proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(4))
     data = generate(proc, n=400, seed=4)
     model = model_for_data("logistic", data.X)
-    R = model.sc.R
+    sc = ScParams(prepare_batch(model, data).R, 2.0)
+    R = sc.R
     rng = np.random.default_rng(44)
     worst = 0.0
     for _ in range(200):
@@ -256,10 +266,10 @@ def test_04_hessian_sandwich():
         g = rng.normal(size=4)
         target = float(rng.uniform(0.05, 0.9))
         step = (target / (R * float(np.linalg.norm(g)))) * g
-        dn = d_nu(model.sc, step, 0.0)
+        dn = d_nu(sc, step, 0.0)
         H_a = mean_hessian(model, theta_a, data.X, data.y)
         H_b = mean_hessian(model, theta_a + step, data.X, data.y)
-        w = omega(model.sc.nu, dn)
+        w = omega(sc.nu, dn)
         eigs = eigh(H_b, H_a, eigvals_only=True)
         worst = max(worst, (1.0 / w) - eigs[0], eigs[-1] - w)
     elapsed = time.time() - t0

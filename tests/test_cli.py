@@ -390,6 +390,27 @@ class TestGofCommand:
         )
         assert code == 1 and out == ""
         assert "scmest: error: theta" in err and "Traceback" not in err
+        assert "no fit performed" not in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--critical-rule", "explicit", "--critical", "nan"],
+            ["--critical-rule", "scaled_dim", "--c-scale", "-1"],
+        ],
+    )
+    def test_bad_critical_value_exits_1(self, capsys, null_file, flags):
+        # --critical nan would print "critical": NaN, which is not JSON
+        code, out, err = _run(
+            capsys,
+            [
+                "gof", "--process", "linear_wellspec", "--n", "100", "--d", "3",
+                "--test", "rao", "--null", null_file, *flags,
+            ],
+        )
+        assert code == 1 and out == ""
+        assert "scmest: error:" in err and "Traceback" not in err
+        assert "no fit performed" not in err
 
     def test_oracle_rule_without_replications_exits_1(self, capsys, tmp_path):
         null = tmp_path / "null.json"

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize
 
@@ -29,10 +29,12 @@ from scmest.losses import (
     gaussian_score_matching_loss,
     logistic_loss,
     model_for_data,
+    prepare_batch,
     score_matching_loss,
     squared_loss,
 )
-from scmest.simdata import Process, generate, theta0_equispaced
+from scmest.scfun import ScParams, SpectralSummary, certify_unique_minimizer
+from scmest.simdata import Dataset, Process, generate, theta0_equispaced
 
 
 def _linear_data(n=80, d=4, seed=0):
@@ -128,12 +130,12 @@ class TestAggregates:
         assert fit.newton_decrement == dec
 
     def test_empirical_sc_params_scaling(self):
-        model = logistic_loss(3, 2.0)  # R = 4, nu = 2
-        p = empirical_sc_params(model, 100)
+        # nu = 2: the empirical risk keeps the R measured from the data
+        data = Dataset(X=np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 0.0]]), y=np.array([1.0, -1.0]))
+        p = empirical_sc_params(prepare_batch(logistic_loss(3), data))
         assert p.nu == 2.0
-        assert p.R == pytest.approx(4.0 * 100.0 ** (0.0))
-        m3 = squared_loss(3)
-        assert empirical_sc_params(m3, 50).R == 0.0
+        assert p.R == 6.0  # 2 max ||x||
+        assert empirical_sc_params(prepare_batch(squared_loss(3), data)).R == 0.0
 
 
 class TestNewtonFit:
@@ -394,6 +396,48 @@ class TestLocalizationCertificate:
         diff = fit.theta_n - p.theta0
         dist = math.sqrt(float(diff @ agg0.H_n @ diff))
         assert cert.passes and dist <= cert.bound
+
+    @pytest.mark.parametrize("n", [100, 2000])
+    def test_logistic_certificate_uses_the_measured_r(self, n):
+        # a declared R = 0 would make this risk quadratic: its certificate at
+        # theta0 would pass on every seed, and its fit would take full Newton
+        # steps (5 iterations).  No call takes R; it is 2 max ||x_i||
+        with pytest.raises(TypeError):
+            logistic_loss(5, 0.0)
+        p = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+        data = generate(p, n, seed=0)
+        model = logistic_loss(5)
+        cert = localization_certificate(model, data, p.theta0)
+        eigs = np.linalg.eigvalsh(aggregates(model, data, p.theta0).H_n)
+        R = 2.0 * float(np.max(np.linalg.norm(data.X, axis=1)))
+        measured = certify_unique_minimizer(
+            ScParams(R, 2.0), SpectralSummary(eigs[0], eigs[-1]), cert.score_norm
+        )
+        assert cert.passes == measured.passes
+        assert not cert.passes
+        assert fit_erm(model, data).iterations > 20
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 2.0))
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    def test_passing_certificate_localizes_the_fit(self, kind, seed, t):
+        # theta_ref lies t sqrt(lambda_min)/(2R) from theta_n in the
+        # H_n(theta_n) norm (any t for the quadratic kinds, whose R is 0),
+        # so the certificate r_nu dec <= 1/2 passes for t up to about 1
+        model, data = _model_and_data(kind)
+        fit = fit_erm(model, data)
+        H = fit.aggregates_at_opt.H_n
+        R = prepare_batch(model, data).R
+        scale = 0.5 * math.sqrt(np.linalg.eigvalsh(H)[0]) / R if R > 0.0 else 1.0
+        u = np.random.default_rng(seed).normal(size=model.dim)
+        theta_ref = fit.theta_n + t * scale * u / math.sqrt(u @ H @ u)
+        cert = localization_certificate(model, data, theta_ref)
+        assert cert.passes or t > 0.25
+        if cert.passes:
+            H_ref = aggregates(model, data, theta_ref).H_n
+            diff = fit.theta_n - theta_ref
+            # theta_n is the minimizer to within the solver tolerance
+            assert math.sqrt(diff @ H_ref @ diff) <= cert.bound + 1e-9
 
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_matches_the_fit_certificate_at_the_fit(self, kind):

@@ -197,6 +197,24 @@ class TestRunTest:
         with pytest.raises(DomainError):
             run_test("lr", model, data, fit.theta_n, 0.05, "explicit")
 
+    @pytest.mark.parametrize(
+        "rule, option",
+        [
+            ("explicit", {"critical": float("nan")}),
+            ("explicit", {"critical": float("inf")}),
+            ("scaled_dim", {"c_scale": float("nan")}),
+            ("scaled_dim", {"c_scale": float("inf")}),
+            ("scaled_dim", {"c_scale": 0.0}),
+            ("scaled_dim", {"c_scale": -1.0}),
+        ],
+    )
+    def test_critical_value_inputs_checked(self, rule, option):
+        # a NaN critical value would never reject, a negative c_scale always
+        model, data, fit = _linear_fit(n=100)
+        name = next(iter(option))
+        with pytest.raises(DomainError, match=name):
+            run_test("wald", model, data, LINEAR3.theta0, 0.05, rule, **option)
+
     def test_oracle_rule_needs_process_and_is_deterministic(self):
         # the oracle replays the process recorded in the data's provenance,
         # which data built by hand (or read from CSV) lack

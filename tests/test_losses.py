@@ -25,10 +25,12 @@ from scmest.losses import (
     mean_hessian,
     model_for_data,
     poisson_loss,
+    prepare_batch,
     score_matching_assemble,
     score_matching_loss,
     squared_loss,
 )
+from scmest.simdata import Dataset
 
 _D = 4
 
@@ -50,11 +52,13 @@ def _draw(kind, rng, n=1):
     if kind == "squared":
         return squared_loss(_D), theta, X, rng.normal(size=n)
     if kind == "logistic":
-        return logistic_loss(_D, 10.0), theta, X, rng.choice([-1.0, 1.0], size=n)
+        return logistic_loss(_D), theta, X, rng.choice([-1.0, 1.0], size=n)
     if kind == "poisson":
-        return poisson_loss(_D, 10.0), theta, X, rng.poisson(2.0, size=n).astype(float)
+        return poisson_loss(_D), theta, X, rng.poisson(2.0, size=n).astype(float)
     if kind == "expfam_glm":
-        return _expfam_testmodel(), theta, X, rng.choice([-1.0, 0.0, 1.0], size=n)
+        # the drawn rows' own bound: derivative checks do not read R
+        model = _expfam_testmodel(float(np.max(np.linalg.norm(X, axis=1))))
+        return model, theta, X, rng.choice([-1.0, 0.0, 1.0], size=n)
     model = gaussian_score_matching_loss(_D // 2)
     Z = rng.normal(size=(n, _D // 2))
     theta = np.concatenate([rng.normal(size=_D // 2), rng.uniform(0.5, 2.0, _D // 2)])
@@ -154,14 +158,14 @@ class TestClosedFormValues:
         assert value == pytest.approx(0.5 * (3.0 - 1.0) ** 2)
 
     def test_logistic(self):
-        model = logistic_loss(2, 5.0)
+        model = logistic_loss(2)
         theta = np.array([2.0, 1.0])
         # margin y theta'x = -1, value log(1 + e^1)
         value = batch_values(model, theta, [[1.0, -1.0]], [-1.0])[0]
         assert value == pytest.approx(np.logaddexp(0.0, 1.0))
 
     def test_poisson(self):
-        model = poisson_loss(1, 5.0)
+        model = poisson_loss(1)
         theta = np.array([0.5])
         assert batch_values(model, theta, [[2.0]], [3.0])[0] == pytest.approx(math.e - 3.0)
 
@@ -219,12 +223,12 @@ class TestBatchConsistency:
 
 class TestValidation:
     def test_logistic_label_check(self):
-        model = logistic_loss(2, 5.0)
+        model = logistic_loss(2)
         with pytest.raises(InvalidLabel):
             batch_values(model, np.zeros(2), np.ones((1, 2)), np.array([0.5]))
 
     def test_poisson_label_check(self):
-        model = poisson_loss(2, 5.0)
+        model = poisson_loss(2)
         with pytest.raises(InvalidLabel):
             batch_values(model, np.zeros(2), np.ones((1, 2)), np.array([-1.0]))
         with pytest.raises(InvalidLabel):
@@ -236,7 +240,7 @@ class TestValidation:
             batch_values(model, np.zeros(_D), np.ones((1, _D)), np.array([2.0]))
 
     def test_poisson_overflow(self):
-        model = poisson_loss(1, 5.0)
+        model = poisson_loss(1)
         with pytest.raises(NumericOverflow):
             batch_values(model, np.array([800.0]), np.ones((1, 1)), np.array([1.0]))
 
@@ -273,20 +277,28 @@ class TestValidation:
 
     def test_factory_validation(self):
         with pytest.raises(DomainError):
-            logistic_loss(2, -1.0)
-        with pytest.raises(DomainError):
             expfam_glm_loss(2, (1.0,), lambda x, y: x, 1.0)
         with pytest.raises(DimensionMismatch):
             gaussian_score_matching_loss(0)
 
     def test_model_for_data_infers_bounds(self):
-        X = np.array([[3.0, 4.0], [0.0, 1.0]])
-        m = model_for_data("logistic", X)
-        assert m.sc.R == pytest.approx(10.0)  # 2 max ||x||
-        m = model_for_data("poisson", X)
-        assert m.sc.R == pytest.approx(5.0)
-        m = model_for_data("squared", X)
-        assert m.sc.R == 0.0 and m.dim == 2
+        # the model takes its dimension from X; the batch measures R from it
+        data = Dataset(X=np.array([[3.0, 4.0], [0.0, 1.0]]), y=np.array([1.0, 1.0]))
+        m = model_for_data("logistic", data.X)
+        assert prepare_batch(m, data).R == pytest.approx(10.0)  # 2 max ||x||
+        m = model_for_data("poisson", data.X)
+        assert prepare_batch(m, data).R == pytest.approx(5.0)
+        m = model_for_data("squared", data.X)
+        assert prepare_batch(m, data).R == 0.0 and m.dim == 2
+
+    def test_expfam_statistics_past_the_bound_rejected(self):
+        # ||t(x, +-1)|| = ||x|| / 2 = 2.5 for the first row
+        X, y = np.array([[3.0, 4.0], [0.0, 1.0]]), np.array([1.0, -1.0])
+        model = expfam_glm_loss(2, (-1.0, 1.0), lambda x, lab: 0.5 * lab * x, 2.5)
+        assert prepare_batch(model, Dataset(X=X, y=y)).R == 5.0  # 2M
+        tight = expfam_glm_loss(2, (-1.0, 1.0), lambda x, lab: 0.5 * lab * x, 2.0)
+        with pytest.raises(DomainError, match="stat_bound"):
+            prepare_batch(tight, Dataset(X=X, y=y))
 
     def test_score_matching_assemble_identity(self):
         # the stacks equal the per-sample formulas, row by row

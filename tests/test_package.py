@@ -123,7 +123,7 @@ def test_readme_quick_start_runs_and_gives_its_commented_results():
         if tok.type == tokenize.COMMENT
     }
     namespace: dict = {}
-    checked = 0
+    shown = []
     for stmt in ast.parse(source).body:
         try:
             expected = ast.literal_eval(comments.get(stmt.end_lineno, ""))
@@ -133,8 +133,9 @@ def test_readme_quick_start_runs_and_gives_its_commented_results():
         assert isinstance(stmt, ast.Expr)
         value = eval(compile(ast.Expression(stmt.value), "README.md", "eval"), namespace)
         assert value == expected, ast.unparse(stmt)
-        checked += 1
-    assert checked >= 3
+        shown.append(value)
+    # the fit converges and certifies, the set covers theta0, the test keeps H0
+    assert shown == [(True, True), True, False]
 
 
 def test_readme_command_line_block_runs(tmp_path, monkeypatch):
