@@ -46,13 +46,7 @@ from .errors import DomainError, EmptyDataset, NonConverged, NumericOverflow
 from .errors import SingularHessian, check_failures
 from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
 from .losses import stack_batches
-from .scfun import (
-    Certificate,
-    ScParams,
-    SpectralSummary,
-    certify_unique_minimizer,
-    d_nu,
-)
+from .scfun import Certificate, SpectralSummary, certify_unique_minimizer, d_nu
 from .simdata import Dataset, Process, generate, loss_kind_for
 
 __all__ = [
@@ -60,7 +54,6 @@ __all__ = [
     "FitResult",
     "SolverOptions",
     "LocalizationCertificate",
-    "empirical_sc_params",
     "aggregates",
     "fit_erm",
     "replicate",
@@ -151,15 +144,6 @@ class LocalizationCertificate:
     passes: bool
     score_norm: float
     bound: float
-
-
-def empirical_sc_params(batch: Batch) -> ScParams:
-    """Self-concordance parameters (R n^{nu/2-1}, nu) of the batch's empirical risks.
-
-    Every kind has nu = 2, so they are the R the batch measured (one per
-    slot when stacked) and 2.
-    """
-    return ScParams(R=batch.R, nu=2.0)
 
 
 def aggregates(
@@ -281,7 +265,7 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
     """
     m = W.shape[0]
     d = batch.model.dim
-    params_n = empirical_sc_params(batch)
+    params_n = batch.sc_params
     theta = np.zeros((m, d))
     S_fin = np.zeros((m, d))
     H_fin = np.zeros((m, d, d))
@@ -313,7 +297,7 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
             if live.size == 0:
                 break
             batch = batch.take(stepping)
-            params_n = empirical_sc_params(batch)
+            params_n = batch.sc_params
         # the step is -X, and ||X||_{H_n} equals the Newton decrement; as
         # d_nu = R ||X||_2 with R >= max_i ||x_i||, no x_i'theta moves by 1 or
         # more, so a Poisson slot can overflow only after ~700 iterations
@@ -340,8 +324,7 @@ def _fit_result(
         raise NumericOverflow(f"exp(theta'x) overflows at Newton iteration {it}")
     theta, S, H, dec = fits.theta[b], fits.S[b], fits.H[b], float(fits.decrement[b])
     spec = _spectral_summary(H)
-    params_n = empirical_sc_params(batch)
-    cert = None if spec is None else certify_unique_minimizer(params_n, spec, dec)
+    cert = None if spec is None else certify_unique_minimizer(batch.sc_params, spec, dec)
     return FitResult(
         theta_n=theta,
         aggregates_at_opt=_complete(batch, theta, w, float(fits.L[b]), S, H),
@@ -460,5 +443,5 @@ def localization_certificate(
     spec = _spectral_summary(H)
     if spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")
-    cert = certify_unique_minimizer(empirical_sc_params(batch), spec, dec)
+    cert = certify_unique_minimizer(batch.sc_params, spec, dec)
     return LocalizationCertificate(passes=cert.passes, score_norm=dec, bound=cert.radius_bound)

@@ -1,11 +1,10 @@
 """Simulation studies emitting plot-ready tables.
 
-:func:`coverage_experiment` runs the calibration protocol for one process:
-replicate data draws, compare each statistic against its calibrated
-quantile, and tabulate coverage per method and confidence level.  Four
-prepackaged studies build on it and on the package's estimators, each a
-config dataclass and a ``run_<name>`` function, deterministic in the
-config seed.  ``scmest experiment <name>`` runs them from the command line:
+Four prepackaged studies, each described by one config dataclass and run
+by one ``run_<name>`` function, deterministic in the config seed.  The
+coverage and effective-dimension configs reject bad values when they are
+built, before any replication runs.  ``scmest experiment <name>`` runs
+them from the command line:
 
 - coverage_table: coverage of oracle- and bootstrap-calibrated confidence
   sets for well-specified least squares, misspecified least squares
@@ -22,8 +21,9 @@ config seed.  ``scmest experiment <name>`` runs them from the command line:
 
 Rows count the replications that :func:`scmest.estimate.replicate` kept,
 and :func:`scmest.simdata.write_table` writes any study's rows as CSV.
-A process that fails entirely still yields rows (NaN coverage, all
-replications counted as failures) so partial runs remain inspectable.
+A coverage process that fails entirely keeps no replication, so its rows
+hold NaN coverage with every replication a failure, and partial runs
+remain inspectable.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from .losses import model_for_data
 from .simdata import Process, generate, phase_seed, theta0_equispaced
 
 __all__ = [
-    "CoverageConfig",
     "CoverageRow",
     "CoverageTable",
-    "coverage_experiment",
     "COVERAGE_TARGETS",
     "CoverageTableExperiment",
     "EffDimErrorExperiment",
@@ -64,19 +62,36 @@ _METHODS = ("oracle", "bootwald", "bootlr")
 _BOOT_METHODS = {"bootwald", "bootlr"}
 
 
+_COVERAGE_PROCESSES = ("linear_wellspec", "linear_misspec_t", "logistic_wellspec")
+
+# pinned (process, method, level, target coverage) cells of the coverage
+# table, from the reference study at n = 100, d = 5, B = 2000; the targets
+# carry that study's own Monte-Carlo noise
+COVERAGE_TARGETS = (
+    ("linear_wellspec", "oracle", 0.95, 0.957),
+    ("logistic_wellspec", "bootwald", 0.95, 0.938),
+    ("logistic_wellspec", "bootlr", 0.95, 0.976),
+    ("linear_misspec_t", "bootwald", 0.75, 0.727),
+)
+
+
 @dataclass(frozen=True)
-class CoverageConfig:
-    """Replication study of confidence-set coverage under a known process.
+class CoverageTableExperiment:
+    """Config of the coverage study: three processes at n = 100, d = 5.
 
     ``deltas`` are confidence levels (coverage targets, e.g. 0.95); the
     oracle method calibrates the Wald radius from its own replication set,
-    the bootstrap methods recalibrate per dataset.  Evaluation, oracle
-    calibration, and bootstrap weights use three disjoint seed phases.
-    ``B`` must be positive when a bootstrap method is requested.
+    the bootstrap methods recalibrate per dataset.  Each process is
+    ``theta0_equispaced(d)`` under its own seed, in whose three disjoint
+    phases the evaluation, the oracle calibration and the bootstrap weights
+    are drawn.  Unknown methods or processes, levels outside (0, 1), ``n``,
+    ``d`` or ``reps`` below 1, and ``B`` below 1 with a bootstrap method
+    raise DomainError.
     """
 
-    process: Process
-    n: int
+    processes: tuple[str, ...] = _COVERAGE_PROCESSES
+    n: int = 100
+    d: int = 5
     deltas: tuple[float, ...] = (0.95, 0.9, 0.85, 0.8, 0.75)
     reps: int = 1000
     B: int = 2000
@@ -96,6 +111,9 @@ class CoverageConfig:
             raise DomainError("n and reps must be positive")
         if self.B < 1 and _BOOT_METHODS & set(self.methods):
             raise DomainError(f"B must be positive for the bootstrap methods, got {self.B}")
+        for kind in self.processes:
+            # the checks of Process and theta0_equispaced, before any process runs
+            Process(kind=kind, theta0=theta0_equispaced(self.d))
 
 
 @dataclass(frozen=True)
@@ -122,24 +140,20 @@ class CoverageTable:
         raise KeyError((model, method, delta))
 
 
-def coverage_experiment(config: CoverageConfig) -> CoverageTable:
-    """Empirical coverage of oracle- and bootstrap-calibrated sets.
+def _process_coverage(config: CoverageTableExperiment, kind: str, seed: int) -> list[CoverageRow]:
+    """Coverage rows of one process, per method and level, under ``seed``.
 
     Per replication: draw a dataset, fit, and check whether theta0 falls
     inside each method's set at each confidence level.  A replication whose
     base fit fails is dropped by :func:`scmest.estimate.replicate` and counts
     as a failure for every method; one whose bootstrap exceeds the failure
-    budget counts as a failure for the bootstrap methods only.
+    budget counts as a failure for the bootstrap methods only.  A process
+    whose calibration or replications raise keeps no replication: its rows
+    hold NaN coverage with every replication a failure.
     """
-    proc = config.process
+    proc = Process(kind=kind, theta0=theta0_equispaced(config.d))
     theta0 = proc.theta0
-    eval_base = phase_seed(config.seed, 0)
-    cal_base = phase_seed(config.seed, 1)
-    boot_base = phase_seed(config.seed, 2)
-
-    if "oracle" in config.methods:
-        cal = null_statistics(("wald",), proc, config.n, config.reps, cal_base)
-        radius = {level: float(np.quantile(cal["wald"], level)) for level in config.deltas}
+    eval_base, cal_base, boot_base = (phase_seed(seed, phase) for phase in range(3))
     want_boot = bool(_BOOT_METHODS & set(config.methods))
 
     def covers(model, data, fit):
@@ -151,9 +165,9 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
         if want_boot:
             base_lr = lr_statistic(fit, theta0)
             # the bootstrap seed of replication r is boot_base + r
-            seed = boot_base + data.provenance.seed - eval_base
+            boot_seed = boot_base + data.provenance.seed - eval_base
             try:
-                boot = _bootstrap_statistics(fit, config.B, seed)
+                boot = _bootstrap_statistics(fit, config.B, boot_seed)
             except (TooManyFailures, SingularHessian, NumericOverflow):
                 boot = None
             for m, base, i in (("bootwald", base_wald, 0), ("bootlr", base_lr, 1)):
@@ -163,7 +177,13 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
                     ]
         return out
 
-    results = replicate(proc, config.n, eval_base, config.reps, covers)
+    try:
+        if "oracle" in config.methods:
+            cal = null_statistics(("wald",), proc, config.n, config.reps, cal_base)
+            radius = {level: float(np.quantile(cal["wald"], level)) for level in config.deltas}
+        results = replicate(proc, config.n, eval_base, config.reps, covers)
+    except ScmestError:
+        results = []
     rows = []
     for m in config.methods:
         hits = [res[m] for res in results if res[m] is not None]
@@ -173,7 +193,7 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
             stderr = math.sqrt(cov * (1.0 - cov) / k) if k else math.nan
             rows.append(
                 CoverageRow(
-                    model=proc.kind,
+                    model=kind,
                     method=m,
                     delta=level,
                     coverage=cov,
@@ -182,71 +202,19 @@ def coverage_experiment(config: CoverageConfig) -> CoverageTable:
                     failures=config.reps - k,
                 )
             )
-    return CoverageTable(rows=tuple(rows))
-
-
-_COVERAGE_PROCESSES = ("linear_wellspec", "linear_misspec_t", "logistic_wellspec")
-
-# pinned (process, method, level, target coverage) cells of the coverage
-# table, from the reference study at n = 100, d = 5, B = 2000; the targets
-# carry that study's own Monte-Carlo noise
-COVERAGE_TARGETS = (
-    ("linear_wellspec", "oracle", 0.95, 0.957),
-    ("logistic_wellspec", "bootwald", 0.95, 0.938),
-    ("logistic_wellspec", "bootlr", 0.95, 0.976),
-    ("linear_misspec_t", "bootwald", 0.75, 0.727),
-)
-
-
-@dataclass(frozen=True)
-class CoverageTableExperiment:
-    """Config of the coverage study: three processes at n = 100, d = 5."""
-
-    processes: tuple[str, ...] = _COVERAGE_PROCESSES
-    n: int = 100
-    d: int = 5
-    deltas: tuple[float, ...] = (0.95, 0.9, 0.85, 0.8, 0.75)
-    reps: int = 1000
-    B: int = 2000
-    seed: int = 0
-    methods: tuple[str, ...] = ("oracle", "bootwald", "bootlr")
+    return rows
 
 
 def run_coverage_table(config: CoverageTableExperiment | None = None) -> CoverageTable:
-    """Coverage of all methods across the configured processes.
+    """Coverage of every method across the configured processes.
 
-    Each process runs under its own derived seed phase; a process that
-    errors out contributes NaN rows with every replication marked failed.
+    Process ``p`` of the config runs under the seed
+    ``phase_seed(config.seed, 100 + p)``.
     """
     config = config or CoverageTableExperiment()
     rows: list[CoverageRow] = []
     for p_idx, kind in enumerate(config.processes):
-        proc = Process(kind=kind, theta0=theta0_equispaced(config.d))
-        cov_cfg = CoverageConfig(
-            process=proc,
-            n=config.n,
-            deltas=config.deltas,
-            reps=config.reps,
-            B=config.B,
-            seed=phase_seed(config.seed, 100 + p_idx),
-            methods=config.methods,
-        )
-        try:
-            rows.extend(coverage_experiment(cov_cfg).rows)
-        except ScmestError:
-            for m in config.methods:
-                for level in config.deltas:
-                    rows.append(
-                        CoverageRow(
-                            model=kind,
-                            method=m,
-                            delta=level,
-                            coverage=math.nan,
-                            stderr=math.nan,
-                            reps=0,
-                            failures=config.reps,
-                        )
-                    )
+        rows.extend(_process_coverage(config, kind, phase_seed(config.seed, 100 + p_idx)))
     return CoverageTable(rows=tuple(rows))
 
 

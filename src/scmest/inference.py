@@ -52,7 +52,6 @@ from .estimate import (
     _solve_pd,
     _spectral_summary,
     aggregates,
-    empirical_sc_params,
 )
 from .gof import lr_statistic, null_statistics
 from .losses import LossModel, prepare_batch
@@ -282,7 +281,7 @@ def _explicit_sq_radius(
     spec = _spectral_summary(agg.H_n)
     if spec is None:
         raise DomainError("H_n(theta_n) must be positive definite")
-    params = empirical_sc_params(prepare_batch(fit.model, fit.data))
+    params = prepare_batch(fit.model, fit.data).sc_params
     r_star = r_nu(params, spec)
     log_term = 1.0 - math.log(delta)
     d_star = effective_dim_empirical(fit).value

@@ -12,7 +12,8 @@ expfam_glm      -theta't(x, y) + log sum_y' exp(theta't(x, y'))        (2M, 2)
 score_matching  theta'A(z)theta/2 - b(z)'theta + c(z)                  (0, 2)
 ==============  =====================================================  ==============
 
-R is measured from the data by :func:`prepare_batch`, never declared.  For
+R is measured from the data, never declared: :attr:`Batch.R` takes it on
+first use, where the Newton engine or a certificate reads it.  For
 ``expfam_glm`` the label set is finite and the model bounds the sufficient
 statistic, ``||t(x, y)||_2 <= M``, a bound checked on the data, so the
 log-partition is an exact finite sum evaluated with the max-shift trick.
@@ -25,7 +26,7 @@ Samples are always the rows of a design matrix X (raw samples for score
 matching) with responses y; a single sample is a one-row X.  The fitting
 code works on a :class:`Batch`, made once per call from a checked
 :class:`~scmest.simdata.Dataset` by :func:`prepare_batch`: it adds the
-checks that need the model, measures R and builds the per-sample stacks
+checks that need the model and builds the per-sample stacks
 (the expfam_glm statistics, the score-matching (A, b, c)) that every later
 evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
 m parameter and weight rows at once, for every kind, so the Newton engine
@@ -49,6 +50,7 @@ import numpy as np
 from scipy.special import expit, logsumexp, softmax
 
 from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
+from .scfun import ScParams
 from .simdata import Dataset
 
 __all__ = [
@@ -478,7 +480,8 @@ class Batch:
     as an (n, K, dim) array and the observed rows t(x_i, y_i) as (n, dim)),
     and ``(A, b, c)`` for score_matching.  Every evaluation below reuses
     them, so a fit that holds one Batch runs the model's callbacks
-    (``feature_map``, ``stacks_fn``) once.  ``R`` is the loss's R on this data.
+    (``feature_map``, ``stacks_fn``) once.  ``R`` is the loss's R on this
+    data, measured on first use, and ``sc_params`` the (R, nu) it belongs to.
     The ``slot_`` methods evaluate m slots at once, slot b at ``Theta[b]``
     with weights ``W[b]``; the one-parameter methods are their case m = 1.
 
@@ -492,7 +495,6 @@ class Batch:
     model: LossModel
     X: np.ndarray
     y: np.ndarray | None
-    R: float | np.ndarray
     stacks: tuple = ()
 
     @property
@@ -503,13 +505,41 @@ class Batch:
     def stacked(self) -> bool:
         return self.X.ndim == 3
 
+    @cached_property
+    def R(self) -> float | np.ndarray:
+        """R of the loss on this data: a float, or one per slot when stacked.
+
+        2 max_i ||x_i|| for logistic, max_i ||x_i|| for Poisson, 2M for
+        expfam_glm, and 0 for the quadratic kinds.
+        """
+        kind = self.model.kind
+        if kind == "expfam_glm":
+            return 2.0 * self.model.stat_bound
+        if kind in _R_PER_X_NORM:
+            R = _R_PER_X_NORM[kind] * np.max(np.linalg.norm(self.X, axis=-1), axis=-1)
+        else:
+            R = np.zeros(self.X.shape[:-2])
+        return R if self.stacked else float(R)
+
+    @property
+    def sc_params(self) -> ScParams:
+        """Self-concordance parameters (R n^{nu/2-1}, nu) of the batch's empirical risks.
+
+        Every kind has nu = 2, so they are ``R`` and 2.
+        """
+        return ScParams(R=self.R, nu=2.0)
+
     def take(self, keep) -> "Batch":
         """The batch of the slots ``keep``; a batch that is not stacked serves any slots."""
         if not self.stacked:
             return self
         y = None if self.y is None else self.y[keep]
         stacks = tuple(s[keep] for s in self.stacks)
-        return Batch(self.model, self.X[keep], y, self.R[keep], stacks)
+        batch = Batch(self.model, self.X[keep], y, stacks)
+        if "R" in self.__dict__:
+            # already measured: the kept slots keep theirs
+            batch.__dict__["R"] = self.R[keep]
+        return batch
 
     def max_slots(self) -> int:
         """How many slots fit ``_CHUNK_ELEMENTS``: (n,) rows, (n, K, dim) for expfam_glm."""
@@ -658,23 +688,21 @@ class Batch:
 
 
 def prepare_batch(model: LossModel, data: Dataset) -> Batch:
-    """Check a dataset against the model, measure R and build its per-sample stacks once."""
+    """Check a dataset against the model and build its per-sample stacks once."""
     y = _check_data(model, data)
-    R, stacks = 0.0, ()
+    stacks = ()
     if model.kind == "expfam_glm":
         T = _expfam_stats(model, data.X)
-        R, stacks = 2.0 * model.stat_bound, (T, _expfam_observed(model, T, y))
+        stacks = (T, _expfam_observed(model, T, y))
     elif model.kind == "score_matching":
         stacks = _score_matching_stacks(model, data.X)
-    elif model.kind in _R_PER_X_NORM:
-        R = _R_PER_X_NORM[model.kind] * float(np.max(np.linalg.norm(data.X, axis=1)))
-    return Batch(model, data.X, y, R, stacks)
+    return Batch(model, data.X, y, stacks)
 
 
 def stack_batches(batches: Sequence[Batch]) -> Batch:
     """One stacked batch of m datasets of equal n, slot b holding ``batches[b]``.
 
-    The batches share one model, and slot b keeps the R of its dataset.
+    The batches share one model, and slot b measures the R of its dataset.
     expfam_glm batches do not stack: their Hessians sum one shared table of
     outer products.
     """
@@ -688,7 +716,6 @@ def stack_batches(batches: Sequence[Batch]) -> Batch:
         model=model,
         X=np.stack([b.X for b in batches]),
         y=y,
-        R=np.array([b.R for b in batches]),
         stacks=tuple(np.stack(parts) for parts in zip(*(b.stacks for b in batches))),
     )
 

@@ -16,7 +16,12 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from scmest.estimate import aggregates, fit_erm, localization_certificate
-from scmest.experiments import CoverageConfig, coverage_experiment
+from scmest.experiments import (
+    COVERAGE_TARGETS,
+    CoverageTable,
+    CoverageTableExperiment,
+    _process_coverage,
+)
 from scmest.gof import (
     PowerCurveConfig,
     lr_statistic,
@@ -356,14 +361,8 @@ def test_08_coverage_reproduction_smoke():
     # noise, so this gate allows +-0.06; the full-replication check
     # (1000 reps, +-0.03) is `scmest experiment coverage_table --check`.
     t0 = time.time()
-    cells = [
-        ("linear_wellspec", "oracle", 0.95, 0.957),
-        ("logistic_wellspec", "bootwald", 0.95, 0.938),
-        ("logistic_wellspec", "bootlr", 0.95, 0.976),
-        ("linear_misspec_t", "bootwald", 0.75, 0.727),
-    ]
     need = {}
-    for p_idx, (kind, method, delta, _) in enumerate(cells):
+    for kind, method, delta, _ in COVERAGE_TARGETS:
         methods, deltas = need.setdefault(kind, (set(), set()))
         methods.add(method)
         deltas.add(delta)
@@ -372,20 +371,19 @@ def test_08_coverage_reproduction_smoke():
         if kind not in need:
             continue
         methods, deltas = need[kind]
-        cfg = CoverageConfig(
-            process=Process(kind=kind, theta0=theta0_equispaced(5)),
+        cfg = CoverageTableExperiment(
             n=100,
+            d=5,
             deltas=tuple(sorted(deltas)),
             reps=200,
             B=2000,
-            seed=phase_seed(8, p_idx),
             methods=tuple(sorted(methods)),
         )
-        tables[kind] = coverage_experiment(cfg)
+        tables[kind] = CoverageTable(tuple(_process_coverage(cfg, kind, phase_seed(8, p_idx))))
     elapsed = time.time() - t0
     report = []
     ok = elapsed < 300.0
-    for kind, method, delta, target in cells:
+    for kind, method, delta, target in COVERAGE_TARGETS:
         row = tables[kind].lookup(method, delta)
         ok = ok and abs(row.coverage - target) <= 0.06
         report.append(f"{kind}/{method}@{delta}: {row.coverage:.3f} vs {target}")

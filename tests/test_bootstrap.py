@@ -1,6 +1,5 @@
 """Multiplier-bootstrap weights, refits, quantiles, and coverage studies."""
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from scmest.errors import (
     TooManyFailures,
 )
 from scmest.estimate import SolverOptions, _fit_result, _newton_engine, aggregates, fit_erm
-from scmest.experiments import CoverageConfig, coverage_experiment
+from scmest.experiments import CoverageTable, CoverageTableExperiment, _process_coverage
 from scmest.gof import lr_statistic, wald_statistic
 from scmest.inference import calibrated_radius
 from scmest.losses import (
@@ -239,7 +238,8 @@ class TestBatchedEngine:
         converging, heavy = np.ones(data.n), np.ones(data.n)
         converging[0], heavy[0] = 0.0, 1e6
         W = np.stack([converging, -np.ones(data.n), heavy])
-        batch = replace(prepare_batch(model, data), R=0.0)
+        batch = prepare_batch(model, data)
+        batch.__dict__["R"] = 0.0  # in place of the R measured on first use
         opts = SolverOptions()
         fits = _newton_engine(batch, W, opts)
         assert fits.status.tolist() == ["converged", "singular", "overflow"]
@@ -391,23 +391,19 @@ class TestBootstrapQuantile:
 
 class TestCoverageExperiment:
     def _config(self, **overrides):
-        base = dict(
-            process=Process(kind="linear_wellspec", theta0=theta0_equispaced(2)),
-            n=80,
-            deltas=(0.9, 0.8),
-            reps=60,
-            B=80,
-            seed=0,
-        )
+        base = dict(d=2, n=80, deltas=(0.9, 0.8), reps=60, B=80)
         base.update(overrides)
-        return CoverageConfig(**base)
+        return CoverageTableExperiment(**base)
+
+    def _table(self, config, kind="linear_wellspec", seed=0):
+        return CoverageTable(tuple(_process_coverage(config, kind, seed)))
 
     def test_deterministic(self):
         config = self._config()
-        assert coverage_experiment(config).rows == coverage_experiment(config).rows
+        assert self._table(config).rows == self._table(config).rows
 
     def test_covers_near_nominal(self):
-        table = coverage_experiment(self._config())
+        table = self._table(self._config())
         for method in ("oracle", "bootwald", "bootlr"):
             row = table.lookup(method, 0.9)
             assert 0.75 <= row.coverage <= 1.0
@@ -417,22 +413,21 @@ class TestCoverageExperiment:
             )
 
     def test_levels_are_ordered(self):
-        table = coverage_experiment(self._config())
+        table = self._table(self._config())
         for method in ("oracle", "bootwald", "bootlr"):
             assert table.lookup(method, 0.9).coverage >= table.lookup(method, 0.8).coverage
 
     def test_failed_fits_count_as_failures(self):
         # logistic at d = 5, n = 30, seed 3: the fits of two evaluation and
         # one calibration replication stop at max_iter
-        proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
-        config = self._config(process=proc, n=30, reps=40, seed=3, methods=("oracle",))
-        row = coverage_experiment(config).lookup("oracle", 0.9)
+        config = self._config(d=5, n=30, reps=40, methods=("oracle",))
+        row = self._table(config, "logistic_wellspec", seed=3).lookup("oracle", 0.9)
         assert (row.reps, row.failures) == (38, 2)
 
     def test_failed_bootstrap_counts_for_the_bootstrap_methods_only(self, monkeypatch):
         # replications 1 and 4 get a bootstrap over its failure budget
         config = self._config(reps=10, B=100)
-        clean = coverage_experiment(config)
+        clean = self._table(config)
         calls = []
         statistics = experiments._bootstrap_statistics
 
@@ -443,7 +438,7 @@ class TestCoverageExperiment:
             return statistics(fit, B, seed)
 
         monkeypatch.setattr(experiments, "_bootstrap_statistics", failing)
-        table = coverage_experiment(config)
+        table = self._table(config)
         assert len(calls) == 10
         for level in config.deltas:
             assert table.lookup("oracle", level) == clean.lookup("oracle", level)
@@ -453,7 +448,7 @@ class TestCoverageExperiment:
                 assert (row.reps, row.failures) == (8, 2)
 
     def test_method_subset(self):
-        table = coverage_experiment(self._config(methods=("oracle",), reps=10, B=50))
+        table = self._table(self._config(methods=("oracle",), reps=10, B=50))
         assert {row.method for row in table.rows} == {"oracle"}
         with pytest.raises(KeyError):
             table.lookup("bootwald", 0.9)
@@ -465,22 +460,23 @@ class TestCoverageExperiment:
             self._config(deltas=(0.9, 1.0))
         with pytest.raises(DomainError):
             self._config(reps=0)
+        with pytest.raises(DomainError):
+            self._config(n=0)
+        with pytest.raises(DomainError):
+            self._config(d=0)
+        with pytest.raises(DomainError, match="unknown process kind"):
+            self._config(processes=("linear_wellspec", "linear_bogus"))
 
 
 class TestCoverageCsv:
+    def _rows(self, reps):
+        config = CoverageTableExperiment(d=2, n=40, deltas=(0.9,), reps=reps, B=60)
+        return _process_coverage(config, "linear_wellspec", 0)
+
     def test_format_metadata_and_round_trip(self, tmp_path):
-        table = coverage_experiment(
-            CoverageConfig(
-                process=Process(kind="linear_wellspec", theta0=theta0_equispaced(2)),
-                n=40,
-                deltas=(0.9,),
-                reps=8,
-                B=60,
-                seed=0,
-            )
-        )
+        rows = self._rows(8)
         path = tmp_path / "coverage.csv"
-        write_table(table.rows, path, metadata={"n": 40, "d": 2})
+        write_table(rows, path, metadata={"n": 40, "d": 2})
         lines = path.read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "# d=2"
@@ -489,21 +485,11 @@ class TestCoverageCsv:
         first = lines[4].split(",")
         assert first[0] == "linear_wellspec"
         assert first[2] == "0.9"
-        row = table.rows[0]
+        row = rows[0]
         assert float(first[3]) == row.coverage
         assert int(first[5]) == row.reps
 
     def test_metadata_optional(self, tmp_path):
-        table = coverage_experiment(
-            CoverageConfig(
-                process=Process(kind="linear_wellspec", theta0=theta0_equispaced(2)),
-                n=40,
-                deltas=(0.9,),
-                reps=5,
-                B=60,
-                seed=0,
-            )
-        )
         path = tmp_path / "coverage.csv"
-        write_table(table.rows, path)
+        write_table(self._rows(5), path)
         assert path.read_text().splitlines()[1].startswith("model,")

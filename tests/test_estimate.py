@@ -16,7 +16,6 @@ from scmest.estimate import (
     _newton_steps,
     _pd_solve,
     aggregates,
-    empirical_sc_params,
     fit_erm,
     localization_certificate,
     replicate,
@@ -132,10 +131,10 @@ class TestAggregates:
     def test_empirical_sc_params_scaling(self):
         # nu = 2: the empirical risk keeps the R measured from the data
         data = Dataset(X=np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 0.0]]), y=np.array([1.0, -1.0]))
-        p = empirical_sc_params(prepare_batch(logistic_loss(3), data))
+        p = prepare_batch(logistic_loss(3), data).sc_params
         assert p.nu == 2.0
         assert p.R == 6.0  # 2 max ||x||
-        assert empirical_sc_params(prepare_batch(squared_loss(3), data)).R == 0.0
+        assert prepare_batch(squared_loss(3), data).sc_params.R == 0.0
 
 
 class TestNewtonFit:

@@ -10,7 +10,6 @@ from scmest.estimate import fit_erm
 from scmest.errors import DomainError
 from scmest.experiments import (
     ConfsetShapeExperiment,
-    CoverageConfig,
     CoverageTableExperiment,
     EffDimErrorExperiment,
     run_confset_shape,
@@ -42,15 +41,13 @@ class TestCoverageTable:
 
 
 class TestCoverageConfig:
-    process = Process(kind="linear_wellspec", theta0=np.ones(2))
-
     def test_bootstrap_methods_need_replications(self):
         for methods in (("bootwald",), ("oracle", "bootlr")):
             with pytest.raises(DomainError, match="B must be positive"):
-                CoverageConfig(process=self.process, n=60, B=0, methods=methods)
+                CoverageTableExperiment(d=2, n=60, B=0, methods=methods)
 
     def test_oracle_alone_needs_no_bootstrap_replications(self):
-        assert CoverageConfig(process=self.process, n=60, B=0, methods=("oracle",)).B == 0
+        assert CoverageTableExperiment(d=2, n=60, B=0, methods=("oracle",)).B == 0
 
 
 class TestEffDimError:

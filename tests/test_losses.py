@@ -29,6 +29,7 @@ from scmest.losses import (
     score_matching_assemble,
     score_matching_loss,
     squared_loss,
+    stack_batches,
 )
 from scmest.simdata import Dataset
 
@@ -290,6 +291,23 @@ class TestValidation:
         assert prepare_batch(m, data).R == pytest.approx(5.0)
         m = model_for_data("squared", data.X)
         assert prepare_batch(m, data).R == 0.0 and m.dim == 2
+
+    def test_stacked_R_is_each_datasets_R(self):
+        # R is measured on first use: a float for one dataset, one per slot
+        # when stacked, and the slots a stacked batch keeps keep theirs
+        rng = np.random.default_rng(0)
+        model = poisson_loss(3)
+        batches = [
+            prepare_batch(model, Dataset(X=rng.standard_normal((20, 3)), y=np.ones(20)))
+            for _ in range(4)
+        ]
+        stacked = stack_batches(batches)
+        assert all(type(b.R) is float for b in batches)
+        assert np.array_equal(stacked.R, [b.R for b in batches])
+        keep = np.array([True, False, True, True])
+        kept = stacked.take(keep)
+        assert "R" in vars(kept) and np.array_equal(kept.R, stacked.R[keep])
+        assert "R" not in vars(stack_batches(batches).take(keep))
 
     def test_expfam_statistics_past_the_bound_rejected(self):
         # ||t(x, +-1)|| = ||x|| / 2 = 2.5 for the first row
