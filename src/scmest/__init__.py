@@ -1,6 +1,6 @@
 """Finite-sample inference for M-estimation with self-concordant-like losses.
 
-The package fits empirical risk minimizers by damped Newton, certifies
+The package fits empirical risk minimizers by Newton's method, certifies
 existence and uniqueness of the minimizer from computable quantities,
 and calibrates non-asymptotic Wald and likelihood-ratio confidence sets
 and goodness-of-fit tests by multiplier bootstrap, Monte Carlo oracle,

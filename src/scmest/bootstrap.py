@@ -20,16 +20,18 @@ Replication b draws its weights from a Philox stream seeded by
 SeedSequence([seed, b]), so each replication's weight vector is a pure
 function of (seed, b), independent of batching and scheduling; repeated
 runs of one configuration are bit-identical.  The B refits run through the
-one damped-Newton engine of :mod:`scmest.estimate`, a slot per
-replication, in chunks that bound memory, under the solver options of the
-base fit they calibrate (``FitResult.opts``); :func:`bootstrap_fit` is the
-engine's case of one slot.
+one Newton engine of :mod:`scmest.estimate`, a slot per replication, in
+chunks that bound memory, under the solver options of the base fit they
+calibrate (``FitResult.opts``); :func:`bootstrap_fit` is the engine's case
+of one slot.  Every slot follows the engine's step rule: the full Newton
+step where self-concordance guarantees it to descend or an Armijo test
+confirms it does, the damped step otherwise.
 
 Work per bootstrap call: the data are checked and the per-sample stacks
 built once, in one :class:`~scmest.losses.Batch`, which also keeps the
 table of outer products its Hessians sum; an engine iteration computes
-only S and H of the live slots, and the weighted risk is evaluated once
-per slot, where it converges.
+the weighted risk, S and H of the live slots in one pass, and again only
+for the slots whose full step the test refused.
 """
 
 from __future__ import annotations
@@ -101,7 +103,7 @@ def bootstrap_fit(
 ) -> FitResult:
     """Minimize the weighted empirical risk n^-1 sum_i W_i l(theta; z_i).
 
-    Runs the same damped-Newton machinery as the unweighted fit; with unit
+    Runs the same Newton engine and step rule as the unweighted fit; with unit
     weights the result is bit-for-bit identical to fit_erm.  Nonconvexity
     induced by negative weights surfaces as SingularHessian; non-finite
     weights raise DomainError.

@@ -106,7 +106,7 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="scmest", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser("fit", parents=[common, source], help="fit by damped Newton, emit FitResult")
+    sub.add_parser("fit", parents=[common, source], help="fit by Newton's method, emit FitResult")
 
     p = sub.add_parser("confset", parents=[common, source], help="calibrated confidence set")
     p.add_argument("--kind", choices=("wald", "lr"), default=None)

@@ -1,23 +1,27 @@
-"""Empirical aggregates, the damped-Newton risk minimizer, and localization.
+"""Empirical aggregates, the Newton risk minimizer, and localization.
 
 The empirical risk L_n(theta) = n^-1 sum_i l(theta; z_i) of an (R, nu)
 self-concordant per-sample loss is itself self-concordant with parameters
 (R n^{nu/2-1}, nu), here (R, 2) with R measured from the data.  That pair
-drives both the Newton step damping in :func:`fit_erm` and the existence
+drives both the Newton step rule of :func:`fit_erm` and the existence
 certificate in :func:`localization_certificate`: when the certificate
 passes at a reference point, a unique minimizer exists inside the Dikin
 ellipsoid of radius four times the Newton decrement at that point.
 
-One damped-Newton engine, :func:`_newton_engine`, fits m slots at once:
+One Newton engine, :func:`_newton_engine`, fits m slots at once:
 the weight rows of one dataset, or one row per dataset of a stacked
 batch.  :func:`fit_erm` is its case m = 1, the multiplier bootstrap runs
 its refits as slots, and :func:`replicate`, the one replicate-and-fit loop
 of the studies and oracle calibrations, fits a chunk of replications in
 one call, each slot's FitResult equal to fit_erm's bit for bit.  Every
-slot starts from theta = 0 and takes damped Newton steps
-alpha = 1 / (1 + d_nu(...)), with the R of its own data, which guarantee
-monotone descent for self-concordant losses; quadratic losses converge in
-one full step.  A slot finishes as converged, max_iter, singular or
+slot starts from theta = 0.  The step rule, with the R of the slot's own
+data: the full Newton step when the damped step length
+alpha = 1 / (1 + d_nu) is at least 1/2, where self-concordance guarantees
+it a risk decrease of at least (3 - e) dec^2; below that, the full step
+when an Armijo test confirms a decrease of at least dec^2/4, else the
+damped step, which is guaranteed to descend, and damped steps from then
+until alpha reaches 1/2.  Quadratic losses (R = 0) converge in one full
+step.  A slot finishes as converged, max_iter, singular or
 overflow.  Every Newton system, and every solve of the Rao statistic, the
 localization certificate and the effective dimension, passes one
 positive-definiteness test: Cholesky pivots against the trace, with a
@@ -26,7 +30,8 @@ single diagonal-jitter retry (1e-10 trace/d), so genuine non-existence
 
 Work per call: X, y and the weights are checked and the per-sample stacks
 built once, in a :class:`~scmest.losses.Batch`.  Each iteration computes
-only S_n and H_n of the live slots, and L_n only where a slot finishes.  A
+L_n, S_n and H_n of the live slots in one pass, at the point each moves
+to, and once more only for the slots whose full step the test refused.  A
 single fit keeps the engine's L_n and completes G_n at the returned
 iterate, both with the same arithmetic as :func:`aggregates`, so
 ``FitResult.aggregates_at_opt`` equals ``aggregates(model, data, theta_n)``
@@ -86,7 +91,7 @@ class EmpiricalAggregates:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Damped-Newton solver settings.
+    """Newton solver settings.
 
     tol is the Newton-decrement stopping threshold, measured in the
     H_n^{-1} norm of the gradient; max_iter caps the number of Newton
@@ -158,8 +163,7 @@ def aggregates(
     batch = prepare_batch(model, data)
     theta = check_theta(model, theta)
     w = check_weights(weights, batch.n)
-    S, H = batch.score_hessian(theta, w)
-    return _complete(batch, theta, w, batch.risk(theta, w), S, H)
+    return _complete(batch, theta, w, *batch.evaluate(theta, w))
 
 
 def _complete(batch: Batch, theta, w, L, S, H) -> EmpiricalAggregates:
@@ -240,7 +244,8 @@ class _SlotFits:
 
     ``status`` is "converged", "max_iter", "singular" (a Hessian failed the
     PD test) or "overflow" (a Poisson predictor overflowed), and the arrays
-    hold each slot's final iterate; L is evaluated for the first two only.
+    hold each slot's final iterate with its risk, gradient and Hessian
+    there.
     """
 
     theta: np.ndarray
@@ -253,19 +258,27 @@ class _SlotFits:
 
 
 def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFits:
-    """Damped Newton from theta = 0 on the W_b-weighted risk of every row b of W.
+    """Newton from theta = 0 on the W_b-weighted risk of every row b of W.
 
     Slot b fits the data of ``batch``, or its slot b's dataset when the
-    batch is stacked.  The live slots advance together, one damped step
-    alpha = 1 / (1 + d_nu) each, and leave when they converge, fail, or run
-    out of iterations; a stacked batch leaves with them.  An iteration
-    evaluates only S and H, for the live slots only
-    (:meth:`Batch.slot_score_hessian`); the risk L is evaluated for the
-    slots that finish, at the iterate they finish on.
+    batch is stacked.  The live slots advance together and leave when they
+    converge, fail, or run out of iterations; a stacked batch leaves with
+    them.  With X = H^{-1}S, dec the Newton decrement and
+    alpha = 1 / (1 + d_nu) the damped step length, a slot takes the full
+    step theta - X when alpha >= 1/2 (d_nu <= 1): there self-concordance
+    bounds its risk decrease below by (1 - omega_dbar(2, 1)) dec^2, and
+    omega_dbar(2, 1) = e - 2 < 3/4.  Below 1/2 it tries the full step and
+    keeps it when the risk L is finite there and fell by at least dec^2/4
+    (an Armijo test); otherwise it takes the damped step theta - alpha X,
+    which self-concordance guarantees to descend, and takes damped steps
+    until alpha reaches 1/2.  The quadratic kinds (R = 0) have alpha = 1.
+    An iteration evaluates L, S and H once, for the live slots only, at
+    the point each slot moves to (:meth:`Batch.slot_evaluate`), and again
+    for the slots whose full step was refused, at their damped point; each
+    slot carries its L from one iteration to the next.
     """
     m = W.shape[0]
     d = batch.model.dim
-    params_n = batch.sc_params
     theta = np.zeros((m, d))
     S_fin = np.zeros((m, d))
     H_fin = np.zeros((m, d, d))
@@ -274,8 +287,10 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
     iters = np.zeros(m, dtype=int)
     status = np.empty(m, dtype="<U9")
     live, th, W_live = np.arange(m), np.zeros((m, d)), W
+    # slots that take or try the full step; a refusal clears it until alpha >= 1/2
+    full = np.ones(m, dtype=bool)
+    L, S, H, overflow = batch.slot_evaluate(th, W_live)
     for it in range(opts.max_iter + 1):
-        S, H, overflow = batch.slot_score_hessian(th, W_live)
         X, dec, ok = _newton_steps(H, S)
         stepping = ok & (dec > opts.tol)
         if it == opts.max_iter:
@@ -283,25 +298,33 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
         if not stepping.all():
             done = ~stepping
             sel = live[done]
-            theta[sel], S_fin[sel], H_fin[sel] = th[done], S[done], H[done]
+            theta[sel], L_fin[sel], S_fin[sel], H_fin[sel] = th[done], L[done], S[done], H[done]
             dec_fin[sel], iters[sel] = dec[done], it
             status[sel] = np.where(
                 ok[done],
                 np.where(dec[done] <= opts.tol, "converged", "max_iter"),
                 np.where(overflow[done], "overflow", "singular"),
             )
-            fin = done & ok
-            L_fin[live[fin]] = batch.take(fin).slot_risk(th[fin], W_live[fin])
             live, th, W_live = live[stepping], th[stepping], W_live[stepping]
-            X, dec = X[stepping], dec[stepping]
+            L, full, X, dec = L[stepping], full[stepping], X[stepping], dec[stepping]
             if live.size == 0:
                 break
             batch = batch.take(stepping)
-            params_n = batch.sc_params
-        # the step is -X, and ||X||_{H_n} equals the Newton decrement; as
-        # d_nu = R ||X||_2 with R >= max_i ||x_i||, no x_i'theta moves by 1 or
-        # more, so a Poisson slot can overflow only after ~700 iterations
-        th -= (1.0 / (1.0 + d_nu(params_n, X, dec)))[:, None] * X
+        # as d_nu = R ||X||_2 with R >= max_i ||x_i||, neither a damped step
+        # nor a full step at alpha >= 1/2 moves any x_i'theta by more than 1
+        alpha = 1.0 / (1.0 + d_nu(batch.sc_params, X, dec))
+        full |= alpha >= 0.5
+        trial = th - np.where(full, 1.0, alpha)[:, None] * X
+        L_trial, S, H, overflow = batch.slot_evaluate(trial, W_live)
+        # an overflowing Poisson trial has L = inf and fails the test
+        refused = full & (alpha < 0.5) & ~(L - L_trial >= 0.25 * dec * dec)
+        if refused.any():
+            trial[refused] = th[refused] - alpha[refused, None] * X[refused]
+            L_trial[refused], S[refused], H[refused], overflow[refused] = batch.take(
+                refused
+            ).slot_evaluate(trial[refused], W_live[refused])
+            full &= ~refused
+        th, L = trial, L_trial
     return _SlotFits(theta, S_fin, H_fin, L_fin, dec_fin, iters, status)
 
 
@@ -347,8 +370,11 @@ def _spectral_summary(H: np.ndarray) -> SpectralSummary | None:
 
 
 def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) -> FitResult:
-    """Minimize the empirical risk by damped Newton.
+    """Minimize the empirical risk by Newton's method from theta = 0.
 
+    Each step is the full Newton step where self-concordance guarantees it
+    to descend (d_nu <= 1) or an Armijo test confirms it, and the damped
+    step alpha = 1 / (1 + d_nu) otherwise (see :func:`_newton_engine`).
     Returns a FitResult whose ``converged`` flag reflects whether the Newton
     decrement reached ``opts.tol`` within ``opts.max_iter`` iterations; the
     result is returned either way so callers can inspect partial fits.
@@ -438,7 +464,7 @@ def localization_certificate(
     ``||theta_n - theta_ref||_{H_n(theta_ref)}`` is at most ``bound``.
     """
     batch = prepare_batch(model, data)
-    S, H = batch.score_hessian(check_theta(model, theta_ref), check_weights(None, batch.n))
+    _, S, H = batch.evaluate(check_theta(model, theta_ref), check_weights(None, batch.n))
     dec = _decrement(S, H)
     spec = _spectral_summary(H)
     if spec is None:

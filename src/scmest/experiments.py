@@ -291,7 +291,8 @@ class ConfsetShapeExperiment:
 
     The three covariances are diagonal, positively correlated, and
     negatively correlated.  Radii are bootstrap-calibrated Wald at tail
-    mass delta.
+    mass delta.  An ``n``, ``B`` or ``boundary_points`` below 1, or a
+    ``delta`` outside (0, 1), raises DomainError when the config is built.
     """
 
     sigmas: tuple = (
@@ -305,6 +306,13 @@ class ConfsetShapeExperiment:
     delta: float = 0.05
     boundary_points: int = 128
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("n", "B", "boundary_points"):
+            if getattr(self, name) < 1:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.delta < 1.0:
+            raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
 
 
 @dataclass(frozen=True)

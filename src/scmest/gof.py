@@ -80,7 +80,7 @@ class TestReport:
 def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
     """Score statistic S_n' H_n^{-1} S_n at theta0, the squared Newton decrement."""
     batch = prepare_batch(model, data)
-    S, H = batch.score_hessian(check_theta(model, theta0), check_weights(None, batch.n))
+    _, S, H = batch.evaluate(check_theta(model, theta0), check_weights(None, batch.n))
     return _decrement(S, H) ** 2
 
 

@@ -6,7 +6,7 @@ Five loss kinds are supported, all convex in theta:
 kind            per-sample loss l(theta; z)                            (R, nu)
 ==============  =====================================================  ==============
 squared         (y - theta'x)^2 / 2                                    (0, 2)
-logistic        log(1 + exp(-y theta'x)),  y in {-1, +1}               (2 max_i||x_i||, 2)
+logistic        log(1 + exp(-y theta'x)),  y in {-1, +1}               (max_i||x_i||, 2)
 poisson         -y theta'x + exp(theta'x),  y in {0, 1, 2, ...}        (max_i||x_i||, 2)
 expfam_glm      -theta't(x, y) + log sum_y' exp(theta't(x, y'))        (2M, 2)
 score_matching  theta'A(z)theta/2 - b(z)'theta + c(z)                  (0, 2)
@@ -47,7 +47,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit, logsumexp, softmax
+from scipy.special import expit
 
 from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
 from .scfun import ScParams
@@ -72,7 +72,7 @@ LOSS_KINDS = ("squared", "logistic", "poisson", "expfam_glm", "score_matching")
 _EXP_LIMIT = 700.0
 
 # R per unit of max_i ||x_i||, for the kinds whose R the design sets
-_R_PER_X_NORM = {"logistic": 2.0, "poisson": 1.0}
+_R_PER_X_NORM = {"logistic": 1.0, "poisson": 1.0}
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,11 @@ def squared_loss(dim: int) -> LossModel:
 
 
 def logistic_loss(dim: int) -> LossModel:
-    """Logistic loss with labels in {-1, +1}; (R, nu) = (2 max_i ||x_i||, 2)."""
+    """Logistic loss with labels in {-1, +1}; (R, nu) = (max_i ||x_i||, 2).
+
+    phi(t) = log(1 + e^-t) has phi''' = phi'' (1 - 2 sigmoid(t)), so
+    |phi'''| <= phi'' and R = max_i ||x_i|| meets the nu = 2 definition.
+    """
     return LossModel(kind="logistic", dim=dim)
 
 
@@ -333,17 +337,38 @@ def linear_coefficients(kind: str, eta: np.ndarray, y: np.ndarray, value: bool =
     predictors are clipped at the overflow limit; callers test
     :func:`exp_overflow` first.
     """
+    # each (m, n) array below is reused in place once allocated: at bootstrap
+    # sizes the first touch of a fresh array costs page faults
     if kind == "squared":
         resid = eta - y
-        return (0.5 * resid * resid if value else None), resid, np.ones_like(eta)
+        vals = None
+        if value:
+            vals = 0.5 * resid
+            vals *= resid
+        return vals, resid, np.ones_like(eta)
     if kind == "logistic":
         margin = y * eta
         s = expit(margin)
-        vals = np.logaddexp(0.0, -margin) if value else None
-        return vals, (s - 1.0) * y, s * (1.0 - s)
+        vals = None
+        if value:
+            # log(1 + exp(-margin)) by the terms of np.logaddexp(0, -margin),
+            # at a fifth of its cost
+            vals = np.abs(margin)
+            np.log1p(np.exp(np.negative(vals, out=vals), out=vals), out=vals)
+            vals += np.maximum(np.negative(margin, out=margin), 0.0, out=margin)
+        curv = np.subtract(1.0, s, out=margin)
+        curv *= s
+        gfac = np.subtract(s, 1.0, out=s)
+        gfac *= y
+        return vals, gfac, curv
     if kind == "poisson":
-        mu = np.exp(np.minimum(eta, _EXP_LIMIT))
-        return (mu - y * eta if value else None), mu - y, mu
+        mu = np.minimum(eta, _EXP_LIMIT)
+        np.exp(mu, out=mu)
+        vals = None
+        if value:
+            vals = y * eta
+            np.subtract(mu, vals, out=vals)
+        return vals, mu - y, mu
     raise DomainError(f"loss kind {kind!r} is not a function of x'theta")
 
 
@@ -509,8 +534,8 @@ class Batch:
     def R(self) -> float | np.ndarray:
         """R of the loss on this data: a float, or one per slot when stacked.
 
-        2 max_i ||x_i|| for logistic, max_i ||x_i|| for Poisson, 2M for
-        expfam_glm, and 0 for the quadratic kinds.
+        max_i ||x_i|| for logistic and Poisson, 2M for expfam_glm, and 0
+        for the quadratic kinds.
         """
         kind = self.model.kind
         if kind == "expfam_glm":
@@ -587,22 +612,31 @@ class Batch:
             )
         return eta
 
-    def _logits(self, Theta: np.ndarray) -> np.ndarray:
-        """theta't(x_i, label_k) of every slot, an (m, n, K) array."""
+    def _expfam(self, Theta: np.ndarray):
+        """Per-sample losses (m, n) and label probabilities (m, n, K) of every slot.
+
+        One pass of exp over the shifted logits theta't(x_i, label_k) gives
+        both the log-partition (max-shift trick) and the probabilities.
+        """
         T = self.stacks[0]
         n, K, d = T.shape
-        return (Theta @ T.reshape(n * K, d).T).reshape(-1, n, K)
+        logits = (Theta @ T.reshape(n * K, d).T).reshape(-1, n, K)
+        top = logits.max(axis=2, keepdims=True)
+        expd = np.exp(logits - top)
+        total = expd.sum(axis=2, keepdims=True)
+        probs = expd / total
+        values = (top + np.log(total))[:, :, 0] - Theta @ self.stacks[1].T
+        return values, probs
 
-    def _expfam(self, Theta: np.ndarray):
-        """Label probabilities and the expected statistic per slot and sample."""
-        probs = softmax(self._logits(Theta), axis=2)
-        return probs, np.einsum("bik,ikj->bij", probs, self.stacks[0])
+    def _mean_stat(self, probs: np.ndarray) -> np.ndarray:
+        """Expected statistic sum_k p_ik t(x_i, label_k) per slot and sample, (m, n, dim)."""
+        return np.einsum("bik,ikj->bij", probs, self.stacks[0])
 
     def slot_values(self, Theta: np.ndarray) -> np.ndarray:
         """Per-sample loss values at every row of Theta, an (m, n) array."""
         kind = self.model.kind
         if kind == "expfam_glm":
-            return logsumexp(self._logits(Theta), axis=2) - Theta @ self.stacks[1].T
+            return self._expfam(Theta)[0]
         if kind == "score_matching":
             A, b, c = self.stacks
             m, d = Theta.shape
@@ -619,21 +653,24 @@ class Batch:
         """Per-sample gradients, an (n, dim) array."""
         kind = self.model.kind
         if kind == "expfam_glm":
-            return self._expfam(theta[None])[1][0] - self.stacks[1]
+            return self._mean_stat(self._expfam(theta[None])[1])[0] - self.stacks[1]
         if kind == "score_matching":
             A, b, _ = self.stacks
             return A @ theta - b
         gfac = linear_coefficients(kind, self._eta(theta), self.y, value=False)[1]
         return gfac[:, None] * self.X
 
-    def slot_score_hessian(self, Theta: np.ndarray, W: np.ndarray):
-        """Weighted mean gradient S and Hessian H of every slot, and nothing else.
+    def slot_evaluate(self, Theta: np.ndarray, W: np.ndarray):
+        """Weighted risk L, mean gradient S and Hessian H of every slot.
 
-        This is one Newton iteration's evaluation.  Returns (S, H, overflow):
-        S is (m, dim), H (m, dim, dim) and symmetrized, and ``overflow``
-        marks the Poisson slots whose exp(eta) overflows, whose S and H are
-        placeholders.  H, like the first term of the expfam_glm Hessian, is
-        one matrix product (see :meth:`_sum_outer`).
+        This is one Newton iteration's evaluation: the linear-predictor kinds
+        take L, S and H from one pass over eta, expfam_glm from one set of
+        logits, and L is the :meth:`slot_risk` of the same per-sample values.
+        Returns (L, S, H, overflow): L is (m,), S (m, dim), H (m, dim, dim)
+        and symmetrized, and ``overflow`` marks the Poisson slots whose
+        exp(eta) overflows, whose L is inf and whose S and H are zero.  H,
+        like the first term of the expfam_glm Hessian, is one matrix product
+        (see :meth:`_sum_outer`).
         """
         kind = self.model.kind
         n = self.n
@@ -641,10 +678,13 @@ class Batch:
         overflow = np.zeros(m, dtype=bool)
         if kind == "score_matching":
             A, b, _ = self.stacks
+            L = self.slot_risk(Theta, W)
             H = self._sum_rows(W, A.reshape(*A.shape[:-2], d * d)).reshape(m, d, d) / n
             S = np.einsum("bjk,bk->bj", H, Theta) - self._sum_rows(W, b) / n
         elif kind == "expfam_glm":
-            probs, mean_t = self._expfam(Theta)
+            values, probs = self._expfam(Theta)
+            L = self._mean(W, values)
+            mean_t = self._mean_stat(probs)
             S = np.einsum("bi,bij->bj", W, mean_t - self.stacks[1]) / n
             second = (W[:, :, None] * mean_t).swapaxes(1, 2) @ mean_t
             rows = self.stacks[0].reshape(-1, d)
@@ -656,22 +696,28 @@ class Batch:
                 if overflow.any():
                     # an overflowing slot gets zero weights: its S and H are zero
                     W = W * ~overflow[:, None]
-            _, gfac, curv = linear_coefficients(kind, eta, self.y, value=False)
+            vals, gfac, curv = linear_coefficients(kind, eta, self.y)
+            L = self._mean(W, vals)
+            L[overflow] = np.inf
             # weighted in place: an (m, n) temporary less per product
             S = self._sum_rows(np.multiply(W, gfac, out=gfac), self.X) / n
             H = self._sum_outer(np.multiply(W, curv, out=curv), self.X) / n
-        return S, _symmetric(H), overflow
+        return L, S, _symmetric(H), overflow
 
-    def score_hessian(self, theta: np.ndarray, w: np.ndarray):
-        """Weighted mean gradient S_n and Hessian H_n at theta: one slot."""
-        S, H, overflow = self.slot_score_hessian(theta[None], w[None])
+    def evaluate(self, theta: np.ndarray, w: np.ndarray):
+        """Weighted risk L_n, mean gradient S_n and Hessian H_n at theta: one slot."""
+        L, S, H, overflow = self.slot_evaluate(theta[None], w[None])
         if overflow[0]:
             raise NumericOverflow("exp(theta'x) overflows double precision")
-        return S[0], H[0]
+        return float(L[0]), S[0], H[0]
+
+    def _mean(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """n^-1 sum_i W_bi V_bi of every slot: how the risk averages per-sample values."""
+        return np.einsum("bi,bi->b", W, V) / self.n
 
     def slot_risk(self, Theta: np.ndarray, W: np.ndarray) -> np.ndarray:
         """Weighted empirical risk n^-1 sum_i W_bi l(Theta_b; z_i) of every slot."""
-        return np.einsum("bi,bi->b", W, self.slot_values(Theta)) / self.n
+        return self._mean(W, self.slot_values(Theta))
 
     def risk(self, theta: np.ndarray, w: np.ndarray) -> float:
         """Weighted empirical risk L_n = n^-1 sum_i w_i l(theta; z_i)."""
@@ -753,9 +799,9 @@ def mean_hessian(model: LossModel, theta, X, y=None, weights=None) -> np.ndarray
     """Weighted mean Hessian n^-1 sum_i w_i H(theta; z_i), a (dim, dim) array.
 
     ``weights`` defaults to all ones.  The arithmetic is that of
-    :meth:`Batch.score_hessian`; the result is symmetrized to remove
+    :meth:`Batch.evaluate`; the result is symmetrized to remove
     reduction round-off.
     """
     batch = prepare_batch(model, Dataset(X=X, y=y))
     theta = check_theta(model, theta)
-    return batch.score_hessian(theta, check_weights(weights, batch.n))[1]
+    return batch.evaluate(theta, check_weights(weights, batch.n))[2]

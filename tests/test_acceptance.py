@@ -219,7 +219,7 @@ def test_03_self_concordance_inequality():
     for kind in ("logistic", "expfam_glm"):
         n = 50
         model, _, X, y = _draw(kind, rng, n=n, clip=3.0 if kind == "expfam_glm" else None)
-        # 2 max ||x|| for logistic, 2M for the statistic bound M
+        # max ||x|| for logistic, 2M for the statistic bound M
         R = prepare_batch(model, Dataset(X=X, y=y)).R
         for _ in range(100):
             theta = rng.normal(size=_D) * 0.5

@@ -224,11 +224,12 @@ class TestBatchedEngine:
             assert fits.L[b] == pytest.approx(agg.L_n, rel=1e-12, abs=1e-15)
 
     def test_failure_causes_match_bootstrap_fit(self):
-        # one Poisson dataset with an outlying count.  Under its measured R a
-        # damped step moves no predictor by 1 or more, so overflow needs an
-        # engine batch with R = 0 set by hand: it takes full Newton steps,
-        # and weight piled on the outlier throws its predictor past the
-        # overflow limit in one step
+        # one Poisson dataset with an outlying count.  Under its measured R
+        # the engine refuses a full step that overflows, and a damped step
+        # moves no predictor by 1 or more, so overflow needs an engine batch
+        # with R = 0 set by hand: it takes full Newton steps untested, and
+        # weight piled on the outlier throws its predictor past the overflow
+        # limit in one step
         rng = np.random.default_rng(0)
         X = rng.standard_normal((60, 2))
         y = rng.poisson(np.exp(0.3 * X[:, 0])).astype(float)

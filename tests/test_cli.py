@@ -280,11 +280,12 @@ class TestEffdimCommand:
         assert 3.0 < doc["value"] < 7.0
 
     def test_unconverged_fit_exits_2(self, capsys):
-        # this logistic fit stops at max_iter, as `scmest fit` reports; every
-        # command that needs a converged fit refuses it
+        # this logistic fit, on separable data, stops at its 15-step budget,
+        # as `scmest fit` reports; every command that needs a converged fit
+        # refuses it
         argv = [
             "--model", "logistic", "--process", "logistic_wellspec",
-            "--d", "5", "--n", "30", "--seed", "108",
+            "--d", "5", "--n", "30", "--seed", "108", "--max-iter", "15",
         ]
         assert _run(capsys, ["fit"] + argv)[0] == 2
         constants = ["--k1", "1", "--k2", "1", "--sigma-h", "1"]
@@ -671,6 +672,24 @@ class TestExperimentCommand:
             "scmest: error: n_grid entries must be positive, got (0,)"
         ]
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("points", [0, -3])
+    def test_confset_shape_without_boundary_points_exits_1(
+        self, capsys, tmp_path, monkeypatch, points
+    ):
+        # the config fails when it is built, before any fit or bootstrap runs
+        def run_confset_shape(config):
+            raise AssertionError("the study ran")
+
+        monkeypatch.setattr("scmest.experiments.run_confset_shape", run_confset_shape)
+        cfg = self._config(tmp_path, boundary_points=points)
+        out = tmp_path / "shape.csv"
+        code, stdout, err = _run(
+            capsys, ["experiment", "confset_shape", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1 and stdout == ""
+        assert f"scmest: error: boundary_points must be positive, got {points}" in err
         assert not out.exists()
 
     def test_config_key_of_another_study_rejected(self, capsys, tmp_path):

@@ -1,6 +1,7 @@
-"""Damped Newton fitting, aggregates, singularity handling, certificates."""
+"""Newton fitting and its step rule, aggregates, singularity handling, certificates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scmest.errors import DomainError, SingularHessian
 from scmest.estimate import (
     FitResult,
     SolverOptions,
+    _newton_engine,
     _newton_steps,
     _pd_solve,
     aggregates,
@@ -28,6 +30,7 @@ from scmest.losses import (
     gaussian_score_matching_loss,
     logistic_loss,
     model_for_data,
+    poisson_loss,
     prepare_batch,
     score_matching_loss,
     squared_loss,
@@ -133,7 +136,7 @@ class TestAggregates:
         data = Dataset(X=np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 0.0]]), y=np.array([1.0, -1.0]))
         p = prepare_batch(logistic_loss(3), data).sc_params
         assert p.nu == 2.0
-        assert p.R == 6.0  # 2 max ||x||
+        assert p.R == 3.0  # max ||x||
         assert prepare_batch(squared_loss(3), data).sc_params.R == 0.0
 
 
@@ -196,7 +199,7 @@ class TestNewtonFit:
         fit = fit_erm(model, data, SolverOptions(max_iter=1))
         assert not fit.converged
         assert fit.iterations == 1
-        # one damped step was taken before the budget ran out
+        # one Newton step was taken before the budget ran out
         assert not np.array_equal(fit.theta_n, np.zeros(4))
 
     def test_rank_deficient_raises_singular(self):
@@ -247,6 +250,85 @@ class TestNewtonFit:
         b = fit_erm(model, data)
         assert np.array_equal(a.theta_n, b.theta_n)
         assert a.newton_decrement == b.newton_decrement
+
+
+# Newton iterations of the damped-only rule (alpha = 1 / (1 + d_nu) on every
+# step) on these Poisson problems, d and n, at seeds 0, 1 and 2
+_DAMPED_ONLY_POISSON_ITERATIONS = {(20, 10_000): (26, 26, 26), (5, 300): (13, 11, 12)}
+
+
+class TestStepRule:
+    def test_logistic_d60_converges_at_default_options(self):
+        p = Process(kind="logistic_wellspec", theta0=theta0_equispaced(60))
+        data = generate(p, 5000, seed=0)
+        fit = fit_erm(model_for_data("logistic", data.X), data)
+        assert fit.converged
+        assert fit.certificate.passes
+
+    @pytest.mark.parametrize(("d", "n"), [(5, 100), (20, 10_000), (60, 5000)])
+    def test_logistic_converges_within_ten_iterations(self, d, n):
+        p = Process(kind="logistic_wellspec", theta0=theta0_equispaced(d))
+        for seed in range(3):
+            data = generate(p, n, seed)
+            fit = fit_erm(model_for_data("logistic", data.X), data)
+            assert fit.converged and fit.iterations <= 10
+
+    @pytest.mark.parametrize(("d", "n"), list(_DAMPED_ONLY_POISSON_ITERATIONS))
+    def test_poisson_needs_no_more_iterations_than_damped_steps(self, d, n):
+        p = Process(kind="poisson_wellspec", theta0=theta0_equispaced(d))
+        for seed, damped_only in enumerate(_DAMPED_ONLY_POISSON_ITERATIONS[d, n]):
+            data = generate(p, n, seed)
+            fit = fit_erm(model_for_data("poisson", data.X), data)
+            assert fit.converged and fit.iterations <= damped_only
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @pytest.mark.parametrize("kind", ["logistic", "poisson", "expfam_glm"])
+    def test_risk_never_increases(self, kind, seed):
+        # the fit under a budget of k steps stops at the k-th iterate of one
+        # path, so budgets 1, 2, ... trace it.  Once the decrement is below
+        # about 1e-8 a step changes L by less than L's rounding error, so L
+        # may rise by that much, and by no more
+        rng = np.random.default_rng(seed)
+        d, n = int(rng.integers(2, 8)), int(rng.integers(30, 400))
+        process = "poisson_wellspec" if kind == "poisson" else "logistic_wellspec"
+        p = Process(kind=process, theta0=theta0_equispaced(d) * rng.uniform(0.2, 1.5))
+        data = generate(p, n, seed)
+        model = _expfam_model(data) if kind == "expfam_glm" else model_for_data(kind, data.X)
+        risks = [aggregates(model, data, np.zeros(d)).L_n]
+        for k in range(1, 50):
+            try:
+                fit = fit_erm(model, data, SolverOptions(max_iter=k))
+            except SingularHessian:  # separable data: the path ends singular
+                break
+            risks.append(fit.aggregates_at_opt.L_n)
+            if fit.converged:
+                break
+        assert np.all(np.diff(risks) <= 1e-14)
+
+    def test_overflowing_poisson_trial_is_refused_without_warning(self):
+        # weight piled on an outlying count sends the full Newton step from 0
+        # past the overflow limit: with R = 0 set by hand the engine takes it
+        # untested and ends in overflow.  Under the measured R it tests that
+        # step, refuses it (its risk is inf), and converges by damped steps;
+        # no RuntimeWarning leaks (the CI run makes it an error)
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((60, 2))
+        y = rng.poisson(np.exp(0.3 * X[:, 0])).astype(float)
+        y[0] = 1000.0
+        data = Dataset(X=X, y=y)
+        heavy = np.ones(data.n)
+        heavy[0] = 1e6
+        unbounded = prepare_batch(poisson_loss(2), data)
+        unbounded.__dict__["R"] = 0.0  # in place of the R measured on first use
+        fits = _newton_engine(unbounded, heavy[None], SolverOptions())
+        assert fits.status.tolist() == ["overflow"] and fits.iterations.tolist() == [1]
+        measured = prepare_batch(poisson_loss(2), data)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fits = _newton_engine(measured, heavy[None], SolverOptions())
+        assert fits.status.tolist() == ["converged"]
+        assert np.all(np.isfinite(fits.L))
 
 
 class TestPdSolve:
@@ -399,8 +481,8 @@ class TestLocalizationCertificate:
     @pytest.mark.parametrize("n", [100, 2000])
     def test_logistic_certificate_uses_the_measured_r(self, n):
         # a declared R = 0 would make this risk quadratic: its certificate at
-        # theta0 would pass on every seed, and its fit would take full Newton
-        # steps (5 iterations).  No call takes R; it is 2 max ||x_i||
+        # theta0 would pass on every seed, and so would the certificate of
+        # the fit after one Newton step.  No call takes R; it is max ||x_i||
         with pytest.raises(TypeError):
             logistic_loss(5, 0.0)
         p = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
@@ -408,13 +490,13 @@ class TestLocalizationCertificate:
         model = logistic_loss(5)
         cert = localization_certificate(model, data, p.theta0)
         eigs = np.linalg.eigvalsh(aggregates(model, data, p.theta0).H_n)
-        R = 2.0 * float(np.max(np.linalg.norm(data.X, axis=1)))
+        R = float(np.max(np.linalg.norm(data.X, axis=1)))
         measured = certify_unique_minimizer(
             ScParams(R, 2.0), SpectralSummary(eigs[0], eigs[-1]), cert.score_norm
         )
         assert cert.passes == measured.passes
         assert not cert.passes
-        assert fit_erm(model, data).iterations > 20
+        assert not fit_erm(model, data, SolverOptions(max_iter=1)).certificate.passes
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), t=st.floats(0.0, 2.0))

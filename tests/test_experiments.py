@@ -112,6 +112,15 @@ class TestConfsetShape:
     def test_deterministic(self):
         assert run_confset_shape(self.config) == run_confset_shape(self.config)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [{"boundary_points": 0}, {"boundary_points": -3}, {"n": 0}, {"B": 0},
+         {"delta": 0.0}, {"delta": 1.0}],
+    )
+    def test_bad_config_fails_when_built(self, bad):
+        with pytest.raises(DomainError):
+            ConfsetShapeExperiment(**bad)
+
     def test_csv_format(self, tmp_path):
         rows = run_confset_shape(self.config)
         path = tmp_path / "shape.csv"

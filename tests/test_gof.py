@@ -247,14 +247,16 @@ class TestRunTest:
         assert abs(rate - alpha) < 0.06
 
     def test_oracle_rule_drops_unconverged_null_fits(self):
-        # logistic at d = 5, n = 30: two of the 40 null fits of seed 3 stop at max_iter
+        # logistic at d = 5, n = 30 under a 15-step budget: two of the 40 null
+        # fits of seed 3, whose data are separable, stop at max_iter
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
-        null = null_statistics(("wald",), proc, 30, 40, phase_seed(3, 0))["wald"]
+        opts = SolverOptions(max_iter=15)
+        null = null_statistics(("wald",), proc, 30, 40, phase_seed(3, 0), opts)["wald"]
         assert null.size == 38
         data = generate(proc, 30, 0)
         report = run_test(
             "wald", model_for_data("logistic", data.X), data, proc.theta0, 0.1, "oracle_mc",
-            calib_reps=40, seed=3,
+            calib_reps=40, seed=3, opts=opts,
         )
         assert report.critical == float(np.quantile(null, 0.9))
 

@@ -396,17 +396,19 @@ class TestOracleRadius:
         assert a == pytest.approx(b, rel=1e-9)
 
     def test_quantile_over_converged_fits_only(self):
-        # logistic at d = 5, n = 30: the fits of seeds 108 and 129 stop at max_iter
+        # logistic at d = 5, n = 30 under a 15-step budget: the fits of seeds
+        # 108 and 129, whose data are separable, stop at max_iter
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+        opts = SolverOptions(max_iter=15)
         stats = []
         for seed in range(100, 140):
             data = generate(proc, 30, seed)
-            fit = fit_erm(model_for_data("logistic", data.X), data)
+            fit = fit_erm(model_for_data("logistic", data.X), data, opts)
             if fit.converged:
                 stats.append(wald_statistic(fit, proc.theta0))
         assert len(stats) == 38
         expected = float(np.quantile(stats, 0.9))
-        assert oracle_radius("wald", proc, 30, 0.1, reps=40, seed=100) == expected
+        assert oracle_radius("wald", proc, 30, 0.1, reps=40, seed=100, opts=opts) == expected
 
     def test_validation(self):
         with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from scmest.errors import (
     DimensionMismatch,
@@ -133,7 +134,7 @@ class TestSelfConcordanceInequality:
         for _ in range(30):
             model, theta, X, y = _draw(kind, rng)
             if kind == "logistic":
-                R = 2.0 * float(np.linalg.norm(X[0]))
+                R = float(np.linalg.norm(X[0]))
             else:
                 R = 2.0 * 0.5 * float(np.linalg.norm(X[0]))
             H = mean_hessian(model, theta, X, y)
@@ -141,6 +142,27 @@ class TestSelfConcordanceInequality:
             third = _fd_third_dir(model, theta, X, y, u, v)
             bound = R * float(u @ H @ u) * float(np.linalg.norm(v))
             assert abs(third) <= bound + 1e-5 * max(1.0, bound)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 10.0])
+    def test_logistic_third_derivative_within_max_norm(self, scale):
+        # D^3 l[u, u, v] = y phi'''(m) (x'u)^2 (x'v) at the margin m = y theta'x,
+        # where phi(m) = log(1 + e^-m) has phi'' = s (1 - s) and
+        # phi''' = phi'' (1 - 2 s), s = sigmoid(m).  |phi'''| <= phi'' at every
+        # margin, so R = ||x||: |D^3 l[u, u, v]| <= ||x|| ||u||_x^2 ||v||
+        rng = np.random.default_rng(31)
+        model = logistic_loss(_D)
+        for _ in range(100):
+            x, y = rng.normal(size=_D), float(rng.choice([-1.0, 1.0]))
+            theta = scale * rng.normal(size=_D)
+            u, v = rng.normal(size=_D), rng.normal(size=_D)
+            s = expit(y * float(theta @ x))
+            third = y * s * (1.0 - s) * (1.0 - 2.0 * s) * float(x @ u) ** 2 * float(x @ v)
+            if scale == 0.5:
+                fd = _fd_third_dir(model, theta, x[None], np.array([y]), u, v)
+                assert third == pytest.approx(fd, rel=1e-4, abs=1e-8)
+            u_sq = float(u @ mean_hessian(model, theta, x[None], np.array([y])) @ u)
+            bound = float(np.linalg.norm(x)) * u_sq * float(np.linalg.norm(v))
+            assert abs(third) <= bound * (1.0 + 1e-9)
 
     @pytest.mark.parametrize("kind", ["squared", "score_matching"])
     def test_quadratic_losses_have_no_third_derivative(self, kind):
@@ -286,7 +308,7 @@ class TestValidation:
         # the model takes its dimension from X; the batch measures R from it
         data = Dataset(X=np.array([[3.0, 4.0], [0.0, 1.0]]), y=np.array([1.0, 1.0]))
         m = model_for_data("logistic", data.X)
-        assert prepare_batch(m, data).R == pytest.approx(10.0)  # 2 max ||x||
+        assert prepare_batch(m, data).R == pytest.approx(5.0)  # max ||x||
         m = model_for_data("poisson", data.X)
         assert prepare_batch(m, data).R == pytest.approx(5.0)
         m = model_for_data("squared", data.X)

@@ -34,8 +34,12 @@ from scmest.simdata import (
     write_table,
 )
 
-# logistic at d = 5, n = 30: the fits of seeds 108 and 129 stop at max_iter
+# logistic at d = 5, n = 30 under a 15-step budget: the data of seeds 108
+# and 129 are separable, and their fits stop at max_iter (given more steps,
+# they run on until the Hessian is singular); every other fit of seeds
+# 100-139 converges within 9 steps
 STALLING = Process(kind="logistic_wellspec", theta0=theta0_equispaced(5))
+STALL_OPTS = SolverOptions(max_iter=15)
 STALLED_SEEDS = (108, 129)
 
 
@@ -290,7 +294,7 @@ class TestReplicate:
         return data.provenance.seed, wald_statistic(fit, STALLING.theta0)
 
     def test_drops_exactly_the_failed_replications(self):
-        values = replicate(STALLING, 30, 100, 40, self._seed_and_wald)
+        values = replicate(STALLING, 30, 100, 40, self._seed_and_wald, STALL_OPTS)
         seeds = [seed for seed, _ in values]
         assert seeds == [s for s in range(100, 140) if s not in STALLED_SEEDS]
 
@@ -298,7 +302,7 @@ class TestReplicate:
         # one failure among five replications exceeds the budget of 0.5
         match = r"1 of 5 replications failed \(max_iter: 1\)"
         with pytest.raises(TooManyFailures, match=match):
-            replicate(STALLING, 30, 108, 5, self._seed_and_wald)
+            replicate(STALLING, 30, 108, 5, self._seed_and_wald, STALL_OPTS)
 
     def test_unconverged_fits_never_reach_the_measure(self):
         # a two-step budget leaves every logistic fit at max_iter, and the
@@ -383,9 +387,10 @@ class TestReplicationsAsSlots:
         _assert_same_fits(replicate(process, 80, 7, 12, _fit_of), expected)
 
     def test_solver_options_reach_the_fits(self):
-        # under these options seed 106 converges in 94 steps, which only the
-        # loose tolerance allows, and seed 108 stalls and is dropped
-        opts = SolverOptions(tol=1e-4, max_iter=95)
+        # under these options seed 106 converges in 8 steps, which only the
+        # loose tolerance allows (it needs 9 at the default), and seed 108
+        # stalls and is dropped
+        opts = SolverOptions(tol=1e-4, max_iter=8)
         expected, _ = _fit_erm_loop(STALLING, 30, 100, 10, opts)
         got = replicate(STALLING, 30, 100, 10, _fit_of, opts)
         _assert_same_fits(got, expected)
@@ -394,7 +399,7 @@ class TestReplicationsAsSlots:
 
     def test_stalled_seeds_are_the_unconverged_fit_erm_fits(self):
         # TestReplicate's drops, and its per-cause message, follow from these
-        fits, causes = _fit_erm_loop(STALLING, 30, 100, 40)
+        fits, causes = _fit_erm_loop(STALLING, 30, 100, 40, STALL_OPTS)
         assert causes == {"max_iter": len(STALLED_SEEDS)}
         seeds = [fit.data.provenance.seed for fit in fits]
         assert seeds == [s for s in range(100, 140) if s not in STALLED_SEEDS]
@@ -416,11 +421,11 @@ class TestReplicationsAsSlots:
 
     @pytest.mark.parametrize("per_chunk", [1, 3, 7])
     def test_chunking_leaves_results_unchanged(self, monkeypatch, per_chunk):
-        whole = replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald)
+        whole = replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald, STALL_OPTS)
         # a budget of per_chunk datasets of STALLING's 30 x 5 design
         monkeypatch.setattr(estimate, "_STACK_ELEMENTS", per_chunk * 30 * 5)
         calls = []
         engine = estimate._newton_engine
         monkeypatch.setattr(estimate, "_newton_engine", lambda *a: calls.append(1) or engine(*a))
-        assert replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald) == whole
+        assert replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald, STALL_OPTS) == whole
         assert len(calls) == -(-40 // per_chunk)
