@@ -142,7 +142,8 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
         diff = fits.theta - fit.theta_n
         sel = np.flatnonzero(ok) + start
         wald[sel] = np.einsum("bj,bjk,bk->b", diff, fits.H, diff)[ok]
-        lr[sel] = np.maximum(2.0 * (W @ vals_base / n - fits.L), 0.0)[ok]
+        risk_base = batch._mean(W, np.broadcast_to(vals_base, W.shape))
+        lr[sel] = np.maximum(2.0 * (risk_base - fits.L), 0.0)[ok]
         causes.update(fits.status[~ok].tolist())
     check_failures(causes, B, "bootstrap replications")
     good = ~np.isnan(wald)

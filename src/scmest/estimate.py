@@ -412,8 +412,10 @@ def replicate(
     ``model_for_data(loss_kind_for(process), data.X)`` per chunk.  The fits
     of a chunk of replications, whose designs hold at most 50 000 entries
     (n d per dataset) or are one dataset, run as one engine call with a
-    slot per dataset.  With ``fit=False`` nothing is fitted and the measure
-    gets None.  A replication whose fit did not converge is dropped before
+    slot per dataset, each FitResult completed on its slot of the stacked
+    batch (``Batch.take(b)``) with the R the engine measured.  With
+    ``fit=False`` nothing is fitted and the measure gets None.  A
+    replication whose fit did not converge is dropped before
     ``measure`` runs, counted under its engine status, as the bootstrap
     counts its failed refits: ``singular``, ``overflow``, ``max_iter``.  A
     replication whose measure raises SingularHessian, NumericOverflow or
@@ -436,15 +438,15 @@ def replicate(
         datasets = [generate(process, n, seed) for seed in seeds]
         model = model_for_data(kind, datasets[0].X)
         if fit:
-            batches = [prepare_batch(model, data) for data in datasets]
-            W = np.ones((len(batches), n))
-            fits = _newton_engine(stack_batches(batches), W, opts)
+            stacked = stack_batches([prepare_batch(model, data) for data in datasets])
+            W = np.ones((len(datasets), n))
+            fits = _newton_engine(stacked, W, opts)
         for b, data in enumerate(datasets):
             if fit and fits.status[b] != "converged":
                 causes[fits.status[b]] += 1
                 continue
             try:
-                result = _fit_result(batches[b], data, opts, W[b], fits, b) if fit else None
+                result = _fit_result(stacked.take(b), data, opts, W[b], fits, b) if fit else None
                 values.append(measure(model, data, result))
             except _REPLICATION_FAILURES as exc:
                 causes[exc.cause] += 1

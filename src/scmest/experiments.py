@@ -225,8 +225,9 @@ _PROCESS_FOR_MODEL = {"squared": "linear_wellspec", "logistic": "logistic_wellsp
 class EffDimErrorExperiment:
     """Config of the effective-dimension error study on well-specified models.
 
-    ``models`` are loss kinds with a well-specified process, and ``reps`` is
-    at least 2, so that every row has a standard error.
+    ``models`` are loss kinds with a well-specified process, ``reps`` is at
+    least 2, so that every row has a standard error, and every d and n of
+    the grids is positive; else DomainError.
     """
 
     models: tuple[str, ...] = ("squared", "logistic")
@@ -242,6 +243,8 @@ class EffDimErrorExperiment:
                 raise DomainError(f"effdim_error has no model {model!r}; choose from {allowed}")
         if self.reps < 2:
             raise DomainError(f"effdim_error needs reps >= 2 for a stderr, got {self.reps}")
+        if min((*self.d_grid, *self.n_grid), default=1) < 1:
+            raise DomainError(f"grid entries must be positive, got {self.d_grid}, {self.n_grid}")
 
 
 @dataclass(frozen=True)

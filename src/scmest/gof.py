@@ -19,7 +19,8 @@ with binomial standard errors.
 :func:`null_statistics` is the one oracle calibration, here and in
 :mod:`scmest.inference` and the coverage experiment.  It and the power
 replications under each alternative share one statistics loop, which
-evaluates the statistics at a null theta0 over replications of a process.
+evaluates the statistics at a null theta0 over replications of a process;
+Rao and LR read one evaluation of L_n, S_n and H_n at theta0.
 Replication r of any phase uses seed base + r, with per-phase bases from
 :func:`scmest.simdata.phase_seed`, so phases never share streams.  The
 replications run through :func:`scmest.estimate.replicate`, which fits a
@@ -79,9 +80,7 @@ class TestReport:
 
 def rao_statistic(model: LossModel, data: Dataset, theta0) -> float:
     """Score statistic S_n' H_n^{-1} S_n at theta0, the squared Newton decrement."""
-    batch = prepare_batch(model, data)
-    _, S, H = batch.evaluate(check_theta(model, theta0), check_weights(None, batch.n))
-    return _decrement(S, H) ** 2
+    return _statistics(("rao",), model, data, None, theta0)["rao"]
 
 
 def lr_statistic(fit: FitResult, theta0) -> float:
@@ -90,16 +89,7 @@ def lr_statistic(fit: FitResult, theta0) -> float:
     L_n is the risk the fit minimized: its model on its data, under its
     weights (the multipliers of a bootstrap fit).
     """
-    if not fit.converged:
-        raise NonConverged("lr_statistic requires a converged fit")
-    batch = prepare_batch(fit.model, fit.data)
-    risk0 = batch.risk(check_theta(fit.model, theta0), fit.weights)
-    value = 2.0 * (risk0 - fit.aggregates_at_opt.L_n)
-    if value < -1e-10:
-        raise DomainError(
-            f"LR statistic {value} is negative beyond tolerance; fit is not a minimizer"
-        )
-    return max(value, 0.0)
+    return _statistics(("lr",), fit.model, fit.data, fit, theta0)["lr"]
 
 
 def wald_statistic(fit: FitResult, theta0) -> float:
@@ -121,13 +111,29 @@ def _statistics(
     fit: FitResult | None,
     theta0,
 ) -> dict[str, float]:
-    """Evaluate the requested statistics from one fit (None when only Rao is asked)."""
+    """Evaluate the requested statistics from one fit (None when only Rao is asked).
+
+    Rao and LR read one :meth:`~scmest.losses.Batch.evaluate` at theta0,
+    under the fit's weights (unit weights without a fit).
+    """
+    theta0 = check_theta(model, theta0)
+    if "lr" in kinds and not fit.converged:
+        raise NonConverged("lr_statistic requires a converged fit")
+    if "rao" in kinds or "lr" in kinds:
+        batch = prepare_batch(model, data)
+        w = check_weights(None, batch.n) if fit is None else fit.weights
+        L0, S0, H0 = batch.evaluate(theta0, w)
     out = {}
     for kind in kinds:
         if kind == "rao":
-            out[kind] = rao_statistic(model, data, theta0)
+            out[kind] = _decrement(S0, H0) ** 2
         elif kind == "lr":
-            out[kind] = lr_statistic(fit, theta0)
+            value = 2.0 * (L0 - fit.aggregates_at_opt.L_n)
+            if value < -1e-10:
+                raise DomainError(
+                    f"LR statistic {value} is negative beyond tolerance; fit is not a minimizer"
+                )
+            out[kind] = max(value, 0.0)
         else:
             out[kind] = wald_statistic(fit, theta0)
     return out

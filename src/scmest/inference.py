@@ -45,6 +45,7 @@ from .errors import (
     DomainError,
     MissingSampler,
     NonConverged,
+    ParseError,
 )
 from .estimate import (
     FitResult,
@@ -134,7 +135,13 @@ class ConfidenceSet:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfidenceSet":
+        """The set of a :meth:`to_json` document; another schema or a lacking field: ParseError."""
         doc = json.loads(text)
+        if doc.get("schema_version") != SCHEMA_VERSION:
+            raise ParseError(f"confidence set schema_version must be {SCHEMA_VERSION!r}")
+        lacking = {"kind", "center", "shape", "sq_radius", "delta", "calibration"} - set(doc)
+        if lacking:
+            raise ParseError(f"confidence set document lacks {sorted(lacking)}")
         return cls(
             kind=doc["kind"],
             center=np.asarray(doc["center"], dtype=float),
@@ -263,10 +270,13 @@ def oracle_radius(
     Replicates the whole experiment ``reps`` times at sample size n: draw a
     fresh dataset, fit, and evaluate the Wald distance or the LR deviance of
     theta0 from the fit.  Replication r uses seed ``seed + r``; the quantile
-    is over the replications that succeed (see :func:`scmest.gof.null_statistics`).
+    is over the replications that succeed (see :func:`scmest.gof.null_statistics`);
+    a ``delta`` outside (0, 1) raises DomainError before anything runs.
     """
     if kind not in _SET_KINDS:
         raise DomainError(f"kind must be one of {_SET_KINDS}, got {kind!r}")
+    if not 0.0 < delta < 1.0:
+        raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if process is None:
         raise MissingSampler("oracle calibration needs a data-generating process")
     stats = null_statistics((kind,), process, n, reps, seed, opts)[kind]

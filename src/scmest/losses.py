@@ -17,8 +17,8 @@ first use, where the Newton engine or a certificate reads it.  For
 ``expfam_glm`` the label set is finite and the model bounds the sufficient
 statistic, ``||t(x, y)||_2 <= M``, a bound checked on the data, so the
 log-partition is an exact finite sum evaluated with the max-shift trick.
-``score_matching`` consumes the (n, raw_dim) matrix of raw samples z and a
-callback mapping it to the stacks of per-sample quadratic forms (A, b, c);
+``score_matching`` consumes the matrix of raw samples z and a callback
+mapping it to the stacks of per-sample quadratic forms (A, b, c);
 :func:`score_matching_assemble` builds those stacks from derivatives of the
 sufficient statistic t and the base density term h.
 
@@ -28,10 +28,10 @@ code works on a :class:`Batch`, made once per call from a checked
 :class:`~scmest.simdata.Dataset` by :func:`prepare_batch`: it adds the
 checks that need the model and builds the per-sample stacks
 (the expfam_glm statistics, the score-matching (A, b, c)) that every later
-evaluation reuses.  A Batch evaluates S_n, H_n and L_n of
-m parameter and weight rows at once, for every kind, so the Newton engine
-of :mod:`scmest.estimate` has no per-kind arithmetic; H_n of one row is one
-matrix product ((w c) x)' x, more rows share a packed table of x_i x_i'.
+evaluation reuses.  :meth:`Batch.slot_evaluate`, the one evaluation of L_n,
+S_n and H_n, takes m parameter and weight rows at once, for every kind, so
+the Newton engine of :mod:`scmest.estimate` has no per-kind arithmetic; H_n
+of one row is one matrix product ((w c) x)' x, more rows share a packed table.
 :func:`stack_batches` gives the rows a dataset axis instead: m datasets of
 equal n, one per row, whose H_n are one batched matrix product, with the
 arithmetic of the single row.
@@ -96,11 +96,9 @@ class LossModel:
     stat_bound : float, optional
         Bound M with ||t(x, y)|| <= M, checked on the data (expfam_glm only).
     stacks_fn : callable, optional
-        ``Z -> (A, b, c)``: maps the (n, raw_dim) matrix of raw samples to
-        the stacks of per-sample quadratic forms, A (n, dim, dim), b
-        (n, dim) and c (n,) (score_matching only).
-    raw_dim : int, optional
-        Dimension of the raw sample z (score_matching only).
+        ``Z -> (A, b, c)``: maps the (n, p) matrix of raw samples, of any
+        width p, to the stacks of per-sample quadratic forms, A (n, dim,
+        dim), b (n, dim) and c (n,) (score_matching only).
     """
 
     kind: str
@@ -109,7 +107,6 @@ class LossModel:
     feature_map: Callable[[np.ndarray, float], np.ndarray] | None = None
     stat_bound: float | None = None
     stacks_fn: Callable[[np.ndarray], tuple] | None = None
-    raw_dim: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in LOSS_KINDS:
@@ -120,8 +117,8 @@ class LossModel:
             not self.labels or self.feature_map is None or self.stat_bound is None
         ):
             raise DomainError("expfam_glm needs labels, feature_map, and stat_bound")
-        if self.kind == "score_matching" and (self.stacks_fn is None or self.raw_dim is None):
-            raise DomainError("score_matching needs stacks_fn and raw_dim")
+        if self.kind == "score_matching" and self.stacks_fn is None:
+            raise DomainError("score_matching needs stacks_fn")
 
 
 def squared_loss(dim: int) -> LossModel:
@@ -176,25 +173,16 @@ def expfam_glm_loss(
     )
 
 
-def score_matching_loss(
-    dim: int,
-    raw_dim: int,
-    stacks_fn: Callable[[np.ndarray], tuple],
-) -> LossModel:
+def score_matching_loss(dim: int, stacks_fn: Callable[[np.ndarray], tuple]) -> LossModel:
     """Score-matching loss from a callback building the per-sample quadratic forms.
 
-    ``stacks_fn(Z)`` maps the (n, raw_dim) matrix of raw samples to the
+    ``stacks_fn(Z)`` maps the (n, p) matrix of raw samples to the
     stacks (A, b, c): A (n, dim, dim), each symmetric positive
     semidefinite, b (n, dim) and c (n,), so that sample i has loss
     theta'A_i theta/2 - b_i'theta + c_i.  :func:`prepare_batch` checks them
     once per call.  Quadratic in theta, so (R, nu) = (0, 2).
     """
-    return LossModel(
-        kind="score_matching",
-        dim=dim,
-        stacks_fn=stacks_fn,
-        raw_dim=int(raw_dim),
-    )
+    return LossModel(kind="score_matching", dim=dim, stacks_fn=stacks_fn)
 
 
 def score_matching_assemble(t_grad, t_lap, h_grad, h_lap):
@@ -261,7 +249,7 @@ def gaussian_score_matching_loss(p: int) -> LossModel:
     """
     if p < 1:
         raise DimensionMismatch(f"p must be positive, got {p}")
-    return score_matching_loss(dim=2 * p, raw_dim=p, stacks_fn=_gaussian_stacks)
+    return score_matching_loss(dim=2 * p, stacks_fn=_gaussian_stacks)
 
 
 def model_for_data(kind: str, X: np.ndarray) -> LossModel:
@@ -285,14 +273,11 @@ def model_for_data(kind: str, X: np.ndarray) -> LossModel:
 def _check_data(model: LossModel, data: Dataset) -> np.ndarray | None:
     """The dataset's responses checked against the model; None for score matching.
 
-    The Dataset checked its own values; this checks the column count, the
-    responses' presence and their label set.
+    The Dataset checked its own values; this checks the responses and, where
+    theta multiplies x, the column count (the callbacks' outputs are checked).
     """
-    expected_cols = model.raw_dim if model.kind == "score_matching" else model.dim
-    if data.d != expected_cols:
-        raise DimensionMismatch(
-            f"data has {data.d} columns, model expects {expected_cols}"
-        )
+    if model.kind in ("squared", "logistic", "poisson") and data.d != model.dim:
+        raise DimensionMismatch(f"data has {data.d} columns, model expects {model.dim}")
     if model.kind == "score_matching":
         return None
     y = data.y
@@ -507,14 +492,14 @@ class Batch:
     them, so a fit that holds one Batch runs the model's callbacks
     (``feature_map``, ``stacks_fn``) once.  ``R`` is the loss's R on this
     data, measured on first use, and ``sc_params`` the (R, nu) it belongs to.
-    The ``slot_`` methods evaluate m slots at once, slot b at ``Theta[b]``
-    with weights ``W[b]``; the one-parameter methods are their case m = 1.
+    :meth:`slot_evaluate` evaluates m slots at once, slot b at ``Theta[b]``
+    with weights ``W[b]``; the other methods evaluate at one parameter.
 
     A batch made by :func:`stack_batches` is stacked: slot b has a dataset
     of its own, X is (m, n, d), y (m, n), every stack has a leading slot
     axis, and ``R`` holds the R of each slot's dataset.  Its slot b
     evaluates with the arithmetic of the single dataset's batch at m = 1,
-    so the two agree bit for bit.
+    so the two agree bit for bit, and ``take(b)`` is slot b's own batch.
     """
 
     model: LossModel
@@ -555,7 +540,10 @@ class Batch:
         return ScParams(R=self.R, nu=2.0)
 
     def take(self, keep) -> "Batch":
-        """The batch of the slots ``keep``; a batch that is not stacked serves any slots."""
+        """The batch of the slots ``keep``, or slot ``keep``'s own batch for an int.
+
+        A batch that is not stacked serves any slots.
+        """
         if not self.stacked:
             return self
         y = None if self.y is None else self.y[keep]
@@ -563,7 +551,7 @@ class Batch:
         batch = Batch(self.model, self.X[keep], y, stacks)
         if "R" in self.__dict__:
             # already measured: the kept slots keep theirs
-            batch.__dict__["R"] = self.R[keep]
+            batch.__dict__["R"] = self.R[keep] if batch.stacked else float(self.R[keep])
         return batch
 
     def max_slots(self) -> int:
@@ -632,22 +620,15 @@ class Batch:
         """Expected statistic sum_k p_ik t(x_i, label_k) per slot and sample, (m, n, dim)."""
         return np.einsum("bik,ikj->bij", probs, self.stacks[0])
 
-    def slot_values(self, Theta: np.ndarray) -> np.ndarray:
-        """Per-sample loss values at every row of Theta, an (m, n) array."""
-        kind = self.model.kind
-        if kind == "expfam_glm":
-            return self._expfam(Theta)[0]
-        if kind == "score_matching":
-            A, b, c = self.stacks
-            m, d = Theta.shape
-            outer = (Theta[:, :, None] * Theta[:, None, :]).reshape(m, d * d)
-            A_rows = A.reshape(*A.shape[:-2], d * d)
-            return 0.5 * self._dot_rows(outer, A_rows) - self._dot_rows(Theta, b) + c
-        return linear_coefficients(kind, self._eta(Theta), self.y)[0]
-
     def values(self, theta: np.ndarray) -> np.ndarray:
         """Per-sample loss values, an (n,) array."""
-        return self.slot_values(theta[None])[0]
+        kind = self.model.kind
+        if kind == "expfam_glm":
+            return self._expfam(theta[None])[0][0]
+        if kind == "score_matching":
+            A, b, c = self.stacks
+            return 0.5 * (A @ theta) @ theta - b @ theta + c
+        return linear_coefficients(kind, self._eta(theta[None]), self.y)[0][0]
 
     def grads(self, theta: np.ndarray) -> np.ndarray:
         """Per-sample gradients, an (n, dim) array."""
@@ -663,24 +644,26 @@ class Batch:
     def slot_evaluate(self, Theta: np.ndarray, W: np.ndarray):
         """Weighted risk L, mean gradient S and Hessian H of every slot.
 
-        This is one Newton iteration's evaluation: the linear-predictor kinds
-        take L, S and H from one pass over eta, expfam_glm from one set of
-        logits, and L is the :meth:`slot_risk` of the same per-sample values.
-        Returns (L, S, H, overflow): L is (m,), S (m, dim), H (m, dim, dim)
-        and symmetrized, and ``overflow`` marks the Poisson slots whose
-        exp(eta) overflows, whose L is inf and whose S and H are zero.  H,
-        like the first term of the expfam_glm Hessian, is one matrix product
-        (see :meth:`_sum_outer`).
+        This is one Newton iteration's evaluation, and the one computation
+        of L_n: the linear-predictor kinds take L, S and H from one pass over
+        eta, expfam_glm from one set of logits, and score matching from the
+        means W A/n, W b/n and W c/n.  Returns (L, S, H, overflow): L is
+        (m,), S (m, dim), H (m, dim, dim) and symmetrized, and ``overflow``
+        marks the Poisson slots whose exp(eta) overflows, whose L is inf and
+        whose S and H are zero.  H, like the first term of the expfam_glm
+        Hessian, is one matrix product (see :meth:`_sum_outer`).
         """
         kind = self.model.kind
         n = self.n
         m, d = Theta.shape
         overflow = np.zeros(m, dtype=bool)
         if kind == "score_matching":
-            A, b, _ = self.stacks
-            L = self.slot_risk(Theta, W)
+            A, b, c = self.stacks
             H = self._sum_rows(W, A.reshape(*A.shape[:-2], d * d)).reshape(m, d, d) / n
-            S = np.einsum("bjk,bk->bj", H, Theta) - self._sum_rows(W, b) / n
+            H_theta, b_mean = np.einsum("bjk,bk->bj", H, Theta), self._sum_rows(W, b) / n
+            S = H_theta - b_mean
+            c_mean = self._mean(W, np.broadcast_to(c, W.shape))
+            L = np.einsum("bj,bj->b", Theta, 0.5 * H_theta - b_mean) + c_mean
         elif kind == "expfam_glm":
             values, probs = self._expfam(Theta)
             L = self._mean(W, values)
@@ -714,14 +697,6 @@ class Batch:
     def _mean(self, W: np.ndarray, V: np.ndarray) -> np.ndarray:
         """n^-1 sum_i W_bi V_bi of every slot: how the risk averages per-sample values."""
         return np.einsum("bi,bi->b", W, V) / self.n
-
-    def slot_risk(self, Theta: np.ndarray, W: np.ndarray) -> np.ndarray:
-        """Weighted empirical risk n^-1 sum_i W_bi l(Theta_b; z_i) of every slot."""
-        return self._mean(W, self.slot_values(Theta))
-
-    def risk(self, theta: np.ndarray, w: np.ndarray) -> float:
-        """Weighted empirical risk L_n = n^-1 sum_i w_i l(theta; z_i)."""
-        return float(self.slot_risk(theta[None], w[None])[0])
 
     def score_moment(self, theta: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Score second moment G_n at theta.

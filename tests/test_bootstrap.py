@@ -88,12 +88,13 @@ class TestBootstrapFit:
     def test_lr_statistic_reads_the_fit_weights(self):
         # a bootstrap fit minimized the weighted risk, so its LR statistic
         # compares weighted risks, as the bootstrap's LR of that slot does
-        for kind, proc_kind in [
-            ("squared", "linear_wellspec"),
-            ("logistic", "logistic_wellspec"),
-            ("poisson", "poisson_wellspec"),
+        for kind, proc_kind, d in [
+            ("squared", "linear_wellspec", 3),
+            ("logistic", "logistic_wellspec", 3),
+            ("poisson", "poisson_wellspec", 3),
+            ("score_matching", "gaussian_expfam_scorematch", 4),
         ]:
-            _, data, model, fit = _fit(kind, proc_kind, 200, 3)
+            _, data, model, fit = _fit(kind, proc_kind, 200, d)
             _, lr_b, _ = _bootstrap_statistics(fit, 40, 0)
             lr_s = []
             for b in range(40):

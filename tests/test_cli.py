@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import chi2
 
 import scmest.cli as cli
+import scmest.experiments as experiments
 from scmest.bootstrap import bootstrap_fit, bootstrap_weights
 from scmest.cli import main
 from scmest.errors import DomainError, SingularHessian
@@ -141,6 +142,11 @@ class TestFitCommand:
         )
         assert code == 1
 
+    def test_fit_without_data_or_process_exits_1(self, capsys):
+        code, out, err = _run(capsys, ["fit", "--model", "squared"])
+        assert code == 1 and out == ""
+        assert "provide a dataset via --data or a process via --process" in err
+
     def test_process_requires_n(self, capsys):
         code, _, err = _run(capsys, ["fit", "--process", "linear_wellspec"])
         assert code == 1
@@ -237,6 +243,12 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 1
+
+    def test_non_numeric_theta0_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["fit", "--process", "linear_wellspec", "--n", "50", "--theta0", "1,x"])
+        assert info.value.code == 1
+        assert "expected comma-separated floats" in capsys.readouterr().err
 
     def test_bad_choice_exits_1(self):
         with pytest.raises(SystemExit) as info:
@@ -710,6 +722,23 @@ class TestExperimentCommand:
         )
         assert code == 1
         assert "'poisson'" in err and "['logistic', 'squared']" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", [{"d_grid": [0]}, {"d_grid": [3], "n_grid": [2000, 0]}])
+    def test_effdim_nonpositive_grid_exits_1_before_any_row(
+        self, capsys, tmp_path, monkeypatch, grid
+    ):
+        def no_replication(*args, **kwargs):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(experiments, "replicate", no_replication)
+        cfg = self._config(tmp_path, **grid)
+        out = tmp_path / "effdim.csv"
+        code, stdout, err = _run(
+            capsys, ["experiment", "effdim_error", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1 and stdout == ""
+        assert "entries must be positive" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -66,6 +66,12 @@ class TestEffDimError:
     def test_deterministic(self):
         assert run_effdim_error(self.config) == run_effdim_error(self.config)
 
+    @pytest.mark.parametrize("grid", [{"d_grid": (0,)}, {"n_grid": (2000, 0)}])
+    def test_nonpositive_grid_rejected_when_built(self, grid):
+        with pytest.raises(DomainError, match="entries must be positive"):
+            EffDimErrorExperiment(**grid)
+        assert EffDimErrorExperiment(d_grid=(3,), n_grid=(200,)).n_grid == (200,)
+
     def test_csv_round_trip(self, tmp_path):
         rows = run_effdim_error(self.config)
         path = tmp_path / "effdim.csv"

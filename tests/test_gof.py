@@ -10,6 +10,7 @@ from scmest.errors import (
     DomainError,
     MissingSampler,
     NonConverged,
+    NumericOverflow,
     SingularHessian,
     TooManyFailures,
 )
@@ -130,6 +131,17 @@ class TestLrAndWaldStatistics:
             lr_statistic(stalled, proc.theta0)
         with pytest.raises(NonConverged):
             wald_statistic(stalled, proc.theta0)
+
+    def test_rao_and_lr_raise_where_exp_overflows_at_theta0(self):
+        proc = Process(kind="poisson_wellspec", theta0=theta0_equispaced(3) * 0.3)
+        data = generate(proc, 200, 0)
+        model = model_for_data("poisson", data.X)
+        fit = fit_erm(model, data)
+        theta0 = np.full(3, 1000.0)
+        with pytest.raises(NumericOverflow):
+            rao_statistic(model, data, theta0)
+        with pytest.raises(NumericOverflow):
+            lr_statistic(fit, theta0)
 
     def test_theta0_must_be_a_finite_vector_of_the_model_dim(self):
         # a 1-vector broadcast against theta_n in the Wald statistic, and a

@@ -13,6 +13,7 @@ from scmest.errors import (
     EmptyDataset,
     MissingSampler,
     NonConverged,
+    ParseError,
     SingularHessian,
 )
 from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_erm
@@ -384,6 +385,15 @@ class TestOracleRadius:
         b = oracle_radius("wald", self.proc, 50, 0.1, reps=40, seed=2)
         assert a == b
 
+    @pytest.mark.parametrize("delta", [0.0, 1.5])
+    def test_tail_mass_checked_before_any_fit(self, delta, monkeypatch):
+        def no_engine(*args):
+            raise AssertionError("the engine ran")
+
+        monkeypatch.setattr("scmest.estimate._newton_engine", no_engine)
+        with pytest.raises(DomainError, match=r"delta must lie in \(0, 1\)"):
+            oracle_radius("wald", self.proc, 50, delta, reps=20)
+
     def test_quantile_monotone_in_tail_mass(self):
         tight = oracle_radius("wald", self.proc, 50, 0.5, reps=60, seed=2)
         wide = oracle_radius("wald", self.proc, 50, 0.05, reps=60, seed=2)
@@ -518,6 +528,15 @@ class TestConfidenceSetMembership:
         assert back.fit is None
         for theta in (fit.theta_n, fit.theta_n + 1.0):
             assert set_membership(back, theta) == set_membership(cs, theta)
+
+    def test_json_of_another_schema_or_missing_a_field_rejected(self):
+        _, _, fit = _logistic_fit(n=60, d=2)
+        doc = json.loads(_set_of(fit, "wald", 0.7).to_json())
+        with pytest.raises(ParseError, match="schema_version"):
+            ConfidenceSet.from_json(json.dumps({**doc, "schema_version": "99"}))
+        del doc["shape"]
+        with pytest.raises(ParseError, match="lacks"):
+            ConfidenceSet.from_json(json.dumps(doc))
 
     def test_lr_set_serializes_without_shape(self):
         model, data, fit = _logistic_fit(n=60, d=2)

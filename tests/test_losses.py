@@ -17,6 +17,7 @@ from scmest.errors import (
 )
 from scmest.losses import (
     LOSS_KINDS,
+    LossModel,
     _gaussian_stacks,
     batch_grads,
     batch_values,
@@ -280,6 +281,11 @@ class TestValidation:
             batch_values(model, np.zeros(3), np.ones((2, 2)), np.zeros(2))
         with pytest.raises(DimensionMismatch):
             batch_values(model, np.zeros(3), np.ones((2, 3)), np.zeros(5))
+        with pytest.raises(DimensionMismatch, match="weights have shape"):
+            mean_hessian(model, np.zeros(3), np.ones((2, 3)), np.zeros(2), weights=np.ones(3))
+        narrow = expfam_glm_loss(3, (-1.0, 1.0), lambda x, y: 0.5 * y * x[:, :2], 5.0)
+        with pytest.raises(DimensionMismatch, match="feature_map returned shape"):
+            batch_values(narrow, np.zeros(3), np.ones((2, 3)), np.ones(2))
 
     @pytest.mark.parametrize("wrapper", [batch_values, batch_grads, mean_hessian])
     def test_non_finite_inputs_rejected(self, wrapper):
@@ -301,8 +307,18 @@ class TestValidation:
     def test_factory_validation(self):
         with pytest.raises(DomainError):
             expfam_glm_loss(2, (1.0,), lambda x, y: x, 1.0)
+        with pytest.raises(DomainError, match="stat_bound must be positive"):
+            expfam_glm_loss(2, (-1.0, 1.0), lambda x, y: x, 0.0)
         with pytest.raises(DimensionMismatch):
             gaussian_score_matching_loss(0)
+        with pytest.raises(DomainError, match="unknown loss kind"):
+            LossModel(kind="hinge", dim=2)
+        with pytest.raises(DimensionMismatch, match="dim must be positive"):
+            LossModel(kind="squared", dim=0)
+        with pytest.raises(DomainError, match="expfam_glm needs"):
+            LossModel(kind="expfam_glm", dim=2, labels=(-1.0, 1.0))
+        with pytest.raises(DomainError, match="score_matching needs stacks_fn"):
+            LossModel(kind="score_matching", dim=2)
 
     def test_model_for_data_infers_bounds(self):
         # the model takes its dimension from X; the batch measures R from it
@@ -357,6 +373,15 @@ class TestValidation:
             assert np.array_equal(A[i], A[i].T)
             assert np.linalg.eigvalsh(A[i])[0] > -1e-12
 
+    def test_score_matching_assemble_shape_errors(self):
+        n, p, d = 4, 2, 3
+        with pytest.raises(DimensionMismatch, match="t_grad must be 3-d"):
+            score_matching_assemble(np.zeros((n, d)), np.zeros((n, d)), np.zeros((n, p)),
+                                    np.zeros(n))
+        with pytest.raises(DimensionMismatch, match=r"h_grad has shape \(4, 3\)"):
+            score_matching_assemble(np.zeros((n, p, d)), np.zeros((n, d)), np.zeros((n, d)),
+                                    np.zeros(n))
+
     def test_gaussian_stacks_equal_the_per_sample_construction(self):
         rng = np.random.default_rng(47)
         p, n = 3, 40
@@ -393,6 +418,6 @@ class TestValidation:
                 b = np.zeros((len(Z), 3))
             return A, b, c
 
-        model = score_matching_loss(2, 1, stacks_fn)
+        model = score_matching_loss(2, stacks_fn)
         with pytest.raises(error, match=match):
             batch_values(model, np.array([0.0, 1.0]), np.linspace(-1.0, 1.0, 5)[:, None])

@@ -101,6 +101,14 @@ class TestProcessValidation:
         with pytest.raises(ParseError):
             Process.from_config({"kind": "linear_wellspec", "theta0": [1.0], "frobnicate": 1})
 
+    def test_config_without_kind_rejected(self):
+        with pytest.raises(ParseError, match="needs 'kind' and 'theta0'"):
+            Process.from_config({"theta0": [1.0]})
+
+    def test_theta0_must_be_finite(self):
+        with pytest.raises(DomainError, match="finite nonempty vector"):
+            Process(kind="linear_wellspec", theta0=np.array([1.0, np.inf]))
+
     def test_theta0_equispaced(self):
         np.testing.assert_allclose(theta0_equispaced(5), [0.0, 0.25, 0.5, 0.75, 1.0])
         np.testing.assert_allclose(theta0_equispaced(1), [0.5])
@@ -256,6 +264,10 @@ class TestDataset:
     def test_non_finite_values_rejected(self, X, y, where):
         with pytest.raises(DomainError, match=where):
             Dataset(X=np.array(X), y=None if y is None else np.array(y))
+
+    def test_one_dimensional_X_rejected(self):
+        with pytest.raises(DimensionMismatch, match="X must be 2-d"):
+            Dataset(X=np.array([1.0, 2.0]), y=np.array([0.0, 1.0]))
 
     @given(st.integers(0, 10**6))
     def test_generation_is_pure(self, seed):
