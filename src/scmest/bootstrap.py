@@ -1,8 +1,8 @@
 """Multiplier-bootstrap calibration of Wald and LR confidence sets.
 
 Each bootstrap replication b reweights the empirical risk of the base fit
-(``FitResult.model`` on ``FitResult.data`` under ``FitResult.weights``,
-ones for an unweighted fit) with i.i.d. Gaussian multipliers
+(its problem ``FitResult.batch`` under ``FitResult.weights``, ones for an
+unweighted fit) with i.i.d. Gaussian multipliers
 W_i ~ N(1, 1), refits, and evaluates
 
     T_wald^b = ||theta^b - theta_n||^2 in the H_n^b(theta^b) metric,
@@ -27,8 +27,8 @@ of one slot.  Every slot follows the engine's step rule: the full Newton
 step where self-concordance guarantees it to descend or an Armijo test
 confirms it does, the damped step otherwise.
 
-Work per bootstrap call: the data are checked and the per-sample stacks
-built once, in one :class:`~scmest.losses.Batch`, which also keeps the
+Work per fit: the data are checked and the per-sample stacks built once,
+in the :class:`~scmest.losses.Batch` of the fit, which also keeps the
 table of outer products its Hessians sum; an engine iteration computes
 the weighted risk, S and H of the live slots in one pass, and again only
 for the slots whose full step the test refused.
@@ -116,18 +116,16 @@ def bootstrap_fit(
 def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
     """All B bootstrap Wald and LR statistics of a fit plus the failure count.
 
-    The refits run on the fit's model and data, under its solver options,
-    and replication b minimizes the risk the fit minimized reweighted by
+    The refits run on the fit's batch, under its solver options, and
+    replication b minimizes the risk the fit minimized reweighted by
     W_b: its weights are ``fit.weights * W_b``, and its LR compares the
     two risks of those weights.  Unit fit weights multiply exactly, so an
-    unweighted fit gets the plain W_b statistics bit for bit.  The checked
-    data, the per-sample stacks and the outer-product table of the
-    Hessians are built once here and shared by every replication.
+    unweighted fit gets the plain W_b statistics bit for bit.
     """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
-    n = fit.data.n
-    batch = prepare_batch(fit.model, fit.data)
+    batch = fit.batch
+    n = batch.n
     vals_base = batch.values(fit.theta_n)
 
     wald = np.full(B, np.nan)
@@ -152,7 +150,7 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
 
 def _same_problem(fit: FitResult, model: LossModel, data: Dataset) -> bool:
     """Whether (model, data) is the problem ``fit`` minimized."""
-    return model == fit.model and (data is fit.data or (
+    return model == fit.batch.model and (data is fit.data or (
         np.array_equal(data.X, fit.data.X) and np.array_equal(data.y, fit.data.y)
     ))
 

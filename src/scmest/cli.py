@@ -118,10 +118,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--B", type=int, default=None, help="bootstrap replications")
     p.add_argument("--calib-reps", dest="calib_reps", type=int, default=None)
-    p.add_argument("--k1", type=float, default=None, help="score sub-Gaussian constant")
-    p.add_argument("--k2", type=float, default=None, help="Hessian Bernstein range constant")
-    p.add_argument("--sigma-h", dest="sigma_h", type=float, default=None)
-    p.add_argument("--c-abs", dest="c_abs", type=float, default=None)
+    p.add_argument("--c-k1-sq", dest="c_k1_sq", type=float, default=None, help="C K1^2")
 
     sub.add_parser("effdim", parents=[common, source], help="empirical effective dimension")
 
@@ -135,7 +132,6 @@ def build_parser() -> _Parser:
         choices=("scaled_dim", "explicit", "oracle_mc"),
         default=None,
     )
-    p.add_argument("--c-scale", dest="c_scale", type=float, default=None)
     p.add_argument("--critical", type=float, default=None)
     p.add_argument("--calib-reps", dest="calib_reps", type=int, default=None)
 
@@ -279,7 +275,7 @@ def cmd_fit(cfg) -> int:
     _emit(
         cfg,
         "fit",
-        model=fit.model.kind,
+        model=fit.batch.model.kind,
         n=fit.aggregates_at_opt.n,
         d=int(fit.theta_n.size),
         theta_n=fit.theta_n.tolist(),
@@ -296,28 +292,19 @@ def cmd_fit(cfg) -> int:
 
 
 def cmd_confset(cfg) -> int:
-    from .errors import DomainError
-    from .inference import AssumptionConstants, confidence_set
+    from .inference import confidence_set
 
     fit = _fit(cfg)
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
     calibration = cfg.get("calibration", "bootstrap")
-    constants = None
-    if calibration == "explicit_constant":
-        if any(cfg.get(name) is None for name in ("k1", "k2", "sigma_h")):
-            raise DomainError("explicit_constant calibration needs --k1, --k2, --sigma-h")
-        constants = AssumptionConstants(
-            K1=float(cfg["k1"]), K2=float(cfg["k2"]), sigma_H=float(cfg["sigma_h"])
-        )
     cs = confidence_set(
         fit,
         kind,
         delta,
         calibration,
-        constants=constants,
         seed=int(cfg["seed"]),
-        **_given(cfg, c_abs=float, calib_reps=int, B=int),
+        **_given(cfg, c_k1_sq=float, calib_reps=int, B=int),
     )
     _emit_json(json.loads(cs.to_json()), cfg.get("out"))
     return 0
@@ -331,7 +318,7 @@ def cmd_effdim(cfg) -> int:
     _emit(
         cfg,
         "effdim",
-        model=fit.model.kind,
+        model=fit.batch.model.kind,
         n=fit.data.n,
         d=int(fit.theta_n.size),
         kind=report.kind,
@@ -363,7 +350,6 @@ def cmd_gof(cfg) -> int:
         theta0,
         alpha=alpha,
         critical_rule=critical_rule,
-        c_scale=cfg.get("c_scale"),
         critical=cfg.get("critical"),
         seed=int(cfg["seed"]),
         opts=_solver_opts(cfg),
@@ -393,7 +379,7 @@ def cmd_bootstrap(cfg) -> int:
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
     bcfg = BootstrapConfig(delta=delta, seed=int(cfg["seed"]), **_given(cfg, B=int))
-    bq = bootstrap_quantile(fit.model, fit.data, fit, bcfg, kind=kind)
+    bq = bootstrap_quantile(fit.batch.model, fit.data, fit, bcfg, kind=kind)
     _emit(
         cfg,
         "bootstrap",

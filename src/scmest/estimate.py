@@ -28,14 +28,14 @@ positive-definiteness test: Cholesky pivots against the trace, with a
 single diagonal-jitter retry (1e-10 trace/d), so genuine non-existence
 (separable logistic data, n < d designs) is distinguished from round-off.
 
-Work per call: X, y and the weights are checked and the per-sample stacks
-built once, in a :class:`~scmest.losses.Batch`.  Each iteration computes
-L_n, S_n and H_n of the live slots in one pass, at the point each moves
-to, and once more only for the slots whose full step the test refused.  A
-single fit keeps the engine's L_n and completes G_n at the returned
-iterate, both with the same arithmetic as :func:`aggregates`, so
-``FitResult.aggregates_at_opt`` equals ``aggregates(model, data, theta_n)``
-bit for bit.
+Work per fit: X, y and the weights are checked and the per-sample stacks
+built once, in the :class:`~scmest.losses.Batch` the fit keeps.  Each
+iteration computes L_n, S_n and H_n of the live slots in one pass, at the
+point each moves to, and once more only for the slots whose full step the
+test refused.  A single fit keeps the engine's L_n and completes G_n at
+the returned iterate, both with the same arithmetic as :func:`aggregates`,
+so ``FitResult.aggregates_at_opt`` equals
+``aggregates(model, data, theta_n)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -118,11 +118,13 @@ class FitResult:
     the unique-minimizer certificate evaluated at theta_n (None when the
     final Hessian is too ill-conditioned to summarize spectrally).  ``opts``
     are the solver options of the fit; the refits that calibrate it run
-    under the same options.  ``model``, ``data`` and ``weights`` are the
-    loss model, dataset and multiplier weights of the minimized risk (unit
-    weights for an unweighted fit), held by reference, where the LR
-    statistic and the calibrations read them; a fit has no default for
-    them.
+    under the same options.  ``batch`` (the checked data, per-sample
+    stacks, R and ``batch.model`` the engine fitted), ``data`` and
+    ``weights`` are the problem, dataset and multiplier weights of the
+    minimized risk (unit weights for an unweighted fit), held by reference,
+    where the LR statistic and the calibrations read them; a fit has no
+    default for them.  A bootstrap of the fit keeps its outer-product table
+    (at most ``_CHUNK_ELEMENTS`` entries) on ``batch``, as long as the fit.
     """
 
     theta_n: np.ndarray
@@ -132,7 +134,7 @@ class FitResult:
     converged: bool
     certificate: Certificate | None = None
     opts: SolverOptions = SolverOptions()
-    model: LossModel = field(kw_only=True, repr=False, compare=False)
+    batch: Batch = field(kw_only=True, repr=False, compare=False)
     data: Dataset = field(kw_only=True, repr=False, compare=False)
     weights: np.ndarray = field(kw_only=True, repr=False, compare=False)
 
@@ -356,7 +358,7 @@ def _fit_result(
         converged=status == "converged",
         certificate=cert,
         opts=opts,
-        model=batch.model,
+        batch=batch,
         data=data,
         weights=w,
     )

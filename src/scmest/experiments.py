@@ -1,9 +1,9 @@
 """Simulation studies emitting plot-ready tables.
 
 Four prepackaged studies, each described by one config dataclass and run
-by one ``run_<name>`` function, deterministic in the config seed.  The
-coverage and effective-dimension configs reject bad values when they are
-built, before any replication runs.  ``scmest experiment <name>`` runs
+by one ``run_<name>`` function, deterministic in the config seed.  Every
+config rejects bad values, empty grids among them, when it is built,
+before any replication runs.  ``scmest experiment <name>`` runs
 them from the command line:
 
 - coverage_table: coverage of oracle- and bootstrap-calibrated confidence
@@ -84,9 +84,10 @@ class CoverageTableExperiment:
     the bootstrap methods recalibrate per dataset.  Each process is
     ``theta0_equispaced(d)`` under its own seed, in whose three disjoint
     phases the evaluation, the oracle calibration and the bootstrap weights
-    are drawn.  Unknown methods or processes, levels outside (0, 1), ``n``,
-    ``d`` or ``reps`` below 1, and ``B`` below 1 with a bootstrap method
-    raise DomainError.
+    are drawn.  Unknown methods or processes, levels outside (0, 1), an
+    empty ``processes``, ``deltas`` or ``methods``, ``n``, ``d`` or
+    ``reps`` below 1, and ``B`` below 1 with a bootstrap method raise
+    DomainError.
     """
 
     processes: tuple[str, ...] = _COVERAGE_PROCESSES
@@ -101,6 +102,8 @@ class CoverageTableExperiment:
     def __post_init__(self) -> None:
         object.__setattr__(self, "deltas", tuple(float(v) for v in self.deltas))
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not (self.processes and self.deltas and self.methods):
+            raise DomainError("processes, deltas and methods must be nonempty")
         for m in self.methods:
             if m not in _METHODS:
                 raise DomainError(f"unknown method {m!r}")
@@ -226,8 +229,8 @@ class EffDimErrorExperiment:
     """Config of the effective-dimension error study on well-specified models.
 
     ``models`` are loss kinds with a well-specified process, ``reps`` is at
-    least 2, so that every row has a standard error, and every d and n of
-    the grids is positive; else DomainError.
+    least 2, so that every row has a standard error, and the grids are
+    nonempty with every d and n positive; else DomainError.
     """
 
     models: tuple[str, ...] = ("squared", "logistic")
@@ -237,13 +240,15 @@ class EffDimErrorExperiment:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (self.models and self.d_grid and self.n_grid):
+            raise DomainError("models, d_grid and n_grid must be nonempty")
         for model in self.models:
             if model not in _PROCESS_FOR_MODEL:
                 allowed = sorted(_PROCESS_FOR_MODEL)
                 raise DomainError(f"effdim_error has no model {model!r}; choose from {allowed}")
         if self.reps < 2:
             raise DomainError(f"effdim_error needs reps >= 2 for a stderr, got {self.reps}")
-        if min((*self.d_grid, *self.n_grid), default=1) < 1:
+        if min((*self.d_grid, *self.n_grid)) < 1:
             raise DomainError(f"grid entries must be positive, got {self.d_grid}, {self.n_grid}")
 
 
@@ -294,8 +299,9 @@ class ConfsetShapeExperiment:
 
     The three covariances are diagonal, positively correlated, and
     negatively correlated.  Radii are bootstrap-calibrated Wald at tail
-    mass delta.  An ``n``, ``B`` or ``boundary_points`` below 1, or a
-    ``delta`` outside (0, 1), raises DomainError when the config is built.
+    mass delta.  An empty ``sigmas``, an ``n``, ``B`` or
+    ``boundary_points`` below 1, or a ``delta`` outside (0, 1), raises
+    DomainError when the config is built.
     """
 
     sigmas: tuple = (
@@ -311,6 +317,8 @@ class ConfsetShapeExperiment:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not self.sigmas:
+            raise DomainError("sigmas must be nonempty")
         for name in ("n", "B", "boundary_points"):
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
@@ -365,6 +373,7 @@ class PowerCurvesExperiment:
 
     The null is ``theta0_equispaced(d)``; alternatives sit at distance
     ``dists`` from it along the evenly spread direction (1, ..., 1)/sqrt(d).
+    Building it builds its :class:`~scmest.gof.PowerCurveConfig`, whose checks apply.
     """
 
     process: str = "logistic_wellspec"
@@ -376,6 +385,22 @@ class PowerCurvesExperiment:
     calib_reps: int = 500
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self._power_curve_config()
+
+    def _power_curve_config(self) -> PowerCurveConfig:
+        theta0 = theta0_equispaced(self.d)
+        direction = np.full(self.d, 1.0 / np.sqrt(self.d))
+        return PowerCurveConfig(
+            process=Process(kind=self.process, theta0=theta0),
+            alternatives=tuple(theta0 + dist * direction for dist in self.dists),
+            n_grid=self.n_grid,
+            alpha=self.alpha,
+            reps=self.reps,
+            calib_reps=self.calib_reps,
+            seed=self.seed,
+        )
+
 
 def run_power_curves(config: PowerCurvesExperiment | None = None) -> tuple[PowerRow, ...]:
     """Power of each test per (n, alternative); see :func:`scmest.gof.power_curve`.
@@ -384,17 +409,4 @@ def run_power_curves(config: PowerCurvesExperiment | None = None) -> tuple[Power
     null, so size is held at ``alpha`` by construction.
     """
     config = config or PowerCurvesExperiment()
-    theta0 = theta0_equispaced(config.d)
-    direction = np.full(config.d, 1.0 / np.sqrt(config.d))
-    table = power_curve(
-        PowerCurveConfig(
-            process=Process(kind=config.process, theta0=theta0),
-            alternatives=tuple(theta0 + dist * direction for dist in config.dists),
-            n_grid=config.n_grid,
-            alpha=config.alpha,
-            reps=config.reps,
-            calib_reps=config.calib_reps,
-            seed=config.seed,
-        )
-    )
-    return table.rows
+    return power_curve(config._power_curve_config()).rows

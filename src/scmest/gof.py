@@ -10,8 +10,8 @@ null:
 Critical values come from one of three rules.  ``oracle_mc`` (the default
 posture) replays the experiment under the process that drew the data
 (``Dataset.provenance``) moved to the null and takes the
-(1 - alpha)-quantile of the statistic; ``scaled_dim`` uses c d/n
-with the default c matching the chi-square limit of n T; ``explicit`` takes
+(1 - alpha)-quantile of the statistic; ``scaled_dim`` uses
+chi2_{d,1-alpha}/n, the chi-square limit of n T; ``explicit`` takes
 a user value.  :func:`power_curve` sweeps sample sizes and alternatives,
 recalibrating the critical value at each n, and reports empirical power
 with binomial standard errors.
@@ -89,14 +89,14 @@ def lr_statistic(fit: FitResult, theta0) -> float:
     L_n is the risk the fit minimized: its model on its data, under its
     weights (the multipliers of a bootstrap fit).
     """
-    return _statistics(("lr",), fit.model, fit.data, fit, theta0)["lr"]
+    return _statistics(("lr",), fit.batch.model, fit.data, fit, theta0)["lr"]
 
 
 def wald_statistic(fit: FitResult, theta0) -> float:
     """Wald statistic ||theta_n - theta0||^2 in the H_n(theta_n) metric."""
     if not fit.converged:
         raise NonConverged("wald_statistic requires a converged fit")
-    diff = fit.theta_n - check_theta(fit.model, theta0)
+    diff = fit.theta_n - check_theta(fit.batch.model, theta0)
     return float(diff @ fit.aggregates_at_opt.H_n @ diff)
 
 
@@ -114,13 +114,13 @@ def _statistics(
     """Evaluate the requested statistics from one fit (None when only Rao is asked).
 
     Rao and LR read one :meth:`~scmest.losses.Batch.evaluate` at theta0,
-    under the fit's weights (unit weights without a fit).
+    on the fit's batch under its weights (unit weights without a fit).
     """
     theta0 = check_theta(model, theta0)
     if "lr" in kinds and not fit.converged:
         raise NonConverged("lr_statistic requires a converged fit")
     if "rao" in kinds or "lr" in kinds:
-        batch = prepare_batch(model, data)
+        batch = prepare_batch(model, data) if fit is None else fit.batch
         w = check_weights(None, batch.n) if fit is None else fit.weights
         L0, S0, H0 = batch.evaluate(theta0, w)
     out = {}
@@ -183,7 +183,6 @@ def run_test(
     alpha: float,
     critical_rule: str = "oracle_mc",
     *,
-    c_scale: float | None = None,
     critical: float | None = None,
     calib_reps: int = 1000,
     seed: int = 0,
@@ -192,15 +191,14 @@ def run_test(
     """Run one goodness-of-fit test of H0: theta = theta0 at level alpha.
 
     critical_rule selects the critical value: ``scaled_dim`` uses
-    c_scale d/n (default c_scale is the chi-square quantile over d, which
-    makes the level asymptotically exact under a well-specified null);
+    chi2_{d,1-alpha}/n (asymptotically exact under a well-specified null);
     ``explicit`` uses the given ``critical``; ``oracle_mc`` takes the
     (1 - alpha)-quantile of the statistic over ``calib_reps`` replications
     of the process that drew ``data`` (``data.provenance.process``) moved
     to theta0, at this sample size; data without provenance (read from CSV
     or built by hand) raise MissingSampler.  A theta0 that is not a finite
-    vector of the model's dimension, a NaN or infinite ``critical`` and a
-    ``c_scale`` that is not finite and positive raise before anything runs.
+    vector of the model's dimension and a NaN or infinite ``critical``
+    raise before anything runs.
     """
     theta0 = check_theta(model, theta0)
     d = model.dim
@@ -210,12 +208,10 @@ def run_test(
         raise DomainError(f"unknown critical rule {critical_rule!r}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if c_scale is not None and not 0.0 < c_scale < np.inf:
-        raise DomainError(f"c_scale must be finite and positive, got {c_scale}")
     if critical is not None and not np.isfinite(critical):
         raise DomainError(f"critical must be finite, got {critical}")
     if critical_rule == "scaled_dim":
-        c = c_scale if c_scale is not None else float(chi2.ppf(1.0 - alpha, d)) / d
+        c = float(chi2.ppf(1.0 - alpha, d)) / d
         crit = c * d / data.n
     elif critical_rule == "explicit":
         if critical is None:
@@ -261,6 +257,8 @@ class PowerCurveConfig:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.reps < 1 or self.calib_reps < 1:
             raise DomainError("reps and calib_reps must be positive")
+        if len(self.alternatives) == 0 or len(self.n_grid) == 0:
+            raise DomainError("alternatives and n_grid must be nonempty")
         if any(n < 1 for n in self.n_grid):
             raise DomainError(f"n_grid entries must be positive, got {tuple(self.n_grid)}")
 

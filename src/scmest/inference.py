@@ -17,12 +17,12 @@ closed-form radius of the Wald set
 
     24 omega_nu^2(r_n R*) d*/n + C K1^2 omega_nu^2(r_n R*) log(e/delta) ||Omega||/n
 
-whose absolute constant C is not sharp (default 0 keeps the leading term
-only).  ``oracle_mc`` replicates the experiment from the process that drew
-the fit's data (``Dataset.provenance``) and takes the empirical upper-delta
-quantile of the statistic, so it refuses a weighted fit; ``bootstrap``
-delegates to the multiplier bootstrap of the fit's own model, data and
-weights (``FitResult.model``, ``FitResult.data``, ``FitResult.weights``).
+whose constants enter only as C K1^2, C not sharp (default 0 keeps the
+leading term only).  ``oracle_mc`` replicates the experiment from the
+process that drew the fit's data (``Dataset.provenance``) and takes the
+empirical upper-delta quantile of the statistic, so it refuses a weighted
+fit; ``bootstrap`` delegates to the multiplier bootstrap of the fit's own
+problem and weights (``FitResult.batch``, ``FitResult.weights``).
 Both refit under the solver options of the fit they calibrate
 (``FitResult.opts``).  A set belongs to one fit: :func:`confidence_set`
 calibrates it from the fit and keeps the fit, where LR membership reads
@@ -55,7 +55,7 @@ from .estimate import (
     aggregates,
 )
 from .gof import lr_statistic, null_statistics
-from .losses import LossModel, prepare_batch
+from .losses import LossModel
 from .scfun import ScParams, SpectralSummary, k_nu, omega, r_nu
 from .simdata import Dataset, Process, generate
 
@@ -135,10 +135,15 @@ class ConfidenceSet:
 
     @classmethod
     def from_json(cls, text: str) -> "ConfidenceSet":
-        """The set of a :meth:`to_json` document; another schema or a lacking field: ParseError."""
-        doc = json.loads(text)
-        if doc.get("schema_version") != SCHEMA_VERSION:
-            raise ParseError(f"confidence set schema_version must be {SCHEMA_VERSION!r}")
+        """The set of a :meth:`to_json` document; any other text raises ParseError."""
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"confidence set document is not JSON ({exc})") from None
+        if not isinstance(doc, dict) or doc.get("schema_version") != SCHEMA_VERSION:
+            raise ParseError(
+                f"confidence set must be a JSON object of schema_version {SCHEMA_VERSION!r}"
+            )
         lacking = {"kind", "center", "shape", "sq_radius", "delta", "calibration"} - set(doc)
         if lacking:
             raise ParseError(f"confidence set document lacks {sorted(lacking)}")
@@ -283,26 +288,21 @@ def oracle_radius(
     return float(np.quantile(stats, 1.0 - delta))
 
 
-def _explicit_sq_radius(
-    fit: FitResult, delta: float, constants: AssumptionConstants, c_abs: float
-) -> float:
+def _explicit_sq_radius(fit: FitResult, delta: float, c_k1_sq: float) -> float:
     agg = fit.aggregates_at_opt
     n = agg.n
     spec = _spectral_summary(agg.H_n)
     if spec is None:
         raise DomainError("H_n(theta_n) must be positive definite")
-    params = prepare_batch(fit.model, fit.data).sc_params
+    params = fit.batch.sc_params
     r_star = r_nu(params, spec)
     log_term = 1.0 - math.log(delta)
     d_star = effective_dim_empirical(fit).value
-    r_n = math.sqrt(c_abs * constants.K1**2 * log_term * d_star / n)
+    r_n = math.sqrt(c_k1_sq * log_term * d_star / n)
     w = omega(params.nu, r_n * r_star)
     # largest eigenvalue of the H_n-whitened G_n
     omega_norm = float(eigh(agg.G_n, agg.H_n, eigvals_only=True)[-1])
-    return (
-        24.0 * w**2 * d_star / n
-        + c_abs * constants.K1**2 * w**2 * log_term * omega_norm / n
-    )
+    return 24.0 * w**2 * d_star / n + c_k1_sq * w**2 * log_term * omega_norm / n
 
 
 def calibrated_radius(
@@ -311,8 +311,7 @@ def calibrated_radius(
     delta: float,
     calibration: str,
     *,
-    constants: AssumptionConstants | None = None,
-    c_abs: float = 0.0,
+    c_k1_sq: float = 0.0,
     calib_reps: int = 1000,
     B: int = 2000,
     seed: int = 0,
@@ -321,15 +320,15 @@ def calibrated_radius(
 
     calibration selects the source: ``explicit_constant`` evaluates the
     closed-form radius of the Wald set at the empirical effective dimension
-    (needs ``constants``, else DomainError; ``c_abs`` is the non-sharp
-    absolute constant, 0 keeps the leading term), ``oracle_mc`` replays the
+    (``c_k1_sq`` is C K1^2, 0 keeps the leading term, and a negative or
+    infinite one raises DomainError), ``oracle_mc`` replays the
     experiment from the process that drew the fit's data,
     ``fit.data.provenance.process`` (calib_reps fresh replications seeded
     seed + r; data without provenance raise MissingSampler, and a fit whose
     ``weights`` are not all ones DomainError, since replaying the process
-    cannot reproduce them), and ``bootstrap`` refits the fit's own model
-    and data under its ``weights`` times B multiplier reweightings drawn
-    from ``seed``.  Refits use ``fit.opts``.
+    cannot reproduce them), and ``bootstrap`` refits the fit's own problem
+    (``fit.batch``) under its ``weights`` times B multiplier reweightings
+    drawn from ``seed``.  Refits use ``fit.opts``.
     """
     if not fit.converged:
         raise NonConverged("calibrated_radius requires a converged fit")
@@ -338,9 +337,9 @@ def calibrated_radius(
     if calibration == "explicit_constant":
         if kind != "wald":
             raise DomainError("explicit_constant calibration applies to wald sets only")
-        if constants is None:
-            raise DomainError("explicit_constant calibration needs the constants")
-        return _explicit_sq_radius(fit, delta, constants, c_abs)
+        if not 0.0 <= c_k1_sq < math.inf:
+            raise DomainError(f"c_k1_sq must be finite and nonnegative, got {c_k1_sq}")
+        return _explicit_sq_radius(fit, delta, c_k1_sq)
     if calibration == "oracle_mc":
         if not np.all(fit.weights == 1.0):
             raise DomainError("oracle_mc calibration cannot replay a weighted fit")
@@ -348,7 +347,7 @@ def calibrated_radius(
         return oracle_radius(kind, process, fit.data.n, delta, calib_reps, seed, fit.opts)
     if calibration == "bootstrap":
         config = BootstrapConfig(delta=delta, B=B, seed=seed)
-        return bootstrap_quantile(fit.model, fit.data, fit, config, kind=kind).quantile
+        return bootstrap_quantile(fit.batch.model, fit.data, fit, config, kind=kind).quantile
     raise DomainError(f"unknown calibration {calibration!r}")
 
 

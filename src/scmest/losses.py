@@ -24,8 +24,9 @@ sufficient statistic t and the base density term h.
 
 Samples are always the rows of a design matrix X (raw samples for score
 matching) with responses y; a single sample is a one-row X.  The fitting
-code works on a :class:`Batch`, made once per call from a checked
-:class:`~scmest.simdata.Dataset` by :func:`prepare_batch`: it adds the
+code works on a :class:`Batch`, made once per fit (which keeps it as
+``FitResult.batch``) from a checked :class:`~scmest.simdata.Dataset` by
+:func:`prepare_batch`: it adds the
 checks that need the model and builds the per-sample stacks
 (the expfam_glm statistics, the score-matching (A, b, c)) that every later
 evaluation reuses.  :meth:`Batch.slot_evaluate`, the one evaluation of L_n,
@@ -56,6 +57,7 @@ from .simdata import Dataset
 __all__ = [
     "LOSS_KINDS",
     "LossModel",
+    "Batch",
     "squared_loss",
     "logistic_loss",
     "poisson_loss",

@@ -289,8 +289,8 @@ class TestBatchedEngine:
 
 class TestBootstrapQuantile:
     def test_expfam_statistics_built_once_per_call(self):
-        # every expfam_glm refit shares one stack of t(x_i, label_k), made
-        # by one feature_map call per label
+        # every expfam_glm refit shares the stack of t(x_i, label_k) of the
+        # base fit's batch, made by one feature_map call per label in the fit
         _, data, _, _ = _fit("logistic", "logistic_wellspec", 100, 2)
         calls = []
 
@@ -301,10 +301,11 @@ class TestBootstrapQuantile:
         bound = 0.5 * float(np.max(np.linalg.norm(data.X, axis=1)))
         model = expfam_glm_loss(2, (-1.0, 1.0), counting, bound)
         fit = fit_erm(model, data)
+        assert len(calls) == len(model.labels)
         calls.clear()
         result = bootstrap_quantile(model, data, fit, BootstrapConfig(delta=0.1, B=100), "wald")
         assert result.n_failed == 0
-        assert len(calls) == len(model.labels)
+        assert calls == []
 
     def test_deterministic(self):
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 100, 2)

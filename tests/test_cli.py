@@ -22,7 +22,7 @@ from scmest.experiments import (
     run_effdim_error,
 )
 from scmest.gof import PowerCurveConfig, power_curve, wald_statistic
-from scmest.inference import ConfidenceSet, effective_dim_empirical
+from scmest.inference import ConfidenceSet, calibrated_radius, effective_dim_empirical
 from scmest.losses import LOSS_KINDS, model_for_data
 from scmest.simdata import (
     PROCESS_KINDS,
@@ -300,13 +300,12 @@ class TestEffdimCommand:
             "--d", "5", "--n", "30", "--seed", "108", "--max-iter", "15",
         ]
         assert _run(capsys, ["fit"] + argv)[0] == 2
-        constants = ["--k1", "1", "--k2", "1", "--sigma-h", "1"]
         for command in (
             ["effdim"],
             ["bootstrap"],
             ["confset", "--calibration", "bootstrap"],
             ["confset", "--calibration", "oracle_mc"],
-            ["confset", "--calibration", "explicit_constant"] + constants,
+            ["confset", "--calibration", "explicit_constant"],
         ):
             code, out, err = _run(capsys, command + argv)
             assert code == 2, command
@@ -409,7 +408,7 @@ class TestGofCommand:
         "flags",
         [
             ["--critical-rule", "explicit", "--critical", "nan"],
-            ["--critical-rule", "scaled_dim", "--c-scale", "-1"],
+            ["--critical-rule", "explicit", "--critical", "inf"],
         ],
     )
     def test_bad_critical_value_exits_1(self, capsys, null_file, flags):
@@ -501,7 +500,6 @@ class TestConfsetCommand:
             [
                 "confset", "--process", "linear_wellspec", "--n", "90", "--d", "2",
                 "--seed", "3", "--calibration", "explicit_constant",
-                "--k1", "1", "--k2", "1", "--sigma-h", "1",
             ],
         )
         assert code == 0
@@ -511,16 +509,27 @@ class TestConfsetCommand:
         d_n = effective_dim_empirical(fit).value
         assert doc["sq_radius"] == pytest.approx(24.0 * d_n / 90, rel=1e-12)
 
-    def test_explicit_constant_needs_all_constants(self, capsys):
-        code, _, err = _run(
-            capsys,
-            [
-                "confset", "--process", "linear_wellspec", "--n", "90", "--d", "2",
-                "--calibration", "explicit_constant", "--k1", "1",
-            ],
+    def test_explicit_constant_takes_only_c_k1_sq(self, capsys):
+        # the radius reads the constants only as C K1^2; the flags of the
+        # constants it never reads are gone
+        argv = [
+            "confset", "--process", "linear_wellspec", "--n", "90", "--d", "2",
+            "--seed", "3", "--calibration", "explicit_constant",
+        ]
+        proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(2))
+        data = generate(proc, 90, 3)
+        fit = fit_erm(model_for_data("squared", data.X), data)
+        code, doc, _ = _run_json(capsys, argv + ["--c-k1-sq", "2"])
+        assert code == 0
+        assert doc["sq_radius"] == calibrated_radius(
+            fit, "wald", 0.05, "explicit_constant", c_k1_sq=2.0
         )
-        assert code == 1
-        assert "--k1, --k2, --sigma-h" in err
+        code, out, err = _run(capsys, argv + ["--c-k1-sq", "-1"])
+        assert code == 1 and out == "" and "c_k1_sq" in err
+        for flag in ("--k1", "--k2", "--sigma-h", "--c-abs"):
+            with pytest.raises(SystemExit) as info:
+                main(argv + [flag, "1"])
+            assert info.value.code == 1
 
     def test_explicit_constant_is_wald_only(self, capsys):
         code, _, err = _run(
@@ -528,7 +537,6 @@ class TestConfsetCommand:
             [
                 "confset", "--process", "linear_wellspec", "--n", "90", "--d", "2",
                 "--kind", "lr", "--calibration", "explicit_constant",
-                "--k1", "1", "--k2", "1", "--sigma-h", "1",
             ],
         )
         assert code == 1
@@ -702,6 +710,23 @@ class TestExperimentCommand:
         )
         assert code == 1 and stdout == ""
         assert f"scmest: error: boundary_points must be positive, got {points}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name, field",
+        [
+            ("coverage_table", "deltas"),
+            ("effdim_error", "d_grid"),
+            ("confset_shape", "sigmas"),
+            ("power_curves", "dists"),
+        ],
+    )
+    def test_empty_grid_exits_1(self, capsys, tmp_path, name, field):
+        cfg = self._config(tmp_path, **{field: []})
+        out = tmp_path / "table.csv"
+        code, stdout, err = _run(capsys, ["experiment", name, "--config", cfg, "--out", str(out)])
+        assert code == 1 and stdout == ""
+        assert "nonempty" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_config_key_of_another_study_rejected(self, capsys, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import logsumexp, softmax
 
-from scmest.bootstrap import bootstrap_fit
+from scmest.bootstrap import _bootstrap_statistics, bootstrap_fit
 from scmest.errors import DomainError, SingularHessian
 from scmest.estimate import (
     FitResult,
@@ -409,8 +409,8 @@ class TestStacksBuiltOncePerCall:
         rao_statistic(counted, data, fit.theta_n + 0.1)
         assert calls == [data.n]
 
-    def test_statistics_at_a_null_prepare_the_dataset_once(self):
-        # Rao and LR read one evaluation at theta0, on one batch of the data
+    def test_statistics_at_a_null_prepare_the_dataset_once(self, monkeypatch):
+        # Rao and LR read one evaluation at theta0, on the batch of the fit
         model, data = _model_and_data("score_matching")
         calls = []
         stacks_fn = model.stacks_fn
@@ -424,9 +424,27 @@ class TestStacksBuiltOncePerCall:
         theta0 = fit.theta_n + 0.1
         calls.clear()
         stats = _statistics(("rao", "lr", "wald"), counted, data, fit, theta0)
-        assert calls == [data.n]
-        assert stats["rao"] == rao_statistic(model, data, theta0)
         assert stats["lr"] == lr_statistic(fit, theta0) > 0.0
+        assert calls == []
+        assert stats["rao"] == rao_statistic(model, data, theta0)
+        # a fitted replication prepares its dataset once, for the engine, and
+        # its Rao, LR and bootstrap statistics read the batch of its fit
+        import scmest.estimate as estimate_module
+
+        def counted_model(kind, X):
+            return score_matching_loss(X.shape[1] * 2, counting)
+
+        monkeypatch.setattr(estimate_module, "model_for_data", counted_model)
+        proc = Process(kind="gaussian_expfam_scorematch", theta0=np.array([0.5, -0.2, 1.0, 2.0]))
+
+        def measure(model, data, fit):
+            stats = _statistics(("rao", "lr"), model, data, fit, proc.theta0)
+            return stats, _bootstrap_statistics(fit, 120, 0)
+
+        calls.clear()
+        ((stats, boot),) = replicate(proc, 200, 7, 1, measure)
+        assert calls == [200]
+        assert stats["rao"] > 0.0 and boot[2] == 0
         # a replication's fit is completed on its slot of the engine's stacked
         # batch, which carries the R the engine measured instead of measuring again
         proc = Process(kind="poisson_wellspec", theta0=theta0_equispaced(3) * 0.3)
@@ -462,18 +480,22 @@ class TestFitRecordsItsProblem:
         data = _logistic_data(n=100, d=3)
         model = model_for_data("logistic", data.X)
         fit = fit_erm(model, data)
-        assert fit.model is model and fit.data is data
+        assert fit.batch.model is model and fit.data is data
+        assert fit.batch.X is data.X and "R" in vars(fit.batch)
         assert np.array_equal(fit.weights, np.ones(data.n))
         w = 1.0 + 0.1 * np.arange(data.n) / data.n
         fit = bootstrap_fit(model, data, w)
-        assert fit.model is model and fit.data is data and fit.weights is w
-        assert "data=" not in repr(fit) and "weights=" not in repr(fit)
+        assert fit.batch.model is model and fit.data is data and fit.weights is w
+        assert all(f"{name}=" not in repr(fit) for name in ("batch", "data", "weights"))
         # three replications share one engine call, a slot each
         proc = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
         slots = replicate(proc, 100, 0, 3, lambda model, data, fit: (model, data, fit))
         assert len(slots) == 3
         for model, data, fit in slots:
-            assert fit.model is model and fit.data is data
+            assert fit.batch.model is model and fit.data is data
+            # the slot's own batch of the engine's stacked batch, R measured
+            assert not fit.batch.stacked and np.array_equal(fit.batch.X, data.X)
+            assert type(vars(fit.batch)["R"]) is float
             assert np.array_equal(fit.weights, np.ones(100))
 
     def test_a_fit_cannot_be_built_without_its_problem(self):
@@ -487,7 +509,7 @@ class TestFitRecordsItsProblem:
             iterations=fit.iterations,
             converged=fit.converged,
         )
-        problem = dict(model=model, data=data, weights=fit.weights)
+        problem = dict(batch=fit.batch, data=data, weights=fit.weights)
         assert FitResult(**fields, **problem).weights is fit.weights
         for missing in problem:
             partial = {k: v for k, v in problem.items() if k != missing}

@@ -12,6 +12,7 @@ from scmest.experiments import (
     ConfsetShapeExperiment,
     CoverageTableExperiment,
     EffDimErrorExperiment,
+    PowerCurvesExperiment,
     run_confset_shape,
     run_coverage_table,
     run_effdim_error,
@@ -48,6 +49,31 @@ class TestCoverageConfig:
 
     def test_oracle_alone_needs_no_bootstrap_replications(self):
         assert CoverageTableExperiment(d=2, n=60, B=0, methods=("oracle",)).B == 0
+
+
+class TestConfigsCheckedWhenBuilt:
+    @pytest.mark.parametrize(
+        "study, fields",
+        [
+            (EffDimErrorExperiment, {"models": ()}),
+            (EffDimErrorExperiment, {"d_grid": ()}),
+            (EffDimErrorExperiment, {"n_grid": ()}),
+            (CoverageTableExperiment, {"processes": ()}),
+            (CoverageTableExperiment, {"deltas": ()}),
+            (CoverageTableExperiment, {"methods": ()}),
+            (ConfsetShapeExperiment, {"sigmas": ()}),
+            (PowerCurvesExperiment, {"n_grid": ()}),
+            (PowerCurvesExperiment, {"dists": ()}),
+            (PowerCurvesExperiment, {"d": 0}),
+            (PowerCurvesExperiment, {"alpha": 2.0}),
+            (PowerCurvesExperiment, {"reps": 0}),
+            (PowerCurvesExperiment, {"process": "nope"}),
+        ],
+    )
+    def test_bad_config_rejected(self, study, fields):
+        # an empty grid would run nothing and write a table without rows
+        with pytest.raises(DomainError):
+            study(**fields)
 
 
 class TestEffDimError:

@@ -114,7 +114,7 @@ class TestLrAndWaldStatistics:
             newton_decrement=0.0,
             iterations=1,
             converged=True,
-            model=model,
+            batch=fit.batch,
             data=data,
             weights=fit.weights,
         )
@@ -198,9 +198,13 @@ class TestRunTest:
         assert report.n == 250 and report.d == 3
 
     def test_scaled_dim_custom_constant(self):
+        # a chosen constant c gives the critical value c d/n through the explicit rule
         model, data, fit = _linear_fit(n=250)
-        report = run_test("wald", model, data, LINEAR3.theta0, 0.05, "scaled_dim", c_scale=2.0)
-        assert report.critical == pytest.approx(2.0 * 3 / 250, rel=1e-12)
+        critical = 2.0 * 3 / 250
+        report = run_test("wald", model, data, LINEAR3.theta0, 0.05, "explicit", critical=critical)
+        assert report.critical == critical
+        with pytest.raises(TypeError, match="c_scale"):
+            run_test("wald", model, data, LINEAR3.theta0, 0.05, "scaled_dim", c_scale=2.0)
 
     def test_explicit_rule(self):
         model, data, fit = _linear_fit()
@@ -214,14 +218,12 @@ class TestRunTest:
         [
             ("explicit", {"critical": float("nan")}),
             ("explicit", {"critical": float("inf")}),
-            ("scaled_dim", {"c_scale": float("nan")}),
-            ("scaled_dim", {"c_scale": float("inf")}),
-            ("scaled_dim", {"c_scale": 0.0}),
-            ("scaled_dim", {"c_scale": -1.0}),
+            ("scaled_dim", {"critical": float("nan")}),
+            ("scaled_dim", {"critical": float("inf")}),
         ],
     )
     def test_critical_value_inputs_checked(self, rule, option):
-        # a NaN critical value would never reject, a negative c_scale always
+        # a NaN critical value would never reject; it is refused under every rule
         model, data, fit = _linear_fit(n=100)
         name = next(iter(option))
         with pytest.raises(DomainError, match=name):
@@ -420,6 +422,9 @@ class TestPowerCurve:
             self._config(reps=0)
         with pytest.raises(DomainError, match="n_grid entries must be positive"):
             self._config(n_grid=(100, 0))
+        for empty in ("alternatives", "n_grid"):
+            with pytest.raises(DomainError, match="nonempty"):
+                self._config(**{empty: ()})
 
 
 class TestPowerCsv:

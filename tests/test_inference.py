@@ -31,7 +31,7 @@ from scmest.inference import (
     set_membership,
     t_n_bound,
 )
-from scmest.losses import batch_values, model_for_data
+from scmest.losses import Batch, batch_values, model_for_data, prepare_batch
 from scmest.scfun import ScParams, SpectralSummary
 from scmest.simdata import Dataset, Process, generate, theta0_equispaced
 
@@ -58,7 +58,7 @@ def _fake_fit(H, G, theta=None):
         newton_decrement=0.0,
         iterations=1,
         converged=True,
-        model=model_for_data("squared", data.X),
+        batch=prepare_batch(model_for_data("squared", data.X), data),
         data=data,
         weights=np.ones(100),
     )
@@ -271,42 +271,67 @@ class TestTnBound:
 
 class TestWaldRadius:
     # Wald radii through calibrated_radius, from each calibration
-    constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
 
     def test_leading_term_only(self):
-        # with a zero absolute constant the kernel factor degenerates to 1
+        # with C K1^2 = 0, the default, the kernel factor degenerates to 1
         model, data, fit = _logistic_fit(n=200, d=2)
         report = effective_dim_empirical(fit)
-        sq = calibrated_radius(
-            fit, "wald", 0.05, "explicit_constant", constants=self.constants, c_abs=0.0
-        )
+        sq = calibrated_radius(fit, "wald", 0.05, "explicit_constant")
         assert sq == pytest.approx(24.0 * report.value / 200, rel=1e-12)
+        assert sq == calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=0.0)
 
     def test_positive_constant_enlarges(self):
         _, _, fit = _logistic_fit(n=200, d=2)
-        kw = dict(constants=self.constants)
-        base = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_abs=0.0, **kw)
-        wide = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_abs=1.0, **kw)
+        base = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=0.0)
+        wide = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=1.0)
         assert wide > base
+        # least squares has R = 0, so the kernel factor is 1 at any C K1^2
+        proc = Process(kind="linear_wellspec", theta0=theta0_equispaced(3))
+        data = generate(proc, 150, 2)
+        fit = fit_erm(model_for_data("squared", data.X), data)
+        agg = fit.aggregates_at_opt
+        omega_norm = float(np.max(np.linalg.eigvals(np.linalg.solve(agg.H_n, agg.G_n)).real))
+        d_n = effective_dim_empirical(fit).value
+        sq = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=2.5)
+        expected = (24.0 * d_n + 2.5 * (1.0 - math.log(0.05)) * omega_norm) / 150
+        assert sq == pytest.approx(expected, rel=1e-10)
+
+    def test_explicit_radius_measures_no_R(self, monkeypatch):
+        # the radius reads the R the fit's engine measured on the fit's batch
+        from functools import cached_property
+
+        _, _, fit = _logistic_fit(n=200, d=2)
+        measured = []
+
+        def counting_R(batch):
+            measured.append(1)
+            return original.func(batch)
+
+        original = Batch.__dict__["R"]
+        counted = cached_property(counting_R)
+        counted.__set_name__(Batch, "R")
+        monkeypatch.setattr(Batch, "R", counted)
+        sq = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=1.0)
+        assert sq > 0.0 and measured == []
 
     def test_requires_convergence(self):
         model, data, _ = _logistic_fit()
         stalled = fit_erm(model, data, SolverOptions(max_iter=1, tol=1e-12))
         assert not stalled.converged
         with pytest.raises(NonConverged):
-            calibrated_radius(stalled, "wald", 0.05, "explicit_constant", constants=self.constants)
+            calibrated_radius(stalled, "wald", 0.05, "explicit_constant")
 
     def test_validation(self):
         _, data, fit = _logistic_fit()
-        kw = dict(constants=self.constants)
         with pytest.raises(DomainError):
-            calibrated_radius(fit, "wald", 1.5, "explicit_constant", **kw)
+            calibrated_radius(fit, "wald", 1.5, "explicit_constant")
         with pytest.raises(DomainError):
-            calibrated_radius(fit, "score", 0.05, "explicit_constant", **kw)
-        with pytest.raises(DomainError, match="constants"):
-            calibrated_radius(fit, "wald", 0.05, "explicit_constant")
+            calibrated_radius(fit, "score", 0.05, "explicit_constant")
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="c_k1_sq"):
+                calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=bad)
         with pytest.raises(DomainError):
-            calibrated_radius(fit, "wald", 0.05, "plugin", **kw)
+            calibrated_radius(fit, "wald", 0.05, "plugin")
         # data built by hand record no process for the oracle to replay
         bare = Dataset(X=data.X, y=data.y)
         bare_fit = fit_erm(model_for_data("logistic", bare.X), bare)
@@ -332,8 +357,6 @@ class TestWaldRadius:
 
 
 class TestCalibratedRadius:
-    constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
-
     def test_lr_calibrations_delegate(self):
         model, data, fit = _logistic_fit(n=120, d=2)
         sq = calibrated_radius(fit, "lr", 0.1, "bootstrap", B=150, seed=4)
@@ -346,7 +369,7 @@ class TestCalibratedRadius:
     def test_explicit_constant_is_wald_only(self):
         _, _, fit = _logistic_fit(n=200, d=2)
         with pytest.raises(DomainError, match="wald sets only"):
-            calibrated_radius(fit, "lr", 0.05, "explicit_constant", constants=self.constants)
+            calibrated_radius(fit, "lr", 0.05, "explicit_constant")
 
     def test_oracle_replications_use_the_fit_solver_options(self, monkeypatch):
         seen = {}
@@ -453,12 +476,11 @@ class TestConfidenceSetMembership:
 
     def test_the_set_is_calibrated_by_calibrated_radius(self):
         _, _, fit = _logistic_fit(n=120, d=2)
-        constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
         for kind, calibration, options in [
             ("wald", "bootstrap", dict(B=150, seed=4)),
             ("lr", "bootstrap", dict(B=150, seed=4)),
             ("lr", "oracle_mc", dict(calib_reps=30, seed=5)),
-            ("wald", "explicit_constant", dict(constants=constants, c_abs=1.0)),
+            ("wald", "explicit_constant", dict(c_k1_sq=1.0)),
         ]:
             cs = confidence_set(fit, kind, 0.1, calibration, **options)
             assert cs.sq_radius == calibrated_radius(fit, kind, 0.1, calibration, **options)
@@ -466,7 +488,7 @@ class TestConfidenceSetMembership:
             assert cs.fit is fit
             assert np.array_equal(cs.center, fit.theta_n)
         with pytest.raises(DomainError, match="wald sets only"):
-            confidence_set(fit, "lr", 0.1, "explicit_constant", constants=constants)
+            confidence_set(fit, "lr", 0.1, "explicit_constant")
 
     def test_wald_set_is_convex(self):
         _, _, fit = _logistic_fit(n=120, d=3)
@@ -537,6 +559,12 @@ class TestConfidenceSetMembership:
         del doc["shape"]
         with pytest.raises(ParseError, match="lacks"):
             ConfidenceSet.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", ["{", "[]", "null"])
+    def test_malformed_json_rejected(self, text):
+        # text that is not JSON, and JSON that is not an object
+        with pytest.raises(ParseError, match="confidence set"):
+            ConfidenceSet.from_json(text)
 
     def test_lr_set_serializes_without_shape(self):
         model, data, fit = _logistic_fit(n=60, d=2)
