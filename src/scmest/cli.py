@@ -20,7 +20,9 @@ coverage table's pinned cells with their targets.
 refit that calibrates it (bootstrap or oracle replications) runs under the
 same options.  ``confset`` builds its set with
 :func:`scmest.inference.confidence_set`, which takes the radius from the
-one calibration entry point, :func:`scmest.inference.calibrated_radius`.
+one calibration entry point, :func:`scmest.inference.calibrated_radius`;
+of ``--B``, ``--calib-reps`` and ``--c-k1-sq`` it accepts only the one its
+``--calibration`` reads.
 ``oracle_mc`` calibrations (``confset``, and ``gof``'s critical rule)
 replay the ``--process`` that drew the data; ``--data`` has none to
 replay and is rejected for them.
@@ -291,13 +293,23 @@ def cmd_fit(cfg) -> int:
     return 0
 
 
+# calibration -> the one calibrated_radius keyword (a confset flag) it reads
+_CALIBRATION_FLAGS = {"bootstrap": "B", "oracle_mc": "calib_reps", "explicit_constant": "c_k1_sq"}
+
+
 def cmd_confset(cfg) -> int:
+    from .errors import ParseError
     from .inference import confidence_set
 
+    calibration = cfg.get("calibration", "bootstrap")
+    if calibration in _CALIBRATION_FLAGS:
+        for key in _CALIBRATION_FLAGS.values():
+            if cfg.get(key) is not None and key != _CALIBRATION_FLAGS[calibration]:
+                flag = "--" + key.replace("_", "-")
+                raise ParseError(f"--calibration {calibration} does not read {flag}")
     fit = _fit(cfg)
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
-    calibration = cfg.get("calibration", "bootstrap")
     cs = confidence_set(
         fit,
         kind,
@@ -375,10 +387,10 @@ def cmd_gof(cfg) -> int:
 def cmd_bootstrap(cfg) -> int:
     from .bootstrap import BootstrapConfig, bootstrap_quantile
 
-    fit = _fit(cfg)
     kind = cfg.get("kind", "wald")
     delta = float(cfg.get("delta", 0.05))
-    bcfg = BootstrapConfig(delta=delta, seed=int(cfg["seed"]), **_given(cfg, B=int))
+    bcfg = BootstrapConfig(delta=delta, seed=cfg["seed"], **_given(cfg, B=int))
+    fit = _fit(cfg)
     bq = bootstrap_quantile(fit.batch.model, fit.data, fit, bcfg, kind=kind)
     _emit(
         cfg,

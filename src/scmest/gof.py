@@ -250,6 +250,8 @@ class PowerCurveConfig:
     def __post_init__(self) -> None:
         kinds = (self.kinds,) if isinstance(self.kinds, str) else tuple(self.kinds)
         object.__setattr__(self, "kinds", kinds)
+        if not kinds:
+            raise DomainError("kinds must be nonempty")
         for k in kinds:
             if k not in TEST_KINDS:
                 raise DomainError(f"unknown test kind {k!r}")

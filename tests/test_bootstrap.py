@@ -3,11 +3,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scmest import experiments
 from scmest.bootstrap import (
     BootstrapConfig,
     _bootstrap_statistics,
+    _multipliers,
     bootstrap_fit,
     bootstrap_quantile,
     bootstrap_weights,
@@ -58,6 +61,62 @@ class TestBootstrapWeights:
         w = bootstrap_weights(0, 0, 200_000)
         assert abs(np.mean(w) - 1.0) < 0.01
         assert abs(np.var(w) - 1.0) < 0.02
+
+    # one to four 32-bit words; 2**63 +- is where phase_seed's seeds lie
+    SEEDS = (0, 3, 12345, 2**31 + 7, 2**32 + 5, 2**40 + 1, 2**63 - 1, 2**63 + 17,
+             2**64 - 1, 2**70 + 3, 2**96 + 5)
+    # past 2**16, either side of 2**31, up to 2**32 - 1, and a b of two words
+    STARTS = (0, 2**16 - 3, 2**31 - 3, 2**32 - 6, 2**32 + 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_block_matches_seed_sequence(self, seed):
+        for start in self.STARTS:
+            block = _multipliers(seed, start, start + 6, 9)
+            assert block.shape == (6, 9)
+            for i, row in enumerate(block):
+                assert np.array_equal(row, _oracle_weights(seed, start + i, 9)), (seed, start + i)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_row_matches_seed_sequence(self, seed):
+        for b in (0, 1, 2**16 + 1, 2**32 - 1, 2**32, 2**64 + 3):
+            assert np.array_equal(bootstrap_weights(seed, b, 9), _oracle_weights(seed, b, 9))
+
+    @pytest.mark.parametrize(
+        "seed, b", [(0, 7), (5, 1000), (2**63 + 17, 2**32 - 1), (2**70 + 3, 2**32 + 9)]
+    )
+    def test_rows_do_not_depend_on_the_chunk(self, seed, b):
+        one = _multipliers(seed, b, b + 1, 11)
+        assert one.shape == (1, 11)
+        assert np.array_equal(one[0], bootstrap_weights(seed, b, 11))
+        assert np.array_equal(_multipliers(seed, b - 7, b + 1, 11)[7], one[0])
+        if b < 2000:
+            assert np.array_equal(_multipliers(seed, 0, b + 1, 11)[b], one[0])
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**64 - 1), b=st.integers(0, 2**32 - 1))
+    def test_any_seed_and_replication(self, seed, b):
+        lo = max(b - 2, 0)
+        block = _multipliers(seed, lo, b + 1, 5)
+        assert np.array_equal(block[-1], _oracle_weights(seed, b, 5))
+        assert np.array_equal(bootstrap_weights(seed, b, 5), block[-1])
+
+    @pytest.mark.parametrize(
+        "seed, b",
+        [(-1, 0), (0, -1), (1.5, 0), (0, 2.0), (True, 0), ("3", 0), (np.float64(1.0), 0)],
+    )
+    def test_negative_or_non_integer_rejected(self, seed, b):
+        with pytest.raises(DomainError, match="seed|b must be a nonnegative integer"):
+            bootstrap_weights(seed, b, 5)
+
+    def test_numpy_integers_accepted(self):
+        w = bootstrap_weights(np.int64(3), np.uint64(7), 5)
+        assert np.array_equal(w, bootstrap_weights(3, 7, 5))
+
+
+def _oracle_weights(seed, b, n):
+    """The multipliers of replication b as numpy's own seeding draws them."""
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, b])))
+    return 1.0 + gen.standard_normal(n)
 
 
 class TestBootstrapFit:
@@ -390,6 +449,10 @@ class TestBootstrapQuantile:
             BootstrapConfig(delta=0.1, B=0)
         with pytest.warns(UserWarning, match="too few"):
             BootstrapConfig(delta=0.1, B=50)
+        for seed in (-1, 1.5, True, None):
+            with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+                BootstrapConfig(delta=0.1, seed=seed)
+        assert BootstrapConfig(delta=0.1, seed=2**63 + 17).seed == 2**63 + 17
 
 
 class TestCoverageExperiment:

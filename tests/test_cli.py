@@ -453,6 +453,16 @@ class TestBootstrapCommand:
         code2, doc2, _ = _run_json(capsys, self.ARGS)
         assert doc2 == doc
 
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, tmp_path):
+        code, out, err = _run(capsys, self.ARGS + ["--seed", "-1"])
+        assert code == 1 and out == ""
+        assert "seed must be a nonnegative integer, got -1" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1.5}))
+        code, out, err = _run(capsys, self.ARGS + ["--config", str(cfg)])
+        assert code == 1 and out == ""
+        assert "seed must be a nonnegative integer, got 1.5" in err
+
     def test_refits_use_the_solver_options(self, capsys):
         # the quantile of refits run under --tol/--max-iter, not the defaults
         code, doc, _ = _run_json(
@@ -530,6 +540,28 @@ class TestConfsetCommand:
             with pytest.raises(SystemExit) as info:
                 main(argv + [flag, "1"])
             assert info.value.code == 1
+
+    @pytest.mark.parametrize(
+        "calibration, flag",
+        [
+            ("bootstrap", "--c-k1-sq"),
+            ("oracle_mc", "--c-k1-sq"),
+            ("oracle_mc", "--B"),
+            ("bootstrap", "--calib-reps"),
+            ("explicit_constant", "--B"),
+            ("explicit_constant", "--calib-reps"),
+        ],
+    )
+    def test_flag_the_calibration_does_not_read_exits_1(self, capsys, calibration, flag):
+        code, out, err = _run(
+            capsys,
+            [
+                "confset", "--process", "linear_wellspec", "--n", "100", "--d", "2",
+                "--calibration", calibration, flag, "5",
+            ],
+        )
+        assert code == 1 and out == ""
+        assert f"--calibration {calibration} does not read {flag}" in err
 
     def test_explicit_constant_is_wald_only(self, capsys):
         code, _, err = _run(

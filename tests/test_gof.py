@@ -422,7 +422,7 @@ class TestPowerCurve:
             self._config(reps=0)
         with pytest.raises(DomainError, match="n_grid entries must be positive"):
             self._config(n_grid=(100, 0))
-        for empty in ("alternatives", "n_grid"):
+        for empty in ("alternatives", "n_grid", "kinds"):
             with pytest.raises(DomainError, match="nonempty"):
                 self._config(**{empty: ()})
 
