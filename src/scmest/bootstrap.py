@@ -41,14 +41,13 @@ for the slots whose full step the test refused.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonConverged, check_failures
+from .errors import DomainError, NonConverged, check_failures, check_nonnegative_int
 from .estimate import FitResult, SolverOptions, _fit_result, _newton_engine
 from .losses import LossModel, check_weights, prepare_batch
 from .simdata import Dataset
@@ -76,7 +75,7 @@ class BootstrapConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_nonnegative_int("seed", self.seed)
+        check_nonnegative_int("seed", self.seed)
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
         if self.B < 1:
@@ -94,11 +93,6 @@ class BootstrapQuantile:
 
     quantile: float
     n_failed: int
-
-
-def _check_nonnegative_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
@@ -198,8 +192,8 @@ def bootstrap_weights(seed: int, b: int, n: int) -> np.ndarray:
     the row b of every block the bootstrap draws.  A negative or non-integer
     seed or b raises DomainError.
     """
-    _check_nonnegative_int("seed", seed)
-    _check_nonnegative_int("b", b)
+    check_nonnegative_int("seed", seed)
+    check_nonnegative_int("b", b)
     return _multipliers(seed, b, b + 1, n)[0]
 
 

@@ -162,7 +162,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
     The keys a config file may set are the subcommand's own parsed options,
     less the ones that only steer the run (``--config``, ``--threads``,
     ``--out``), and for ``experiment`` the fields of the study's config.
+    The seed, 0 when not given, must be a nonnegative integer.
     """
+    from .errors import check_nonnegative_int
+
     allowed = set(vars(args)) - {"command", "config", "threads", "out"}
     if args.command == "experiment":
         allowed |= _study_fields(args.name)
@@ -186,6 +189,7 @@ def _merged_config(args: argparse.Namespace) -> dict:
         if value is not None:
             cfg[key] = value
     cfg.setdefault("seed", 0)
+    check_nonnegative_int("seed", cfg["seed"])
     return cfg
 
 
@@ -247,7 +251,7 @@ def _load_inputs(cfg):
     if cfg.get("n") is None:
         raise ParseError("--n is required with --process")
     proc = _resolve_process(cfg)
-    data = generate(proc, int(cfg["n"]), int(cfg["seed"]))
+    data = generate(proc, int(cfg["n"]), cfg["seed"])
     kind = cfg.get("model") or loss_kind_for(proc)
     return model_for_data(kind, data.X), data
 
@@ -315,7 +319,7 @@ def cmd_confset(cfg) -> int:
         kind,
         delta,
         calibration,
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         **_given(cfg, c_k1_sq=float, calib_reps=int, B=int),
     )
     _emit_json(json.loads(cs.to_json()), cfg.get("out"))
@@ -363,7 +367,7 @@ def cmd_gof(cfg) -> int:
         alpha=alpha,
         critical_rule=critical_rule,
         critical=cfg.get("critical"),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         opts=_solver_opts(cfg),
         **_given(cfg, calib_reps=int),
     )

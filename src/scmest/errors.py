@@ -8,6 +8,8 @@ carry the ``cause`` of the Newton engine status they stand for
 vocabulary whether a fit ran alone or as a bootstrap slot.
 """
 
+import numbers
+
 __all__ = [
     "ScmestError",
     "DomainError",
@@ -85,6 +87,12 @@ def check_failures(causes: dict[str, int], total: int, what: str) -> None:
     if failed > total / 10:
         detail = ", ".join(f"{cause}: {count}" for cause, count in sorted(causes.items()))
         raise TooManyFailures(f"{failed} of {total} {what} failed ({detail})")
+
+
+def check_nonnegative_int(name: str, value) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is an integer >= 0 (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
 
 
 class ParseError(ScmestError, ValueError):

@@ -10,10 +10,12 @@ ellipsoid of radius four times the Newton decrement at that point.
 
 One Newton engine, :func:`_newton_engine`, fits m slots at once:
 the weight rows of one dataset, or one row per dataset of a stacked
-batch.  :func:`fit_erm` is its case m = 1, the multiplier bootstrap runs
-its refits as slots, and :func:`replicate`, the one replicate-and-fit loop
-of the studies and oracle calibrations, fits a chunk of replications in
-one call, each slot's FitResult equal to fit_erm's bit for bit.  Every
+batch.  :func:`fit_erm` is its case m = 1, and the multiplier bootstrap
+runs its refits as slots.  One replicate-and-fit loop fits a chunk of
+replications in one call, a slot per dataset: :func:`replicate` completes
+each slot's FitResult, equal to fit_erm's bit for bit, for the studies'
+measures, and the oracle calibrations of :mod:`scmest.gof` evaluate their
+statistics per chunk, over the same slots, with no FitResult.  Every
 slot starts from theta = 0.  The step rule, with the R of the slot's own
 data: the full Newton step when the damped step length
 alpha = 1 / (1 + d_nu) is at least 1/2, where self-concordance guarantees
@@ -27,6 +29,7 @@ localization certificate and the effective dimension, passes one
 positive-definiteness test: Cholesky pivots against the trace, with a
 single diagonal-jitter retry (1e-10 trace/d), so genuine non-existence
 (separable logistic data, n < d designs) is distinguished from round-off.
+A stack of systems is factored in one batched call, failures included.
 
 Work per fit: X, y and the weights are checked and the per-sample stacks
 built once, in the :class:`~scmest.losses.Batch` the fit keeps.  Each
@@ -46,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, EmptyDataset, NonConverged, NumericOverflow
 from .errors import SingularHessian, check_failures
@@ -175,18 +179,15 @@ def _complete(batch: Batch, theta, w, L, S, H) -> EmpiricalAggregates:
 
 
 def _min_sq_pivots(H: np.ndarray) -> np.ndarray:
-    """Smallest squared Cholesky pivot of each matrix; -inf where factorization fails.
+    """Smallest squared Cholesky pivot of each matrix; NaN where factorization fails.
 
-    A stack with a failing matrix is bisected, so k failures among m
-    matrices cost about k log2(m) batched factorizations.
+    One call of the batched LAPACK kernel behind ``np.linalg.cholesky``
+    factors every matrix of the stack; it fills a matrix whose
+    factorization fails with NaN instead of raising, and NaN passes no
+    pivot test.
     """
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
-        if H.shape[0] == 1:
-            return np.full(1, -np.inf)
-        half = H.shape[0] // 2
-        return np.concatenate([_min_sq_pivots(H[:half]), _min_sq_pivots(H[half:])])
+    with np.errstate(invalid="ignore"):
+        L = _umath_linalg.cholesky_lo(H, signature="d->d")
     m, d, _ = L.shape
     # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
     return L.reshape(m, d * d)[:, :: d + 1].min(axis=1) ** 2
@@ -398,14 +399,43 @@ _REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
 _STACK_ELEMENTS = 50_000
 
 
+def _replications(
+    process: Process, n: int, seed_base: int, reps: int, opts: SolverOptions, fit: bool = True
+):
+    """The replicate-and-fit loop: yield each chunk of replications as one stacked batch.
+
+    Replication r draws ``generate(process, n, seed_base + r)``.  A chunk
+    holds the replications whose designs fill at most 50 000 entries (n d
+    per dataset), or one dataset, with one
+    ``model_for_data(loss_kind_for(process), data.X)``.  Per chunk, in
+    replication order, this yields ``(datasets, stacked, W, fits)``:
+    ``stacked`` has slot b holding dataset b, ``W`` unit weights (one row
+    per slot) and ``fits`` the engine's run on them from theta = 0, or None
+    without ``fit``.  ``reps`` below 1 raises DomainError, and ``n`` below 1
+    EmptyDataset.
+    """
+    if reps < 1:
+        raise DomainError(f"replications must be positive, got {reps}")
+    if n < 1:
+        raise EmptyDataset(f"n must be positive, got {n}")
+    kind = loss_kind_for(process)
+    chunk = max(1, _STACK_ELEMENTS // (n * process.d))
+    for start in range(0, reps, chunk):
+        seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
+        datasets = [generate(process, n, seed) for seed in seeds]
+        model = model_for_data(kind, datasets[0].X)
+        stacked = stack_batches([prepare_batch(model, data) for data in datasets])
+        W = np.ones((len(datasets), n))
+        yield datasets, stacked, W, _newton_engine(stacked, W, opts) if fit else None
+
+
 def replicate(
     process: Process,
     n: int,
     seed_base: int,
     reps: int,
-    measure: Callable[[LossModel, Dataset, FitResult | None], Any],
+    measure: Callable[[LossModel, Dataset, FitResult], Any],
     opts: SolverOptions | None = None,
-    fit: bool = True,
 ) -> list:
     """Measure ``reps`` fresh datasets from a process, dropping failed replications.
 
@@ -415,8 +445,7 @@ def replicate(
     of a chunk of replications, whose designs hold at most 50 000 entries
     (n d per dataset) or are one dataset, run as one engine call with a
     slot per dataset, each FitResult completed on its slot of the stacked
-    batch (``Batch.take(b)``) with the R the engine measured.  With
-    ``fit=False`` nothing is fitted and the measure gets None.  A
+    batch (``Batch.take(b)``) with the R the engine measured.  A
     replication whose fit did not converge is dropped before
     ``measure`` runs, counted under its engine status, as the bootstrap
     counts its failed refits: ``singular``, ``overflow``, ``max_iter``.  A
@@ -426,30 +455,17 @@ def replicate(
     dropped raises TooManyFailures with the count per cause.  ``reps``
     below 1 raises DomainError, and ``n`` below 1 EmptyDataset.
     """
-    if reps < 1:
-        raise DomainError(f"replications must be positive, got {reps}")
-    if n < 1:
-        raise EmptyDataset(f"n must be positive, got {n}")
-    kind = loss_kind_for(process)
     opts = opts or SolverOptions()
-    chunk = max(1, _STACK_ELEMENTS // (n * process.d))
     values = []
     causes: Counter[str] = Counter()
-    for start in range(0, reps, chunk):
-        seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
-        datasets = [generate(process, n, seed) for seed in seeds]
-        model = model_for_data(kind, datasets[0].X)
-        if fit:
-            stacked = stack_batches([prepare_batch(model, data) for data in datasets])
-            W = np.ones((len(datasets), n))
-            fits = _newton_engine(stacked, W, opts)
+    for datasets, stacked, W, fits in _replications(process, n, seed_base, reps, opts):
         for b, data in enumerate(datasets):
-            if fit and fits.status[b] != "converged":
+            if fits.status[b] != "converged":
                 causes[fits.status[b]] += 1
                 continue
             try:
-                result = _fit_result(stacked.take(b), data, opts, W[b], fits, b) if fit else None
-                values.append(measure(model, data, result))
+                result = _fit_result(stacked.take(b), data, opts, W[b], fits, b)
+                values.append(measure(stacked.model, data, result))
             except _REPLICATION_FAILURES as exc:
                 causes[exc.cause] += 1
     check_failures(causes, reps, "replications")

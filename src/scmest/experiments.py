@@ -19,8 +19,9 @@ them from the command line:
 - power_curves: empirical power of the Rao, LR and Wald tests along an n
   grid, at alternatives a given distance from the null.
 
-Rows count the replications that :func:`scmest.estimate.replicate` kept,
-and :func:`scmest.simdata.write_table` writes any study's rows as CSV.
+Rows count the replications that the replicate-and-fit loop of
+:mod:`scmest.estimate` kept, and :func:`scmest.simdata.write_table`
+writes any study's rows as CSV.
 A coverage process that fails entirely keeps no replication, so its rows
 hold NaN coverage with every replication a failure, and partial runs
 remain inspectable.

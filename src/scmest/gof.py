@@ -19,26 +19,34 @@ with binomial standard errors.
 :func:`null_statistics` is the one oracle calibration, here and in
 :mod:`scmest.inference` and the coverage experiment.  It and the power
 replications under each alternative share one statistics loop, which
-evaluates the statistics at a null theta0 over replications of a process;
-Rao and LR read one evaluation of L_n, S_n and H_n at theta0.
+evaluates the statistics at a null theta0 over replications of a process.
 Replication r of any phase uses seed base + r, with per-phase bases from
 :func:`scmest.simdata.phase_seed`, so phases never share streams.  The
-replications run through :func:`scmest.estimate.replicate`, which fits a
-chunk of datasets per engine call, and only when an LR or Wald statistic
-needs the fit: the Rao statistic fits nothing.
+replications run through the replicate-and-fit loop of
+:mod:`scmest.estimate`, a chunk of datasets as the slots of one stacked
+batch, fitted in one engine call only when an LR or Wald statistic needs
+the fit: the Rao statistic fits nothing.  The statistics are evaluated
+per chunk: Rao and LR read one evaluation of L_n, S_n and H_n of every
+slot at theta0, Rao one batched solve, and LR and Wald the engine's
+theta_n, H_n and L_n, with no FitResult per replication.  The statistics
+of one dataset are the case of one slot, so a replication gets the same
+values, bit for bit, as its own fit would.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.stats import chi2
 
-from .errors import DomainError, MissingSampler, NonConverged
-from .estimate import FitResult, SolverOptions, _decrement, fit_erm, replicate
-from .losses import LossModel, check_theta, check_weights, prepare_batch
+from .errors import DomainError, MissingSampler, NonConverged, NumericOverflow
+from .errors import SingularHessian, check_failures
+from .estimate import FitResult, SolverOptions, _pd_solve, _replications, fit_erm
+from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch
 from .simdata import Dataset, Process, phase_seed
 
 __all__ = [
@@ -94,14 +102,58 @@ def lr_statistic(fit: FitResult, theta0) -> float:
 
 def wald_statistic(fit: FitResult, theta0) -> float:
     """Wald statistic ||theta_n - theta0||^2 in the H_n(theta_n) metric."""
-    if not fit.converged:
-        raise NonConverged("wald_statistic requires a converged fit")
-    diff = fit.theta_n - check_theta(fit.batch.model, theta0)
-    return float(diff @ fit.aggregates_at_opt.H_n @ diff)
+    return _statistics(("wald",), fit.batch.model, fit.data, fit, theta0)["wald"]
 
 
 def _needs_fit(kinds: tuple[str, ...]) -> bool:
     return "lr" in kinds or "wald" in kinds
+
+
+def _slot_statistics(kinds: tuple[str, ...], batch: Batch, W: np.ndarray, theta0, at_opt):
+    """The statistics of m slots at one null theta0, and the cause that drops a slot.
+
+    Slot b is the W[b]-weighted risk on ``batch``'s slot b (its own dataset
+    when the batch is stacked).  ``at_opt`` holds every slot's minimizer
+    theta_n (m, d) with H_n (m, d, d) and L_n (m,) there, or is None when
+    only Rao is asked.  Rao and LR read one :meth:`Batch.slot_evaluate` at
+    theta0 for all slots, and Rao one batched solve under the PD test.
+    Returns the (m,) values of each kind and an (m,) array of causes: ""
+    for a kept slot, else the first failure in ``kinds`` order,
+    ``overflow`` where exp(theta0'x) overflows and ``singular`` where
+    H_n(theta0) fails the PD test for Rao; a dropped slot's values mean
+    nothing.  A kept slot whose LR is negative beyond 1e-10 raises
+    DomainError.  A slot's values do not depend on the other slots, so m
+    slots give the values of m single-slot calls bit for bit.
+    """
+    m = W.shape[0]
+    failed = np.full(m, "", dtype="<U8")
+    if at_opt is not None:
+        theta_n, H_n, L_n = at_opt
+    if "rao" in kinds or "lr" in kinds:
+        L0, S0, H0, overflow = batch.slot_evaluate(np.tile(theta0, (m, 1)), W)
+        failed[overflow] = "overflow"
+    out = {}
+    for kind in kinds:
+        if kind == "rao":
+            X, ok = _pd_solve(H0, S0[..., None])
+            failed[~ok & (failed == "")] = "singular"
+            # S'H^{-1}S as the squared decrement sqrt(S'H^{-1}S), in Python
+            # floats: their ** (libm pow) and numpy's square round apart
+            quad = (S0[:, None, :] @ X)[:, 0, 0]
+            out[kind] = np.array([math.sqrt(max(q, 0.0)) ** 2 for q in quad.tolist()])
+        elif kind == "lr":
+            value = 2.0 * (L0 - L_n)
+            negative = np.flatnonzero((value < -1e-10) & (failed == ""))
+            if negative.size:
+                raise DomainError(
+                    f"LR statistic {float(value[negative[0]])} is negative beyond tolerance; "
+                    "fit is not a minimizer"
+                )
+            out[kind] = np.where(value < 0.0, 0.0, value)
+        else:
+            diff = theta_n - theta0
+            out[kind] = ((diff[:, None, :] @ H_n) @ diff[:, :, None])[:, 0, 0]
+    return out, failed
 
 
 def _statistics(
@@ -111,32 +163,29 @@ def _statistics(
     fit: FitResult | None,
     theta0,
 ) -> dict[str, float]:
-    """Evaluate the requested statistics from one fit (None when only Rao is asked).
+    """The statistics of one dataset: :func:`_slot_statistics` of one slot.
 
-    Rao and LR read one :meth:`~scmest.losses.Batch.evaluate` at theta0,
-    on the fit's batch under its weights (unit weights without a fit).
+    The slot is the fit's risk, its batch under its weights, or the unit
+    weighted risk on ``data`` without a fit (None when only Rao is asked).
+    A fit that did not converge raises NonConverged for LR and Wald, and a
+    dropped slot raises NumericOverflow or SingularHessian.
     """
     theta0 = check_theta(model, theta0)
-    if "lr" in kinds and not fit.converged:
-        raise NonConverged("lr_statistic requires a converged fit")
-    if "rao" in kinds or "lr" in kinds:
-        batch = prepare_batch(model, data) if fit is None else fit.batch
-        w = check_weights(None, batch.n) if fit is None else fit.weights
-        L0, S0, H0 = batch.evaluate(theta0, w)
-    out = {}
-    for kind in kinds:
-        if kind == "rao":
-            out[kind] = _decrement(S0, H0) ** 2
-        elif kind == "lr":
-            value = 2.0 * (L0 - fit.aggregates_at_opt.L_n)
-            if value < -1e-10:
-                raise DomainError(
-                    f"LR statistic {value} is negative beyond tolerance; fit is not a minimizer"
-                )
-            out[kind] = max(value, 0.0)
-        else:
-            out[kind] = wald_statistic(fit, theta0)
-    return out
+    if fit is None:
+        batch, w, at_opt = prepare_batch(model, data), check_weights(None, data.n), None
+    else:
+        if not fit.converged and _needs_fit(kinds):
+            kind = next(k for k in kinds if k != "rao")
+            raise NonConverged(f"{kind}_statistic requires a converged fit")
+        agg = fit.aggregates_at_opt
+        batch, w = fit.batch, fit.weights
+        at_opt = (fit.theta_n[None], agg.H_n[None], np.array([agg.L_n]))
+    values, failed = _slot_statistics(kinds, batch, w[None], theta0, at_opt)
+    if failed[0] == "overflow":
+        raise NumericOverflow("exp(theta'x) overflows double precision")
+    if failed[0] == "singular":
+        raise SingularHessian("Hessian is not numerically positive definite")
+    return {kind: float(v[0]) for kind, v in values.items()}
 
 
 def _statistics_at(
@@ -151,16 +200,37 @@ def _statistics_at(
     """Per-kind statistics at theta0 over replications of a process.
 
     Replication r fits the dataset of seed ``seed_base + r`` once for all
-    kinds, or not at all for Rao alone.  Failed replications are dropped
-    under the rule of :func:`scmest.estimate.replicate`; the arrays of the
-    kinds hold the same replications, in replication order.
+    kinds, or not at all for Rao alone, and a chunk of replications is
+    fitted and evaluated as the slots of one stacked batch
+    (:func:`_slot_statistics`), with no FitResult per replication.  A
+    replication is dropped, counted under its cause as
+    :func:`scmest.estimate.replicate` counts, when its fit did not converge
+    (its engine status) or its slot fails at theta0; more than reps/10
+    dropped raises TooManyFailures.  The arrays of the kinds hold the same
+    replications, in replication order, equal bit for bit to
+    :func:`_statistics` of each replication's fit.
     """
-
-    def statistics(model, data, fit):
-        return _statistics(kinds, model, data, fit, theta0)
-
-    rows = replicate(process, n, seed_base, reps, statistics, opts, _needs_fit(kinds))
-    return {kind: np.array([row[kind] for row in rows]) for kind in kinds}
+    values: dict[str, list] = {kind: [] for kind in kinds}
+    causes: Counter[str] = Counter()
+    opts = opts or SolverOptions()
+    chunks = _replications(process, n, seed_base, reps, opts, _needs_fit(kinds))
+    for _, stacked, W, fits in chunks:
+        at_opt = None
+        if fits is not None:
+            keep = fits.status == "converged"
+            causes.update(fits.status[~keep].tolist())
+            if not keep.any():
+                continue
+            if not keep.all():
+                stacked, W = stacked.take(keep), W[keep]
+            at_opt = (fits.theta[keep], fits.H[keep], fits.L[keep])
+        theta = check_theta(stacked.model, theta0)
+        stats, failed = _slot_statistics(kinds, stacked, W, theta, at_opt)
+        causes.update(failed[failed != ""].tolist())
+        for kind in kinds:
+            values[kind].append(stats[kind][failed == ""])
+    check_failures(causes, reps, "replications")
+    return {kind: np.concatenate(v) for kind, v in values.items()}
 
 
 def null_statistics(

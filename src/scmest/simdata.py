@@ -27,8 +27,8 @@ exactly.
 Datasets round-trip through CSV (header ``x1..xd[,y]``) at full double
 precision, and :func:`write_table` is the one writer of the tables that
 studies produce.  This module generates and stores data only: the loop
-that fits and measures replications of an experiment is
-:func:`scmest.estimate.replicate`.
+that fits and measures replications of an experiment is the
+replicate-and-fit loop of :mod:`scmest.estimate`.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from scipy.special import expit
 from scipy.stats import poisson as poisson_dist
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
+from .errors import check_nonnegative_int
 
 __all__ = [
     "PROCESS_KINDS",
@@ -221,10 +222,12 @@ def generate(process: Process, n: int, seed: int) -> Dataset:
 
     The design and the response use two child streams spawned from
     ``SeedSequence(seed)``, each driving a Philox generator, so the first n
-    rows of a size-2n draw coincide with the size-n draw.
+    rows of a size-2n draw coincide with the size-n draw.  A seed that is
+    not a nonnegative integer raises DomainError.
     """
     if n < 1:
         raise EmptyDataset(f"n must be positive, got {n}")
+    check_nonnegative_int("seed", seed)
     ss = np.random.SeedSequence(seed)
     x_ss, y_ss = ss.spawn(2)
     x_gen = np.random.Generator(np.random.Philox(x_ss))
@@ -257,7 +260,12 @@ def generate(process: Process, n: int, seed: int) -> Dataset:
 
 
 def phase_seed(seed: int, phase: int) -> int:
-    """Derive a nonnegative int64 seed base for one phase of an experiment."""
+    """Derive a nonnegative int64 seed base for one phase of an experiment.
+
+    A seed or phase that is not a nonnegative integer raises DomainError.
+    """
+    check_nonnegative_int("seed", seed)
+    check_nonnegative_int("phase", phase)
     state = np.random.SeedSequence([int(seed), int(phase)]).generate_state(1, np.uint64)
     return int(state[0] & np.uint64(0x7FFF_FFFF_FFFF_FFFF))
 

@@ -232,6 +232,39 @@ class TestConfigMerging:
         code, doc, _ = _run_json(capsys, ["fit", "--config", str(cfg)])
         assert code == 0 and doc["d"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fit", "--process", "linear_wellspec", "--d", "2", "--n", "50"],
+            ["confset", "--process", "linear_wellspec", "--d", "2", "--n", "50"],
+            ["gof", "--process", "linear_wellspec", "--d", "2", "--n", "50", "--test", "rao"],
+            ["gof", "--model", "squared", "--test", "rao", "--critical-rule", "scaled_dim"],
+            ["experiment", "coverage_table"],
+        ],
+        ids=["fit", "confset", "gof", "gof-data", "experiment"],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, capsys, tmp_path, argv):
+        # a negative flag or a fractional config seed names the seed, exits 1
+        # and runs nothing; a config seed of 1.5 was truncated to 1
+        null = tmp_path / "null.json"
+        null.write_text(json.dumps([0.0, 0.5]))
+        data = tmp_path / "data.csv"
+        write_csv(generate(Process(kind="linear_wellspec", theta0=np.ones(2)), 20, 0), data)
+        if argv[0] == "gof":
+            argv = argv + ["--null", str(null)]
+        if "--model" in argv:
+            argv = argv + ["--data", str(data)]
+        out = tmp_path / "table.csv"
+        if argv[0] == "experiment":
+            argv = argv + ["--out", str(out)]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 1.5}))
+        for extra, value in ((["--seed", "-1"], "-1"), (["--config", str(cfg)], "1.5")):
+            code, stdout, err = _run(capsys, argv + extra)
+            assert code == 1 and stdout == ""
+            assert f"scmest: error: seed must be a nonnegative integer, got {value}" in err
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_unknown_flag_exits_1(self):

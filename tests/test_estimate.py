@@ -389,6 +389,66 @@ class TestPdSolve:
         for b in range(4):
             assert _pd_solve(H[b : b + 1], R[b : b + 1])[1][0] == ok[b]
 
+    @staticmethod
+    def _min_sq_pivot_alone(M):
+        try:
+            return float(np.min(np.diag(np.linalg.cholesky(M)))) ** 2
+        except np.linalg.LinAlgError:
+            return -math.inf
+
+    def _verdict_alone(self, H):
+        """The PD test of one matrix, each factorization by np.linalg.cholesky."""
+        min_sq_pivot = self._min_sq_pivot_alone
+        scale = np.trace(H) / H.shape[0]
+        if min_sq_pivot(H) > 1e-12 * scale:
+            return True
+        jitter = 1e-10 * scale
+        return bool(scale > 0.0) and min_sq_pivot(H + jitter * np.eye(H.shape[0])) > 100.0 * jitter
+
+    def test_stack_verdicts_equal_factoring_each_matrix_alone(self):
+        # one batched factorization, failures and all, without a RuntimeWarning:
+        # PD, singular, indefinite and near-singular matrices with eigenvalues
+        # on both sides of the pivot threshold and the jitter rescue
+        rng = np.random.default_rng(5)
+        d = 6
+        spectra = [
+            np.linspace(1.0, 3.0, d),
+            np.r_[np.ones(d - 1), 0.0],
+            np.r_[np.ones(d - 1), -0.5],
+            np.r_[np.ones(d - 2), -1e-3, 2.0],
+            np.r_[np.ones(d - 1), -1e-14],
+            np.zeros(d),
+            -np.ones(d),
+        ] + [np.r_[np.ones(d - 1), 10.0 ** -e] for e in np.arange(8.0, 17.0, 0.5)]
+        H = []
+        for lam in spectra * 3:
+            Q = np.linalg.qr(rng.standard_normal((d, d)))[0]
+            H.append((Q * lam) @ Q.T)
+        # singular to round-off, with a small first pivot: the jitter rescues it
+        rescued = np.eye(d)
+        rescued[:2, :2] = [[1e-6, 1e-3], [1e-3, 1.0]]
+        H = np.array(H + [rescued])
+        H = (H + H.transpose(0, 2, 1)) / 2.0
+        R = rng.standard_normal((len(H), d, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, ok = _pd_solve(H, R)
+        expected = [self._verdict_alone(M) for M in H]
+        assert ok.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+        assert self._min_sq_pivot_alone(rescued) < 1e-12 * np.trace(rescued) / d and ok[-1]
+
+    def test_batched_cholesky_kernel_takes_double_signature(self):
+        # the PD test calls numpy's private gufunc behind np.linalg.cholesky;
+        # a numpy without it, or without the "d->d" loop, fails here
+        from numpy.linalg import _umath_linalg
+
+        H = np.array([[[4.0, 2.0], [2.0, 2.0]], [[1.0, 2.0], [2.0, 1.0]]])
+        with np.errstate(invalid="ignore"):
+            L = _umath_linalg.cholesky_lo(H, signature="d->d")
+        np.testing.assert_array_equal(L[0], np.linalg.cholesky(H[0]))
+        assert np.isnan(L[1]).all()
+
 
 class TestStacksBuiltOncePerCall:
     def test_score_matching_triples(self):

@@ -1,5 +1,8 @@
 """Rao/LR/Wald statistics, critical-value rules, and power curves."""
 
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
@@ -13,12 +16,15 @@ from scmest.errors import (
     NumericOverflow,
     SingularHessian,
     TooManyFailures,
+    check_failures,
 )
-from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_erm
+from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_erm, replicate
 from scmest.gof import (
     TEST_KINDS,
     PowerCurveConfig,
     PowerRow,
+    _statistics,
+    _statistics_at,
     lr_statistic,
     null_statistics,
     power_curve,
@@ -28,7 +34,8 @@ from scmest.gof import (
 )
 from scmest.gof import TestReport as Report
 from scmest.losses import model_for_data
-from scmest.simdata import Dataset, Process, generate, phase_seed, theta0_equispaced, write_table
+from scmest.simdata import Dataset, Process, generate, loss_kind_for, phase_seed
+from scmest.simdata import theta0_equispaced, write_table
 
 LINEAR3 = Process(kind="linear_wellspec", theta0=theta0_equispaced(3))
 
@@ -334,6 +341,144 @@ class TestRunTest:
             run_test("wald", model, data, LINEAR3.theta0, 1.2, "scaled_dim")
 
 
+def _per_replication(kinds, theta0, process, n, reps, seed_base, opts=None):
+    """The reference of the chunked statistics: _statistics of one replication at a time.
+
+    Kinds that need a fit run over ``replicate``, whose fits drop and count
+    as a fitted replication does; Rao alone fits nothing and evaluates each
+    dataset on its own.
+    """
+
+    def statistics(model, data, fit):
+        return _statistics(kinds, model, data, fit, theta0)
+
+    if "lr" in kinds or "wald" in kinds:
+        rows = replicate(process, n, seed_base, reps, statistics, opts)
+    else:
+        rows, causes = [], Counter()
+        for seed in range(seed_base, seed_base + reps):
+            data = generate(process, n, seed)
+            try:
+                rows.append(statistics(model_for_data(loss_kind_for(process), data.X), data, None))
+            except (SingularHessian, NumericOverflow) as exc:
+                causes[exc.cause] += 1
+        check_failures(causes, reps, "replications")
+    return {kind: np.array([row[kind] for row in rows]) for kind in kinds}
+
+
+def _outcome(run):
+    """The per-kind statistics as bytes, or the type and message of what raised."""
+    try:
+        return {kind: values.tobytes() for kind, values in run().items()}
+    except (TooManyFailures, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+_KIND_SUBSETS = [kinds for r in (1, 2, 3) for kinds in combinations(TEST_KINDS, r)]
+_NULL_PROCESSES = {
+    "logistic": Process(kind="logistic_wellspec", theta0=theta0_equispaced(4)),
+    "poisson": Process(kind="poisson_wellspec", theta0=theta0_equispaced(4) * 0.3),
+    "squared": Process(kind="linear_misspec_t", theta0=theta0_equispaced(4)),
+    "score_matching": Process(
+        kind="gaussian_expfam_scorematch", theta0=np.array([0.5, -0.2, 1.0, 2.0])
+    ),
+}
+
+
+class TestStatisticsPerChunk:
+    """A chunk of replications gives each one the statistics of its own dataset, bit for bit."""
+
+    @pytest.mark.parametrize("kinds", _KIND_SUBSETS, ids="+".join)
+    @pytest.mark.parametrize("loss", sorted(_NULL_PROCESSES))
+    def test_every_subset_equals_per_replication(self, loss, kinds):
+        # n d = 2400 puts 20 replications in a chunk: 45 make three chunks
+        process = _NULL_PROCESSES[loss]
+        got = null_statistics(kinds, process, 600, 45, 3)
+        want = _per_replication(kinds, process.theta0, process, 600, 45, 3)
+        assert list(got) == list(kinds)
+        for kind in kinds:
+            assert got[kind].dtype == np.float64 and got[kind].size == 45
+            assert got[kind].tobytes() == want[kind].tobytes()
+
+    @pytest.mark.parametrize("kinds", [("lr",), ("wald", "lr"), ("rao",), TEST_KINDS], ids="+".join)
+    def test_overflow_at_theta0_drops_the_same_replications(self, kinds):
+        # at n = 50, exp(theta0'x) overflows on 4 of 40 Poisson datasets for
+        # theta0 = 150 (1, 1, 1) and on 10 for 170; H_n(theta0) of most others
+        # fails the PD test for Rao, and Wald never evaluates at theta0
+        process = Process(kind="poisson_wellspec", theta0=theta0_equispaced(3) * 0.3)
+        for scale, overflow in ((150.0, 4), (170.0, 10)):
+            theta0 = np.full(3, scale)
+            got = _outcome(lambda: _statistics_at(kinds, theta0, process, 50, 40, 0))
+            assert got == _outcome(lambda: _per_replication(kinds, theta0, process, 50, 40, 0))
+            if "rao" in kinds:
+                singular = {4: 34, 10: 28}[overflow]
+                detail = f"overflow: {overflow}, singular: {singular}"
+                assert got == (TooManyFailures, f"38 of 40 replications failed ({detail})")
+            elif overflow > 4:
+                assert got == (TooManyFailures, "10 of 40 replications failed (overflow: 10)")
+            else:
+                # 36 values of 8 bytes per kind
+                assert [len(values) for values in got.values()] == [36 * 8] * len(kinds)
+
+    @pytest.mark.parametrize("kinds", [("rao",), ("rao", "lr"), ("wald", "rao")], ids="+".join)
+    def test_singular_hessian_at_theta0_drops_the_same_replications(self, kinds):
+        # a logistic null far out in the tail leaves the curvature of fewer
+        # than d samples: H_n(theta0) fails the PD test on 3 of 40 datasets at
+        # n = 12 for theta0 = 50 (1, 1, 1), and on 22 of 40 for 100
+        process = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
+        for scale in (50.0, 100.0):
+            theta0 = np.full(3, scale)
+            got = _outcome(lambda: _statistics_at(kinds, theta0, process, 12, 40, 0))
+            assert got == _outcome(lambda: _per_replication(kinds, theta0, process, 12, 40, 0))
+            if kinds == ("rao",) and scale == 50.0:
+                assert len(got["rao"]) == 37 * 8
+            elif kinds == ("rao",):
+                assert got == (TooManyFailures, "22 of 40 replications failed (singular: 22)")
+
+    @pytest.mark.parametrize("kinds", [("lr",), ("rao", "lr", "wald"), ("wald", "lr")], ids="+".join)
+    def test_negative_lr_raises_the_same_domain_error(self, kinds):
+        # a tolerance no decrement exceeds stops every fit at theta = 0, where
+        # the risk is above the risk at the true theta0
+        process = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
+        opts = SolverOptions(tol=1e3)
+        args = (kinds, process.theta0, process, 200, 30, 5, opts)
+        got = _outcome(lambda: _statistics_at(*args))
+        assert got[0] is DomainError and "not a minimizer" in got[1]
+        assert got == _outcome(lambda: _per_replication(*args))
+
+    def test_kinds_order_decides_between_drop_and_domain_error(self):
+        # at n = 5 and the null 30 theta0, seed 0 has both a singular
+        # H_n(theta0) and a negative LR: Rao first drops it and the error
+        # names seed 16's LR, LR first raises on seed 0's
+        process = Process(kind="logistic_wellspec", theta0=theta0_equispaced(3))
+        opts = SolverOptions(tol=1e3)
+        outcomes = []
+        for kinds in (("rao", "lr"), ("lr", "rao")):
+            args = (kinds, 30.0 * process.theta0, process, 5, 30, 0, opts)
+            outcomes.append(_outcome(lambda: _statistics_at(*args)))
+            assert outcomes[-1][0] is DomainError
+            assert outcomes[-1] == _outcome(lambda: _per_replication(*args))
+        assert outcomes[0] != outcomes[1]
+
+    def test_no_fit_result_per_replication(self, monkeypatch):
+        calls = []
+        fit_result = estimate._fit_result
+        monkeypatch.setattr(
+            estimate, "_fit_result", lambda *a: calls.append(1) or fit_result(*a)
+        )
+        process = _NULL_PROCESSES["logistic"]
+        null_statistics(TEST_KINDS, process, 200, 30, 0)
+        config = PowerCurveConfig(
+            process=process, alternatives=[process.theta0 + 0.2], n_grid=(100,), reps=20,
+            calib_reps=20,
+        )
+        power_curve(config)
+        assert calls == []
+        # the patch is live: replicate completes one FitResult per replication
+        replicate(process, 200, 0, 3, lambda model, data, fit: fit.converged)
+        assert calls == [1, 1, 1]
+
+
 class TestPhaseSeed:
     def test_deterministic_and_in_range(self):
         for seed in (0, 1, 2**40):
@@ -354,6 +499,13 @@ class TestPhaseSeed:
         a = phase_seed(9, 2)
         np.random.seed(456)
         assert a == phase_seed(9, 2)
+
+    @pytest.mark.parametrize("seed, phase", [(-1, 0), (1.5, 0), (True, 0), (0, -2), (0, 0.5)])
+    def test_seed_and_phase_must_be_nonnegative_integers(self, seed, phase):
+        name = "seed" if phase == 0 else "phase"
+        with pytest.raises(DomainError, match=f"{name} must be a nonnegative integer"):
+            phase_seed(seed, phase)
+        assert phase_seed(np.int64(9), np.uint8(2)) == phase_seed(9, 2)
 
 
 class TestPowerCurve:

@@ -127,6 +127,18 @@ class TestProcessValidation:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("seed", [-1, 1.5, np.float64(2.0), True, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            generate(_proc("linear_wellspec"), 10, seed)
+
+    def test_numpy_integer_seed_is_the_int_seed(self):
+        a = generate(_proc("poisson_wellspec"), 20, np.uint64(2**63 + 5))
+        b = generate(_proc("poisson_wellspec"), 20, 2**63 + 5)
+        np.testing.assert_array_equal(a.X, b.X)
+        np.testing.assert_array_equal(a.y, b.y)
+        assert a.provenance.seed == b.provenance.seed == 2**63 + 5
+
     @pytest.mark.parametrize("kind", PROCESS_KINDS)
     def test_deterministic_per_seed(self, kind):
         p = _proc(kind)
