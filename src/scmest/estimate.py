@@ -35,7 +35,9 @@ Work per fit: X, y and the weights are checked and the per-sample stacks
 built once, in the :class:`~scmest.losses.Batch` the fit keeps.  Each
 iteration computes L_n, S_n and H_n of the live slots in one pass, at the
 point each moves to, and once more only for the slots whose full step the
-test refused.  A single fit keeps the engine's L_n and completes G_n at
+test refused.  The pass runs over blocks of slots whose per-sample
+temporaries hold at most 50 000 entries (or one slot), so the memory of
+one block's temporaries serves the next.  A single fit keeps the engine's L_n and completes G_n at
 the returned iterate, both with the same arithmetic as :func:`aggregates`,
 so ``FitResult.aggregates_at_opt`` equals
 ``aggregates(model, data, theta_n)`` bit for bit.
@@ -54,7 +56,7 @@ from numpy.linalg import _umath_linalg
 from .errors import DomainError, EmptyDataset, NonConverged, NumericOverflow
 from .errors import SingularHessian, check_failures
 from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
-from .losses import stack_batches
+from .losses import _STACK_ELEMENTS, stack_batches
 from .scfun import Certificate, SpectralSummary, certify_unique_minimizer, d_nu
 from .simdata import Dataset, Process, generate, loss_kind_for
 
@@ -236,11 +238,6 @@ def _solve_pd(H: np.ndarray, R: np.ndarray) -> np.ndarray:
     return X[0]
 
 
-def _decrement(S: np.ndarray, H: np.ndarray) -> float:
-    """Newton decrement sqrt(S'H^{-1}S) of one system."""
-    return math.sqrt(max(float(S @ _solve_pd(H, S[:, None])[:, 0]), 0.0))
-
-
 @dataclass(frozen=True)
 class _SlotFits:
     """Per-slot outcome of :func:`_newton_engine`.
@@ -394,10 +391,6 @@ def fit_erm(model: LossModel, data: Dataset, opts: SolverOptions | None = None) 
 # the failures that drop one replication instead of stopping the study
 _REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
 
-# elements of the designs fitted in one engine call: about ten datasets at
-# n = 1000, d = 5, past which a larger chunk saves no time but adds memory
-_STACK_ELEMENTS = 50_000
-
 
 def _replications(
     process: Process, n: int, seed_base: int, reps: int, opts: SolverOptions, fit: bool = True
@@ -485,9 +478,11 @@ def localization_certificate(
     """
     batch = prepare_batch(model, data)
     _, S, H = batch.evaluate(check_theta(model, theta_ref), check_weights(None, batch.n))
-    dec = _decrement(S, H)
+    # the engine's decrement: at a fit's theta_n it is the fit's newton_decrement
+    _, dec, ok = _newton_steps(H[None], S[None])
     spec = _spectral_summary(H)
-    if spec is None:
+    if not ok[0] or spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")
+    dec = float(dec[0])
     cert = certify_unique_minimizer(batch.sc_params, spec, dec)
     return LocalizationCertificate(passes=cert.passes, score_norm=dec, bound=cert.radius_bound)

@@ -165,7 +165,7 @@ def _process_coverage(config: CoverageTableExperiment, kind: str, seed: int) -> 
         base_wald = wald_statistic(fit, theta0)
         out = {}
         if "oracle" in config.methods:
-            out["oracle"] = [base_wald <= radius[level] for level in config.deltas]
+            out["oracle"] = [base_wald <= r for r in radius]
         if want_boot:
             base_lr = lr_statistic(fit, theta0)
             # the bootstrap seed of replication r is boot_base + r
@@ -177,14 +177,14 @@ def _process_coverage(config: CoverageTableExperiment, kind: str, seed: int) -> 
             for m, base, i in (("bootwald", base_wald, 0), ("bootlr", base_lr, 1)):
                 if m in config.methods:
                     out[m] = None if boot is None else [
-                        base <= float(np.quantile(boot[i], level)) for level in config.deltas
+                        base <= q for q in np.quantile(boot[i], config.deltas).tolist()
                     ]
         return out
 
     try:
         if "oracle" in config.methods:
             cal = null_statistics(("wald",), proc, config.n, config.reps, cal_base)
-            radius = {level: float(np.quantile(cal["wald"], level)) for level in config.deltas}
+            radius = np.quantile(cal["wald"], config.deltas).tolist()
         results = replicate(proc, config.n, eval_base, config.reps, covers)
     except ScmestError:
         results = []

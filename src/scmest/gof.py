@@ -281,8 +281,7 @@ def run_test(
     if critical is not None and not np.isfinite(critical):
         raise DomainError(f"critical must be finite, got {critical}")
     if critical_rule == "scaled_dim":
-        c = float(chi2.ppf(1.0 - alpha, d)) / d
-        crit = c * d / data.n
+        crit = float(chi2.ppf(1.0 - alpha, d)) / data.n
     elif critical_rule == "explicit":
         if critical is None:
             raise DomainError("explicit critical rule needs a critical value")

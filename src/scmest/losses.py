@@ -48,7 +48,6 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
 from .scfun import ScParams
@@ -324,8 +323,8 @@ def linear_coefficients(kind: str, eta: np.ndarray, y: np.ndarray, value: bool =
     predictors are clipped at the overflow limit; callers test
     :func:`exp_overflow` first.
     """
-    # each (m, n) array below is reused in place once allocated: at bootstrap
-    # sizes the first touch of a fresh array costs page faults
+    # each (m, n) array below is reused in place once allocated: a fresh
+    # array costs its allocation and its first touch
     if kind == "squared":
         resid = eta - y
         vals = None
@@ -335,7 +334,13 @@ def linear_coefficients(kind: str, eta: np.ndarray, y: np.ndarray, value: bool =
         return vals, resid, np.ones_like(eta)
     if kind == "logistic":
         margin = y * eta
-        s = expit(margin)
+        # s = 1 / (1 + exp(-margin)), as expit forms it but with numpy's
+        # vectorized exp; the clip keeps exp finite, and s still rounds to
+        # exactly 1.0 at large margins, where curvature and factor vanish
+        s = np.minimum(np.negative(margin), _EXP_LIMIT)
+        np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
         vals = None
         if value:
             # log(1 + exp(-margin)) by the terms of np.logaddexp(0, -margin),
@@ -433,6 +438,13 @@ def _symmetric(H: np.ndarray) -> np.ndarray:
 # table of row outer products kept by a Batch; past it the table is built
 # per row block whenever it is used
 _CHUNK_ELEMENTS = 8_000_000
+
+# element budget of the slots evaluated together: a block of a batch's slots,
+# whose (slots, n) temporaries then stay in cache and are reused from one
+# block to the next instead of being faulted in afresh, and the designs (n d
+# per dataset) of the datasets fitted in one engine call, about ten at
+# n = 1000, d = 5
+_STACK_ELEMENTS = 50_000
 
 
 class _OuterTable:
@@ -556,12 +568,16 @@ class Batch:
             batch.__dict__["R"] = self.R[keep] if batch.stacked else float(self.R[keep])
         return batch
 
-    def max_slots(self) -> int:
-        """How many slots fit ``_CHUNK_ELEMENTS``: (n,) rows, (n, K, dim) for expfam_glm."""
-        per_slot = self.n
+    @property
+    def _slot_elements(self) -> int:
+        """Entries of one slot's temporaries: (n,) rows, (n, K, dim) for expfam_glm."""
         if self.model.kind == "expfam_glm":
-            per_slot *= self.stacks[0].shape[1] * self.model.dim
-        return max(1, _CHUNK_ELEMENTS // per_slot)
+            return self.n * self.stacks[0].shape[1] * self.model.dim
+        return self.n
+
+    def max_slots(self) -> int:
+        """How many slots fit ``_CHUNK_ELEMENTS``."""
+        return max(1, _CHUNK_ELEMENTS // self._slot_elements)
 
     @cached_property
     def _outer(self) -> _OuterTable:
@@ -654,7 +670,32 @@ class Batch:
         marks the Poisson slots whose exp(eta) overflows, whose L is inf and
         whose S and H are zero.  H, like the first term of the expfam_glm
         Hessian, is one matrix product (see :meth:`_sum_outer`).
+
+        The slots of a batch that is not stacked are evaluated in blocks
+        whose (slots, n) temporaries, (slots, n, K, dim) for expfam_glm,
+        hold at most ``_STACK_ELEMENTS`` entries (at least one slot), each
+        block written into the outputs.  Score matching has no such
+        temporary and a stacked batch's chunk is already that small: both
+        are one block.
         """
+        m = Theta.shape[0]
+        block = m
+        if not self.stacked and self.model.kind != "score_matching":
+            block = max(1, _STACK_ELEMENTS // self._slot_elements)
+        if m <= block:
+            return self._evaluate_block(Theta, W)
+        d = self.model.dim
+        L, S, H = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
+        overflow = np.empty(m, dtype=bool)
+        for start in range(0, m, block):
+            rows = slice(start, start + block)
+            L[rows], S[rows], H[rows], overflow[rows] = self._evaluate_block(
+                Theta[rows], W[rows]
+            )
+        return L, S, H, overflow
+
+    def _evaluate_block(self, Theta: np.ndarray, W: np.ndarray):
+        """:meth:`slot_evaluate` of one block of slots."""
         kind = self.model.kind
         n = self.n
         m, d = Theta.shape

@@ -340,6 +340,56 @@ class TestBatchedEngine:
         assert pieces.n_failed == whole.n_failed
         assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
 
+    @pytest.mark.parametrize("per_block", [1, 4])
+    @pytest.mark.parametrize("kind", ["expfam", "squared", "logistic", "poisson"])
+    def test_slot_blocks_do_not_change_results(self, monkeypatch, kind, per_block):
+        # 30 slots in blocks of one, or of four with a ragged last block of
+        # two, against one block: the Poisson reweightings include nonconvex
+        # ones, and its last evaluation point overflows
+        import scmest.losses as losses_module
+
+        _, data, model, fit = _ENGINE_CASES[kind]()
+        batch = prepare_batch(model, data)
+        W = _multipliers(7, 0, 30, data.n)
+        Theta = fit.theta_n + 0.1 * np.random.default_rng(0).standard_normal((30, model.dim))
+        Theta[-1] *= 1e3
+        whole = batch.slot_evaluate(Theta, W)
+        whole_fits = _newton_engine(batch, W, SolverOptions())
+        monkeypatch.setattr(losses_module, "_STACK_ELEMENTS", per_block * batch._slot_elements)
+        sizes, evaluate_block = [], losses_module.Batch._evaluate_block
+
+        def counted(self, Theta, W):
+            sizes.append(Theta.shape[0])
+            return evaluate_block(self, Theta, W)
+
+        monkeypatch.setattr(losses_module.Batch, "_evaluate_block", counted)
+        blocked = batch.slot_evaluate(Theta, W)
+        assert sizes == {1: [1] * 30, 4: [4] * 7 + [2]}[per_block]
+        blocked_fits = _newton_engine(batch, W, SolverOptions())
+        assert np.array_equal(blocked[3], whole[3])
+        assert blocked[3][-1] == (kind == "poisson")
+        for a, b in zip(blocked[:3], whole[:3]):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-15)
+        assert np.array_equal(blocked_fits.status, whole_fits.status)
+        ok = whole_fits.status == "converged"
+        assert ok.sum() >= 27
+        np.testing.assert_allclose(blocked_fits.theta[ok], whole_fits.theta[ok], rtol=1e-12)
+
+    @pytest.mark.parametrize("kind, proc_kind", [
+        ("logistic", "logistic_wellspec"), ("poisson", "poisson_wellspec")
+    ])
+    def test_slot_blocks_do_not_change_quantiles(self, monkeypatch, kind, proc_kind):
+        # a block of seven slots leaves a ragged last block of B = 120
+        import scmest.losses as losses_module
+
+        _, data, model, fit = _fit(kind, proc_kind, 150, 4, seed=2)
+        config = BootstrapConfig(delta=0.1, B=120, seed=3)
+        whole = bootstrap_quantile(model, data, fit, config, kind="wald")
+        monkeypatch.setattr(losses_module, "_STACK_ELEMENTS", 7 * data.n)
+        pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
+        assert pieces.n_failed == whole.n_failed
+        assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
+
     def test_least_squares_deviance_equals_wald(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 100, 3)
         wald_b, lr_b, _ = _bootstrap_statistics(fit, 40, 0)

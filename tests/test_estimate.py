@@ -668,6 +668,18 @@ class TestLocalizationCertificate:
             # theta_n is the minimizer to within the solver tolerance
             assert math.sqrt(diff @ H_ref @ diff) <= cert.bound + 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "poisson"])
+    def test_score_norm_at_the_fit_is_its_newton_decrement(self, kind, seed):
+        # the certificate takes the decrement with the engine's arithmetic
+        theta0 = theta0_equispaced(3) * (0.3 if kind == "poisson" else 1.0)
+        proc_kind = "linear_wellspec" if kind == "squared" else f"{kind}_wellspec"
+        data = generate(Process(kind=proc_kind, theta0=theta0), 150, seed)
+        model = model_for_data(kind, data.X)
+        fit = fit_erm(model, data)
+        cert = localization_certificate(model, data, fit.theta_n)
+        assert cert.score_norm == fit.newton_decrement
+
     @pytest.mark.parametrize("kind", LOSS_KINDS)
     def test_matches_the_fit_certificate_at_the_fit(self, kind):
         # one rule certifies both: at theta_n the two certificates agree

@@ -1,6 +1,7 @@
 """Analytic derivatives, self-concordance declarations, and loss validation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from scmest.losses import (
     batch_values,
     expfam_glm_loss,
     gaussian_score_matching_loss,
+    linear_coefficients,
     logistic_loss,
     mean_hessian,
     model_for_data,
@@ -172,6 +174,25 @@ class TestSelfConcordanceInequality:
         u = rng.normal(size=_D)
         v = rng.normal(size=_D)
         assert abs(_fd_third_dir(model, theta, X, y, u, v)) < 1e-6
+
+
+class TestLogisticKernel:
+    def test_values_and_saturation(self):
+        # margins m = y eta; s = 1/(1 + exp(-m)) rounds to 1.0 from m ~ 37 on
+        rng = np.random.default_rng(0)
+        m = np.concatenate([np.linspace(-60.0, 60.0, 24_001), [-1e4, -745.5, 709.9, 1e4]])
+        y = rng.choice([-1.0, 1.0], size=m.size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals, gfac, curv = linear_coefficients("logistic", y * m, y)
+        assert np.array_equal(vals, np.log1p(np.exp(-np.abs(m))) + np.maximum(-m, 0.0))
+        with np.errstate(over="ignore"):
+            saturated = 1.0 / (1.0 + np.exp(-m)) == 1.0
+        assert saturated.sum() > 1000
+        assert np.all(gfac[saturated] == 0.0) and np.all(curv[saturated] == 0.0)
+        # the factor is (s - 1) y to within the rounding of exp
+        np.testing.assert_allclose(gfac, (expit(m) - 1.0) * y, rtol=0.0, atol=1e-15)
+        assert np.all(curv >= 0.0)
 
 
 class TestClosedFormValues:
