@@ -172,10 +172,14 @@ def _multipliers(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     :func:`_philox_keys`, and one Philox is reset per row to the fresh
     state of its key.
     """
-    keys = _philox_keys(seed, start, stop)
+    keys = _philox_keys(seed, start, stop).tolist()
     bitgen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bitgen)
-    state = bitgen.state  # zero counter, empty buffer
+    # the fresh state (zero counter, empty buffer) in Python ints, which
+    # the state setter reads faster than array elements
+    state = bitgen.state
+    state["state"]["counter"] = [0, 0, 0, 0]
+    state["buffer"] = [0, 0, 0, 0]
     block = np.empty((stop - start, n))
     for row, key in zip(block, keys):
         state["state"]["key"] = key

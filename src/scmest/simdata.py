@@ -20,9 +20,11 @@ scorematch           z_j ~ N(a_j/b_j, 1/b_j) for
 All randomness flows through the counter-based Philox generator seeded via
 ``numpy.random.SeedSequence``, with the design and the response drawn from
 two spawned child streams.  Responses are sampled with fixed or sequential
-stream consumption (Poisson by inversion, not rejection), so the first n
-rows of ``generate(process, 2n, seed)`` equal ``generate(process, n, seed)``
-exactly.
+stream consumption, so the first n rows of ``generate(process, 2n, seed)``
+equal ``generate(process, n, seed)`` exactly.  Poisson responses are drawn
+by inversion, not rejection, through ``scipy.special.pdtrik`` and ``pdtr``:
+the formula of SciPy's ``poisson.ppf``, bit for bit, without importing
+SciPy's statistics package, which would double the start-up time.
 
 Datasets round-trip through CSV (header ``x1..xd[,y]``) at full double
 precision, and :func:`write_table` is the one writer of the tables that
@@ -38,8 +40,7 @@ import math
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import poisson as poisson_dist
+from scipy.special import expit, pdtr, pdtrik
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
 from .errors import check_nonnegative_int
@@ -66,7 +67,8 @@ PROCESS_KINDS = (
     "gaussian_expfam_scorematch",
 )
 
-# inversion sampling: u = 0 would map to ppf's convention value -1
+# Poisson inversion takes u in (0, 1), where it is SciPy's poisson.ppf bit
+# for bit; ppf's convention maps u = 0 to -1
 _U_FLOOR = 1e-300
 
 
@@ -255,8 +257,21 @@ def generate(process: Process, n: int, seed: int) -> Dataset:
         y = np.where(u < expit(eta), 1.0, -1.0)
     else:
         u = np.maximum(y_gen.uniform(size=n), _U_FLOOR)
-        y = poisson_dist.ppf(u, np.exp(eta))
+        y = _poisson_quantile(u, np.exp(eta))
     return Dataset(X=X, y=y, provenance=prov)
+
+
+def _poisson_quantile(u: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """The smallest k with P(Poisson(mu) <= k) >= u, for u in (0, 1).
+
+    ``pdtrik`` inverts the continuous extension of the CDF; its ceiling
+    is k or k + 1 by rounding, and ``pdtr`` one step down decides.  This
+    is SciPy's own ``poisson.ppf`` formula, so the two agree bit for bit
+    on (0, 1).
+    """
+    k = np.ceil(pdtrik(u, mu))
+    below = np.maximum(k - 1, 0)
+    return np.where(pdtr(below, mu) >= u, below, k)
 
 
 def phase_seed(seed: int, phase: int) -> int:

@@ -203,6 +203,15 @@ class TestRunTest:
         report = run_test("wald", model, data, LINEAR3.theta0, 0.05, "scaled_dim")
         assert report.critical == float(chi2.ppf(0.95, 3)) / 250
         assert report.n == 250 and report.d == 3
+        # SciPy's chi2.ppf over n, bit for bit, at every d and level
+        rng = np.random.default_rng(11)
+        X, y = rng.standard_normal((250, 200)), rng.standard_normal(250)
+        for d in range(1, 201):
+            data = Dataset(X=X[:, :d], y=y)
+            model = model_for_data("squared", data.X)
+            for alpha in (0.5, 0.1, 0.05, 0.01, 1e-3, 1e-6):
+                report = run_test("rao", model, data, np.zeros(d), alpha, "scaled_dim")
+                assert report.critical == float(chi2.ppf(1.0 - alpha, d)) / 250, (d, alpha)
 
     def test_scaled_dim_custom_constant(self):
         # a chosen constant c gives the critical value c d/n through the explicit rule

@@ -42,6 +42,19 @@ def test_simdata_does_not_load_losses():
     assert proc.returncode == 0
 
 
+def test_no_module_imports_scipy_stats():
+    # importing scipy.stats would double the start-up time of every command;
+    # the package takes its two quantile formulas from scipy.special
+    code = (
+        "import importlib, sys, scmest, scmest.cli\n"
+        "for mod in scmest._SUBMODULES:\n"
+        "    importlib.import_module(f'scmest.{mod}')\n"
+        "sys.exit(2 if 'scipy.stats' in sys.modules else 0)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code])
+    assert proc.returncode == 0
+
+
 def test_attributes_resolve_to_their_modules():
     from scmest.scfun import omega
     from scmest.estimate import fit_erm, replicate

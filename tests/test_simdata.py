@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
-from scmest import estimate
+from scmest import estimate, simdata
 from scmest.errors import (
     DimensionMismatch,
     DomainError,
@@ -176,6 +177,30 @@ class TestGenerate:
     def test_poisson_labels(self):
         data = generate(_proc("poisson_wellspec"), 200, seed=1)
         assert np.all(data.y >= 0) and np.all(data.y == np.floor(data.y))
+
+    def test_poisson_quantile_equals_scipy_ppf(self):
+        # inversion through pdtrik/pdtr is SciPy's poisson.ppf bit for bit
+        rng = np.random.default_rng(2024)
+        n = 200_000
+        mu = np.exp(rng.uniform(-8.0, 8.0, n))
+        u = np.maximum(rng.uniform(size=n), simdata._U_FLOOR)
+        u[::97] = simdata._U_FLOOR
+        u[1::97] = np.nextafter(1.0, 0.0)
+        y = simdata._poisson_quantile(u, mu)
+        expected = poisson.ppf(u, mu)
+        np.testing.assert_array_equal(y, expected)
+        # no zero differs in sign, either
+        assert y.tobytes() == expected.tobytes()
+
+    def test_poisson_generate_is_ppf_on_its_stream(self):
+        # the response stream's uniforms, floored, through SciPy's ppf
+        p = Process(kind="poisson_wellspec", theta0=2.0 * theta0_equispaced(5))
+        data = generate(p, 2000, seed=7)
+        _, y_ss = np.random.SeedSequence(7).spawn(2)
+        u = np.random.Generator(np.random.Philox(y_ss)).uniform(size=2000)
+        expected = poisson.ppf(np.maximum(u, 1e-300), np.exp(data.X @ p.theta0))
+        assert data.y.max() > 20
+        assert data.y.tobytes() == expected.tobytes()
 
     def test_linear_moments(self):
         p = Process(kind="linear_wellspec", theta0=np.array([1.0, -1.0]))
