@@ -21,7 +21,8 @@ SeedSequence([seed, b]), so each replication's weight vector is a pure
 function of (seed, b), independent of batching and scheduling; repeated
 runs of one configuration are bit-identical.  A chunk of replications
 draws its weights as one block: one vectorized pass of numpy's
-SeedSequence hash over b derives every replication's Philox key, and one
+SeedSequence hash over b derives every replication's Philox key (the
+pass that keys the datasets of :mod:`scmest.simdata`), and one
 Philox is re-keyed per replication to a fresh stream (zero counter, empty
 buffer), the state ``Philox(SeedSequence([seed, b]))`` starts from, so
 every row is the vector that construction draws.  The B refits run through the
@@ -50,7 +51,7 @@ import numpy as np
 from .errors import DomainError, NonConverged, check_failures, check_nonnegative_int
 from .estimate import FitResult, SolverOptions, _fit_result, _newton_engine
 from .losses import LossModel, check_weights, prepare_batch
-from .simdata import Dataset
+from .simdata import Dataset, _philox_keys, _streams
 
 __all__ = [
     "BootstrapConfig",
@@ -95,95 +96,16 @@ class BootstrapQuantile:
     n_failed: int
 
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
-_MASK32 = 0xFFFF_FFFF
-_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
-_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
-_POOL_SIZE = 4
-
-
-def _words(x: int) -> list[int]:
-    """The 32-bit words SeedSequence splits a nonnegative integer into, low first."""
-    x = int(x)
-    words = [x & _MASK32]
-    while x := x >> 32:
-        words.append(x & _MASK32)
-    return words
-
-
-def _philox_keys(seed: int, start: int, stop: int) -> np.ndarray:
-    """The Philox keys ``SeedSequence([seed, b]).generate_state(2, uint64)``, b in [start, stop).
-
-    One pass of numpy's SeedSequence hash serves the whole range.  The
-    range must cross no multiple of 2**32 (a range of one never does, nor
-    does a chunk of fewer than 2**32 replications), so its b share every
-    word but the lowest.  A range of one hashes Python ints, a longer one
-    uint32 arrays; the masks make both wrap at 32 bits, as array arithmetic
-    does without a warning.
-    """
-    m = stop - start
-    seed_words = _words(seed)
-    entropy = [*seed_words, *_words(start)]
-    # a short entropy fills the pool with hashes of 0
-    entropy += [0] * (_POOL_SIZE - len(entropy))
-    if m > 1:
-        entropy = [np.full(m, w, dtype=np.uint32) for w in entropy]
-        entropy[len(seed_words)] += np.arange(m, dtype=np.uint32)
-
-    hash_const = _INIT_A
-
-    def hashmix(value):
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = (hash_const * _MULT_A) & _MASK32
-        value = (value * hash_const) & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-        return result ^ (result >> 16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for i_src in range(_POOL_SIZE):
-        for i_dst in range(_POOL_SIZE):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for extra in entropy[_POOL_SIZE:]:
-        for i_dst in range(_POOL_SIZE):
-            pool[i_dst] = mix(pool[i_dst], hashmix(extra))
-
-    # generate_state: a 32-bit word per pool word, read little-endian as two 64-bit ones
-    state = np.empty((m, _POOL_SIZE), dtype="<u4")
-    hash_const = _INIT_B
-    for i, word in enumerate(pool):
-        value = word ^ hash_const
-        hash_const = (hash_const * _MULT_B) & _MASK32
-        value = (value * hash_const) & _MASK32
-        state[:, i] = value ^ (value >> 16)
-    return state.view("<u8")
-
-
 def _multipliers(seed: int, start: int, stop: int, n: int) -> np.ndarray:
     """The (stop - start, n) N(1, 1) multipliers of replications [start, stop).
 
     Row b - start is ``1 + Generator(Philox(SeedSequence([seed, b])))
     .standard_normal(n)`` bit for bit: the keys of all rows come from
-    :func:`_philox_keys`, and one Philox is reset per row to the fresh
-    state of its key.
+    :func:`~scmest.simdata._philox_keys`, and one Philox is reset per row
+    to the fresh state of its key (:func:`~scmest.simdata._streams`).
     """
-    keys = _philox_keys(seed, start, stop).tolist()
-    bitgen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bitgen)
-    # the fresh state (zero counter, empty buffer) in Python ints, which
-    # the state setter reads faster than array elements
-    state = bitgen.state
-    state["state"]["counter"] = [0, 0, 0, 0]
-    state["buffer"] = [0, 0, 0, 0]
     block = np.empty((stop - start, n))
-    for row, key in zip(block, keys):
-        state["state"]["key"] = key
-        bitgen.state = state
+    for row, gen in zip(block, _streams(_philox_keys([seed], start, stop))):
         gen.standard_normal(out=row)
     block += 1.0
     return block

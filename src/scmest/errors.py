@@ -89,6 +89,12 @@ def check_failures(causes: dict[str, int], total: int, what: str) -> None:
         raise TooManyFailures(f"{failed} of {total} {what} failed ({detail})")
 
 
+def check_integer(name: str, value) -> None:
+    """Raise DomainError naming ``name`` unless ``value`` is an integer (bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def check_nonnegative_int(name: str, value) -> None:
     """Raise DomainError naming ``name`` unless ``value`` is an integer >= 0 (bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:

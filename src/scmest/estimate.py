@@ -53,12 +53,12 @@ from typing import Any, Callable
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import DomainError, EmptyDataset, NonConverged, NumericOverflow
-from .errors import SingularHessian, check_failures
+from .errors import DomainError, NonConverged, NumericOverflow, SingularHessian
+from .errors import check_failures, check_integer, check_nonnegative_int
 from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
-from .losses import _STACK_ELEMENTS, stack_batches
+from .losses import _CHUNK_ELEMENTS, _STACK_ELEMENTS, prepare_stack
 from .scfun import Certificate, SpectralSummary, certify_unique_minimizer, d_nu
-from .simdata import Dataset, Process, generate, loss_kind_for
+from .simdata import Dataset, Process, Provenance, _check_n, _draw, loss_kind_for
 
 __all__ = [
     "EmpiricalAggregates",
@@ -397,29 +397,35 @@ def _replications(
 ):
     """The replicate-and-fit loop: yield each chunk of replications as one stacked batch.
 
-    Replication r draws ``generate(process, n, seed_base + r)``.  A chunk
-    holds the replications whose designs fill at most 50 000 entries (n d
-    per dataset), or one dataset, with one
-    ``model_for_data(loss_kind_for(process), data.X)``.  Per chunk, in
-    replication order, this yields ``(datasets, stacked, W, fits)``:
-    ``stacked`` has slot b holding dataset b, ``W`` unit weights (one row
-    per slot) and ``fits`` the engine's run on them from theta = 0, or None
-    without ``fit``.  ``reps`` below 1 raises DomainError, and ``n`` below 1
-    EmptyDataset.
+    Replication r is the dataset ``generate(process, n, seed_base + r)``.
+    A chunk is one evaluation block of the engine: its slots' (m, n)
+    temporaries hold at most 50 000 entries, its stacked data (n d per
+    dataset, n d^2 for score matching's A) at most 8 000 000, and it holds
+    at least one dataset.  Its datasets are drawn as one block
+    (:func:`~scmest.simdata._draw`) and checked at once into one stacked
+    batch, with one ``model_for_data(loss_kind_for(process), X)``.  Per
+    chunk, in replication order, this yields ``(seeds, stacked, W,
+    fits)``: ``stacked`` has slot b holding the dataset of ``seeds[b]``,
+    ``W`` unit weights (one row per slot) and ``fits`` the engine's run on
+    them from theta = 0, or None without ``fit``.  A ``reps`` or ``n``
+    that is not an integer, ``reps`` below 1 or a ``seed_base`` that is
+    not a nonnegative integer raise DomainError, and ``n`` below 1
+    EmptyDataset, before any replication runs.
     """
+    check_integer("reps", reps)
     if reps < 1:
         raise DomainError(f"replications must be positive, got {reps}")
-    if n < 1:
-        raise EmptyDataset(f"n must be positive, got {n}")
-    kind = loss_kind_for(process)
-    chunk = max(1, _STACK_ELEMENTS // (n * process.d))
+    _check_n(n)
+    check_nonnegative_int("seed", seed_base)
+    seed_base, kind = int(seed_base), loss_kind_for(process)
+    row = process.d**2 if kind == "score_matching" else process.d
+    chunk = max(1, min(_STACK_ELEMENTS // n, _CHUNK_ELEMENTS // (n * row)))
     for start in range(0, reps, chunk):
         seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
-        datasets = [generate(process, n, seed) for seed in seeds]
-        model = model_for_data(kind, datasets[0].X)
-        stacked = stack_batches([prepare_batch(model, data) for data in datasets])
-        W = np.ones((len(datasets), n))
-        yield datasets, stacked, W, _newton_engine(stacked, W, opts) if fit else None
+        X, y = _draw(process, n, seeds.start, seeds.stop)
+        stacked = prepare_stack(model_for_data(kind, X[0]), X, y)
+        W = np.ones((len(seeds), n))
+        yield seeds, stacked, W, _newton_engine(stacked, W, opts) if fit else None
 
 
 def replicate(
@@ -435,29 +441,33 @@ def replicate(
     Replication r draws ``data = generate(process, n, seed_base + r)`` and
     returns ``measure(model, data, fit_erm(model, data, opts))``, with one
     ``model_for_data(loss_kind_for(process), data.X)`` per chunk.  The fits
-    of a chunk of replications, whose designs hold at most 50 000 entries
-    (n d per dataset) or are one dataset, run as one engine call with a
-    slot per dataset, each FitResult completed on its slot of the stacked
-    batch (``Batch.take(b)``) with the R the engine measured.  A
+    of a chunk of replications (one evaluation block of the engine, see
+    :func:`_replications`) run as one engine call with a slot per dataset,
+    each FitResult completed on its slot of the stacked batch
+    (``Batch.take(b)``) with the R the engine measured.  A
     replication whose fit did not converge is dropped before
     ``measure`` runs, counted under its engine status, as the bootstrap
     counts its failed refits: ``singular``, ``overflow``, ``max_iter``.  A
     replication whose measure raises SingularHessian, NumericOverflow or
     NonConverged is dropped and counted under that error's cause.  The
     other values come back in replication order.  More than reps/10
-    dropped raises TooManyFailures with the count per cause.  ``reps``
-    below 1 raises DomainError, and ``n`` below 1 EmptyDataset.
+    dropped raises TooManyFailures with the count per cause.  A ``reps``
+    or ``n`` that is not an integer, or ``reps`` below 1, raises
+    DomainError, and ``n`` below 1 EmptyDataset, before any replication
+    runs.
     """
     opts = opts or SolverOptions()
     values = []
     causes: Counter[str] = Counter()
-    for datasets, stacked, W, fits in _replications(process, n, seed_base, reps, opts):
-        for b, data in enumerate(datasets):
+    for seeds, stacked, W, fits in _replications(process, n, seed_base, reps, opts):
+        for b, seed in enumerate(seeds):
             if fits.status[b] != "converged":
                 causes[fits.status[b]] += 1
                 continue
+            one = stacked.take(b)
+            data = Dataset(X=one.X, y=one.y, provenance=Provenance(process=process, seed=seed))
             try:
-                result = _fit_result(stacked.take(b), data, opts, W[b], fits, b)
+                result = _fit_result(one, data, opts, W[b], fits, b)
                 values.append(measure(stacked.model, data, result))
             except _REPLICATION_FAILURES as exc:
                 causes[exc.cause] += 1

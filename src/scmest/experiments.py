@@ -36,6 +36,7 @@ import numpy as np
 
 from .bootstrap import _bootstrap_statistics
 from .errors import DomainError, NumericOverflow, ScmestError, SingularHessian, TooManyFailures
+from .errors import check_integer
 from .estimate import fit_erm, replicate
 from .gof import PowerCurveConfig, PowerRow, lr_statistic, null_statistics, power_curve
 from .gof import wald_statistic
@@ -86,9 +87,9 @@ class CoverageTableExperiment:
     ``theta0_equispaced(d)`` under its own seed, in whose three disjoint
     phases the evaluation, the oracle calibration and the bootstrap weights
     are drawn.  Unknown methods or processes, levels outside (0, 1), an
-    empty ``processes``, ``deltas`` or ``methods``, ``n``, ``d`` or
-    ``reps`` below 1, and ``B`` below 1 with a bootstrap method raise
-    DomainError.
+    empty ``processes``, ``deltas`` or ``methods``, an ``n``, ``d``,
+    ``reps`` or ``B`` that is not an integer, ``n``, ``d`` or ``reps``
+    below 1, and ``B`` below 1 with a bootstrap method raise DomainError.
     """
 
     processes: tuple[str, ...] = _COVERAGE_PROCESSES
@@ -111,6 +112,8 @@ class CoverageTableExperiment:
         for v in self.deltas:
             if not 0.0 < v < 1.0:
                 raise DomainError(f"confidence level must lie in (0, 1), got {v}")
+        for name in ("n", "reps", "B"):
+            check_integer(name, getattr(self, name))
         if self.n < 1 or self.reps < 1:
             raise DomainError("n and reps must be positive")
         if self.B < 1 and _BOOT_METHODS & set(self.methods):
@@ -229,9 +232,10 @@ _PROCESS_FOR_MODEL = {"squared": "linear_wellspec", "logistic": "logistic_wellsp
 class EffDimErrorExperiment:
     """Config of the effective-dimension error study on well-specified models.
 
-    ``models`` are loss kinds with a well-specified process, ``reps`` is at
-    least 2, so that every row has a standard error, and the grids are
-    nonempty with every d and n positive; else DomainError.
+    ``models`` are loss kinds with a well-specified process, ``reps`` is an
+    integer of at least 2, so that every row has a standard error, and the
+    grids are nonempty with every d and n a positive integer; else
+    DomainError.
     """
 
     models: tuple[str, ...] = ("squared", "logistic")
@@ -247,8 +251,12 @@ class EffDimErrorExperiment:
             if model not in _PROCESS_FOR_MODEL:
                 allowed = sorted(_PROCESS_FOR_MODEL)
                 raise DomainError(f"effdim_error has no model {model!r}; choose from {allowed}")
+        check_integer("reps", self.reps)
         if self.reps < 2:
             raise DomainError(f"effdim_error needs reps >= 2 for a stderr, got {self.reps}")
+        for name in ("d_grid", "n_grid"):
+            for value in getattr(self, name):
+                check_integer(f"{name} entry", value)
         if min((*self.d_grid, *self.n_grid)) < 1:
             raise DomainError(f"grid entries must be positive, got {self.d_grid}, {self.n_grid}")
 
@@ -301,8 +309,8 @@ class ConfsetShapeExperiment:
     The three covariances are diagonal, positively correlated, and
     negatively correlated.  Radii are bootstrap-calibrated Wald at tail
     mass delta.  An empty ``sigmas``, an ``n``, ``B`` or
-    ``boundary_points`` below 1, or a ``delta`` outside (0, 1), raises
-    DomainError when the config is built.
+    ``boundary_points`` that is not an integer or is below 1, or a
+    ``delta`` outside (0, 1), raises DomainError when the config is built.
     """
 
     sigmas: tuple = (
@@ -321,6 +329,7 @@ class ConfsetShapeExperiment:
         if not self.sigmas:
             raise DomainError("sigmas must be nonempty")
         for name in ("n", "B", "boundary_points"):
+            check_integer(name, getattr(self, name))
             if getattr(self, name) < 1:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)}")
         if not 0.0 < self.delta < 1.0:

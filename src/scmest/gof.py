@@ -44,7 +44,7 @@ import numpy as np
 from scipy.special import gammaincinv
 
 from .errors import DomainError, MissingSampler, NonConverged, NumericOverflow
-from .errors import SingularHessian, check_failures
+from .errors import SingularHessian, check_failures, check_integer
 from .estimate import FitResult, SolverOptions, _pd_solve, _replications, fit_erm
 from .losses import Batch, LossModel, check_theta, check_weights, prepare_batch
 from .simdata import Dataset, Process, phase_seed
@@ -306,6 +306,8 @@ class PowerCurveConfig:
     alternative theta replaces the process parameter when generating data,
     while the test always targets the null.  ``kinds`` may name one or
     several statistics; replications share datasets and fits across kinds.
+    A ``reps``, ``calib_reps`` or ``n_grid`` entry that is not an integer,
+    or is below 1, raises DomainError when the config is built.
     """
 
     process: Process
@@ -327,10 +329,14 @@ class PowerCurveConfig:
                 raise DomainError(f"unknown test kind {k!r}")
         if not 0.0 < self.alpha < 1.0:
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        check_integer("reps", self.reps)
+        check_integer("calib_reps", self.calib_reps)
         if self.reps < 1 or self.calib_reps < 1:
             raise DomainError("reps and calib_reps must be positive")
         if len(self.alternatives) == 0 or len(self.n_grid) == 0:
             raise DomainError("alternatives and n_grid must be nonempty")
+        for n in self.n_grid:
+            check_integer("n_grid entry", n)
         if any(n < 1 for n in self.n_grid):
             raise DomainError(f"n_grid entries must be positive, got {tuple(self.n_grid)}")
 

@@ -33,9 +33,9 @@ evaluation reuses.  :meth:`Batch.slot_evaluate`, the one evaluation of L_n,
 S_n and H_n, takes m parameter and weight rows at once, for every kind, so
 the Newton engine of :mod:`scmest.estimate` has no per-kind arithmetic; H_n
 of one row is one matrix product ((w c) x)' x, more rows share a packed table.
-:func:`stack_batches` gives the rows a dataset axis instead: m datasets of
-equal n, one per row, whose H_n are one batched matrix product, with the
-arithmetic of the single row.
+:func:`prepare_stack` gives the rows a dataset axis instead: m datasets of
+equal n, one per row, checked at once, whose H_n are one batched matrix
+product, with the arithmetic of the single row.
 The squared, logistic and Poisson losses are each defined once, in
 :func:`linear_coefficients`.  LossModel instances are immutable and all
 evaluations are pure.
@@ -271,17 +271,18 @@ def model_for_data(kind: str, X: np.ndarray) -> LossModel:
 # ---------------------------------------------------------------------------
 
 
-def _check_data(model: LossModel, data: Dataset) -> np.ndarray | None:
-    """The dataset's responses checked against the model; None for score matching.
+def _check_data(model: LossModel, X: np.ndarray, y: np.ndarray | None) -> np.ndarray | None:
+    """The responses checked against the model; None for score matching.
 
-    The Dataset checked its own values; this checks the responses and, where
-    theta multiplies x, the column count (the callbacks' outputs are checked).
+    X and y are a dataset's, or m datasets' stacked along a leading axis,
+    with finite values; this checks the responses and, where theta
+    multiplies x, the column count (the callbacks' outputs are checked).
     """
-    if model.kind in ("squared", "logistic", "poisson") and data.d != model.dim:
-        raise DimensionMismatch(f"data has {data.d} columns, model expects {model.dim}")
+    d = X.shape[-1]
+    if model.kind in ("squared", "logistic", "poisson") and d != model.dim:
+        raise DimensionMismatch(f"data has {d} columns, model expects {model.dim}")
     if model.kind == "score_matching":
         return None
-    y = data.y
     if y is None:
         raise DimensionMismatch(f"loss kind {model.kind!r} requires responses")
     if model.kind == "logistic":
@@ -441,9 +442,9 @@ _CHUNK_ELEMENTS = 8_000_000
 
 # element budget of the slots evaluated together: a block of a batch's slots,
 # whose (slots, n) temporaries then stay in cache and are reused from one
-# block to the next instead of being faulted in afresh, and the designs (n d
-# per dataset) of the datasets fitted in one engine call, about ten at
-# n = 1000, d = 5
+# block to the next instead of being faulted in afresh; a chunk of
+# replications fitted in one engine call is one such block, 100 datasets at
+# n = 500 and 50 at n = 1000
 _STACK_ELEMENTS = 50_000
 
 
@@ -509,7 +510,7 @@ class Batch:
     :meth:`slot_evaluate` evaluates m slots at once, slot b at ``Theta[b]``
     with weights ``W[b]``; the other methods evaluate at one parameter.
 
-    A batch made by :func:`stack_batches` is stacked: slot b has a dataset
+    A batch made by :func:`prepare_stack` is stacked: slot b has a dataset
     of its own, X is (m, n, d), y (m, n), every stack has a leading slot
     axis, and ``R`` holds the R of each slot's dataset.  Its slot b
     evaluates with the arithmetic of the single dataset's batch at m = 1,
@@ -605,9 +606,13 @@ class Batch:
         expfam_glm.  A stacked or one-slot batch takes one matrix product
         ((c z)' z) per slot; more slots share a table (see :class:`_OuterTable`).
         """
-        if self.stacked or C.shape[0] == 1:
+        if not self._tabled(C.shape[0]):
             return (C[:, :, None] * Z).swapaxes(-1, -2) @ Z
         return self._outer.products(C)
+
+    def _tabled(self, m: int) -> bool:
+        """Whether m slots sum the shared table in :meth:`_sum_outer`: exactly symmetric sums."""
+        return not self.stacked and m > 1
 
     def _eta(self, Theta: np.ndarray) -> np.ndarray:
         """Linear predictors x_i'theta_b; a Poisson exp(eta) that overflows raises."""
@@ -728,6 +733,9 @@ class Batch:
             # weighted in place: an (m, n) temporary less per product
             S = self._sum_rows(np.multiply(W, gfac, out=gfac), self.X) / n
             H = self._sum_outer(np.multiply(W, curv, out=curv), self.X) / n
+            if self._tabled(m):
+                # exactly symmetric already, where _symmetric is an exact no-op
+                return L, S, H, overflow
         return L, S, _symmetric(H), overflow
 
     def evaluate(self, theta: np.ndarray, w: np.ndarray):
@@ -753,35 +761,44 @@ class Batch:
 
 def prepare_batch(model: LossModel, data: Dataset) -> Batch:
     """Check a dataset against the model and build its per-sample stacks once."""
-    y = _check_data(model, data)
-    stacks = ()
-    if model.kind == "expfam_glm":
-        T = _expfam_stats(model, data.X)
-        stacks = (T, _expfam_observed(model, T, y))
-    elif model.kind == "score_matching":
-        stacks = _score_matching_stacks(model, data.X)
-    return Batch(model, data.X, y, stacks)
+    return _prepare(model, data.X, data.y)
 
 
-def stack_batches(batches: Sequence[Batch]) -> Batch:
-    """One stacked batch of m datasets of equal n, slot b holding ``batches[b]``.
+def prepare_stack(model: LossModel, X: np.ndarray, y: np.ndarray | None) -> Batch:
+    """The stacked batch of m datasets of equal n, slot b holding X[b] (n, d) and y[b].
 
-    The batches share one model, and slot b measures the R of its dataset.
-    expfam_glm batches do not stack: their Hessians sum one shared table of
-    outer products.
+    One check covers the stack: a non-finite value raises the error of
+    the first dataset that holds one, as :class:`~scmest.simdata.Dataset`
+    words it, and the model's checks run over all slots at once.  The
+    per-sample stacks are built in one pass over every row, so slot b
+    equals ``prepare_batch(model, Dataset(X=X[b], y=y[b]))`` bit for bit,
+    and measures the R of its dataset.  expfam_glm data do not stack:
+    their Hessians sum one shared table of outer products.
     """
-    model = batches[0].model
     if model.kind == "expfam_glm":
         raise DomainError("expfam_glm batches do not stack")
-    if any(b.model != model for b in batches):
-        raise DomainError("stacked datasets need one model")
-    y = None if batches[0].y is None else np.stack([b.y for b in batches])
-    return Batch(
-        model=model,
-        X=np.stack([b.X for b in batches]),
-        y=y,
-        stacks=tuple(np.stack(parts) for parts in zip(*(b.stacks for b in batches))),
-    )
+    finite = np.isfinite(X).all(axis=(1, 2))
+    if y is not None:
+        finite &= np.isfinite(y).all(axis=1)
+    if not finite.all():
+        b = int(np.argmin(finite))
+        # raises: X[b] or y[b] holds a non-finite value
+        Dataset(X=X[b], y=None if y is None else y[b])
+    return _prepare(model, X, y)
+
+
+def _prepare(model: LossModel, X: np.ndarray, y: np.ndarray | None) -> Batch:
+    """The batch of one dataset, or of m stacked along a leading axis, checked against the model."""
+    y = _check_data(model, X, y)
+    stacks = ()
+    if model.kind == "expfam_glm":
+        T = _expfam_stats(model, X)
+        stacks = (T, _expfam_observed(model, T, y))
+    elif model.kind == "score_matching":
+        # the stacks of every row in one pass, given back their slot axis
+        rows = _score_matching_stacks(model, X.reshape(-1, X.shape[-1]))
+        stacks = tuple(s.reshape(*X.shape[:-1], *s.shape[1:]) for s in rows)
+    return Batch(model, X, y, stacks)
 
 
 def check_weights(w, n: int) -> np.ndarray:

@@ -21,7 +21,13 @@ All randomness flows through the counter-based Philox generator seeded via
 ``numpy.random.SeedSequence``, with the design and the response drawn from
 two spawned child streams.  Responses are sampled with fixed or sequential
 stream consumption, so the first n rows of ``generate(process, 2n, seed)``
-equal ``generate(process, n, seed)`` exactly.  Poisson responses are drawn
+equal ``generate(process, n, seed)`` exactly.  A Philox stream is fixed
+by its key alone, so the datasets of a range of seeds are drawn as one
+block (:func:`_draw`), of which ``generate`` is the case of one: the keys
+of every seed's two children come from one pass of numpy's SeedSequence
+hash, reproduced here over arrays of seeds (:func:`_philox_keys`, which
+also keys the bootstrap's multipliers), and one Philox is re-keyed to
+each stream in turn.  Poisson responses are drawn
 by inversion, not rejection, through ``scipy.special.pdtrik`` and ``pdtr``:
 the formula of SciPy's ``poisson.ppf``, bit for bit, without importing
 SciPy's statistics package, which would double the start-up time.
@@ -43,7 +49,7 @@ import numpy as np
 from scipy.special import expit, pdtr, pdtrik
 
 from .errors import DimensionMismatch, DomainError, EmptyDataset, ParseError
-from .errors import check_nonnegative_int
+from .errors import check_integer, check_nonnegative_int
 
 __all__ = [
     "PROCESS_KINDS",
@@ -200,7 +206,11 @@ class Dataset:
 
 
 def theta0_equispaced(d: int) -> np.ndarray:
-    """Equispaced true parameter on [0, 1]: (0, 1/(d-1), ..., 1); (0.5) at d=1."""
+    """Equispaced true parameter on [0, 1]: (0, 1/(d-1), ..., 1); (0.5) at d=1.
+
+    A d that is not an integer raises DomainError, as does d below 1.
+    """
+    check_integer("d", d)
     if d < 1:
         raise DomainError(f"d must be positive, got {d}")
     if d == 1:
@@ -224,41 +234,218 @@ def generate(process: Process, n: int, seed: int) -> Dataset:
 
     The design and the response use two child streams spawned from
     ``SeedSequence(seed)``, each driving a Philox generator, so the first n
-    rows of a size-2n draw coincide with the size-n draw.  A seed that is
-    not a nonnegative integer raises DomainError.
+    rows of a size-2n draw coincide with the size-n draw.  This is the
+    block draw :func:`_draw` of one dataset.  A seed that is not a
+    nonnegative integer, or an n that is not an integer, raises
+    DomainError, and n below 1 EmptyDataset.
     """
+    _check_n(n)
+    check_nonnegative_int("seed", seed)
+    seed = int(seed)
+    X, y = _draw(process, n, seed, seed + 1)
+    prov = Provenance(process=process, seed=seed)
+    return Dataset(X=X[0], y=None if y is None else y[0], provenance=prov)
+
+
+def _check_n(n) -> None:
+    """DomainError unless n is an integer, EmptyDataset unless it is positive."""
+    check_integer("n", n)
     if n < 1:
         raise EmptyDataset(f"n must be positive, got {n}")
-    check_nonnegative_int("seed", seed)
-    ss = np.random.SeedSequence(seed)
-    x_ss, y_ss = ss.spawn(2)
-    x_gen = np.random.Generator(np.random.Philox(x_ss))
-    prov = Provenance(process=process, seed=int(seed))
 
+
+def _draw(process: Process, n: int, start: int, stop: int):
+    """The datasets of seeds [start, stop), stacked: X (m, n, d) and y (m, n).
+
+    Row r is the draw of seed ``start + r``: the design and the response
+    come from the two children that ``SeedSequence(start + r)`` spawns,
+    each through a Philox generator, and every row equals what those
+    generators draw.  The keys of all rows come from one pass of
+    :func:`_philox_keys`, one Philox is re-keyed to each row's design key
+    and then to its response key (:func:`_streams`), drawing into the
+    row, and the responses are formed over the whole block.  For score
+    matching X holds the raw samples (m, n, d/2) and y is None.  Nothing
+    is checked: the arguments are Python ints, with n >= 1 and
+    0 <= start < stop, and the values are checked by whoever holds them, a
+    :class:`Dataset` or :func:`~scmest.losses.prepare_stack`.
+    """
+    m = stop - start
     if process.kind == "gaussian_expfam_scorematch":
+        # the design stream alone: the first child's keys do not depend on
+        # how many are spawned
+        keys = [x_key for (x_key,) in _philox_keys([], start, stop, children=1)]
         p = process.d // 2
         a = process.theta0[:p]
         b = process.theta0[p:]
-        Z = a / b + x_gen.standard_normal((n, p)) / np.sqrt(b)
-        return Dataset(X=Z, provenance=prov)
+        Z = np.empty((m, n, p))
+        for row, gen in zip(Z, _streams(keys)):
+            gen.standard_normal(out=row)
+        return a / b + Z / np.sqrt(b), None
 
-    X = x_gen.standard_normal((n, process.d))
-    if process.x_cov is not None:
-        X = X @ np.linalg.cholesky(process.x_cov).T
-    eta = X @ process.theta0
+    keys = _philox_keys([], start, stop, children=2)
 
-    y_gen = np.random.Generator(np.random.Philox(y_ss))
-    if process.kind == "linear_wellspec":
-        y = eta + y_gen.standard_normal(n)
-    elif process.kind == "linear_misspec_t":
-        y = eta + y_gen.standard_t(process.noise_df, size=n)
+    X = np.empty((m, n, process.d))
+    # the response's own draws: N(0, 1) or t noise, or the uniforms u
+    draws = np.empty((m, n))
+    eta = np.empty((m, n))
+    root = None if process.x_cov is None else np.linalg.cholesky(process.x_cov).T
+    # the design stream of each row, then its response stream
+    streams = _streams([key for pair in keys for key in pair])
+    for r in range(m):
+        next(streams).standard_normal(out=X[r])
+        y_gen = next(streams)
+        if process.kind == "linear_wellspec":
+            y_gen.standard_normal(out=draws[r])
+        elif process.kind == "linear_misspec_t":
+            draws[r] = y_gen.standard_t(process.noise_df, size=n)
+        else:
+            # uniform(size=n), which is 0 + 1 * random() bit for bit
+            y_gen.random(out=draws[r])
+        # one dataset's matrix products, as BLAS forms them for an (n, d) design
+        if root is not None:
+            X[r] = X[r] @ root
+        eta[r] = X[r] @ process.theta0
+    if process.kind in ("linear_wellspec", "linear_misspec_t"):
+        y = eta + draws
     elif process.kind == "logistic_wellspec":
-        u = y_gen.uniform(size=n)
-        y = np.where(u < expit(eta), 1.0, -1.0)
+        y = np.where(draws < expit(eta), 1.0, -1.0)
     else:
-        u = np.maximum(y_gen.uniform(size=n), _U_FLOOR)
-        y = _poisson_quantile(u, np.exp(eta))
-    return Dataset(X=X, y=y, provenance=prov)
+        y = _poisson_quantile(np.maximum(draws, _U_FLOOR), np.exp(eta))
+    return X, y
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), pool size 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0_D7E5, 0x931E_8875
+_INIT_B, _MULT_B = 0x8B51_F9DD, 0x58F3_8DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01_F9DD, 0x4973_F715
+_POOL_SIZE = 4
+# seeds the Philox of _streams; never spawned from, so its state is fixed
+_ANY_SEED = np.random.SeedSequence(0)
+
+
+def _words(x: int) -> list[int]:
+    """The 32-bit words SeedSequence splits a nonnegative integer into, low first."""
+    x = int(x)
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _philox_keys(prefix: list[int], start: int, stop: int, children: int = 0) -> list:
+    """The Philox keys of ``SeedSequence([*prefix, v])``, v in [start, stop), as Python ints.
+
+    Without ``children`` item v - start is ``generate_state(2, uint64)`` of
+    that SeedSequence, the key ``Philox`` takes from it; with them, it
+    holds the keys of the first ``children`` SeedSequences it spawns.
+    ``SeedSequence(v)`` is ``SeedSequence([v])``.  A range of one takes
+    numpy's own SeedSequence, whose hash runs in C; a longer one takes
+    one pass of the hash in uint32 arrays per part of the range that
+    crosses no multiple of 2**32, whose v share every word but the lowest.
+    """
+    # Python ints: a numpy integer would carry numpy's scalar arithmetic in
+    start, stop = int(start), int(stop)
+    if stop - start == 1:
+        entropy = [*prefix, start]
+        seqs = [np.random.SeedSequence(entropy, spawn_key=(child,)) for child in range(children)]
+        seqs = seqs or [np.random.SeedSequence(entropy)]
+        words = [seq.generate_state(4).tolist() for seq in seqs]
+        # generate_state(2, uint64) reads the four 32-bit words little-endian
+        keys = [[w[0] | w[1] << 32, w[2] | w[3] << 32] for w in words]
+        return [keys if children else keys[0]]
+    head = [w for x in prefix for w in _words(x)]
+    keys = []
+    while start < stop:
+        high = start >> 32
+        end = min(stop, (high + 1) << 32)
+        low = np.arange(start & _MASK32, (start & _MASK32) + end - start, dtype=np.uint32)
+        keys += _hash_keys([*head, low, *(_words(high) if high else [])], children).tolist()
+        start = end
+    return keys
+
+
+def _hash_keys(entropy: list, children: int) -> np.ndarray:
+    """The keys of :func:`_philox_keys` of one assembled entropy, as a uint64 array.
+
+    Each entropy word is an int or a uint32 array of the range's length,
+    and is hashed broadcast to such an array, whose arithmetic wraps at 32
+    bits without a warning.  A spawned child appends its index to its
+    parent's entropy padded with zeros to the pool size, so the children
+    share the pool mixed from the parent's words and differ only in the
+    one word mixed in last.
+    """
+    m = max(np.size(word) for word in entropy)
+
+    def word(x):
+        return np.broadcast_to(np.uint32(x), m)
+
+    # a short entropy fills the pool with hashes of 0
+    entropy = [word(x) for x in entropy + [0] * (_POOL_SIZE - len(entropy))]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = (value * hash_const) & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ (result >> 16)
+
+    def add(pool, word):
+        return [mix(value, hashmix(word)) for value in pool]
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for extra in entropy[_POOL_SIZE:]:
+        pool = add(pool, extra)
+    if not children:
+        return _state_keys(pool, m)
+    keys = np.empty((m, children, 2), dtype=np.uint64)
+    shared = hash_const
+    for child in range(children):
+        hash_const = shared
+        keys[:, child] = _state_keys(add(pool, word(child)), m)
+    return keys
+
+
+def _state_keys(pool: list, m: int) -> np.ndarray:
+    """generate_state(2, uint64) of a mixed pool: a 32-bit word per pool word, read as two."""
+    state = np.empty((m, _POOL_SIZE), dtype="<u4")
+    hash_const = _INIT_B
+    for i, word in enumerate(pool):
+        value = word ^ hash_const
+        hash_const = (hash_const * _MULT_B) & _MASK32
+        value = (value * hash_const) & _MASK32
+        state[:, i] = value ^ (value >> 16)
+    return state.view("<u8")
+
+
+def _streams(keys: list):
+    """Yield a generator at the fresh state of each Philox key in turn.
+
+    One Philox is re-keyed per key to a zero counter and an empty buffer,
+    the state ``Philox(SeedSequence)`` starts from when its key is the one
+    the SeedSequence generates, so each generator draws what a freshly
+    built one would.  Each is valid until the next is taken.
+    """
+    # seeded by a SeedSequence, not a key, which would draw fresh OS entropy
+    # for a state the first key replaces
+    bitgen = np.random.Philox(_ANY_SEED)
+    gen = np.random.Generator(bitgen)
+    # in Python ints, which the state setter reads faster than array elements
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
 
 
 def _poisson_quantile(u: np.ndarray, mu: np.ndarray) -> np.ndarray:

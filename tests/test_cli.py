@@ -759,6 +759,34 @@ class TestExperimentCommand:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("reps", 4.5, "reps must be an integer, got 4.5"),
+            ("calib_reps", 2.0, "calib_reps must be an integer, got 2.0"),
+            ("n_grid", [100, 50.5], "n_grid entry must be an integer, got 50.5"),
+        ],
+    )
+    def test_power_curves_non_integer_count_exits_1(
+        self, capsys, tmp_path, monkeypatch, field, value, message
+    ):
+        # the config fails when it is built, before the calibration fits anything
+        def engine(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr("scmest.estimate._newton_engine", engine)
+        cfg = self._config(tmp_path, **{field: value})
+        out = tmp_path / "power.csv"
+        code, stdout, err = _run(
+            capsys, ["experiment", "power_curves", "--config", cfg, "--out", str(out)]
+        )
+        assert code == 1 and stdout == ""
+        assert [line for line in err.splitlines() if line.startswith("scmest:")] == [
+            f"scmest: error: {message}"
+        ]
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", [0, -3])
     def test_confset_shape_without_boundary_points_exits_1(
         self, capsys, tmp_path, monkeypatch, points

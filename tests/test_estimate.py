@@ -33,9 +33,9 @@ from scmest.losses import (
     model_for_data,
     poisson_loss,
     prepare_batch,
+    prepare_stack,
     score_matching_loss,
     squared_loss,
-    stack_batches,
 )
 from scmest.scfun import ScParams, SpectralSummary, certify_unique_minimizer
 from scmest.simdata import Dataset, Process, generate, theta0_equispaced
@@ -509,7 +509,8 @@ class TestStacksBuiltOncePerCall:
         # batch, which carries the R the engine measured instead of measuring again
         proc = Process(kind="poisson_wellspec", theta0=theta0_equispaced(3) * 0.3)
         batches = [prepare_batch(poisson_loss(3), generate(proc, 50, seed)) for seed in range(3)]
-        stacked = stack_batches(batches)
+        X, y = np.stack([b.X for b in batches]), np.stack([b.y for b in batches])
+        stacked = prepare_stack(poisson_loss(3), X, y)
         _newton_engine(stacked, np.ones((3, 50)), SolverOptions())
         for b in range(3):
             one = stacked.take(b)

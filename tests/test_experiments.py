@@ -75,6 +75,34 @@ class TestConfigsCheckedWhenBuilt:
         with pytest.raises(DomainError):
             study(**fields)
 
+    @pytest.mark.parametrize(
+        "study, field, value, name",
+        [
+            (PowerCurvesExperiment, "reps", 4.5, "reps"),
+            (PowerCurvesExperiment, "calib_reps", 5.0, "calib_reps"),
+            (PowerCurvesExperiment, "reps", True, "reps"),
+            (PowerCurvesExperiment, "n_grid", (100, 200.0), "n_grid entry"),
+            (PowerCurvesExperiment, "d", 5.0, "d"),
+            (CoverageTableExperiment, "reps", 3.0, "reps"),
+            (CoverageTableExperiment, "n", 100.5, "n"),
+            (CoverageTableExperiment, "d", 5.0, "d"),
+            (CoverageTableExperiment, "B", "200", "B"),
+            (EffDimErrorExperiment, "reps", 3.0, "reps"),
+            (EffDimErrorExperiment, "n_grid", (200, 400.0), "n_grid entry"),
+            (EffDimErrorExperiment, "d_grid", (np.float64(3.0),), "d_grid entry"),
+            (ConfsetShapeExperiment, "n", 200.0, "n"),
+            (ConfsetShapeExperiment, "B", False, "B"),
+            (ConfsetShapeExperiment, "boundary_points", 8.0, "boundary_points"),
+        ],
+    )
+    def test_non_integer_counts_rejected_when_built(self, study, field, value, name):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+            study(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = PowerCurvesExperiment(reps=np.int64(5), n_grid=(np.int32(100),))
+        assert config.reps == 5 and config.n_grid == (100,)
+
 
 class TestEffDimError:
     config = EffDimErrorExperiment(

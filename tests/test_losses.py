@@ -30,11 +30,12 @@ from scmest.losses import (
     model_for_data,
     poisson_loss,
     prepare_batch,
+    prepare_stack,
     score_matching_assemble,
     score_matching_loss,
     squared_loss,
-    stack_batches,
 )
+from scmest import losses as losses_module
 from scmest.simdata import Dataset
 
 _D = 4
@@ -258,6 +259,27 @@ class TestBatchConsistency:
         ) / 7.0
         np.testing.assert_allclose(H, H_ref, atol=1e-13)
 
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "poisson"])
+    @pytest.mark.parametrize("row_blocks", [False, True])
+    def test_table_hessians_are_the_symmetrized_sums_bit_for_bit(
+        self, monkeypatch, kind, row_blocks
+    ):
+        # several slots of one dataset sum the shared outer-product table,
+        # which mirrors one triangle: H is what symmetrizing it gave, exactly
+        if row_blocks:
+            # a table of 10 rows' products at d = 4, so 40 rows take 4 blocks
+            monkeypatch.setattr(losses_module, "_CHUNK_ELEMENTS", 10 * _D * (_D + 1) // 2)
+        rng = np.random.default_rng(43)
+        model, _, X, y = _draw(kind, rng, n=40)
+        batch = prepare_batch(model, Dataset(X=X, y=y))
+        Theta, W = 0.5 * rng.normal(size=(6, _D)), rng.uniform(-0.5, 2.0, size=(6, 40))
+        H = batch.slot_evaluate(Theta, W)[2]
+        assert len(batch._outer.blocks) == (4 if row_blocks else 1)
+        curv = linear_coefficients(kind, Theta @ X.T, y, value=False)[2]
+        symmetrized = losses_module._symmetric(batch._outer.products(W * curv) / 40)
+        assert H.tobytes() == symmetrized.tobytes()
+        assert np.array_equal(H, H.swapaxes(1, 2))
+
     @given(st.integers(0, 2**31 - 1))
     def test_values_finite_on_random_inputs(self, seed):
         rng = np.random.default_rng(seed)
@@ -360,13 +382,49 @@ class TestValidation:
             prepare_batch(model, Dataset(X=rng.standard_normal((20, 3)), y=np.ones(20)))
             for _ in range(4)
         ]
-        stacked = stack_batches(batches)
+        X, y = np.stack([b.X for b in batches]), np.stack([b.y for b in batches])
+        stacked = prepare_stack(model, X, y)
         assert all(type(b.R) is float for b in batches)
         assert np.array_equal(stacked.R, [b.R for b in batches])
         keep = np.array([True, False, True, True])
         kept = stacked.take(keep)
         assert "R" in vars(kept) and np.array_equal(kept.R, stacked.R[keep])
-        assert "R" not in vars(stack_batches(batches).take(keep))
+        assert "R" not in vars(prepare_stack(model, X, y).take(keep))
+
+    @pytest.mark.parametrize("kind", ["squared", "logistic", "poisson", "score_matching"])
+    def test_stacked_slots_are_each_datasets_batch(self, kind):
+        rng = np.random.default_rng(5)
+        draws = [_draw(kind, rng, n=11) for _ in range(3)]
+        model = draws[0][0]
+        X = np.stack([X for _, _, X, _ in draws])
+        y = None if kind == "score_matching" else np.stack([y for *_, y in draws])
+        stacked = prepare_stack(model, X, y)
+        assert stacked.stacked
+        for b, (_, _, Xb, yb) in enumerate(draws):
+            one = prepare_batch(model, Dataset(X=Xb, y=yb))
+            assert np.array_equal(stacked.X[b], one.X)
+            assert (stacked.y is None) == (one.y is None)
+            assert len(stacked.stacks) == len(one.stacks)
+            for part, part_one in zip(stacked.stacks, one.stacks):
+                assert part[b].tobytes() == part_one.tobytes()
+            assert stacked.R[b] == one.R
+
+    def test_stack_check_raises_the_first_bad_datasets_error(self):
+        rng = np.random.default_rng(6)
+        X, y = rng.normal(size=(4, 5, 3)), rng.choice([-1.0, 1.0], size=(4, 5))
+        X[2, 3, 1], y[1, 4] = np.nan, np.inf
+        with pytest.raises(DomainError, match=r"^y has a non-finite value in row 4 \(0-based\)$"):
+            prepare_stack(logistic_loss(3), X, y)
+        y[1, 4] = 1.0
+        with pytest.raises(DomainError, match=r"^X has a non-finite value in row 3 \(0-based\)$"):
+            prepare_stack(logistic_loss(3), X, y)
+        X[2, 3, 1], y[3, 0] = 0.0, 0.5
+        with pytest.raises(InvalidLabel, match="got 0.5"):
+            prepare_stack(logistic_loss(3), X, y)
+        with pytest.raises(DimensionMismatch, match="data has 3 columns, model expects 2"):
+            prepare_stack(squared_loss(2), X, y)
+        with pytest.raises(DomainError, match="expfam_glm batches do not stack"):
+            prepare_stack(_expfam_testmodel(), X, y)
 
     def test_expfam_statistics_past_the_bound_rejected(self):
         # ||t(x, +-1)|| = ||x|| / 2 = 2.5 for the first row

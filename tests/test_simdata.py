@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 from scipy.stats import poisson
 
 from scmest import estimate, simdata
@@ -22,7 +23,7 @@ from scmest.errors import (
 )
 from scmest.estimate import SolverOptions, fit_erm, replicate
 from scmest.gof import null_statistics, wald_statistic
-from scmest.losses import model_for_data
+from scmest.losses import Batch, model_for_data
 from scmest.simdata import (
     PROCESS_KINDS,
     Dataset,
@@ -236,6 +237,120 @@ class TestGenerate:
         with pytest.raises(EmptyDataset):
             generate(_proc("linear_wellspec"), 0, seed=0)
 
+    @pytest.mark.parametrize("n", [50.0, np.float64(50.0), True, "50", None])
+    def test_n_must_be_an_integer(self, n):
+        with pytest.raises(DomainError, match="n must be an integer"):
+            generate(_proc("linear_wellspec"), n, seed=0)
+
+
+def _reference_draw(process, n, seed):
+    """One dataset as numpy's own seeding draws it: the loop the block draw must equal.
+
+    ``SeedSequence(seed).spawn(2)`` gives the design and the response
+    streams, each a fresh Philox, and the responses follow the process's
+    formulas one dataset at a time; Poisson responses are SciPy's ppf.
+    """
+    x_ss, y_ss = np.random.SeedSequence(seed).spawn(2)
+    x_gen = np.random.Generator(np.random.Philox(x_ss))
+    y_gen = np.random.Generator(np.random.Philox(y_ss))
+    if process.kind == "gaussian_expfam_scorematch":
+        p = process.d // 2
+        a, b = process.theta0[:p], process.theta0[p:]
+        return a / b + x_gen.standard_normal((n, p)) / np.sqrt(b), None
+    X = x_gen.standard_normal((n, process.d))
+    if process.x_cov is not None:
+        X = X @ np.linalg.cholesky(process.x_cov).T
+    eta = X @ process.theta0
+    if process.kind == "linear_wellspec":
+        return X, eta + y_gen.standard_normal(n)
+    if process.kind == "linear_misspec_t":
+        return X, eta + y_gen.standard_t(process.noise_df, size=n)
+    u = y_gen.uniform(size=n)
+    if process.kind == "logistic_wellspec":
+        return X, np.where(u < expit(eta), 1.0, -1.0)
+    return X, poisson.ppf(np.maximum(u, 1e-300), np.exp(eta))
+
+
+_COV = np.array([[2.0, 0.5, 0.0, 0.0], [0.5, 1.0, -0.3, 0.0],
+                 [0.0, -0.3, 1.5, 0.1], [0.0, 0.0, 0.1, 1.0]])
+_BLOCK_PROCESSES = [
+    *(_proc(kind) for kind in PROCESS_KINDS),
+    *(Process(kind=kind, theta0=theta0_equispaced(4), x_cov=_COV)
+      for kind in PROCESS_KINDS if kind != "gaussian_expfam_scorematch"),
+    Process(kind="linear_misspec_t", theta0=theta0_equispaced(4), noise_df=2.5),
+    Process(kind="poisson_wellspec", theta0=2.0 * theta0_equispaced(4)),
+    # wider designs, whose matrix products take other BLAS kernels
+    Process(kind="logistic_wellspec", theta0=theta0_equispaced(21)),
+    Process(kind="linear_wellspec", theta0=theta0_equispaced(7),
+            x_cov=0.5 * np.eye(7) + 0.5 * np.ones((7, 7)) / 7),
+]
+
+
+class TestBlockDraw:
+    # a block of one, ragged blocks, and ranges across 2**32, 2**63 (where
+    # phase_seed's bases lie), 2**64 and 2**128, where a seed gains a word
+    RANGES = ((0, 1), (3, 10), (2**32 - 3, 2**32 + 2), (2**63 - 2, 2**63 + 3),
+              (2**64 - 2, 2**64 + 1), (2**128 - 1, 2**128 + 2),
+              (2**96 + 2**32 - 2, 2**96 + 2**32 + 1))
+
+    @pytest.mark.parametrize("process", _BLOCK_PROCESSES, ids=lambda p: p.kind)
+    def test_rows_are_numpys_own_draws(self, process):
+        for start, stop in self.RANGES:
+            for n in (1, 37):
+                X, y = simdata._draw(process, n, start, stop)
+                assert X.shape[:2] == (stop - start, n)
+                for r, seed in enumerate(range(start, stop)):
+                    X_ref, y_ref = _reference_draw(process, n, seed)
+                    assert X[r].tobytes() == X_ref.tobytes(), (seed, n)
+                    assert (y is None) == (y_ref is None)
+                    if y is not None:
+                        assert y[r].tobytes() == y_ref.tobytes(), (seed, n)
+
+    @pytest.mark.parametrize("process", _BLOCK_PROCESSES[:5], ids=lambda p: p.kind)
+    def test_generate_is_the_block_of_one(self, process):
+        for seed in (0, 2**32 - 1, 2**63 + 1, 2**128):
+            data = generate(process, 23, seed)
+            X, y = simdata._draw(process, 23, seed, seed + 3)
+            assert data.X.tobytes() == X[0].tobytes()
+            assert data.y is None if y is None else data.y.tobytes() == y[0].tobytes()
+
+    def test_a_block_of_2000_replications(self):
+        process = _proc("logistic_wellspec")
+        X, y = simdata._draw(process, 3, 2**32 - 1000, 2**32 + 1000)
+        for r in (0, 999, 1000, 1999):
+            X_ref, y_ref = _reference_draw(process, 3, 2**32 - 1000 + r)
+            assert X[r].tobytes() == X_ref.tobytes() and y[r].tobytes() == y_ref.tobytes()
+
+
+class TestSeedSequenceHash:
+    @settings(max_examples=60)
+    @given(prefix=st.lists(st.integers(0, 2**130), max_size=2),
+           start=st.integers(0, 2**130), m=st.integers(1, 4))
+    def test_keys_equal_generate_state(self, prefix, start, m):
+        keys = np.array(simdata._philox_keys(prefix, start, start + m), dtype=np.uint64)
+        assert keys.shape == (m, 2)
+        for r in range(m):
+            ss = np.random.SeedSequence([*prefix, start + r])
+            assert np.array_equal(keys[r], ss.generate_state(2, np.uint64))
+
+    @settings(max_examples=60)
+    @given(start=st.integers(0, 2**130), m=st.integers(1, 4), children=st.integers(1, 3))
+    def test_child_keys_equal_spawned_generate_state(self, start, m, children):
+        keys = simdata._philox_keys([], start, start + m, children=children)
+        keys = np.array(keys, dtype=np.uint64)
+        assert keys.shape == (m, children, 2)
+        for r in range(m):
+            spawned = np.random.SeedSequence(start + r).spawn(children)
+            for c, child in enumerate(spawned):
+                assert np.array_equal(keys[r, c], child.generate_state(2, np.uint64))
+
+    def test_ranges_across_a_word_boundary(self):
+        for start in (2**32 - 2, 2**64 - 2, 2**96 - 1):
+            keys = np.array(simdata._philox_keys([7], start, start + 4), dtype=np.uint64)
+            for r in range(4):
+                ss = np.random.SeedSequence([7, start + r])
+                assert np.array_equal(keys[r], ss.generate_state(2, np.uint64))
+
 
 class TestCsvRoundTrip:
     @pytest.mark.parametrize("kind", ["linear_wellspec", "gaussian_expfam_scorematch"])
@@ -384,6 +499,30 @@ class TestReplicate:
         values = replicate(_proc("linear_wellspec"), 20, 0, 20, measure)
         assert values == [seed for seed in range(20) if seed not in failing]
 
+    @pytest.mark.parametrize(
+        "n, reps, message",
+        [
+            (30, 5.0, "reps must be an integer, got 5.0"),
+            (30, True, "reps must be an integer, got True"),
+            (30, np.float64(5.0), "reps must be an integer, got "),
+            (30.0, 5, "n must be an integer, got 30.0"),
+            (None, 5, "n must be an integer, got None"),
+        ],
+    )
+    def test_non_integer_counts_rejected_before_any_replication(
+        self, monkeypatch, n, reps, message
+    ):
+        def draw(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(estimate, "_draw", draw)
+        for run in (
+            lambda: replicate(STALLING, n, 100, reps, self._seed_and_wald),
+            lambda: null_statistics(("rao", "lr", "wald"), STALLING, n, reps, 100),
+        ):
+            with pytest.raises(DomainError, match=f"^{message}"):
+                run()
+
     def test_other_errors_propagate(self):
         def measure(model, data, fit):
             raise DomainError("not a replication failure")
@@ -469,12 +608,33 @@ class TestReplicationsAsSlots:
             replicate(process, 6, 8, 20, _fit_of, opts)
 
     @pytest.mark.parametrize("per_chunk", [1, 3, 7])
-    def test_chunking_leaves_results_unchanged(self, monkeypatch, per_chunk):
+    @pytest.mark.parametrize("budget", ["_STACK_ELEMENTS", "_CHUNK_ELEMENTS"])
+    def test_chunking_leaves_results_unchanged(self, monkeypatch, per_chunk, budget):
         whole = replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald, STALL_OPTS)
-        # a budget of per_chunk datasets of STALLING's 30 x 5 design
-        monkeypatch.setattr(estimate, "_STACK_ELEMENTS", per_chunk * 30 * 5)
+        # per_chunk slots of STALLING's n = 30, by their (slots, n)
+        # temporaries or by their stacked 30 x 5 designs
+        entries = {"_STACK_ELEMENTS": 30, "_CHUNK_ELEMENTS": 30 * 5}[budget]
+        monkeypatch.setattr(estimate, budget, per_chunk * entries)
         calls = []
         engine = estimate._newton_engine
         monkeypatch.setattr(estimate, "_newton_engine", lambda *a: calls.append(1) or engine(*a))
         assert replicate(STALLING, 30, 100, 40, TestReplicate._seed_and_wald, STALL_OPTS) == whole
         assert len(calls) == -(-40 // per_chunk)
+
+    def test_a_chunk_is_one_evaluation_block(self, monkeypatch):
+        # 100 datasets at n = 500 fill the 50 000 entries of one block, so
+        # 250 replications take three engine calls, each evaluation in one block
+        process = _proc("logistic_wellspec", d=5)
+        engines, blocks, evaluations = [], [], []
+        engine, block = estimate._newton_engine, Batch._evaluate_block
+        evaluate = Batch.slot_evaluate
+        monkeypatch.setattr(
+            estimate, "_newton_engine", lambda b, W, o: engines.append(len(W)) or engine(b, W, o)
+        )
+        monkeypatch.setattr(Batch, "_evaluate_block", lambda *a: blocks.append(1) or block(*a))
+        monkeypatch.setattr(
+            Batch, "slot_evaluate", lambda *a: evaluations.append(1) or evaluate(*a)
+        )
+        assert len(null_statistics(("rao", "wald"), process, 500, 250, 3)["rao"]) == 250
+        assert engines == [100, 100, 50]
+        assert len(blocks) == len(evaluations)
