@@ -37,7 +37,9 @@ Work per fit: the data are checked and the per-sample stacks built once,
 in the :class:`~scmest.losses.Batch` of the fit, which also keeps the
 table of outer products its Hessians sum; an engine iteration computes
 the weighted risk, S and H of the live slots in one pass, and again only
-for the slots whose full step the test refused.
+for the slots whose full step the test refused.  A chunk's multiplier
+block, the largest array of a bootstrap, is drawn once and read in place
+by the engine, which never copies it.
 """
 
 from __future__ import annotations

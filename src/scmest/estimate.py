@@ -37,7 +37,10 @@ iteration computes L_n, S_n and H_n of the live slots in one pass, at the
 point each moves to, and once more only for the slots whose full step the
 test refused.  The pass runs over blocks of slots whose per-sample
 temporaries hold at most 50 000 entries (or one slot), so the memory of
-one block's temporaries serves the next.  A single fit keeps the engine's L_n and completes G_n at
+one block's temporaries serves the next.  The weight matrix W, the
+largest array of a bootstrap, is read in place: the engine indexes its
+live rows, and each block reads a slice of W, or gathers only its own
+rows once slots have left.  A single fit keeps the engine's L_n and completes G_n at
 the returned iterate, both with the same arithmetic as :func:`aggregates`,
 so ``FitResult.aggregates_at_opt`` equals
 ``aggregates(model, data, theta_n)`` bit for bit.
@@ -275,7 +278,10 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
     An iteration evaluates L, S and H once, for the live slots only, at
     the point each slot moves to (:meth:`Batch.slot_evaluate`), and again
     for the slots whose full step was refused, at their damped point; each
-    slot carries its L from one iteration to the next.
+    slot carries its L from one iteration to the next.  W is read in
+    place: ``live`` indexes the rows of the slots still live, and the
+    evaluation reads plain slices of W while every slot is live and
+    block-sized gathers of those rows after: the engine makes no copy of W.
     """
     m = W.shape[0]
     d = batch.model.dim
@@ -286,10 +292,10 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
     dec_fin = np.zeros(m)
     iters = np.zeros(m, dtype=int)
     status = np.empty(m, dtype="<U9")
-    live, th, W_live = np.arange(m), np.zeros((m, d)), W
+    live, th = np.arange(m), np.zeros((m, d))
     # slots that take or try the full step; a refusal clears it until alpha >= 1/2
     full = np.ones(m, dtype=bool)
-    L, S, H, overflow = batch.slot_evaluate(th, W_live)
+    L, S, H, overflow = batch.slot_evaluate(th, W)
     for it in range(opts.max_iter + 1):
         X, dec, ok = _newton_steps(H, S)
         stepping = ok & (dec > opts.tol)
@@ -305,7 +311,7 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
                 np.where(dec[done] <= opts.tol, "converged", "max_iter"),
                 np.where(overflow[done], "overflow", "singular"),
             )
-            live, th, W_live = live[stepping], th[stepping], W_live[stepping]
+            live, th = live[stepping], th[stepping]
             L, full, X, dec = L[stepping], full[stepping], X[stepping], dec[stepping]
             if live.size == 0:
                 break
@@ -315,14 +321,15 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
         alpha = 1.0 / (1.0 + d_nu(batch.sc_params, X, dec))
         full |= alpha >= 0.5
         trial = th - np.where(full, 1.0, alpha)[:, None] * X
-        L_trial, S, H, overflow = batch.slot_evaluate(trial, W_live)
+        # while every slot is live, plain slices of W need no index
+        L_trial, S, H, overflow = batch.slot_evaluate(trial, W, None if live.size == m else live)
         # an overflowing Poisson trial has L = inf and fails the test
         refused = full & (alpha < 0.5) & ~(L - L_trial >= 0.25 * dec * dec)
         if refused.any():
             trial[refused] = th[refused] - alpha[refused, None] * X[refused]
             L_trial[refused], S[refused], H[refused], overflow[refused] = batch.take(
                 refused
-            ).slot_evaluate(trial[refused], W_live[refused])
+            ).slot_evaluate(trial[refused], W, live[refused])
             full &= ~refused
         th, L = trial, L_trial
     return _SlotFits(theta, S_fin, H_fin, L_fin, dec_fin, iters, status)

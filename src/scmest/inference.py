@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .bootstrap import BootstrapConfig, bootstrap_quantile
 from .errors import (
@@ -289,6 +288,9 @@ def oracle_radius(
 
 
 def _explicit_sq_radius(fit: FitResult, delta: float, c_k1_sq: float) -> float:
+    # imported here: scipy.linalg would add its load time to every command
+    from scipy.linalg import eigh
+
     agg = fit.aggregates_at_opt
     n = agg.n
     spec = _spectral_summary(agg.H_n)

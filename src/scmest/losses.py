@@ -664,38 +664,42 @@ class Batch:
         gfac = linear_coefficients(kind, self._eta(theta), self.y, value=False)[1]
         return gfac[:, None] * self.X
 
-    def slot_evaluate(self, Theta: np.ndarray, W: np.ndarray):
+    def slot_evaluate(self, Theta: np.ndarray, W: np.ndarray, rows: np.ndarray | None = None):
         """Weighted risk L, mean gradient S and Hessian H of every slot.
 
         This is one Newton iteration's evaluation, and the one computation
         of L_n: the linear-predictor kinds take L, S and H from one pass over
         eta, expfam_glm from one set of logits, and score matching from the
-        means W A/n, W b/n and W c/n.  Returns (L, S, H, overflow): L is
-        (m,), S (m, dim), H (m, dim, dim) and symmetrized, and ``overflow``
-        marks the Poisson slots whose exp(eta) overflows, whose L is inf and
-        whose S and H are zero.  H, like the first term of the expfam_glm
-        Hessian, is one matrix product (see :meth:`_sum_outer`).
+        means W A/n, W b/n and W c/n.  Slot b weighs its samples by
+        ``W[b]``, or by ``W[rows[b]]`` when the engine passes the index
+        ``rows`` of its live slots into the caller's W.  Returns (L, S, H,
+        overflow): L is (m,), S (m, dim), H (m, dim, dim) and symmetrized,
+        and ``overflow`` marks the Poisson slots whose exp(eta) overflows,
+        whose L is inf and whose S and H are zero.  H, like the first term
+        of the expfam_glm Hessian, is one matrix product (see
+        :meth:`_sum_outer`).
 
         The slots of a batch that is not stacked are evaluated in blocks
         whose (slots, n) temporaries, (slots, n, K, dim) for expfam_glm,
         hold at most ``_STACK_ELEMENTS`` entries (at least one slot), each
-        block written into the outputs.  Score matching has no such
-        temporary and a stacked batch's chunk is already that small: both
-        are one block.
+        block written into the outputs.  A block reads its weights as a
+        slice of W, or gathers only its own rows through ``rows``.  Score
+        matching has no such temporary and a stacked batch's chunk is
+        already that small: both are one block.
         """
         m = Theta.shape[0]
         block = m
         if not self.stacked and self.model.kind != "score_matching":
             block = max(1, _STACK_ELEMENTS // self._slot_elements)
         if m <= block:
-            return self._evaluate_block(Theta, W)
+            return self._evaluate_block(Theta, W if rows is None else W[rows])
         d = self.model.dim
         L, S, H = np.empty(m), np.empty((m, d)), np.empty((m, d, d))
         overflow = np.empty(m, dtype=bool)
         for start in range(0, m, block):
-            rows = slice(start, start + block)
-            L[rows], S[rows], H[rows], overflow[rows] = self._evaluate_block(
-                Theta[rows], W[rows]
+            part = slice(start, start + block)
+            L[part], S[part], H[part], overflow[part] = self._evaluate_block(
+                Theta[part], W[part] if rows is None else W[rows[part]]
             )
         return L, S, H, overflow
 

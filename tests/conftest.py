@@ -1,6 +1,23 @@
 import os
+import warnings
 
 from hypothesis import HealthCheck, settings
+
+# A failing property test makes Hypothesis' pytest plugin import its
+# explicit-example patcher, which imports libcst, whose import raises
+# mypy_extensions' TypedDict DeprecationWarning; under
+# -W error::DeprecationWarning that turned the report of the falsifying
+# example into an INTERNALERROR.  Importing the patcher here, with that one
+# warning ignored, leaves it loaded for the plugin.
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", "mypy_extensions.TypedDict is deprecated", DeprecationWarning
+    )
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        # without libcst the plugin skips the patch itself
+        pass
 
 # numerical code under CI load can blow the default 200 ms deadline
 settings.register_profile(

@@ -390,6 +390,64 @@ class TestBatchedEngine:
         assert pieces.n_failed == whole.n_failed
         assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
 
+    @pytest.mark.parametrize("per_block", [None, 1, 4])
+    @pytest.mark.parametrize("kind", sorted(_ENGINE_CASES))
+    def test_rows_read_in_place_equal_the_gathered_rows(self, monkeypatch, kind, per_block):
+        # 13 live slots read their rows of W through an unsorted index, in one
+        # block, in blocks of one, or of four with a ragged last block of one
+        # (score matching is one block throughout); the Poisson slot last in
+        # line overflows
+        import scmest.losses as losses_module
+
+        _, data, model, fit = _ENGINE_CASES[kind]()
+        batch = prepare_batch(model, data)
+        W = _multipliers(7, 0, 30, data.n)
+        rows = np.array([29, 0, 3, 4, 17, 18, 2, 25, 26, 11, 8, 9, 14])
+        Theta = fit.theta_n + 0.1 * np.random.default_rng(1).standard_normal((13, model.dim))
+        Theta[-1] *= 1e3
+        if per_block is not None:
+            monkeypatch.setattr(losses_module, "_STACK_ELEMENTS", per_block * batch._slot_elements)
+        before = W.copy()
+        indexed = batch.slot_evaluate(Theta, W, rows)
+        gathered = batch.slot_evaluate(Theta, W[rows])
+        for a, b in zip(indexed, gathered):
+            assert np.array_equal(a, b)
+        assert indexed[3][-1] == (kind == "poisson")
+        assert np.array_equal(W, before)
+
+    def test_engine_reads_the_weights_in_place(self, monkeypatch):
+        # Poisson refits leave at different iterations and have full steps
+        # refused; the engine never copies the (B, n) multiplier block, so
+        # one call's traced peak stays below 2.5 blocks, where copying the
+        # live rows when slots leave and again for the refused steps peaks
+        # at about 3.3 blocks
+        import tracemalloc
+
+        import scmest.losses as losses_module
+
+        _, _, _, fit = _fit("poisson", "poisson_wellspec", 300, 5, seed=7)
+        B, calls, evaluate = 2000, [], losses_module.Batch.slot_evaluate
+
+        def counted(self, Theta, W, rows=None):
+            calls.append(Theta.shape[0])
+            return evaluate(self, Theta, W, rows)
+
+        tracemalloc.start()
+        try:
+            wald, _, n_failed = _bootstrap_statistics(fit, B, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = B * fit.batch.n * 8
+        assert peak < 2.5 * block
+        monkeypatch.setattr(losses_module.Batch, "slot_evaluate", counted)
+        W = _multipliers(7, 0, B, fit.batch.n)
+        fits = _newton_engine(fit.batch, W, fit.opts)
+        assert np.unique(fits.iterations).size > 2
+        # one evaluation at theta = 0 and one per iteration, plus the refused
+        assert len(calls) > 1 + fits.iterations.max()
+        assert n_failed == np.count_nonzero(fits.status != "converged")
+
     def test_least_squares_deviance_equals_wald(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 100, 3)
         wald_b, lr_b, _ = _bootstrap_statistics(fit, 40, 0)
