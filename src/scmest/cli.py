@@ -27,6 +27,9 @@ of ``--B``, ``--calib-reps`` and ``--c-k1-sq`` it accepts only the one its
 replay the ``--process`` that drew the data; ``--data`` has none to
 replay and is rejected for them.
 
+Artifacts are strict JSON (RFC 8259): a failing certificate writes
+``radius_bound`` null, and a value that is not finite is an error.
+
 Exit codes: 0 success, 1 configuration, data or I/O error (a flag the
 study lacks, a non-finite data value, a ``--null`` that is not a finite
 vector of the model's dimension), 2 fit did not converge, 3 singular
@@ -198,7 +201,8 @@ class _ConfigError(Exception):
 
 
 def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2) + "\n"
+    # strict JSON: a NaN or infinity raises ValueError instead of printing
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -274,10 +278,10 @@ def cmd_fit(cfg) -> int:
     fit = _fit(cfg)
     cert = None
     if fit.certificate is not None:
-        cert = {
-            "passes": bool(fit.certificate.passes),
-            "radius_bound": float(fit.certificate.radius_bound),
-        }
+        passes = bool(fit.certificate.passes)
+        # a failing certificate bounds nothing: null, not an infinite radius
+        bound = float(fit.certificate.radius_bound) if passes else None
+        cert = {"passes": passes, "radius_bound": bound}
     _emit(
         cfg,
         "fit",

@@ -13,7 +13,6 @@ import numbers
 __all__ = [
     "ScmestError",
     "DomainError",
-    "ConvergenceError",
     "DimensionMismatch",
     "InvalidLabel",
     "NumericOverflow",
@@ -32,10 +31,6 @@ class ScmestError(Exception):
 
 class DomainError(ScmestError, ValueError):
     """Input outside the mathematical domain of a function."""
-
-
-class ConvergenceError(ScmestError, RuntimeError):
-    """An iterative scalar routine (bisection) failed to converge or bracket."""
 
 
 class DimensionMismatch(ScmestError, ValueError):

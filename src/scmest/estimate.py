@@ -1,12 +1,13 @@
 """Empirical aggregates, the Newton risk minimizer, and localization.
 
-The empirical risk L_n(theta) = n^-1 sum_i l(theta; z_i) of an (R, nu)
-self-concordant per-sample loss is itself self-concordant with parameters
-(R n^{nu/2-1}, nu), here (R, 2) with R measured from the data.  That pair
-drives both the Newton step rule of :func:`fit_erm` and the existence
-certificate in :func:`localization_certificate`: when the certificate
-passes at a reference point, a unique minimizer exists inside the Dikin
-ellipsoid of radius four times the Newton decrement at that point.
+The empirical risk L_n(theta) = n^-1 sum_i l(theta; z_i) of a pseudo
+self-concordant (nu = 2) per-sample loss is itself pseudo self-concordant
+with the same R, here measured from the data (see :mod:`scmest.scfun`).
+That R drives both the Newton step rule of :func:`fit_erm` and the
+existence certificate in :func:`localization_certificate`: when the
+certificate passes at a reference point, a unique minimizer exists inside
+the Dikin ellipsoid of radius four times the Newton decrement at that
+point.
 
 One Newton engine, :func:`_newton_engine`, fits m slots at once:
 the weight rows of one dataset, or one row per dataset of a stacked
@@ -216,13 +217,16 @@ def _pd_solve(H: np.ndarray, R: np.ndarray):
     if ok.all():
         return np.linalg.solve(H, R), ok
     retry = np.flatnonzero(~ok & (scale > 0.0))
-    if retry.size:
-        H = H.copy()
-        jitter = _JITTER_REL * scale[retry]
-        H[retry] += jitter[:, None, None] * np.eye(d)
-        ok[retry] = _min_sq_pivots(H[retry]) > 100.0 * jitter
+    jitter = _JITTER_REL * scale[retry]
+    H_retry = H[retry] + jitter[:, None, None] * np.eye(d)
+    rescued = _min_sq_pivots(H_retry) > 100.0 * jitter
+    ok[retry] = rescued
+    solved = np.flatnonzero(ok)
+    H_ok = H[solved]
+    # the rescued matrices solve with their jitter
+    H_ok[np.searchsorted(solved, retry[rescued])] = H_retry[rescued]
     X = np.zeros(R.shape)
-    X[ok] = np.linalg.solve(H[ok], R[ok])
+    X[solved] = np.linalg.solve(H_ok, R[solved])
     return X, ok
 
 
@@ -269,8 +273,8 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
     them.  With X = H^{-1}S, dec the Newton decrement and
     alpha = 1 / (1 + d_nu) the damped step length, a slot takes the full
     step theta - X when alpha >= 1/2 (d_nu <= 1): there self-concordance
-    bounds its risk decrease below by (1 - omega_dbar(2, 1)) dec^2, and
-    omega_dbar(2, 1) = e - 2 < 3/4.  Below 1/2 it tries the full step and
+    bounds its risk decrease below by (3 - e) dec^2 > dec^2/4 (see
+    :mod:`scmest.scfun`).  Below 1/2 it tries the full step and
     keeps it when the risk L is finite there and fell by at least dec^2/4
     (an Armijo test); otherwise it takes the damped step theta - alpha X,
     which self-concordance guarantees to descend, and takes damped steps
@@ -318,7 +322,7 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
             batch = batch.take(stepping)
         # as d_nu = R ||X||_2 with R >= max_i ||x_i||, neither a damped step
         # nor a full step at alpha >= 1/2 moves any x_i'theta by more than 1
-        alpha = 1.0 / (1.0 + d_nu(batch.sc_params, X, dec))
+        alpha = 1.0 / (1.0 + d_nu(batch.R, X))
         full |= alpha >= 0.5
         trial = th - np.where(full, 1.0, alpha)[:, None] * X
         # while every slot is live, plain slices of W need no index
@@ -354,7 +358,7 @@ def _fit_result(
         raise NumericOverflow(f"exp(theta'x) overflows at Newton iteration {it}")
     theta, S, H, dec = fits.theta[b], fits.S[b], fits.H[b], float(fits.decrement[b])
     spec = _spectral_summary(H)
-    cert = None if spec is None else certify_unique_minimizer(batch.sc_params, spec, dec)
+    cert = None if spec is None else certify_unique_minimizer(batch.R, spec, dec)
     return FitResult(
         theta_n=theta,
         aggregates_at_opt=_complete(batch, theta, w, float(fits.L[b]), S, H),
@@ -501,5 +505,5 @@ def localization_certificate(
     if not ok[0] or spec is None:
         raise SingularHessian("H_n(theta_ref) is not positive definite")
     dec = float(dec[0])
-    cert = certify_unique_minimizer(batch.sc_params, spec, dec)
+    cert = certify_unique_minimizer(batch.R, spec, dec)
     return LocalizationCertificate(passes=cert.passes, score_norm=dec, bound=cert.radius_bound)

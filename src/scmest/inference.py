@@ -15,14 +15,17 @@ and sq_radius comes from one of three calibrations, all through one entry
 point, :func:`calibrated_radius`.  ``explicit_constant`` evaluates the
 closed-form radius of the Wald set
 
-    24 omega_nu^2(r_n R*) d*/n + C K1^2 omega_nu^2(r_n R*) log(e/delta) ||Omega||/n
+    24 w^2 d*/n + C K1^2 w^2 log(e/delta) ||Omega||/n,   w = omega_2(r_n R*) = e^(r_n R*),
 
-whose constants enter only as C K1^2, C not sharp (default 0 keeps the
-leading term only).  ``oracle_mc`` replicates the experiment from the
-process that drew the fit's data (``Dataset.provenance``) and takes the
-empirical upper-delta quantile of the statistic, so it refuses a weighted
-fit; ``bootstrap`` delegates to the multiplier bootstrap of the fit's own
-problem and weights (``FitResult.batch``, ``FitResult.weights``).
+at the empirical d* = d_n, with R* = R / sqrt(lambda_min(H_n)) and
+r_n = sqrt(C K1^2 log(e/delta) d*/n).  Its constants enter only as
+C K1^2, C not sharp (default 0 keeps the leading term only); a radius too
+large for a float is vacuous and raises DomainError.  ``oracle_mc``
+replicates the experiment from the process that drew the fit's data
+(``Dataset.provenance``) and takes the empirical upper-delta quantile of
+the statistic, so it refuses a weighted fit; ``bootstrap`` delegates to
+the multiplier bootstrap of the fit's own problem and weights
+(``FitResult.batch``, ``FitResult.weights``).
 Both refit under the solver options of the fit they calibrate
 (``FitResult.opts``).  A set belongs to one fit: :func:`confidence_set`
 calibrates it from the fit and keeps the fit, where LR membership reads
@@ -55,23 +58,19 @@ from .estimate import (
 )
 from .gof import lr_statistic, null_statistics
 from .losses import LossModel
-from .scfun import ScParams, SpectralSummary, k_nu, omega, r_nu
+from .scfun import omega, r_nu
 from .simdata import Dataset, Process, generate
 
 __all__ = [
     "SCHEMA_VERSION",
     "ConfidenceSet",
-    "AssumptionConstants",
     "EffDimReport",
     "effective_dim_empirical",
-    "effective_dim_spectrum",
     "effective_dim_oracle",
-    "t_n_bound",
     "oracle_radius",
     "calibrated_radius",
     "confidence_set",
     "set_membership",
-    "critical_sample_size",
 ]
 
 SCHEMA_VERSION = "1"
@@ -106,8 +105,8 @@ class ConfidenceSet:
             raise DomainError(f"unknown calibration {self.calibration!r}")
         if not 0.0 < self.delta < 1.0:
             raise DomainError(f"delta must lie in (0, 1), got {self.delta}")
-        if not self.sq_radius > 0.0:
-            raise DomainError(f"sq_radius must be positive, got {self.sq_radius}")
+        if not 0.0 < self.sq_radius < math.inf:
+            raise DomainError(f"sq_radius must be finite and positive, got {self.sq_radius}")
         center = np.asarray(self.center, dtype=float)
         object.__setattr__(self, "center", center)
         if self.kind == "wald":
@@ -157,25 +156,6 @@ class ConfidenceSet:
 
 
 @dataclass(frozen=True)
-class AssumptionConstants:
-    """Constants of the moment assumptions on the population loss.
-
-    K1 bounds the sub-Gaussian norm of the whitened score, and (K2,
-    sigma_H) are the Bernstein parameters of the Hessian deviation.  None
-    are estimated from data.
-    """
-
-    K1: float
-    K2: float
-    sigma_H: float
-
-    def __post_init__(self) -> None:
-        for name in ("K1", "K2", "sigma_H"):
-            if getattr(self, name) <= 0.0:
-                raise DomainError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
 class EffDimReport:
     """An effective-dimension value and how it was obtained."""
 
@@ -201,19 +181,6 @@ def effective_dim_empirical(fit: FitResult) -> EffDimReport:
         raise NonConverged("effective_dim_empirical requires a converged fit")
     agg = fit.aggregates_at_opt
     return EffDimReport(value=_trace_ratio(agg.G_n, agg.H_n), kind="empirical")
-
-
-def effective_dim_spectrum(g_eigs, h_eigs) -> float:
-    """Effective dimension sum_i g_i/h_i for jointly diagonalizable G, H."""
-    g = np.asarray(g_eigs, dtype=float)
-    h = np.asarray(h_eigs, dtype=float)
-    if g.shape != h.shape or g.ndim != 1:
-        raise DimensionMismatch(
-            f"eigenvalue vectors must match in length, got {g.shape} and {h.shape}"
-        )
-    if g.size == 0 or np.any(g <= 0.0) or np.any(h <= 0.0):
-        raise DomainError("eigenvalues must be positive")
-    return float(np.sum(g / h))
 
 
 def effective_dim_oracle(
@@ -242,22 +209,6 @@ def effective_dim_oracle(
         folds.append(_trace_ratio(agg.G_n, agg.H_n))
     stderr = float(np.std(folds, ddof=1) / math.sqrt(len(folds)))
     return EffDimReport(value=value, kind="oracle_mc", mc_stderr=stderr)
-
-
-def t_n_bound(delta: float, constants: AssumptionConstants, n: int, d: int) -> float:
-    """Hessian concentration level: with probability 1 - delta,
-    (1 - t_n) H* <= H_n(theta*) <= (1 + t_n) H*.
-
-    Evaluates 2 sigma_H^2 / (-K2 + sqrt(K2^2 + 2 sigma_H^2 n / log(4d/delta))),
-    strictly decreasing in n and increasing in d.
-    """
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if n < 1 or d < 1:
-        raise DomainError("n and d must be positive")
-    s2 = constants.sigma_H**2
-    log_term = math.log(4.0 * d / delta)
-    return 2.0 * s2 / (-constants.K2 + math.sqrt(constants.K2**2 + 2.0 * s2 * n / log_term))
 
 
 def oracle_radius(
@@ -296,15 +247,22 @@ def _explicit_sq_radius(fit: FitResult, delta: float, c_k1_sq: float) -> float:
     spec = _spectral_summary(agg.H_n)
     if spec is None:
         raise DomainError("H_n(theta_n) must be positive definite")
-    params = fit.batch.sc_params
-    r_star = r_nu(params, spec)
+    r_star = r_nu(fit.batch.R, spec)
     log_term = 1.0 - math.log(delta)
     d_star = effective_dim_empirical(fit).value
     r_n = math.sqrt(c_k1_sq * log_term * d_star / n)
-    w = omega(params.nu, r_n * r_star)
+    w = omega(r_n * r_star)
     # largest eigenvalue of the H_n-whitened G_n
     omega_norm = float(eigh(agg.G_n, agg.H_n, eigvals_only=True)[-1])
-    return 24.0 * w**2 * d_star / n + c_k1_sq * w**2 * log_term * omega_norm / n
+    try:
+        sq_radius = 24.0 * w**2 * d_star / n + c_k1_sq * w**2 * log_term * omega_norm / n
+    except OverflowError:  # w**2 past the largest float
+        sq_radius = math.inf
+    if not math.isfinite(sq_radius):
+        raise DomainError(
+            f"explicit_constant radius overflows at c_k1_sq={c_k1_sq}: the bound is vacuous"
+        )
+    return sq_radius
 
 
 def calibrated_radius(
@@ -398,34 +356,3 @@ def set_membership(conf_set: ConfidenceSet, theta) -> bool:
     if conf_set.fit is None:
         raise DomainError("LR membership needs the fit the set was built from")
     return lr_statistic(conf_set.fit, theta) <= conf_set.sq_radius
-
-
-def critical_sample_size(
-    params: ScParams,
-    spec: SpectralSummary,
-    constants: AssumptionConstants,
-    d_star: float,
-    d: int,
-    delta: float,
-    c_abs: float = 1.0,
-) -> int:
-    """Sample size beyond which the localization guarantee is in force.
-
-    Evaluates max{4 (K2 + 2 sigma_H^2) log(4d/delta),
-                  C [(R*)^2 K1^2 d* log(e/delta) / K_nu^2]^{1/(3-nu)}}
-    and returns its ceiling.  A formula evaluator with a user-supplied
-    absolute constant, not a sharp threshold.  Only nu in [2, 3) admits the
-    second branch's exponent.
-    """
-    if params.nu >= 3.0:
-        raise DomainError(f"critical sample size needs nu in [2, 3), got {params.nu}")
-    if not 0.0 < delta < 1.0:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if d_star <= 0.0 or d < 1:
-        raise DomainError("d_star and d must be positive")
-    branch1 = 4.0 * (constants.K2 + 2.0 * constants.sigma_H**2) * math.log(4.0 * d / delta)
-    r_star = r_nu(params, spec)
-    log_term = 1.0 - math.log(delta)
-    base = r_star**2 * constants.K1**2 * d_star * log_term / k_nu(params.nu) ** 2
-    branch2 = c_abs * base ** (1.0 / (3.0 - params.nu))
-    return int(math.ceil(max(branch1, branch2)))

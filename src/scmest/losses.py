@@ -50,7 +50,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
-from .scfun import ScParams
 from .simdata import Dataset
 
 __all__ = [
@@ -506,7 +505,8 @@ class Batch:
     and ``(A, b, c)`` for score_matching.  Every evaluation below reuses
     them, so a fit that holds one Batch runs the model's callbacks
     (``feature_map``, ``stacks_fn``) once.  ``R`` is the loss's R on this
-    data, measured on first use, and ``sc_params`` the (R, nu) it belongs to.
+    data, measured on first use; every kind has nu = 2, so R is the whole
+    of the (R, nu) of the batch's empirical risks.
     :meth:`slot_evaluate` evaluates m slots at once, slot b at ``Theta[b]``
     with weights ``W[b]``; the other methods evaluate at one parameter.
 
@@ -545,14 +545,6 @@ class Batch:
         else:
             R = np.zeros(self.X.shape[:-2])
         return R if self.stacked else float(R)
-
-    @property
-    def sc_params(self) -> ScParams:
-        """Self-concordance parameters (R n^{nu/2-1}, nu) of the batch's empirical risks.
-
-        Every kind has nu = 2, so they are ``R`` and 2.
-        """
-        return ScParams(R=self.R, nu=2.0)
 
     def take(self, keep) -> "Batch":
         """The batch of the slots ``keep``, or slot ``keep``'s own batch for an int.

@@ -41,9 +41,18 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+
+def _strict_json(text):
+    """Parse a CLI artifact as strict JSON: NaN and Infinity raise."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def _run_json(capsys, argv):
     code, out, err = _run(capsys, argv)
-    return code, json.loads(out), err
+    return code, _strict_json(out), err
 
 
 def _assert_one_error_line(code, out, err):
@@ -108,7 +117,7 @@ class TestFitCommand:
         )
         assert code == 0
         assert stdout == ""
-        assert json.loads(out.read_text())["command"] == "fit"
+        assert _strict_json(out.read_text())["command"] == "fit"
 
     def test_iteration_starved_fit_exits_2_with_payload(self, capsys):
         code, out, err = _run(
@@ -116,9 +125,18 @@ class TestFitCommand:
             ["fit", "--process", "logistic_wellspec", "--n", "200", "--d", "3", "--max-iter", "1"],
         )
         assert code == 2
-        doc = json.loads(out)
+        doc = _strict_json(out)
         assert doc["converged"] is False and doc["iterations"] == 1
         assert "did not converge" in err
+
+    def test_failing_certificate_writes_null_bound(self, capsys):
+        # the bound of a failing certificate is infinite; strict JSON has null
+        code, doc, _ = _run_json(
+            capsys,
+            ["fit", "--process", "logistic_wellspec", "--d", "5", "--n", "100", "--max-iter", "1"],
+        )
+        assert code == 2
+        assert doc["certificate"] == {"passes": False, "radius_bound": None}
 
     def test_singular_hessian_exits_3(self, capsys, degenerate_csv):
         code, _, err = _run(capsys, ["fit", "--data", degenerate_csv, "--model", "logistic"])
@@ -551,6 +569,18 @@ class TestConfsetCommand:
         fit = fit_erm(model_for_data("squared", data.X), data)
         d_n = effective_dim_empirical(fit).value
         assert doc["sq_radius"] == pytest.approx(24.0 * d_n / 90, rel=1e-12)
+
+    def test_vacuous_explicit_radius_exits_1(self, capsys):
+        # e^(r_n R*) overflows: the radius bounds nothing, and no Infinity is printed
+        code, out, err = _run(
+            capsys,
+            [
+                "confset", "--process", "logistic_wellspec", "--d", "5", "--n", "100",
+                "--calibration", "explicit_constant", "--c-k1-sq", "1e5",
+            ],
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("scmest: error: explicit_constant radius overflows")
 
     def test_explicit_constant_takes_only_c_k1_sq(self, capsys):
         # the radius reads the constants only as C K1^2; the flags of the

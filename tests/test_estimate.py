@@ -37,7 +37,7 @@ from scmest.losses import (
     score_matching_loss,
     squared_loss,
 )
-from scmest.scfun import ScParams, SpectralSummary, certify_unique_minimizer
+from scmest.scfun import SpectralSummary, certify_unique_minimizer
 from scmest.simdata import Dataset, Process, generate, theta0_equispaced
 
 
@@ -133,13 +133,11 @@ class TestAggregates:
         dec = _newton_steps(agg.H_n[None], agg.S_n[None])[1][0]
         assert fit.newton_decrement == dec
 
-    def test_empirical_sc_params_scaling(self):
+    def test_empirical_risk_keeps_measured_R(self):
         # nu = 2: the empirical risk keeps the R measured from the data
         data = Dataset(X=np.array([[1.0, 2.0, 2.0], [0.0, 1.0, 0.0]]), y=np.array([1.0, -1.0]))
-        p = prepare_batch(logistic_loss(3), data).sc_params
-        assert p.nu == 2.0
-        assert p.R == 3.0  # max ||x||
-        assert prepare_batch(squared_loss(3), data).sc_params.R == 0.0
+        assert prepare_batch(logistic_loss(3), data).R == 3.0  # max ||x||
+        assert prepare_batch(squared_loss(3), data).R == 0.0
 
 
 class TestNewtonFit:
@@ -378,12 +376,15 @@ class TestPdSolve:
             ]
         )
         R = np.ones((4, 2, 1))
+        H_given = H.copy()
         X, ok = _pd_solve(H, R)
         assert ok.tolist() == [True, True, False, False]
-        np.testing.assert_allclose(X[0], np.linalg.solve(H[0], R[0]), rtol=1e-14)
+        assert np.array_equal(H, H_given)  # the caller's stack is not modified
+        assert np.array_equal(X[0], np.linalg.solve(H[0], R[0]))
         # a rescued matrix is solved with its jitter, 1e-10 trace/d
-        jittered = H[1] + 1e-10 * np.trace(H[1]) / 2 * np.eye(2)
-        np.testing.assert_allclose(X[1], np.linalg.solve(jittered, R[1]), rtol=1e-10)
+        jitter = 1e-10 * (np.trace(H[1]) / 2)
+        jittered = H[1] + jitter * np.eye(2)
+        assert np.array_equal(X[1], np.linalg.solve(jittered, R[1]))
         assert np.all(X[2:] == 0.0)
         # each matrix gets the same verdict alone as in the stack
         for b in range(4):
@@ -641,7 +642,7 @@ class TestLocalizationCertificate:
         eigs = np.linalg.eigvalsh(aggregates(model, data, p.theta0).H_n)
         R = float(np.max(np.linalg.norm(data.X, axis=1)))
         measured = certify_unique_minimizer(
-            ScParams(R, 2.0), SpectralSummary(eigs[0], eigs[-1]), cert.score_norm
+            R, SpectralSummary(eigs[0], eigs[-1]), cert.score_norm
         )
         assert cert.passes == measured.passes
         assert not cert.passes

@@ -19,23 +19,16 @@ from scmest.errors import (
 from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_erm
 from scmest.gof import wald_statistic
 from scmest.inference import (
-    AssumptionConstants,
     ConfidenceSet,
     calibrated_radius,
     confidence_set,
-    critical_sample_size,
     effective_dim_empirical,
     effective_dim_oracle,
-    effective_dim_spectrum,
     oracle_radius,
     set_membership,
-    t_n_bound,
 )
 from scmest.losses import Batch, batch_values, model_for_data, prepare_batch
-from scmest.scfun import ScParams, SpectralSummary
 from scmest.simdata import Dataset, Process, generate, theta0_equispaced
-
-EULER_GAMMA = 0.5772156649015329
 
 
 def _fake_fit(H, G, theta=None):
@@ -138,41 +131,6 @@ class TestEffectiveDimEmpirical:
             effective_dim_empirical(stalled)
 
 
-class TestEffectiveDimSpectrum:
-    def test_equal_spectra_give_dimension_exactly(self):
-        for d in (1, 10, 50):
-            eigs = 2.0 * np.ones(d)
-            assert effective_dim_spectrum(eigs, eigs) == float(d)
-
-    def test_exponential_over_polynomial_is_bounded(self):
-        i = np.arange(1, 51, dtype=float)
-        value = effective_dim_spectrum(np.exp(-i), 1.0 / i)
-        oracle = float(np.sum(i * np.exp(-i)))
-        assert abs(value - oracle) < 1e-10
-        assert abs(value - 0.9206735942) < 1e-9
-        assert value < 1.0
-
-    def test_polynomial_over_polynomial_grows_like_log(self):
-        values = {}
-        for d in (10, 100, 1000):
-            i = np.arange(1, d + 1, dtype=float)
-            values[d] = effective_dim_spectrum(i**-2.0, 1.0 / i)
-            assert values[d] == pytest.approx(float(np.sum(1.0 / i)), rel=1e-12)
-        assert values[10] < values[100] < values[1000]
-        # harmonic number asymptotics: H_d = log d + gamma + O(1/d)
-        assert abs(values[1000] - math.log(1000) - EULER_GAMMA) < 1e-3
-
-    def test_validation(self):
-        with pytest.raises(DimensionMismatch):
-            effective_dim_spectrum([1.0, 2.0], [1.0])
-        with pytest.raises(DomainError):
-            effective_dim_spectrum([1.0, -1.0], [1.0, 1.0])
-        with pytest.raises(DomainError):
-            effective_dim_spectrum([1.0, 1.0], [1.0, 0.0])
-        with pytest.raises(DomainError):
-            effective_dim_spectrum([], [])
-
-
 class TestEffectiveDimOracle:
     d = 5
     theta0 = np.ones(5)
@@ -227,48 +185,6 @@ class TestEffectiveDimOracle:
         assert a.value == b.value and a.mc_stderr == b.mc_stderr
 
 
-class TestTnBound:
-    constants = AssumptionConstants(K1=1.0, K2=1.0, sigma_H=1.0)
-
-    def test_hand_value(self):
-        value = t_n_bound(0.05, self.constants, 1000, 5)
-        assert abs(value - 0.11562187429565912) < 1e-12
-
-    def test_half_at_burn_in_threshold(self):
-        for K2, sH in [(1.0, 1.0), (0.5, 2.0), (3.0, 0.7)]:
-            constants = AssumptionConstants(K1=1.0, K2=K2, sigma_H=sH)
-            for d in (1, 5, 50):
-                for delta in (0.05, 0.3):
-                    n = math.ceil(4.0 * (K2 + 2.0 * sH**2) * math.log(4.0 * d / delta))
-                    assert t_n_bound(delta, constants, n, d) <= 0.5
-
-    def test_quadrupling_n_roughly_halves(self):
-        a = t_n_bound(0.05, self.constants, 10**6, 5)
-        b = t_n_bound(0.05, self.constants, 4 * 10**6, 5)
-        assert 0.4 < b / a < 0.6
-
-    def test_monotone_in_n_and_d(self):
-        values_n = [t_n_bound(0.05, self.constants, n, 5) for n in (100, 1000, 10000, 100000)]
-        assert all(a > b for a, b in zip(values_n, values_n[1:]))
-        values_d = [t_n_bound(0.05, self.constants, 1000, d) for d in (2, 5, 20, 100)]
-        assert all(a < b for a, b in zip(values_d, values_d[1:]))
-
-    def test_validation(self):
-        for delta in (0.0, 1.0, -0.2):
-            with pytest.raises(DomainError):
-                t_n_bound(delta, self.constants, 100, 5)
-        with pytest.raises(DomainError):
-            t_n_bound(0.05, self.constants, 0, 5)
-        with pytest.raises(DomainError):
-            t_n_bound(0.05, self.constants, 100, 0)
-
-    def test_constants_validation(self):
-        with pytest.raises(DomainError):
-            AssumptionConstants(K1=0.0, K2=1.0, sigma_H=1.0)
-        with pytest.raises(DomainError):
-            AssumptionConstants(K1=1.0, K2=-1.0, sigma_H=1.0)
-
-
 class TestWaldRadius:
     # Wald radii through calibrated_radius, from each calibration
 
@@ -313,6 +229,21 @@ class TestWaldRadius:
         monkeypatch.setattr(Batch, "R", counted)
         sq = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=1.0)
         assert sq > 0.0 and measured == []
+
+    def test_vacuous_radius_raises(self):
+        # the kernel factor e^(2 r_n R*) grows without bound in C K1^2; past
+        # the largest float the radius bounds nothing and raises DomainError,
+        # both where e^(r_n R*) itself overflows and where only its square does
+        _, _, fit = _logistic_fit(n=200, d=2)
+        finite = []
+        for c_k1_sq in 2.0 ** np.arange(0, 40):
+            try:
+                sq = calibrated_radius(fit, "wald", 0.05, "explicit_constant", c_k1_sq=c_k1_sq)
+                finite.append(sq)
+            except DomainError as exc:
+                assert "vacuous" in str(exc)
+        assert 0 < len(finite) < 40
+        assert all(0.0 < a < b < math.inf for a, b in zip(finite, finite[1:]))
 
     def test_requires_convergence(self):
         model, data, _ = _logistic_fit()
@@ -583,51 +514,10 @@ class TestConfidenceSetMembership:
             ConfidenceSet("wald", np.zeros(2), np.eye(2), 1.0, 0.05, "guesswork")
         with pytest.raises(DomainError):
             ConfidenceSet("wald", np.zeros(2), np.eye(2), 1.0, 1.5, "bootstrap")
-        with pytest.raises(DomainError):
-            ConfidenceSet("wald", np.zeros(2), np.eye(2), 0.0, 0.05, "bootstrap")
+        for bad in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="sq_radius"):
+                ConfidenceSet("wald", np.zeros(2), np.eye(2), bad, 0.05, "bootstrap")
         with pytest.raises(DomainError):
             ConfidenceSet("wald", np.zeros(2), None, 1.0, 0.05, "bootstrap")
         with pytest.raises(DimensionMismatch):
             ConfidenceSet("wald", np.zeros(3), np.eye(2), 1.0, 0.05, "bootstrap")
-
-
-class TestCriticalSampleSize:
-    # R2* = lambda_min^{-1/2} R = 1, K_2 kernel constant = 1/2, log(e/delta) = 2
-    params = ScParams(R=1.0, nu=2.0)
-    spectrum = SpectralSummary(lambda_min=1.0, lambda_max=1.0)
-    constants = AssumptionConstants(K1=1.0, K2=0.1, sigma_H=0.1)
-    delta = math.exp(-1.0)
-
-    def test_hand_value(self):
-        n = critical_sample_size(self.params, self.spectrum, self.constants, 5.0, 5, self.delta)
-        assert n == 40
-
-    def test_eigenvalue_scaling(self):
-        # lambda -> 4 lambda halves R2*, dividing the dominant branch by 4
-        wide = SpectralSummary(lambda_min=4.0, lambda_max=4.0)
-        n = critical_sample_size(self.params, wide, self.constants, 5.0, 5, self.delta)
-        assert n == 10
-
-    def test_monotone_in_delta(self):
-        sizes = [
-            critical_sample_size(self.params, self.spectrum, self.constants, 5.0, 5, d)
-            for d in (0.01, 0.1, 0.36, 0.9)
-        ]
-        assert all(a >= b for a, b in zip(sizes, sizes[1:]))
-
-    def test_exponent_branch_above_two(self):
-        # at nu = 2.5 the exponent is 2, so scaling d* by 4 scales n by 16
-        params = ScParams(R=1.0, nu=2.5)
-        base = critical_sample_size(params, self.spectrum, self.constants, 5.0, 5, self.delta)
-        scaled = critical_sample_size(params, self.spectrum, self.constants, 20.0, 5, self.delta)
-        assert scaled == pytest.approx(16.0 * base, rel=0.01)
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            critical_sample_size(
-                ScParams(R=1.0, nu=3.0), self.spectrum, self.constants, 5.0, 5, 0.05
-            )
-        with pytest.raises(DomainError):
-            critical_sample_size(self.params, self.spectrum, self.constants, 5.0, 5, 0.0)
-        with pytest.raises(DomainError):
-            critical_sample_size(self.params, self.spectrum, self.constants, -1.0, 5, 0.05)
