@@ -22,13 +22,19 @@ from scmest.experiments import (
     run_effdim_error,
 )
 from scmest.gof import PowerCurveConfig, power_curve, wald_statistic
-from scmest.inference import ConfidenceSet, calibrated_radius, effective_dim_empirical
+from scmest.inference import (
+    ConfidenceSet,
+    calibrated_radius,
+    confidence_set,
+    effective_dim_empirical,
+)
 from scmest.losses import LOSS_KINDS, model_for_data
 from scmest.simdata import (
     PROCESS_KINDS,
     Dataset,
     Process,
     generate,
+    loss_kind_for,
     theta0_equispaced,
     write_csv,
     write_table,
@@ -538,6 +544,69 @@ class TestBootstrapCommand:
                 stats.append(wald_statistic(refit, fit.theta_n))
         assert doc["n_failed"] == 300 - len(stats)
         assert doc["quantile"] == pytest.approx(float(np.quantile(stats, 0.95)), rel=1e-12)
+
+
+class TestEveryProcess:
+    """fit and confset on each process: strict JSON carrying the library's numbers."""
+
+    _ARGS = ["--n", "150", "--d", "4", "--seed", "2"]
+
+    @staticmethod
+    def _library_fit(process_kind):
+        proc = Process(kind=process_kind, theta0=theta0_equispaced(4))
+        data = generate(proc, 150, 2)
+        return fit_erm(model_for_data(loss_kind_for(proc), data.X), data)
+
+    @pytest.mark.parametrize("process_kind", PROCESS_KINDS)
+    def test_fit_matches_library(self, capsys, process_kind):
+        code, doc, _ = _run_json(capsys, ["fit", "--process", process_kind, *self._ARGS])
+        fit = self._library_fit(process_kind)
+        assert code == 0 and fit.converged
+        assert doc["model"] == fit.batch.model.kind
+        assert doc["theta_n"] == fit.theta_n.tolist()
+        assert doc["objective_value"] == fit.aggregates_at_opt.L_n
+        assert doc["newton_decrement"] == fit.newton_decrement
+        assert doc["iterations"] == fit.iterations
+        cert = fit.certificate
+        assert doc["certificate"] == {
+            "passes": cert.passes,
+            "radius_bound": cert.radius_bound if cert.passes else None,
+        }
+
+    @pytest.mark.parametrize("process_kind", PROCESS_KINDS)
+    def test_explicit_constant_radius_matches_library(self, capsys, process_kind):
+        code, doc, _ = _run_json(
+            capsys,
+            [
+                "confset", "--process", process_kind, *self._ARGS,
+                "--calibration", "explicit_constant", "--c-k1-sq", "2",
+            ],
+        )
+        fit = self._library_fit(process_kind)
+        assert code == 0
+        assert doc["center"] == fit.theta_n.tolist()
+        assert doc["shape"] == fit.aggregates_at_opt.H_n.tolist()
+        assert doc["sq_radius"] == calibrated_radius(
+            fit, "wald", 0.05, "explicit_constant", c_k1_sq=2.0
+        )
+
+    @pytest.mark.parametrize("set_kind", ["wald", "lr"])
+    @pytest.mark.parametrize("process_kind", PROCESS_KINDS)
+    def test_bootstrap_set_matches_library(self, capsys, process_kind, set_kind):
+        code, doc, _ = _run_json(
+            capsys,
+            [
+                "confset", "--process", process_kind, *self._ARGS,
+                "--kind", set_kind, "--calibration", "bootstrap", "--B", "100",
+            ],
+        )
+        want = confidence_set(
+            self._library_fit(process_kind), set_kind, 0.05, "bootstrap", seed=2, B=100
+        )
+        assert code == 0
+        assert doc["kind"] == set_kind and doc["calibration"] == "bootstrap"
+        assert doc["center"] == want.center.tolist()
+        assert doc["sq_radius"] == want.sq_radius > 0.0
 
 
 class TestConfsetCommand:

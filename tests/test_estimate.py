@@ -439,6 +439,43 @@ class TestPdSolve:
         assert 0 < sum(expected) < len(expected)
         assert self._min_sq_pivot_alone(rescued) < 1e-12 * np.trace(rescued) / d and ok[-1]
 
+    @staticmethod
+    def _slot(code, d, rng):
+        """A d x d matrix of one kind: PD, rescued by the jitter, indefinite, or zero."""
+        if code == "p":
+            B = rng.standard_normal((d, d))
+            return B @ B.T + np.eye(d)
+        if code == "r":
+            M = np.eye(d)
+            M[:2, :2] = [[1e-6, 1e-3], [1e-3, 1.0]]
+            return M
+        if code == "i":
+            return np.diag(np.r_[np.ones(d - 1), -1.0])
+        return np.zeros((d, d))
+
+    @pytest.mark.parametrize(
+        "pattern", ["p", "pp", "r", "rp", "pr", "rrr", "prip", "zpr", "iiz", "rzpi"]
+    )
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_solutions_equal_solving_each_matrix_alone(self, d, pattern):
+        # a PD matrix solves as it is and a rescued one with its jitter,
+        # 1e-10 trace/d, bit for bit; the rest are zero, and H is not modified
+        rng = np.random.default_rng(len(pattern) * d)
+        H = np.array([self._slot(code, d, rng) for code in pattern])
+        R = rng.standard_normal((len(pattern), d, 2))
+        H_given = H.copy()
+        X, ok = _pd_solve(H, R)
+        assert np.array_equal(H, H_given)
+        assert ok.tolist() == [code in "pr" for code in pattern]
+        for b, code in enumerate(pattern):
+            if code == "p":
+                assert np.array_equal(X[b], np.linalg.solve(H[b], R[b]))
+            elif code == "r":
+                jitter = 1e-10 * np.trace(H[b]) / d
+                assert np.array_equal(X[b], np.linalg.solve(H[b] + jitter * np.eye(d), R[b]))
+            else:
+                assert np.all(X[b] == 0.0)
+
     def test_batched_cholesky_kernel_takes_double_signature(self):
         # the PD test calls numpy's private gufunc behind np.linalg.cholesky;
         # a numpy without it, or without the "d->d" loop, fails here

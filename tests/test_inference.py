@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
 from scmest.bootstrap import BootstrapConfig, bootstrap_quantile
 from scmest.errors import (
@@ -20,6 +21,7 @@ from scmest.estimate import EmpiricalAggregates, FitResult, SolverOptions, fit_e
 from scmest.gof import wald_statistic
 from scmest.inference import (
     ConfidenceSet,
+    _trace_ratio,
     calibrated_radius,
     confidence_set,
     effective_dim_empirical,
@@ -129,6 +131,42 @@ class TestEffectiveDimEmpirical:
         assert not stalled.converged
         with pytest.raises(NonConverged):
             effective_dim_empirical(stalled)
+
+
+def _pd_pair(d, seed):
+    """A PD H and a PSD G of rank at most d, both d x d."""
+    rng = np.random.default_rng(seed)
+    B = rng.standard_normal((d, d))
+    C = rng.standard_normal((d, d))
+    return B @ B.T + 0.5 * np.eye(d), C @ C.T
+
+
+class TestTraceRatio:
+    """Tr(H^{-1} G), the solve behind every effective dimension."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_sum_of_generalized_eigenvalues(self, d):
+        H, G = _pd_pair(d, seed=d)
+        want = math.fsum(eigh(G, H, eigvals_only=True))
+        assert _trace_ratio(G, H) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_invariant_under_reparameterization(self, d):
+        # theta -> A theta maps H to A' H A and G to A' G A
+        H, G = _pd_pair(d, seed=10 + d)
+        A = np.random.default_rng(20 + d).standard_normal((d, d)) + 2.0 * np.eye(d)
+        assert _trace_ratio(A.T @ G @ A, A.T @ H @ A) == pytest.approx(
+            _trace_ratio(G, H), rel=1e-9
+        )
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8])
+    def test_scales_with_G_and_inversely_with_H(self, d):
+        # powers of two scale without round-off
+        H, G = _pd_pair(d, seed=30 + d)
+        base = _trace_ratio(G, H)
+        assert _trace_ratio(4.0 * G, H) == 4.0 * base
+        assert _trace_ratio(G, 4.0 * H) == base / 4.0
+        assert _trace_ratio(H, H) == pytest.approx(d, rel=1e-12)
 
 
 class TestEffectiveDimOracle:
