@@ -26,20 +26,24 @@ pass that keys the datasets of :mod:`scmest.simdata`), and one
 Philox is re-keyed per replication to a fresh stream (zero counter, empty
 buffer), the state ``Philox(SeedSequence([seed, b]))`` starts from, so
 every row is the vector that construction draws.  The B refits run through the
-one Newton engine of :mod:`scmest.estimate`, a slot per replication, in
-chunks that bound memory, under the solver options of the base fit they
-calibrate (``FitResult.opts``); :func:`bootstrap_fit` is the engine's case
-of one slot.  Every slot follows the engine's step rule: the full Newton
-step where self-concordance guarantees it to descend or an Armijo test
-confirms it does, the damped step otherwise.
+one Newton engine of :mod:`scmest.estimate`, a slot per replication, under
+the solver options of the base fit they calibrate (``FitResult.opts``);
+:func:`bootstrap_fit` is the engine's case of one slot.  Every slot follows
+the engine's step rule: the full Newton step where self-concordance
+guarantees it to descend or an Armijo test confirms it does, the damped
+step otherwise.
 
 Work per fit: the data are checked and the per-sample stacks built once,
 in the :class:`~scmest.losses.Batch` of the fit, which also keeps the
 table of outer products its Hessians sum; an engine iteration computes
 the weighted risk, S and H of the live slots in one pass, and again only
-for the slots whose full step the test refused.  A chunk's multiplier
-block, the largest array of a bootstrap, is drawn once and read in place
-by the engine, which never copies it.
+for the slots whose full step the test refused.  Memory is bounded per
+chunk, not per B: the refits run in chunks whose (replications, n)
+multiplier block, the largest array of a chunk, holds at most 200 000
+entries (1.6 MB), one engine call each.  The engine reads the block in
+place and never copies it, and a chunk's arrays are freed before the next
+chunk is drawn.  Moving chunk boundaries moves results by at most a few
+ulps, as BLAS rounds a row of a matrix product by its place in the block.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 
 from .errors import DomainError, NonConverged, check_failures, check_nonnegative_int
 from .estimate import FitResult, SolverOptions, _fit_result, _newton_engine
-from .losses import LossModel, check_weights, prepare_batch
+from .losses import _STACK_ELEMENTS, LossModel, check_weights, prepare_batch
 from .simdata import Dataset, _philox_keys, _streams
 
 __all__ = [
@@ -62,6 +66,12 @@ __all__ = [
     "bootstrap_fit",
     "bootstrap_quantile",
 ]
+
+# entry budget of one chunk's (replications, n) multiplier block: a chunk
+# is one engine call over several evaluation blocks, enough slots to share
+# its key hashing, engine start and max_iter tail, and its arrays stay a
+# few MB whatever B is
+_MULTIPLIER_ELEMENTS = 4 * _STACK_ELEMENTS
 
 
 @dataclass(frozen=True)
@@ -150,7 +160,9 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
     replication b minimizes the risk the fit minimized reweighted by
     W_b: its weights are ``fit.weights * W_b``, and its LR compares the
     two risks of those weights.  Unit fit weights multiply exactly, so an
-    unweighted fit gets the plain W_b statistics bit for bit.
+    unweighted fit gets the plain W_b statistics bit for bit.  The
+    replications run in chunks whose multiplier block holds at most
+    ``_MULTIPLIER_ELEMENTS`` entries (at least one row), whatever B is.
     """
     if not fit.converged:
         raise NonConverged("bootstrap calibration requires a converged base fit")
@@ -161,7 +173,7 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
     wald = np.full(B, np.nan)
     lr = np.full(B, np.nan)
     causes: Counter[str] = Counter()
-    chunk = min(B, batch.max_slots())
+    chunk = max(1, _MULTIPLIER_ELEMENTS // n)
     for start in range(0, B, chunk):
         stop = min(start + chunk, B)
         W = _multipliers(seed, start, stop, n)
@@ -174,6 +186,8 @@ def _bootstrap_statistics(fit: FitResult, B: int, seed: int):
         risk_base = batch._mean(W, np.broadcast_to(vals_base, W.shape))
         lr[sel] = np.maximum(2.0 * (risk_base - fits.L), 0.0)[ok]
         causes.update(fits.status[~ok].tolist())
+        # freed before the next chunk is drawn, so one chunk is in memory at a time
+        del W, fits, diff, risk_base
     check_failures(causes, B, "bootstrap replications")
     good = ~np.isnan(wald)
     return wald[good], lr[good], int(B - np.count_nonzero(good))

@@ -55,12 +55,11 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, NonConverged, NumericOverflow, SingularHessian
 from .errors import check_failures, check_integer, check_nonnegative_int
 from .losses import Batch, LossModel, check_theta, check_weights, model_for_data, prepare_batch
-from .losses import _CHUNK_ELEMENTS, _STACK_ELEMENTS, prepare_stack
+from .losses import _CHUNK_ELEMENTS, _STACK_ELEMENTS, _min_sq_pivots, prepare_stack
 from .scfun import Certificate, SpectralSummary, certify_unique_minimizer, d_nu
 from .simdata import Dataset, Process, Provenance, _check_n, _draw, loss_kind_for
 
@@ -182,21 +181,6 @@ def _complete(batch: Batch, theta, w, L, S, H) -> EmpiricalAggregates:
     """Aggregates at theta from its L_n, S_n and H_n, adding G_n."""
     G = batch.score_moment(theta, w)
     return EmpiricalAggregates(L_n=L, S_n=S, H_n=H, G_n=G, n=batch.n)
-
-
-def _min_sq_pivots(H: np.ndarray) -> np.ndarray:
-    """Smallest squared Cholesky pivot of each matrix; NaN where factorization fails.
-
-    One call of the batched LAPACK kernel behind ``np.linalg.cholesky``
-    factors every matrix of the stack; it fills a matrix whose
-    factorization fails with NaN instead of raising, and NaN passes no
-    pivot test.
-    """
-    with np.errstate(invalid="ignore"):
-        L = _umath_linalg.cholesky_lo(H, signature="d->d")
-    m, d, _ = L.shape
-    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
-    return L.reshape(m, d * d)[:, :: d + 1].min(axis=1) ** 2
 
 
 def _pd_solve(H: np.ndarray, R: np.ndarray):
@@ -325,6 +309,9 @@ def _newton_engine(batch: Batch, W: np.ndarray, opts: SolverOptions) -> _SlotFit
         alpha = 1.0 / (1.0 + d_nu(batch.R, X))
         full |= alpha >= 0.5
         trial = th - np.where(full, 1.0, alpha)[:, None] * X
+        # the finished slots' S and H sit in S_fin and H_fin: the new ones
+        # are built without the last iterate's
+        del S, H
         # while every slot is live, plain slices of W need no index
         L_trial, S, H, overflow = batch.slot_evaluate(trial, W, None if live.size == m else live)
         # an overflowing Poisson trial has L = inf and fails the test
@@ -404,9 +391,15 @@ _REPLICATION_FAILURES = (SingularHessian, NumericOverflow, NonConverged)
 
 
 def _replications(
-    process: Process, n: int, seed_base: int, reps: int, opts: SolverOptions, fit: bool = True
-):
-    """The replicate-and-fit loop: yield each chunk of replications as one stacked batch.
+    process: Process,
+    n: int,
+    seed_base: int,
+    reps: int,
+    opts: SolverOptions,
+    visit: Callable[..., Any],
+    fit: bool = True,
+) -> list:
+    """The replicate-and-fit loop: visit each chunk of replications as one stacked batch.
 
     Replication r is the dataset ``generate(process, n, seed_base + r)``.
     A chunk is one evaluation block of the engine: its slots' (m, n)
@@ -415,13 +408,15 @@ def _replications(
     at least one dataset.  Its datasets are drawn as one block
     (:func:`~scmest.simdata._draw`) and checked at once into one stacked
     batch, with one ``model_for_data(loss_kind_for(process), X)``.  Per
-    chunk, in replication order, this yields ``(seeds, stacked, W,
-    fits)``: ``stacked`` has slot b holding the dataset of ``seeds[b]``,
-    ``W`` unit weights (one row per slot) and ``fits`` the engine's run on
-    them from theta = 0, or None without ``fit``.  A ``reps`` or ``n``
-    that is not an integer, ``reps`` below 1 or a ``seed_base`` that is
-    not a nonnegative integer raise DomainError, and ``n`` below 1
-    EmptyDataset, before any replication runs.
+    chunk, in replication order, this calls ``visit(seeds, stacked, W,
+    fits)`` and returns the list of what the visits return: ``stacked``
+    has slot b holding the dataset of ``seeds[b]``, ``W`` unit weights (one
+    row per slot) and ``fits`` the engine's run on them from theta = 0, or
+    None without ``fit``.  A chunk's arrays are freed when its visit
+    returns, before the next chunk is drawn.  A ``reps`` or ``n`` that is
+    not an integer, ``reps`` below 1 or a ``seed_base`` that is not a
+    nonnegative integer raise DomainError, and ``n`` below 1 EmptyDataset,
+    before any replication runs.
     """
     check_integer("reps", reps)
     if reps < 1:
@@ -431,12 +426,21 @@ def _replications(
     seed_base, kind = int(seed_base), loss_kind_for(process)
     row = process.d**2 if kind == "score_matching" else process.d
     chunk = max(1, min(_STACK_ELEMENTS // n, _CHUNK_ELEMENTS // (n * row)))
+    visits = []
     for start in range(0, reps, chunk):
         seeds = range(seed_base + start, seed_base + min(start + chunk, reps))
-        X, y = _draw(process, n, seeds.start, seeds.stop)
-        stacked = prepare_stack(model_for_data(kind, X[0]), X, y)
-        W = np.ones((len(seeds), n))
-        yield seeds, stacked, W, _newton_engine(stacked, W, opts) if fit else None
+        visits.append(visit(seeds, *_replication_chunk(process, kind, n, seeds, opts, fit)))
+    return visits
+
+
+def _replication_chunk(
+    process: Process, kind: str, n: int, seeds: range, opts: SolverOptions, fit: bool
+):
+    """The stacked batch of the datasets of ``seeds``, its unit weights and engine fits."""
+    X, y = _draw(process, n, seeds.start, seeds.stop)
+    stacked = prepare_stack(model_for_data(kind, X[0]), X, y)
+    W = np.ones((len(seeds), n))
+    return stacked, W, _newton_engine(stacked, W, opts) if fit else None
 
 
 def replicate(
@@ -468,9 +472,10 @@ def replicate(
     runs.
     """
     opts = opts or SolverOptions()
-    values = []
     causes: Counter[str] = Counter()
-    for seeds, stacked, W, fits in _replications(process, n, seed_base, reps, opts):
+
+    def measured(seeds, stacked, W, fits):
+        values = []
         for b, seed in enumerate(seeds):
             if fits.status[b] != "converged":
                 causes[fits.status[b]] += 1
@@ -482,8 +487,11 @@ def replicate(
                 values.append(measure(stacked.model, data, result))
             except _REPLICATION_FAILURES as exc:
                 causes[exc.cause] += 1
+        return values
+
+    chunks = _replications(process, n, seed_base, reps, opts, measured)
     check_failures(causes, reps, "replications")
-    return values
+    return [value for values in chunks for value in values]
 
 
 def localization_certificate(

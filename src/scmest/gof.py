@@ -210,27 +210,27 @@ def _statistics_at(
     replications, in replication order, equal bit for bit to
     :func:`_statistics` of each replication's fit.
     """
-    values: dict[str, list] = {kind: [] for kind in kinds}
     causes: Counter[str] = Counter()
     opts = opts or SolverOptions()
-    chunks = _replications(process, n, seed_base, reps, opts, _needs_fit(kinds))
-    for _, stacked, W, fits in chunks:
+
+    def evaluated(_, stacked, W, fits):
         at_opt = None
         if fits is not None:
             keep = fits.status == "converged"
             causes.update(fits.status[~keep].tolist())
             if not keep.any():
-                continue
+                return {kind: np.empty(0) for kind in kinds}
             if not keep.all():
                 stacked, W = stacked.take(keep), W[keep]
             at_opt = (fits.theta[keep], fits.H[keep], fits.L[keep])
         theta = check_theta(stacked.model, theta0)
         stats, failed = _slot_statistics(kinds, stacked, W, theta, at_opt)
         causes.update(failed[failed != ""].tolist())
-        for kind in kinds:
-            values[kind].append(stats[kind][failed == ""])
+        return {kind: stats[kind][failed == ""] for kind in kinds}
+
+    chunks = _replications(process, n, seed_base, reps, opts, evaluated, _needs_fit(kinds))
     check_failures(causes, reps, "replications")
-    return {kind: np.concatenate(v) for kind, v in values.items()}
+    return {kind: np.concatenate([chunk[kind] for chunk in chunks]) for kind in kinds}
 
 
 def null_statistics(

@@ -52,6 +52,17 @@ import numpy as np
 from .errors import DimensionMismatch, DomainError, InvalidLabel, NumericOverflow
 from .simdata import Dataset
 
+try:
+    # numpy's batched LAPACK Cholesky kernel, the gufunc behind
+    # np.linalg.cholesky; no public API factors a stack without raising on
+    # its first failure, so a numpy without it stops the import here
+    from numpy.linalg._umath_linalg import cholesky_lo as _cholesky_lo
+except ImportError as exc:
+    raise ImportError(
+        "scmest needs numpy's batched Cholesky kernel "
+        f"numpy.linalg._umath_linalg.cholesky_lo, which numpy {np.__version__} lacks"
+    ) from exc
+
 __all__ = [
     "LOSS_KINDS",
     "LossModel",
@@ -416,17 +427,43 @@ def _score_matching_stacks(model: LossModel, X: np.ndarray):
     if not finite.all():
         raise DomainError(f"score-matching stacks have a non-finite value in sample "
                           f"row {np.argmin(finite)}")
-    eigs = np.linalg.eigvalsh(A)
     asym = np.max(np.abs(A - A.swapaxes(1, 2)), axis=(1, 2))
+    # tau = 1e-10 max(max_j |A_i,jj|, 1) is at most the tolerance, as
+    # ||A_i||_2 >= |A_i,jj|; an exactly symmetric A_i with A_i + (tau/2) I
+    # factored has lambda_min above -tau/2 less Cholesky's round-off, so
+    # above -tol: it passes both rules with no eigenvalues computed
+    tau = 1e-10 * np.maximum(np.max(np.abs(np.diagonal(A, axis1=1, axis2=2)), axis=1), 1.0)
+    shifted = A + 0.5 * tau[:, None, None] * np.eye(d)
+    rows = np.flatnonzero((asym > 0.0) | ~(_min_sq_pivots(shifted) > 0.0))
+    if rows.size == 0:
+        return A, b, c
+    # the other rows take the rules by their eigenvalues
+    A_rest, asym = A[rows], asym[rows]
+    eigs = np.linalg.eigvalsh(A_rest)
     # ||A_i||_2 of a symmetric A_i is its largest |eigenvalue|: no SVD needed
     scale = np.max(np.abs(eigs), axis=1)
-    scale[asym > 0.0] = np.linalg.norm(A[asym > 0.0], 2, axis=(1, 2))
+    scale[asym > 0.0] = np.linalg.norm(A_rest[asym > 0.0], 2, axis=(1, 2))
     tol = 1e-10 * np.maximum(scale, 1.0)
     rules = ((asym > tol, "symmetric"), (eigs[:, 0] < -tol, "positive semidefinite"))
     for bad, rule in rules:
         if bad.any():
-            raise DomainError(f"A of sample row {np.argmax(bad)} must be {rule}")
+            raise DomainError(f"A of sample row {rows[np.argmax(bad)]} must be {rule}")
     return A, b, c
+
+
+def _min_sq_pivots(H: np.ndarray) -> np.ndarray:
+    """Smallest squared Cholesky pivot of each matrix; NaN where factorization fails.
+
+    One call of the batched LAPACK kernel behind ``np.linalg.cholesky``
+    factors every matrix of the stack; it fills a matrix whose
+    factorization fails with NaN instead of raising, and NaN passes no
+    pivot test.
+    """
+    with np.errstate(invalid="ignore"):
+        L = _cholesky_lo(H, signature="d->d")
+    m, d, _ = L.shape
+    # every (d + 1)-th entry of a flattened d x d matrix is on its diagonal
+    return L.reshape(m, d * d)[:, :: d + 1].min(axis=1) ** 2
 
 
 def _symmetric(H: np.ndarray) -> np.ndarray:
@@ -434,9 +471,9 @@ def _symmetric(H: np.ndarray) -> np.ndarray:
     return 0.5 * (H + H.swapaxes(-1, -2))
 
 
-# rough element budget for one slot chunk's temporaries, and for the packed
-# table of row outer products kept by a Batch; past it the table is built
-# per row block whenever it is used
+# element budget of the packed table of row outer products kept by a Batch,
+# past which the table is built per row block whenever it is used, and of
+# the stacked data of a chunk of replications
 _CHUNK_ELEMENTS = 8_000_000
 
 # element budget of the slots evaluated together: a block of a batch's slots,
@@ -567,10 +604,6 @@ class Batch:
         if self.model.kind == "expfam_glm":
             return self.n * self.stacks[0].shape[1] * self.model.dim
         return self.n
-
-    def max_slots(self) -> int:
-        """How many slots fit ``_CHUNK_ELEMENTS``."""
-        return max(1, _CHUNK_ELEMENTS // self._slot_elements)
 
     @cached_property
     def _outer(self) -> _OuterTable:

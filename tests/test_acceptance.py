@@ -10,6 +10,7 @@ under frozen seeds so a pass is bit-reproducible.
 
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 from scipy.integrate import quad
@@ -68,9 +69,11 @@ _QUAD = dict(epsabs=1e-13, epsrel=1e-13, limit=200)
 
 
 def _oracle_omega(tau):
-    # omega recovered from its logarithmic derivative, an evaluation path
-    # sharing no code with the closed form under test
-    return math.exp(quad(lambda s: 1.0, 0.0, tau, **_QUAD)[0])
+    # omega(tau) = e^tau in decimal arithmetic at 40 digits, an evaluation
+    # path sharing no code with libm's exp behind the closed form under test
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return float(Decimal(tau).exp())
 
 
 def _oracle_dbar(tau):
@@ -156,14 +159,20 @@ def _fd_third_dir(model, theta, X, y, u, v, step=1e-5):
 # ---------------------------------------------------------------------------
 
 
-def test_01_kernel_quadrature_exactness():
-    t0 = time.time()
+def _omega_worst_rel_err(omega_fn):
+    """Worst relative error of omega_fn against the oracle over 200 tau in (-0.9, 0.9)."""
     rng = np.random.default_rng(1)
     worst = 0.0
     for _ in range(200):
         tau = float(rng.uniform(-0.9, 0.9))
         want = _oracle_omega(tau)
-        worst = max(worst, abs(omega(tau) - want) / abs(want))
+        worst = max(worst, abs(omega_fn(tau) - want) / abs(want))
+    return worst
+
+
+def test_01_kernel_quadrature_exactness():
+    t0 = time.time()
+    worst = _omega_worst_rel_err(omega)
     # the engine's full step at d_nu <= 1 decreases the risk by at least
     # (1 - omega_dbar(1)) dec^2, and omega_dbar(1) = e - 2 < 3/4
     dbar_err = abs(_oracle_dbar(1.0) - (math.e - 2.0))
@@ -175,6 +184,13 @@ def test_01_kernel_quadrature_exactness():
         f"worst rel err {worst:.2e} (tol 1e-08), omega_dbar(1) - (e - 2) {dbar_err:.1e} "
         f"(tol 1e-12), K={K_NU}, {elapsed:.1f}s (budget 5s)",
     )
+
+
+def test_01_gate_rejects_a_perturbed_omega():
+    # an omega off by a relative 1e-7 is past test_01's 1e-8 tolerance
+    worst = _omega_worst_rel_err(lambda tau: omega(tau) * (1.0 + 1e-7))
+    _gate("01 oracle sensitivity", worst >= 1e-8,
+          f"omega * (1 + 1e-7): worst rel err {worst:.2e} (must reach 1e-08)")
 
 
 def test_02_derivatives_match_finite_differences():

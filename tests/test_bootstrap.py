@@ -315,19 +315,20 @@ class TestBatchedEngine:
     def test_chunking_does_not_change_results(self, monkeypatch):
         # weight streams are per-replication, so chunk boundaries only
         # perturb kernel blocking: agreement to the last few ulps
-        import scmest.losses as losses_module
+        import scmest.bootstrap as bootstrap_module
 
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 90, 2)
         config = BootstrapConfig(delta=0.1, B=120, seed=3)
         whole = bootstrap_quantile(model, data, fit, config, kind="wald")
-        monkeypatch.setattr(losses_module, "_CHUNK_ELEMENTS", 3 * data.n)
+        monkeypatch.setattr(bootstrap_module, "_MULTIPLIER_ELEMENTS", 3 * data.n)
         pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
         assert pieces.n_failed == whole.n_failed
         assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
 
     def test_row_blocked_table_does_not_change_results(self, monkeypatch):
-        # a budget below n d(d+1)/2 makes the x x' table run over row
-        # blocks, and below B n it also chunks the slots
+        # a table budget below n d(d+1)/2 makes the x x' table run over row
+        # blocks, and a multiplier budget below B n chunks the slots
+        import scmest.bootstrap as bootstrap_module
         import scmest.losses as losses_module
 
         _, data, model, fit = _fit("logistic", "logistic_wellspec", 90, 5)
@@ -335,8 +336,45 @@ class TestBatchedEngine:
         whole = bootstrap_quantile(model, data, fit, config, kind="wald")
         assert len(_OuterTable(data.X).blocks) == 1
         monkeypatch.setattr(losses_module, "_CHUNK_ELEMENTS", 3 * data.n)
+        monkeypatch.setattr(bootstrap_module, "_MULTIPLIER_ELEMENTS", 3 * data.n)
         assert len(_OuterTable(data.X).blocks) > 1
         pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
+        assert pieces.n_failed == whole.n_failed
+        assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
+
+    def test_memory_is_bounded_per_chunk_not_per_b(self, monkeypatch):
+        # B = 5000 refits at n = 1000 draw a 40 MB multiplier block in all;
+        # in chunks of at most _MULTIPLIER_ELEMENTS entries (200 refits here),
+        # each freed before the next is drawn, the traced peak stays under
+        # 8 MB, where one chunk of all B peaks at about 45 MB, and the
+        # results agree with that one chunk's
+        import tracemalloc
+        import weakref
+
+        import scmest.bootstrap as bootstrap_module
+
+        _, data, model, fit = _fit("logistic", "logistic_wellspec", 1000, 5)
+        config = BootstrapConfig(delta=0.1, B=5000, seed=1)
+        chunks, draw = [], bootstrap_module._multipliers
+
+        def tracked(*args):
+            assert all(chunk() is None for chunk in chunks)
+            W = draw(*args)
+            chunks.append(weakref.ref(W))
+            return W
+
+        monkeypatch.setattr(bootstrap_module, "_multipliers", tracked)
+        tracemalloc.start()
+        try:
+            pieces = bootstrap_quantile(model, data, fit, config, kind="wald")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert len(chunks) == 25
+        monkeypatch.setattr(bootstrap_module, "_MULTIPLIER_ELEMENTS", config.B * data.n)
+        whole = bootstrap_quantile(model, data, fit, config, kind="wald")
+        assert len(chunks) == 26
         assert pieces.n_failed == whole.n_failed
         assert pieces.quantile == pytest.approx(whole.quantile, rel=1e-12)
 
@@ -418,9 +456,9 @@ class TestBatchedEngine:
     def test_engine_reads_the_weights_in_place(self, monkeypatch):
         # Poisson refits leave at different iterations and have full steps
         # refused; the engine never copies the (B, n) multiplier block, so
-        # one call's traced peak stays below 2.5 blocks, where copying the
-        # live rows when slots leave and again for the refused steps peaks
-        # at about 3.3 blocks
+        # drawing it and one engine call peak below 2.5 blocks traced, where
+        # copying the live rows when slots leave and again for the refused
+        # steps peaks at about 3.3 blocks
         import tracemalloc
 
         import scmest.losses as losses_module
@@ -434,19 +472,19 @@ class TestBatchedEngine:
 
         tracemalloc.start()
         try:
-            wald, _, n_failed = _bootstrap_statistics(fit, B, 7)
+            W = _multipliers(7, 0, B, fit.batch.n)
+            fits = _newton_engine(fit.batch, W, fit.opts)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = B * fit.batch.n * 8
-        assert peak < 2.5 * block
-        monkeypatch.setattr(losses_module.Batch, "slot_evaluate", counted)
-        W = _multipliers(7, 0, B, fit.batch.n)
-        fits = _newton_engine(fit.batch, W, fit.opts)
+        assert peak < 2.5 * W.nbytes
         assert np.unique(fits.iterations).size > 2
+        n_failed = _bootstrap_statistics(fit, B, 7)[2]
+        assert n_failed == np.count_nonzero(fits.status != "converged")
+        monkeypatch.setattr(losses_module.Batch, "slot_evaluate", counted)
+        _newton_engine(fit.batch, W, fit.opts)
         # one evaluation at theta = 0 and one per iteration, plus the refused
         assert len(calls) > 1 + fits.iterations.max()
-        assert n_failed == np.count_nonzero(fits.status != "converged")
 
     def test_least_squares_deviance_equals_wald(self):
         _, data, model, fit = _fit("squared", "linear_wellspec", 100, 3)

@@ -1,6 +1,8 @@
 """Newton fitting and its step rule, aggregates, singularity handling, certificates."""
 
 import math
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -486,6 +488,21 @@ class TestPdSolve:
             L = _umath_linalg.cholesky_lo(H, signature="d->d")
         np.testing.assert_array_equal(L[0], np.linalg.cholesky(H[0]))
         assert np.isnan(L[1]).all()
+
+    def test_missing_cholesky_kernel_fails_at_import(self):
+        # the kernel is resolved when the fitting code is imported: a numpy
+        # without it stops the import with an ImportError naming its
+        # version, not an AttributeError inside the first fit
+        code = (
+            "import numpy.linalg._umath_linalg as kernels\n"
+            "del kernels.cholesky_lo\n"
+            "import scmest.estimate\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 1
+        last = proc.stderr.strip().splitlines()[-1]
+        assert last.startswith("ImportError: ") and "cholesky_lo" in last
+        assert f"numpy {np.__version__} " in last
 
 
 class TestStacksBuiltOncePerCall:

@@ -500,3 +500,23 @@ class TestValidation:
         model = score_matching_loss(2, stacks_fn)
         with pytest.raises(error, match=match):
             batch_values(model, np.array([0.0, 1.0]), np.linspace(-1.0, 1.0, 5)[:, None])
+
+    @pytest.mark.parametrize("depth, passes", [(0.5, True), (2.0, False)])
+    def test_psd_rule_at_its_tolerance(self, depth, passes):
+        # A = [[1/2, 1/2], [1/2, 1/2]] - eps I is exactly symmetric with
+        # ||A||_2 < 1, so its tolerance is 1e-10, and lambda_min = -eps is
+        # half or twice the tolerance: inside it, A passes, past it, it fails
+        eps = depth * 1e-10
+
+        def stacks_fn(Z):
+            A, b, c = _gaussian_stacks(Z)
+            A[2] = [[0.5 - eps, 0.5], [0.5, 0.5 - eps]]
+            return A, b, c
+
+        model = score_matching_loss(2, stacks_fn)
+        theta, Z = np.array([0.0, 1.0]), np.linspace(-1.0, 1.0, 5)[:, None]
+        if passes:
+            assert batch_values(model, theta, Z).shape == (5,)
+        else:
+            with pytest.raises(DomainError, match="sample row 2 must be positive semidefinite"):
+                batch_values(model, theta, Z)

@@ -1,6 +1,7 @@
 """Synthetic processes: determinism, distributional sanity, CSV round trips."""
 
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -638,3 +639,23 @@ class TestReplicationsAsSlots:
         assert len(null_statistics(("rao", "wald"), process, 500, 250, 3)["rao"]) == 250
         assert engines == [100, 100, 50]
         assert len(blocks) == len(evaluations)
+
+    @pytest.mark.parametrize("study", ["replicate", "null_statistics"])
+    def test_a_chunk_is_freed_before_the_next_is_drawn(self, monkeypatch, study):
+        # no array of a chunk, nor a view of one, outlives its visit: when
+        # the next chunk is drawn, the previous chunk's design is gone
+        process = _proc("logistic_wellspec", d=5)
+        designs, draw = [], estimate._draw
+
+        def tracked(*args):
+            assert all(design() is None for design in designs)
+            X, y = draw(*args)
+            designs.append(weakref.ref(X))
+            return X, y
+
+        monkeypatch.setattr(estimate, "_draw", tracked)
+        if study == "replicate":
+            replicate(process, 500, 3, 250, TestReplicate._seed_and_wald)
+        else:
+            null_statistics(("rao", "lr", "wald"), process, 500, 250, 3)
+        assert len(designs) == 3
